@@ -18,7 +18,7 @@ from .bundle import (HNData, ModelIso, Section, SplittingType, VectorBundle,
                      model_isomorphism, splitting_type, twist)
 from .group import (Character, GroupElement, GroupSpec, LiftedElement, characters,
                     cyclic, elements, klein, lift_group)
-from .equivariant import (BundleMap, EquivariantStructure, canonical_cyclic,
+from .equivariant import (EquivariantStructure, canonical_cyclic,
                           canonical_klein_even, canonical_klein_lift,
                           canonical_klein_pair, canonical_structure,
                           canonical_tangent, central_sign, conjugate_structure,

@@ -26,33 +26,24 @@ from .cyclotomic import CycNum, root_of_unity
 from .errors import (FactorizationFailure, InternalInconsistency, InvalidStructure,
                      NotBlockDiagonalPart, RelationViolation, ShapeMismatch,
                      TriangularityViolation)
-from .equivariant import (EquivariantStructure, canonical_cyclic,
+from .equivariant import (EquivariantStructure, GroupIndexed, canonical_cyclic,
                           canonical_klein_even, canonical_klein_lift,
                           canonical_klein_pair, direct_sum_structures,
                           embed_structure, transport_structure,
                           twist_by_character, validate_structure)
-from .group import Character, GroupSpec, characters, elements, multiply
+from .group import Character, GroupSpec, characters, elements, inverse, multiply
 from .laurent import LaurentMatrix, LaurentPoly, regular_invertible_at
 from .linalg import eigenspace, kernel_dense, mat_vec_const
 
 
 @dataclass(frozen=True)
-class ModelStructure:
+class ModelStructure(GroupIndexed):
     """A genuine cocycle on the model bundle diag(z^(d_j)), block
     upper-triangular in descending-degree order."""
     group: GroupSpec
     degrees: tuple
     maps: dict
     conductor: int
-
-    def action_items(self):
-        return [(g.name, g.c.embed(self.conductor), g.e)
-                for g in elements(self.group)]
-
-    def product_name(self, n1, n2):
-        from .group import element_by_name
-        return multiply(self.group, element_by_name(self.group, n1),
-                        element_by_name(self.group, n2)).name
 
 
 def _block_ranges(degrees):
@@ -104,7 +95,8 @@ def block_diagonal_part(N: ModelStructure) -> ModelStructure:
 
 
 def averaging_intertwiner(N: ModelStructure, R: ModelStructure) -> LaurentMatrix:
-    """S(z) = 1/|G| * sum_gamma N_gamma(z)^(-1) R_gamma(z).
+    """S(z) = 1/|G| * sum_gamma N_gamma(z)^(-1) R_gamma(z), where the
+    cocycle supplies its own inverses: N_gamma(z)^(-1) = N_{gamma^-1}(gamma z).
 
     Checked exactly: S is unipotent block-triangular, and
     N_gamma(z) S(z) = S(gamma z) R_gamma(z) for every gamma."""
@@ -124,9 +116,10 @@ def averaging_intertwiner(N: ModelStructure, R: ModelStructure) -> LaurentMatrix
                         raise NotBlockDiagonalPart(
                             f"R has off-diagonal data at {name!r}")
     order = N.group.order
+    inverse_name = {g.name: inverse(N.group, g).name for g in elements(N.group)}
     acc = None
     for name, c, e in N.action_items():
-        term = N.maps[name].inverse() @ R.maps[name]
+        term = N.maps[inverse_name[name]].substitute(c, e) @ R.maps[name]
         acc = term if acc is None else acc + term
     S = acc.scale(Fraction(1, order))
     # postconditions
@@ -347,12 +340,6 @@ class DecompositionCertificate:
         items.sort(key=lambda it: (-it[1], 0 if it[0] == "even" else 1,
                                    _char_key(it[2]) if it[2] else 0))
         return items
-
-    def model_degrees(self):
-        out = []
-        for kind, d, _ in self.block_sequence():
-            out.extend([d] if kind == "even" else [d, d])
-        return tuple(out)
 
     def block_data(self):
         """Hashable summary for comparisons up to the canonical sort."""

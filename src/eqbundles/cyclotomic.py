@@ -180,11 +180,6 @@ class CycNum:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):
@@ -320,11 +315,6 @@ def primitive_root(m: int) -> CycNum:
 def root_of_unity(m: int, k: int) -> CycNum:
     """zeta_m^k (k taken mod m), looked up in the precomputed power table."""
     return CycNum(m, list(_zeta_powers(m)[k % m]))
-
-
-def all_roots_of_unity(m: int):
-    """All m-th roots of unity in canonical order zeta_m^0, ..., zeta_m^(m-1)."""
-    return [root_of_unity(m, k) for k in range(m)]
 
 
 def discrete_log_root(value: CycNum, m: int):

@@ -1,6 +1,6 @@
 """Equivariant structures: bundle maps over group elements, cocycle
-validation, the canonical constructions, character twists, existence
-tests, and pointwise equivalence of structures.
+validation on generators, the canonical constructions, character
+twists, existence tests, and equivalence of structures.
 
 A bundle map over gamma: z -> c*z^e transports 0-chart section data by
 (phi s)_0(gamma z) = N(z) * s_0(z).  All four chart regularity checks
@@ -11,13 +11,11 @@ must act by the scalar sign that matches the parity of the degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from random import Random
 
-from .bundle import (VectorBundle, direct_sum, embed_bundle, global_sections,
-                     hom, line_bundle, splitting_type)
-from .cyclotomic import CycNum, discrete_log_root
+from .bundle import (VectorBundle, direct_sum, embed_bundle, line_bundle,
+                     splitting_type, twist)
+from .cyclotomic import discrete_log_root
 from .errors import (DimensionMismatch, InvalidStructure, MissingElement,
                      NoSuchStructure, NotComparable)
 from .group import (Character, GroupSpec, characters, element_by_name, elements,
@@ -53,18 +51,29 @@ def _moebius_of(gamma):
     return gamma.c, gamma.e
 
 
-@dataclass(frozen=True)
-class BundleMap:
-    """One bundle map over a group (or lift-group) element: N transports
-    0-chart section data, (phi s)_0(gamma z) = N(z) s_0(z)."""
-    gamma: object
-    matrix: LaurentMatrix
+class GroupIndexed:
+    """Maps keyed by group element names, or by lift-group element names
+    when `lift` is set.  Subclasses provide `group` and `conductor`."""
 
-    def is_valid_over(self, E: VectorBundle) -> bool:
-        return is_bundle_map(E, self.gamma, self.matrix)
+    __slots__ = ()
+    lift = False
+
+    def action_items(self):
+        """(name, c embedded in the structure field, e) per indexing element."""
+        if self.lift:
+            acting = [(x.name, lift_moebius(x)) for x in lift_group()]
+        else:
+            acting = [(g.name, g) for g in elements(self.group)]
+        return [(name, g.c.embed(self.conductor), g.e) for name, g in acting]
+
+    def product_name(self, name1: str, name2: str) -> str:
+        if self.lift:
+            return lift_multiply(lift_by_name(name1), lift_by_name(name2)).name
+        return multiply(self.group, element_by_name(self.group, name1),
+                        element_by_name(self.group, name2)).name
 
 
-class EquivariantStructure:
+class EquivariantStructure(GroupIndexed):
     """A bundle together with one bundle map per group element.
 
     For `lift=True` the maps are indexed by the eight lift-group
@@ -100,30 +109,6 @@ class EquivariantStructure:
     def conductor(self) -> int:
         return self.bundle.conductor
 
-    def action_items(self):
-        """(name, c embedded in the structure field, e) per indexing element."""
-        out = []
-        if self.lift:
-            for x in lift_group():
-                g = lift_moebius(x)
-                out.append((x.name, g.c.embed(self.conductor), g.e))
-        else:
-            for g in elements(self.group):
-                out.append((g.name, g.c.embed(self.conductor), g.e))
-        return out
-
-    def product_name(self, name1: str, name2: str) -> str:
-        if self.lift:
-            return lift_multiply(lift_by_name(name1), lift_by_name(name2)).name
-        return multiply(self.group, element_by_name(self.group, name1),
-                        element_by_name(self.group, name2)).name
-
-    def map_for(self, name: str) -> LaurentMatrix:
-        return self.maps[name]
-
-    def bundle_map(self, name: str) -> BundleMap:
-        return BundleMap(gamma=_gamma_for(self, name), matrix=self.maps[name])
-
     def __eq__(self, other):
         if not isinstance(other, EquivariantStructure):
             return NotImplemented
@@ -136,8 +121,24 @@ class EquivariantStructure:
                 f"rank={self.bundle.rank}, degree={self.bundle.degree()})")
 
 
+def _generator_names(S: EquivariantStructure):
+    """A generating set of the indexing group: A1, A2 for the lift group,
+    a1, a2 for the Klein group, g for cyclic groups (e when trivial)."""
+    if S.lift:
+        return ("A1", "A2")
+    if S.group.kind == "klein":
+        return ("a1", "a2")
+    return (elements(S.group)[1 % S.group.n].name,)
+
+
 def validation_report(S: EquivariantStructure):
-    """All validation failures as human-readable strings (empty = valid)."""
+    """All validation failures as human-readable strings (empty = valid).
+
+    The cocycle identity N_{sx}(z) = N_s(x.z) N_x(z) is checked only for
+    generators s.  With N_e = Id this gives it for every pair (y, x), by
+    induction on the word length of y: if it holds for (y, x), (s, y)
+    and (s, yx), then N_{sy}(x.z) N_x(z) = N_s(yx.z) N_y(x.z) N_x(z)
+    = N_s(yx.z) N_{yx}(z) = N_{syx}(z)."""
     problems = []
     items = S.action_items()
     ident = LaurentMatrix.identity(S.conductor, S.bundle.rank)
@@ -149,14 +150,14 @@ def validation_report(S: EquivariantStructure):
     for name, c, e in items:
         if not is_bundle_map(S.bundle, _gamma_for(S, name), S.maps[name]):
             problems.append(f"map for {name!r} fails the bundle-map regularity checks")
-    for n1, c1, e1 in items:
-        for n2, c2, e2 in items:
-            left = S.maps[S.product_name(n1, n2)]
-            right = S.maps[n1].substitute(c2, e2) @ S.maps[n2]
+    for s in _generator_names(S):
+        for x, c, e in items:
+            left = S.maps[S.product_name(s, x)]
+            right = S.maps[s].substitute(c, e) @ S.maps[x]
             if left != right:
                 problems.append(
-                    f"cocycle fails on ({n1!r}, {n2!r}): "
-                    f"N_{{{n1}{n2}}} != N_{n1}({n2}.z) N_{n2}")
+                    f"cocycle fails on ({s!r}, {x!r}): "
+                    f"N_{{{s}{x}}} != N_{s}({x}.z) N_{x}")
     return problems
 
 
@@ -403,77 +404,36 @@ def transport_structure(S: EquivariantStructure, F: LaurentMatrix,
     return EquivariantStructure(target, S.group, maps, lift=S.lift)
 
 
-def automorphism_sections(E: VectorBundle):
-    """Basis of H0(End E) reshaped to r x r Laurent matrices (0-chart data)."""
-    r = E.rank
-    sections = global_sections(hom(E, E))
-    mats = []
-    for s in sections:
-        grid = [[s.s_zero[i * r + j] for j in range(r)] for i in range(r)]
-        mats.append(LaurentMatrix(E.conductor, grid))
-    return mats
+def _center_shifted(S: EquivariantStructure) -> EquivariantStructure:
+    """S tensored with canonical_klein_lift(1): a lift structure on
+    twist(E, 1) whose center acts by the opposite sign."""
+    line = canonical_klein_lift(1)
+    maps = {name: N.scale_poly(line.maps[name].entries[0][0].embed(S.conductor))
+            for name, N in S.maps.items()}
+    return EquivariantStructure(twist(S.bundle, 1), S.group, maps, lift=True)
 
 
-def structures_equivalent(S1: EquivariantStructure, S2: EquivariantStructure,
-                          seed: int = 0, tries: int = 80) -> bool:
+def structures_equivalent(S1: EquivariantStructure,
+                          S2: EquivariantStructure) -> bool:
     """Decide whether some bundle automorphism intertwines the two
     structures: U(gamma z) N1_gamma(z) = N2_gamma(z) U(z) for all gamma.
 
-    The intertwiner space is computed exactly; picking an invertible
-    point in it uses a seeded bounded search."""
+    By the classification theorem a genuine structure is determined up
+    to equivalence by the block data of its decomposition, so the answer
+    is exact.  Lift structures with different central signs are never
+    equivalent; otherwise both are tensored with canonical_klein_lift(1)
+    when the center acts by -1, which is an equivalence onto structures
+    on twist(E, 1) with trivial center, and then descended."""
+    from .classify import decompose
     if S1.bundle != S2.bundle or S1.group != S2.group or S1.lift != S2.lift:
         raise NotComparable("structures live on different bundles or groups")
     if not validate_structure(S1) or not validate_structure(S2):
         raise InvalidStructure("equivalence testing needs validated structures")
-    E = S1.bundle
-    basis = automorphism_sections(E)
-    if not basis:
-        return False
-    # linear conditions on combination coefficients x_b
-    rows = []
-    for name, c, e in S1.action_items():
-        diffs = [b.substitute(c, e) @ S1.maps[name] - S2.maps[name] @ b
-                 for b in basis]
-        keys = set()
-        for dmat in diffs:
-            for i in range(E.rank):
-                for j in range(E.rank):
-                    keys.update((i, j, ex) for ex in dmat.entries[i][j].coeffs)
-        for (i, j, ex) in sorted(keys):
-            rows.append([dmat.entries[i][j].coeff(ex) for dmat in diffs])
-    from .linalg import kernel_dense
-    kernel = kernel_dense(rows, len(basis), E.conductor)
-    if not kernel:
-        return False
-
-    def assemble(coeffs):
-        acc = None
-        for x, b in zip(coeffs, basis):
-            if isinstance(x, int):
-                x = CycNum.rational(E.conductor, x)
-            if x.is_zero():
-                continue
-            term = b.scale(x)
-            acc = term if acc is None else acc + term
-        return acc
-
-    def invertible(U):
-        if U is None:
+    if S1.lift:
+        sign = central_sign(S1)
+        if sign != central_sign(S2):
             return False
-        d = U.det()
-        return d.is_constant() and not d.is_zero()
-
-    for vec in kernel:
-        U = assemble(vec)
-        if invertible(U):
-            return True
-    rng = Random(seed)
-    for _ in range(tries):
-        coeffs = [rng.randint(-5, 5) for _ in kernel]
-        combo = [sum((CycNum.rational(E.conductor, c) * v[b]
-                      for c, v in zip(coeffs, kernel)), CycNum.zero(E.conductor))
-                 for b in range(len(basis))]
-        U = assemble(combo)
-        if invertible(U):
-            return True
-    return False
+        if sign == -1:
+            S1, S2 = _center_shifted(S1), _center_shifted(S2)
+        S1, S2 = descend_lift(S1), descend_lift(S2)
+    return decompose(S1).block_data() == decompose(S2).block_data()

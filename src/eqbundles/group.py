@@ -162,10 +162,6 @@ def characters(G: GroupSpec) -> tuple:
                  for s1 in (1, -1) for s2 in (1, -1))
 
 
-def trivial_character(G: GroupSpec) -> Character:
-    return characters(G)[0]
-
-
 # ---------------------------------------------------------------------------
 # the Klein lift group inside GL(2)
 # ---------------------------------------------------------------------------
@@ -225,10 +221,6 @@ def lift_multiply(a: LiftedElement, b: LiftedElement) -> LiftedElement:
                   CycNum.zero(4)) for j in range(2))
         for i in range(2))
     return _lift_lookup()[prod]
-
-
-def lift_identity() -> LiftedElement:
-    return lift_by_name("I")
 
 
 def lift_moebius(x: LiftedElement) -> GroupElement:

@@ -562,12 +562,15 @@ class _Parser:
     def parse_factor(self):
         kind, val, pos = self.take()
         if kind == "num":
-            return LaurentPoly.const(self.conductor, Fraction(val))
+            try:
+                return LaurentPoly.const(self.conductor, Fraction(val))
+            except ZeroDivisionError:
+                self.fail("zero denominator", pos)
         if kind == "root":
             m = int(val[1:])
             from .cyclotomic import root_of_unity
             k = self.parse_power()
-            if self.conductor % m != 0:
+            if m == 0 or self.conductor % m != 0:
                 self.fail(f"root z{m} does not live in conductor {self.conductor}", pos)
             zeta = root_of_unity(m, k).embed(self.conductor)
             return LaurentPoly.const(self.conductor, zeta)

@@ -135,21 +135,12 @@ def kernel_dense(rows, ncols, conductor):
     return basis
 
 
-def rank_dense(rows, conductor):
-    return len(rref_dense(rows, conductor)[0])
-
-
 def eigenspace(grid, lam, conductor):
     """Canonical basis of ker(grid - lam*I)."""
     n = len(grid)
     rows = [[grid[i][j] - lam if i == j else grid[i][j] for j in range(n)]
             for i in range(n)]
     return kernel_dense(rows, n, conductor)
-
-
-def joint_kernel(row_blocks, ncols, conductor):
-    rows = [row for block in row_blocks for row in block]
-    return kernel_dense(rows, ncols, conductor)
 
 
 # -- sparse echelon forms (rows are dicts {col: CycNum}) -----------------------

@@ -40,6 +40,8 @@ def _matrix_to_doc(M: LaurentMatrix):
 def _matrix_from_doc(doc, conductor: int) -> LaurentMatrix:
     if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
         raise ValidationError("matrix must be a non-empty list of rows")
+    if not all(isinstance(s, str) for row in doc for s in row):
+        raise ValidationError("matrix entries must be strings")
     return LaurentMatrix(conductor,
                          [[parse_laurent(s, conductor) for s in row]
                           for row in doc])

@@ -3,10 +3,15 @@
 These deliberately avoid the production code paths: section dimensions
 come from a dense textbook row reduction over an explicit coefficient
 grid, with a caller-supplied degree bound instead of the package's
-derived bound.
+derived bound.  The cocycle oracle checks every pair of group elements
+instead of the generator pairs that validation uses.
 """
 
+from functools import lru_cache
+
 from eqbundles.cyclotomic import CycNum
+from eqbundles.group import (elements, lift_group, lift_moebius, lift_multiply,
+                             multiply)
 
 
 def dense_h0(E, bound):
@@ -69,3 +74,30 @@ def _dense_rank(rows, cond):
 def h0_from_degrees(degrees, k=0):
     """The section-count formula for a known splitting multiset."""
     return sum(max(0, n + k + 1) for n in degrees)
+
+
+@lru_cache(maxsize=None)
+def _product_table(group, lift):
+    """{name: Moebius element} and {(x, y): name of xy} by brute force."""
+    if lift:
+        acting = {x.name: lift_moebius(x) for x in lift_group()}
+        table = {(a.name, b.name): lift_multiply(a, b).name
+                 for a in lift_group() for b in lift_group()}
+    else:
+        acting = {g.name: g for g in elements(group)}
+        table = {(a.name, b.name): multiply(group, a, b).name
+                 for a in elements(group) for b in elements(group)}
+    return acting, table
+
+
+def full_cocycle_table(S):
+    """Pairs (x, y) where N_{xy}(z) = N_x(y.z) N_y(z) fails, over all
+    |G|^2 pairs of group (or lift-group) elements."""
+    acting, product = _product_table(S.group, S.lift)
+    failures = []
+    for (x, y), xy in product.items():
+        g = acting[y]
+        right = S.maps[x].substitute(g.c.embed(S.conductor), g.e) @ S.maps[y]
+        if S.maps[xy] != right:
+            failures.append((x, y))
+    return failures

@@ -1,12 +1,14 @@
+from itertools import product
 from random import Random
 
 import pytest
 
-from eqbundles.bundle import line_bundle, model_bundle
+from eqbundles.bundle import h0, hom, line_bundle, model_bundle
+from eqbundles.classify import build_structure
 from eqbundles.cyclotomic import CycNum, root_of_unity
-from eqbundles.equivariant import (EquivariantStructure, automorphism_sections,
-                                   canonical_cyclic, canonical_klein_even,
-                                   canonical_klein_lift, canonical_klein_pair,
+from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
+                                   canonical_klein_even, canonical_klein_lift,
+                                   canonical_klein_pair,
                                    canonical_structure, canonical_tangent,
                                    central_sign, conjugate_structure,
                                    descend_lift, direct_sum_structures,
@@ -14,10 +16,13 @@ from eqbundles.equivariant import (EquivariantStructure, automorphism_sections,
                                    structures_equivalent, twist_by_character,
                                    validate_structure, validation_report)
 from eqbundles.errors import MissingElement, NoSuchStructure, NotComparable
-from eqbundles.group import Character, characters, cyclic, element_by_name, klein
-from eqbundles.laurent import LaurentMatrix
+from eqbundles.group import (Character, characters, cyclic, element_by_name, elements,
+                             klein, lift_by_name, lift_group)
+from eqbundles.laurent import LaurentMatrix, LaurentPoly
+from eqbundles.randgen import random_certificate, random_model_automorphism
 
 from conftest import M
+from oracles import full_cocycle_table
 
 
 def _klein_line_structure(d, n_a1, n_a2, n_a1a2, conductor=4):
@@ -44,14 +49,6 @@ def test_bundle_map_rejects_vanishing_at_zero():
     E = line_bundle(4, -1)
     e = element_by_name(klein(), "e")
     assert not is_bundle_map(E, e, M([["z"]], 4))
-
-
-def test_bundle_map_accessor():
-    S = canonical_tangent()
-    bm = S.bundle_map("a2")
-    assert bm.gamma.name == "a2"
-    assert bm.matrix == M([["-z^-2"]], 4)
-    assert bm.is_valid_over(S.bundle)
 
 
 # -- validation -----------------------------------------------------------------
@@ -84,6 +81,97 @@ def test_forged_cocycle_witness_fails():
     assert rhs != S.maps["a1a2"]
     assert not validate_structure(S)
     assert any("cocycle" in p for p in validation_report(S))
+
+
+def _twist_lift(S, chi):
+    """A lift structure with every map scaled by chi of its Klein image."""
+    maps = {name: N.scale(chi.value(lift_by_name(name).image).embed(S.conductor))
+            for name, N in S.maps.items()}
+    return EquivariantStructure(S.bundle, S.group, maps, lift=True)
+
+
+def _inflate(S):
+    """The lift structure with trivial center that descends to S."""
+    maps = {x.name: S.maps[x.image] for x in lift_group()}
+    return EquivariantStructure(S.bundle, S.group, maps, lift=True)
+
+
+def _scrambled(rng, S):
+    """S conjugated by a random automorphism of its model bundle."""
+    degrees = [S.bundle.transition.entries[i][i].min_exp()
+               for i in range(S.bundle.rank)]
+    return conjugate_structure(
+        S, random_model_automorphism(rng, S.conductor, degrees))
+
+
+def _non_cocycle_checks_pass(S):
+    ident = LaurentMatrix.identity(S.conductor, S.bundle.rank)
+    if S.maps["I" if S.lift else "e"] != ident:
+        return False
+    if S.lift and S.maps["-I"] not in (ident, ident.scale(-1)):
+        return False
+    gamma = lift_by_name if S.lift else (lambda n: element_by_name(S.group, n))
+    return all(is_bundle_map(S.bundle, gamma(n), N) for n, N in S.maps.items())
+
+
+def _validation_cases(rng):
+    """Valid structures, each with its number of one-entry corruptions."""
+    lift1 = canonical_klein_lift(1)
+    built = {G: _scrambled(rng, build_structure(random_certificate(rng, G, 2, -2, 2)))
+             for G in (cyclic(12), cyclic(5), klein(), cyclic(1))}
+    return [(built[cyclic(12)], 6), (built[cyclic(5)], 30), (built[klein()], 30),
+            (built[cyclic(1)], 10), (canonical_klein_lift(3), 25),
+            (direct_sum_structures(lift1, _twist_lift(lift1, characters(klein())[3])),
+             25)]
+
+
+def _validation_agrees(T):
+    """Assert that validation_report passes T exactly when the full |G|^2
+    cocycle table and the other checks do; return that verdict."""
+    valid = not full_cocycle_table(T) and _non_cocycle_checks_pass(T)
+    assert (validation_report(T) == []) == valid, T
+    return valid
+
+
+def test_generator_validation_matches_full_cocycle_table():
+    rng = Random(71)
+    for S, trials in _validation_cases(rng):
+        assert validation_report(S) == [] and full_cocycle_table(S) == []
+        names = sorted(S.maps)
+        for _ in range(trials):
+            name = rng.choice(names)
+            i, j = rng.randrange(S.bundle.rank), rng.randrange(S.bundle.rank)
+            grid = [list(row) for row in S.maps[name].entries]
+            if rng.random() < 0.2 and not grid[i][j].is_zero():
+                grid[i][j] = LaurentPoly.zero(S.conductor)
+            else:
+                grid[i][j] = grid[i][j] + LaurentPoly.monomial(
+                    S.conductor, rng.randint(-1, 1), rng.choice([1, -1, 2]))
+            maps = dict(S.maps)
+            maps[name] = LaurentMatrix(S.conductor, grid)
+            _validation_agrees(EquivariantStructure(S.bundle, S.group, maps,
+                                                    lift=S.lift))
+
+
+def test_generator_validation_needs_every_generator():
+    # Scaling each N_x by f(x), a function of the Klein image of x, keeps
+    # a cocycle iff f is a character.  An f that is multiplicative along
+    # one generator only (f(a1) = 1, f(a2) = f(a1a2) = 2) passes every
+    # check on that generator's pairs.
+    rng = Random(72)
+    klein_names = [g.name for g in elements(klein())]
+    functions = [dict(zip(klein_names, (1,) + values))
+                 for values in product((1, -1, 2), repeat=3)]
+    for S, _ in _validation_cases(rng):
+        if S.group != klein():
+            continue
+        verdicts = []
+        for f in functions:
+            maps = {name: N.scale(f[lift_by_name(name).image if S.lift else name])
+                    for name, N in S.maps.items()}
+            T = EquivariantStructure(S.bundle, S.group, maps, lift=S.lift)
+            verdicts.append(_validation_agrees(T))
+        assert sum(verdicts) == 4  # the four characters
 
 
 def test_missing_element_raises():
@@ -354,8 +442,42 @@ def test_rank_two_split_structures():
     assert not structures_equivalent(plus_minus, plus_plus)
 
 
+# The expected answers below agree with the seeded intertwiner search
+# that structures_equivalent used before it compared certificates.
+
+@pytest.mark.parametrize("d", [3, 2, -1])
+def test_lift_character_twists_equivalent_only_when_trivial(d):
+    # rank-1 automorphisms are constants, which cannot absorb a character
+    L = canonical_klein_lift(d)
+    for chi in characters(klein()):
+        assert structures_equivalent(L, _twist_lift(L, chi)) == chi.is_trivial()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_lift_direct_sum_equivalent_to_block_swap(d):
+    L = canonical_klein_lift(d)
+    T = _twist_lift(L, characters(klein())[2])
+    assert structures_equivalent(direct_sum_structures(L, T),
+                                 direct_sum_structures(T, L))
+    assert not structures_equivalent(direct_sum_structures(L, T),
+                                     direct_sum_structures(L, L))
+
+
+def test_lift_unequal_central_signs_not_equivalent():
+    paired = _inflate(canonical_klein_pair(1))
+    lines = direct_sum_structures(canonical_klein_lift(1), canonical_klein_lift(1))
+    assert paired.bundle == lines.bundle
+    assert central_sign(paired) == 1 and central_sign(lines) == -1
+    assert not structures_equivalent(paired, lines)
+    twisted = _inflate(twist_by_character(canonical_klein_pair(1),
+                                          characters(klein())[3]))
+    assert structures_equivalent(paired, twisted)
+
+
 def test_automorphism_sections_dimension():
     # End(O(0)^2) has the 4 constant matrix units
-    assert len(automorphism_sections(model_bundle(1, [0, 0]))) == 4
+    E = model_bundle(1, [0, 0])
+    assert h0(hom(E, E)) == 4
     # End(O(1) + O(-1)) = O(0)^2 + O(2) + O(-2): 2 + 3 + 0 = 5
-    assert len(automorphism_sections(model_bundle(1, [1, -1]))) == 5
+    E = model_bundle(1, [1, -1])
+    assert h0(hom(E, E)) == 5

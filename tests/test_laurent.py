@@ -141,6 +141,9 @@ def test_parse_errors_carry_position():
         parse_laurent("2 z", 1)  # implicit products are rejected
     with pytest.raises(ParseError):
         parse_laurent("z4", 1)  # root does not live in conductor 1
+    for text in ("1/0", "z^2+3/00", "z0", "(z0)^-1"):  # zero divisors
+        with pytest.raises(ParseError):
+            parse_laurent(text, 4)
 
 
 def test_render_mixed_coefficients():

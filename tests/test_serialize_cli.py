@@ -209,6 +209,31 @@ def test_cli_parse_error_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("entry", [5, "1/0", "z0"])
+def test_cli_malformed_matrix_entry_exit(tmp_path, capsys, entry):
+    # exit 1 is reserved for mathematical falsity, so no input error may
+    # escape as an exception
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"kind": "bundle", "conductor": 1,
+                                "transition": [[entry]]}))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_equivalent_exit_codes(tmp_path, capsys):
+    s_path = tmp_path / "s.json"
+    t_path = tmp_path / "t.json"
+    assert main(["canonical", "--group", "klein", "--target", "tangent",
+                 "--out", str(s_path)]) == 0
+    assert main(["twist-char", str(s_path), "--char=-+",
+                 "--out", str(t_path)]) == 0
+    capsys.readouterr()
+    assert main(["equivalent", str(s_path), str(t_path), "--seed", "5"]) == 1
+    assert capsys.readouterr().out == "not equivalent\n"
+    assert main(["equivalent", str(s_path), str(s_path), "--seed", "5"]) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+
+
 def test_cli_fuzz_deterministic(capsys):
     assert main(["fuzz", "--seed", "7", "--rank", "3", "--count", "25"]) == 0
     first = capsys.readouterr().out
