@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Long-running oracle experiments: planted splitting types and
-decompose/build roundtrips, tallied per seed.
+decompose/build roundtrips, tallied per seed.  Exits 1 when any tally
+falls short of its count.
 
 Usage: python3 scripts/fuzz_oracles.py [--seeds 5] [--count 100] [--rank 4]
 """
 
 import argparse
+import sys
 import time
 from random import Random
 
@@ -41,14 +43,18 @@ def main():
     args = ap.parse_args()
 
     t0 = time.time()
+    short = 0
     for seed in range(args.seeds):
         matches, _ = splitting_oracle_run(seed, args.count, args.rank, -5, 5)
         print(f"seed {seed}: splitting oracle {matches}/{args.count}")
+        short += matches < args.count
     for seed in range(args.seeds):
         good = roundtrip_run(seed, args.count, args.rank)
         print(f"seed {seed}: decompose/build roundtrip {good}/{args.count}")
+        short += good < args.count
     print(f"total {time.time() - t0:.1f}s")
+    return 1 if short else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

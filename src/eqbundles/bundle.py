@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .cyclotomic import CycNum
-from .errors import (ConductorMismatch, DimensionMismatch, InternalInconsistency,
-                     NonUnimodular, SearchExhausted)
+from .errors import ConductorMismatch, InternalInconsistency, SearchExhausted
 from .laurent import LaurentMatrix, LaurentPoly, regular_invertible_at
 from .linalg import sparse_kernel, sparse_rank
 
@@ -31,14 +30,10 @@ class VectorBundle:
     __slots__ = ("rank", "conductor", "transition", "_inverse", "_det_unit")
 
     def __init__(self, transition: LaurentMatrix, _inverse=None, _det_unit=None):
-        if transition.rows != transition.cols:
-            raise DimensionMismatch("transition matrix must be square")
-        if _det_unit is None:
-            d = transition.det()
-            _det_unit = d.unit_monomial()
-            if _det_unit is None:
-                raise NonUnimodular(
-                    f"transition determinant {d} is not a unit monomial")
+        # constructions that already know the inverse pass it with the unit
+        # determinant; otherwise one elimination gives both
+        if _inverse is None:
+            _det_unit, _inverse = transition.unit_det_inverse()
         object.__setattr__(self, "rank", transition.rows)
         object.__setattr__(self, "conductor", transition.conductor)
         object.__setattr__(self, "transition", transition)
@@ -49,8 +44,6 @@ class VectorBundle:
         raise AttributeError("VectorBundle is immutable")
 
     def inverse_transition(self) -> LaurentMatrix:
-        if self._inverse is None:
-            object.__setattr__(self, "_inverse", self.transition.inverse())
         return self._inverse
 
     def degree(self) -> int:
@@ -95,7 +88,7 @@ def twist(E: VectorBundle, k: int) -> VectorBundle:
     """E(k): multiply the transition by z^k."""
     c, e = E._det_unit
     return VectorBundle(E.transition.shift(k),
-                        _inverse=None if E._inverse is None else E._inverse.shift(-k),
+                        _inverse=E._inverse.shift(-k),
                         _det_unit=(c, e + k * E.rank))
 
 
@@ -136,8 +129,7 @@ def embed_bundle(E: VectorBundle, conductor: int) -> VectorBundle:
         return E
     c, e = E._det_unit
     return VectorBundle(E.transition.embed(conductor),
-                        _inverse=None if E._inverse is None
-                        else E._inverse.embed(conductor),
+                        _inverse=E._inverse.embed(conductor),
                         _det_unit=(c.embed(conductor), e))
 
 

@@ -2,10 +2,11 @@
 
 A Laurent polynomial is a sparse map {exponent: CycNum} with no stored
 zeros; the empty map is zero.  Matrices are immutable row-major grids of
-Laurent polynomials.  Determinants use cofactor expansion up to 4x4 and
-fraction-free Bareiss elimination above; inverses are adjugate divided
-by a unit-monomial determinant, which is exactly the invertibility
-condition for transition matrices on the two-chart projective line.
+Laurent polynomials.  One fraction-free Gauss-Jordan elimination of
+[A | I] gives both det A and the adjugate; the inverse is the adjugate
+divided by a unit-monomial determinant, which is exactly the
+invertibility condition for transition matrices on the two-chart
+projective line.
 """
 
 from __future__ import annotations
@@ -349,39 +350,21 @@ class LaurentMatrix:
     # -- determinant and inverse -------------------------------------------------
 
     def det(self) -> LaurentPoly:
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.rows
-        if n <= 4:
-            return _det_cofactor(self.entries, self.conductor)
-        return _det_bareiss(self.entries, self.conductor)
+        return _det_adjugate(self)[0]
 
-    def inverse(self) -> "LaurentMatrix":
-        """Adjugate over the determinant; requires a unit-monomial determinant."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("inverse of a non-square matrix")
-        d = self.det()
+    def unit_det_inverse(self):
+        """((c, e), A^-1) where det A = c*z^e.  Any other determinant raises
+        NonUnimodular: only a unit monomial is invertible in the Laurent ring."""
+        d, adj = _det_adjugate(self)
         um = d.unit_monomial()
         if um is None:
             raise NonUnimodular(f"determinant {d} is not a unit monomial")
         c, e = um
-        dinv = LaurentPoly(self.conductor, {-e: c.inverse()})
-        n = self.rows
-        if n == 1:
-            return LaurentMatrix(self.conductor, [[dinv]])
-        adj = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = [[self.entries[r][s] for s in range(n) if s != i]
-                         for r in range(n) if r != j]
-                md = (_det_cofactor(minor, self.conductor) if n - 1 <= 4
-                      else _det_bareiss(minor, self.conductor))
-                if (i + j) % 2:
-                    md = -md
-                row.append(md * dinv)
-            adj.append(row)
-        return LaurentMatrix(self.conductor, adj)
+        return um, adj.scale_poly(LaurentPoly(self.conductor, {-e: c.inverse()}))
+
+    def inverse(self) -> "LaurentMatrix":
+        """adj(A) / det(A); requires a unit-monomial determinant."""
+        return self.unit_det_inverse()[1]
 
     def eval_at_zero(self):
         """Constant-term grid of CycNum if no entry has a negative exponent, else None."""
@@ -425,46 +408,45 @@ class LaurentMatrix:
     __repr__ = __str__
 
 
-def _det_cofactor(entries, conductor):
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    if n == 2:
-        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-    acc = LaurentPoly.zero(conductor)
-    for j in range(n):
-        c = entries[0][j]
-        if c.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in entries[1:]]
-        term = c * _det_cofactor(minor, conductor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+def _det_adjugate(a: LaurentMatrix):
+    """(det A, adj A) by one fraction-free Gauss-Jordan pass over [A | I].
 
-
-def _det_bareiss(entries, conductor):
-    # fraction-free elimination; exact divisions stay in the Laurent ring
-    m = [list(row) for row in entries]
-    n = len(m)
+    Step k swaps in a row with a nonzero pivot p_k in column k, then
+    replaces every other row by (p_k * row - a_ik * pivot row) / p_(k-1).
+    Each entry is then a minor of the row-swapped [A | I], so the division
+    is exact (Bareiss 1968; Nakos, Turner & Williams 1997).  The steps
+    carry A to p_n * I with p_n = +-det A, so they carry I to +-adj A;
+    columns left of the pivot are never read again and are not updated.
+    A singular A gives (0, None).
+    """
+    if a.rows != a.cols:
+        raise DimensionMismatch("determinant of a non-square matrix")
+    n = a.rows
+    zero = LaurentPoly.zero(a.conductor)
+    prev = LaurentPoly.const(a.conductor, 1)
+    m = [list(row) + [prev if j == i else zero for j in range(n)]
+         for i, row in enumerate(a.entries)]
     sign = 1
-    prev = LaurentPoly.const(conductor, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero(conductor)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.divexact(prev)
-            m[i][k] = LaurentPoly.zero(conductor)
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return d if sign == 1 else -d
+    for k in range(n):
+        p = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
+        if p is None:
+            return zero, None
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i, row in enumerate(m):
+            if i == k:
+                continue
+            f = row[k]
+            for j in range(k + 1, 2 * n):
+                row[j] = (pivot * row[j] - f * pivot_row[j]).divexact(prev)
+        prev = pivot
+    adj = [row[n:] for row in m]
+    if sign < 0:
+        prev, adj = -prev, [[-x for x in row] for row in adj]
+    return prev, LaurentMatrix(a.conductor, adj)
 
 
 def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:
@@ -494,6 +476,10 @@ def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:
 #   factor := rational | 'z<m>' ['^' int] | 'z' ['^' int] | '(' expr ')'
 # ---------------------------------------------------------------------------
 
+# Parentheses may nest this deep; the parser recurses once per level, so
+# deeper input would exhaust the interpreter stack instead of failing cleanly.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<root>z\d+)|(?P<var>z)"
                     r"|(?P<op>[·*+\-^()]))")
 
@@ -517,6 +503,7 @@ class _Parser:
         self.i = 0
         self.conductor = conductor
         self.text = text
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
@@ -578,10 +565,14 @@ class _Parser:
             k = self.parse_power()
             return LaurentPoly.monomial(self.conductor, k)
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}", pos)
             inner = self.parse_expr()
             kind, val, pos = self.take()
             if kind != "op" or val != ")":
                 self.fail("expected ')'", pos)
+            self.depth -= 1
             return inner
         self.fail("unexpected token", pos)
 

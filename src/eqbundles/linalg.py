@@ -66,28 +66,6 @@ def det_const(grid, conductor):
     return det
 
 
-def inverse_const(grid, conductor):
-    n = len(grid)
-    m = [list(row) + list(idrow) for row, idrow in
-         zip(grid, identity_const(n, conductor))]
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if not m[i][k].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            raise ZeroDivisionError("singular constant matrix")
-        m[k], m[pivot] = m[pivot], m[k]
-        inv = m[k][k].inverse()
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and not m[i][k].is_zero():
-                f = m[i][k]
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return [row[n:] for row in m]
-
-
 def rref_dense(rows, conductor):
     """Reduced row echelon form; returns (rref rows, pivot column list)."""
     m = [list(r) for r in rows]
@@ -164,29 +142,26 @@ def _sparse_reduce(row, pivots):
     return row, None
 
 
-def sparse_rank(rows):
-    """Rank of a sparse matrix given as an iterable of {col: CycNum} rows."""
+def _sparse_echelon(rows):
+    """Normalized pivot rows {leading column: row} of a forward pass."""
     pivots = {}
     for row in rows:
-        row = dict(row)
-        row, c = _sparse_reduce(row, pivots)
+        row, c = _sparse_reduce(dict(row), pivots)
         if c is None:
             continue
         inv = row[c].inverse()
         pivots[c] = {col: val * inv for col, val in row.items()}
-    return len(pivots)
+    return pivots
+
+
+def sparse_rank(rows):
+    """Rank of a sparse matrix given as an iterable of {col: CycNum} rows."""
+    return len(_sparse_echelon(rows))
 
 
 def sparse_kernel(rows, ncols, conductor):
     """Canonical kernel basis of a sparse system (free columns ascending)."""
-    pivots = {}
-    for row in rows:
-        row = dict(row)
-        row, c = _sparse_reduce(row, pivots)
-        if c is None:
-            continue
-        inv = row[c].inverse()
-        pivots[c] = {col: val * inv for col, val in row.items()}
+    pivots = _sparse_echelon(rows)
     # back-substitute to reach reduced form
     for c in sorted(pivots, reverse=True):
         prow = pivots[c]

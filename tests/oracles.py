@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths: section dimensions
 come from a dense textbook row reduction over an explicit coefficient
 grid, with a caller-supplied degree bound instead of the package's
-derived bound.  The cocycle oracle checks every pair of group elements
+derived bound.  Determinants come from cofactor expansion instead of
+elimination.  The cocycle oracle checks every pair of group elements
 instead of the generator pairs that validation uses.
 """
 
@@ -12,6 +13,7 @@ from functools import lru_cache
 from eqbundles.cyclotomic import CycNum
 from eqbundles.group import (elements, lift_group, lift_moebius, lift_multiply,
                              multiply)
+from eqbundles.laurent import LaurentPoly
 
 
 def dense_h0(E, bound):
@@ -69,6 +71,22 @@ def _dense_rank(rows, cond):
         if rank == len(rows):
             break
     return rank
+
+
+def det_cofactor(entries, conductor):
+    """Determinant of a square grid of LaurentPoly by cofactor expansion
+    along the first row: no division, no pivoting."""
+    n = len(entries)
+    if n == 1:
+        return entries[0][0]
+    acc = LaurentPoly.zero(conductor)
+    for j, c in enumerate(entries[0]):
+        if c.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1:] for row in entries[1:]]
+        term = c * det_cofactor(minor, conductor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
 
 
 def h0_from_degrees(degrees, k=0):

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from eqbundles.cyclotomic import CycNum, euler_phi, primitive_root, root_of_unity
 from eqbundles.errors import NonUnimodular, ParseError
-from eqbundles.laurent import (LaurentMatrix, LaurentPoly, parse_laurent,
-                               regular_invertible_at, render_laurent)
-from eqbundles.randgen import random_unimodular
+from eqbundles.laurent import (MAX_NESTING, LaurentMatrix, LaurentPoly,
+                               parse_laurent, regular_invertible_at,
+                               render_laurent)
+from eqbundles.randgen import random_poly, random_unimodular, random_unit
 
 from conftest import L, M
+from oracles import det_cofactor
 
 
 @st.composite
@@ -120,12 +122,79 @@ def test_regular_invertible_at():
     assert regular_invertible_at(shear, "infinity")
 
 
-def test_bareiss_matches_cofactor():
-    from eqbundles.laurent import _det_bareiss, _det_cofactor
-    rng = Random(9)
-    for _ in range(5):
-        A = random_unimodular(rng, 4, 4, var_sign=1, ops=4)
-        assert _det_bareiss(A.entries, 4) == _det_cofactor(A.entries, 4)
+def _random_square(rng, m, n):
+    """Sparse random Laurent matrix.  One in three has its last row a
+    multiple of its first (singular for n > 1), one in three a zero (0, 0)
+    entry, so elimination must swap rows."""
+    zero = LaurentPoly.zero(m)
+    grid = [[random_poly(rng, m, 1, rng.choice((1, -1)))
+             if rng.random() < 0.6 else zero for _ in range(n)]
+            for _ in range(n)]
+    kind = rng.randrange(3)
+    if kind == 1 and n > 1:
+        q = random_poly(rng, m, 1)
+        grid[-1] = [q * p for p in grid[0]]
+    elif kind == 2:
+        grid[0][0] = zero
+    return LaurentMatrix(m, grid)
+
+
+def _permuted_triangular(rng, m, n):
+    """Unit-monomial determinant with a zero (0, 0) entry for n > 1: the
+    rows of an upper triangular matrix rotated by one, last row first."""
+    zero = LaurentPoly.zero(m)
+    grid = [[random_poly(rng, m, 2, rng.choice((1, -1))) if j > i
+             else LaurentPoly.monomial(m, rng.randint(-2, 2),
+                                       random_unit(rng, m)) if j == i
+             else zero for j in range(n)] for i in range(n)]
+    return LaurentMatrix(m, grid[-1:] + grid[:-1])
+
+
+@pytest.mark.parametrize("conductor", [1, 4, 12])
+def test_det_and_inverse_match_cofactor_oracle(conductor):
+    rng = Random(conductor)
+    for n in range(1, 7):
+        ident = LaurentMatrix.identity(conductor, n)
+        for A in ([_random_square(rng, conductor, n) for _ in range(3)]
+                  + [_permuted_triangular(rng, conductor, n),
+                     random_unimodular(rng, conductor, n, ops=n + 2)]):
+            d = A.det()
+            assert d == det_cofactor(A.entries, conductor)
+            if d.unit_monomial() is None:
+                with pytest.raises(NonUnimodular):
+                    A.inverse()
+            else:
+                inv = A.inverse()
+                assert A @ inv == ident == inv @ A
+
+
+def _sympy_poly(sympy, p):
+    zeta = sympy.exp(2 * sympy.pi * sympy.I / p.conductor)
+    z = sympy.Symbol("z")
+    return sum((sympy.Rational(q.numerator, q.denominator) * zeta ** k * z ** e
+                for e, c in p.coeffs.items() for k, q in enumerate(c.coeffs)),
+               sympy.Integer(0))
+
+
+def _sympy_matrix(sympy, A):
+    return sympy.Matrix([[_sympy_poly(sympy, p) for p in row]
+                         for row in A.entries])
+
+
+@pytest.mark.parametrize("conductor", [1, 4])
+def test_det_and_inverse_match_sympy(conductor):
+    sympy = pytest.importorskip("sympy")
+    rng = Random(50 + conductor)
+    for n in range(1, 5):
+        for A in (_random_square(rng, conductor, n),
+                  _permuted_triangular(rng, conductor, n),
+                  random_unimodular(rng, conductor, n, ops=n + 2)):
+            S = _sympy_matrix(sympy, A)
+            d = A.det()
+            assert sympy.expand(_sympy_poly(sympy, d) - S.det()) == 0
+            if d.unit_monomial() is not None:
+                diff = _sympy_matrix(sympy, A.inverse()) - S.inv()
+                assert diff.applyfunc(sympy.simplify) == sympy.zeros(n, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,6 +213,15 @@ def test_parse_errors_carry_position():
     for text in ("1/0", "z^2+3/00", "z0", "(z0)^-1"):  # zero divisors
         with pytest.raises(ParseError):
             parse_laurent(text, 4)
+
+
+def test_parse_rejects_deep_nesting_with_position():
+    ok = "(" * MAX_NESTING + "z" + ")" * MAX_NESTING
+    assert parse_laurent(ok, 1) == L("z")
+    with pytest.raises(ParseError) as err:
+        parse_laurent("(" * 5000 + "z" + ")" * 5000, 1)
+    assert err.value.column == MAX_NESTING + 1
+    assert "nested deeper" in str(err.value)
 
 
 def test_render_mixed_coefficients():

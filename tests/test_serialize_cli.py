@@ -209,7 +209,9 @@ def test_cli_parse_error_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("entry", [5, "1/0", "z0"])
+@pytest.mark.parametrize("entry", [
+    5, "1/0", "z0",
+    pytest.param("(" * 5000 + "z" + ")" * 5000, id="nested-5000")])
 def test_cli_malformed_matrix_entry_exit(tmp_path, capsys, entry):
     # exit 1 is reserved for mathematical falsity, so no input error may
     # escape as an exception
