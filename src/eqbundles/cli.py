@@ -17,7 +17,7 @@ from .equivariant import (canonical_structure, existence, structures_equivalent,
                           twist_by_character, validation_report)
 from .errors import (EqBundlesError, NoSuchStructure, ParseError,
                      ValidationError)
-from .laurent import render_laurent
+from .laurent import MAX_EXPONENT, render_laurent
 from .serialize import (Report, parse_bundle_shortcut,
                         parse_character_shortcut, parse_document,
                         parse_group_shortcut, render_document)
@@ -100,6 +100,9 @@ def _cmd_split_type(args):
 
 
 def _cmd_sections(args):
+    if abs(args.twist) > MAX_EXPONENT:
+        raise ValidationError(f"--twist {args.twist} exceeds {MAX_EXPONENT} "
+                              "in absolute value")
     E = twist(_load_bundle(args.bundle, args.conductor), args.twist)
     secs = global_sections(E)
     print(f"dimension {len(secs)}")

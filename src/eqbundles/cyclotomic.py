@@ -1,87 +1,51 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_m).
 
-A scalar is a vector of rationals in the power basis of Q[x]/Phi_m(x),
-where Phi_m is the m-th cyclotomic polynomial.  The integer m is called
-the conductor of the scalar; scalars interoperate only at equal
-conductor, and cross-field moves are explicit via :meth:`CycNum.embed`.
-Everything is exact: coefficients are `fractions.Fraction`, reduction
-folds against Phi_m, and division uses the extended Euclidean algorithm
-against Phi_m.
+A scalar is an element of Q[x]/Phi_m(x), where Phi_m is the m-th
+cyclotomic polynomial, written in the power basis 1, x, ..., x^(phi-1)
+with phi = phi(m).  The integer m is called the conductor of the
+scalar; scalars interoperate only at equal conductor, and cross-field
+moves are explicit via :meth:`CycNum.embed`.
+
+Everything is exact and canonical: a scalar is a tuple of phi integer
+numerators over one positive common denominator, with no common factor
+(Cohen, "A Course in Computational Algebraic Number Theory", 4.2).  Phi_m
+is monic with integer coefficients, so products fold back to degree
+< phi through an integer table of x^k mod Phi_m, and the inverse comes
+from one fraction-free Gauss-Jordan pass on the integer matrix of
+multiplication by the numerator.  `fractions.Fraction` appears only at
+the edges: constructor input and the `coeffs` view used for rendering.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ConductorMismatch
 
 # The exact coefficient type used throughout the package.
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over Fraction (ascending-degree coefficient lists)
-# ---------------------------------------------------------------------------
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
 
 def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
+    """Product of two integer coefficient lists, ascending degree."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def _poly_divmod(a, b):
-    # exact long division in Q[x]; b must be nonzero
-    a = list(a)
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        if c == 0:
-            continue
-        q[i] = c
-        for j, bj in enumerate(b):
-            a[i + j] -= c * bj
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [_ZERO] * (n - len(a)), b + [_ZERO] * (n - len(b)))
-
-
-def _poly_xgcd(a, b):
-    # returns (g, u, v) with u*a + v*b = g, g monic
-    r0, r1 = list(a), list(b)
-    s0, s1 = [_ONE], []
-    t0, t1 = [], [_ONE]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim([x - y for x, y in _zip_pad(s0, _poly_mul(q, s1))])
-        t0, t1 = t1, _poly_trim([x - y for x, y in _zip_pad(t0, _poly_mul(q, t1))])
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-        t0 = [c / lead for c in t0]
-    return r0, s0, t0
+def _times_x(mod, vec):
+    """x * vec reduced mod the monic polynomial `mod` of degree len(vec)."""
+    top = vec[-1]
+    out = [0] + list(vec[:-1])
+    if top:
+        for i in range(len(out)):
+            out[i] -= top * mod[i]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -91,94 +55,138 @@ def euler_phi(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
-    """Coefficients of Phi_m, ascending degree, computed by dividing x^m - 1
-    by the cyclotomic polynomials of the proper divisors of m."""
+    """Integer coefficients of Phi_m, ascending degree, computed by dividing
+    x^m - 1 by the cyclotomic polynomials of the proper divisors of m."""
     if m < 1:
         raise ValueError(f"conductor must be positive, got {m}")
-    num = [_ZERO] * (m + 1)
-    num[0], num[m] = Fraction(-1), _ONE
-    den = [_ONE]
+    den = [1]
     for d in range(1, m):
         if m % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    q, r = _poly_divmod(num, den)
-    assert not r, f"cyclotomic division left a remainder at m={m}"
+            den = _poly_mul(den, cyclotomic_polynomial(d))
+    # long division of x^m - 1 by the monic polynomial den
+    rem = [-1] + [0] * (m - 1) + [1]
+    q = [0] * (m - len(den) + 2)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = rem[i + len(den) - 1]
+        if c:
+            for j, b in enumerate(den):
+                rem[i + j] -= c * b
+    assert not any(rem), f"cyclotomic division left a remainder at m={m}"
     return tuple(q)
-
-
-def _reduce_coeffs(m: int, coeffs):
-    """Fold a coefficient list down to length phi(m) by rewriting
-    x^(d+phi) as x^d * (x^phi mod Phi_m), top degree first."""
-    phi = euler_phi(m)
-    mod = cyclotomic_polynomial(m)
-    out = [Fraction(c) for c in coeffs]
-    while len(out) > phi:
-        top = out.pop()
-        if top == 0:
-            continue
-        d = len(out) - phi
-        for i in range(phi):
-            b = mod[i]
-            if b != 0:
-                out[d + i] -= top * b
-    return out + [_ZERO] * (phi - len(out))
 
 
 @lru_cache(maxsize=None)
 def _zeta_powers(m: int) -> tuple:
-    """Power-basis vectors of zeta_m^k for 0 <= k < m."""
-    phi = euler_phi(m)
+    """Integer power-basis vectors of zeta_m^k = x^k mod Phi_m for 0 <= k < m."""
+    mod = cyclotomic_polynomial(m)
+    vec = [1] + [0] * (len(mod) - 2)
     powers = []
-    vec = [_ONE] + [_ZERO] * (phi - 1)
     for _ in range(m):
         powers.append(tuple(vec))
-        vec = _reduce_coeffs(m, [_ZERO] + vec)
+        vec = _times_x(mod, vec)
     return tuple(powers)
 
 
-class CycNum:
-    """An element of Q(zeta_m) in the power basis of Q[x]/Phi_m(x)."""
+@lru_cache(maxsize=None)
+def _fold_table(m: int) -> tuple:
+    """x^k mod Phi_m for phi <= k <= 2*phi - 2, the degrees a product of
+    two reduced elements reaches, each row as (index, coefficient) pairs
+    of its nonzero entries."""
+    mod = cyclotomic_polynomial(m)
+    vec = [0] * (len(mod) - 2) + [1]  # x^(phi-1)
+    rows = []
+    for _ in range(len(mod) - 2):
+        vec = _times_x(mod, vec)
+        rows.append(tuple((i, c) for i, c in enumerate(vec) if c))
+    return tuple(rows)
 
-    __slots__ = ("conductor", "coeffs")
+
+def _new(conductor: int, num: tuple, den: int) -> "CycNum":
+    # callers guarantee the canonical form: den > 0, gcd(den, *num) == 1
+    x = object.__new__(CycNum)
+    _set_conductor(x, conductor)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _canonical(conductor: int, num, den: int) -> "CycNum":
+    """num/den with den > 0, divided through by the common factor."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return _new(conductor, tuple(a // g for a in num), den // g)
+    return _new(conductor, tuple(num), den)
+
+
+@lru_cache(maxsize=None)
+def _constant(conductor: int, value: int) -> "CycNum":
+    return CycNum(conductor, [value])
+
+
+class CycNum:
+    """An element of Q(zeta_m) in the power basis of Q[x]/Phi_m(x), stored
+    as integer numerators `_num` over a positive common denominator `_den`."""
+
+    __slots__ = ("conductor", "_num", "_den")
 
     def __init__(self, conductor: int, coeffs):
-        phi = euler_phi(conductor)
-        cyclotomic_polynomial(conductor)  # validates conductor >= 1
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > phi:
-            coeffs = _reduce_coeffs(conductor, coeffs)
-        elif len(coeffs) < phi:
-            coeffs = coeffs + [_ZERO] * (phi - len(coeffs))
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        mod = cyclotomic_polynomial(conductor)  # validates conductor >= 1
+        phi = len(mod) - 1
+        values = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+                  for c in coeffs]
+        den = lcm(*(c.denominator for c in values))
+        num = [c.numerator * (den // c.denominator) for c in values]
+        if len(num) > phi:  # Horner's rule mod Phi_m
+            out = [0] * phi
+            for c in reversed(num):
+                out = _times_x(mod, out)
+                out[0] += c
+            num = out
+        else:
+            num += [0] * (phi - len(num))
+        g = gcd(den, *num)
+        _set_conductor(self, conductor)
+        _set_num(self, tuple(a // g for a in num))
+        _set_den(self, den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNum is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as a tuple of Fraction."""
+        den = self._den
+        return tuple(Fraction(a, den) for a in self._num)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def rational(cls, conductor: int, value) -> "CycNum":
-        return cls(conductor, [Fraction(value)])
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        phi = len(cyclotomic_polynomial(conductor)) - 1
+        return _new(conductor, (value.numerator,) + (0,) * (phi - 1),
+                    value.denominator)
 
     @classmethod
     def zero(cls, conductor: int) -> "CycNum":
-        return cls(conductor, [])
+        return _constant(conductor, 0)
 
     @classmethod
     def one(cls, conductor: int) -> "CycNum":
-        return cls(conductor, [_ONE])
+        return _constant(conductor, 1)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self._den == 1 and self._num[0] == 1 and not any(self._num[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._num[1:])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -196,8 +204,10 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNum(self.conductor,
-                      [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        da, db = self._den, other._den
+        return _canonical(self.conductor,
+                          [a * db + b * da for a, b in zip(self._num, other._num)],
+                          da * db)
 
     __radd__ = __add__
 
@@ -205,45 +215,68 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNum(self.conductor,
-                      [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return other + (-self)
 
     def __neg__(self):
-        return CycNum(self.conductor, [-a for a in self.coeffs])
+        return _new(self.conductor, tuple(-a for a in self._num), self._den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._num, other._num
+        den = self._den * other._den
         if len(a) == 1:
-            return CycNum(self.conductor, [a[0] * b[0]])
-        prod = [_ZERO] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj != 0:
-                    prod[i + j] += ai * bj
-        return CycNum(self.conductor, prod)
+            return _canonical(self.conductor, (a[0] * b[0],), den)
+        prod = _poly_mul(a, b)
+        out = prod[:len(a)]
+        for t, row in zip(prod[len(a):], _fold_table(self.conductor)):
+            if t:
+                for i, c in row:
+                    out[i] += t * c
+        return _canonical(self.conductor, out, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        if self.is_zero():
+        num, den = self._num, self._den
+        if not any(num):
             raise ZeroDivisionError("division by zero in Q(zeta_m)")
-        if self.is_rational():
-            return CycNum.rational(self.conductor, 1 / self.coeffs[0])
-        g, u, _ = _poly_xgcd(_poly_trim(list(self.coeffs)),
-                             list(cyclotomic_polynomial(self.conductor)))
-        assert g == [_ONE], "Phi_m must be coprime to any nonzero element"
-        return CycNum(self.conductor, u)
+        phi = len(num)
+        if not any(num[1:]):
+            a = num[0]
+            sign = 1 if a > 0 else -1
+            return _new(self.conductor, (sign * den,) + (0,) * (phi - 1), abs(a))
+        # Solve M u = e_0 for the matrix M of multiplication by num, whose
+        # column i is num * x^i mod Phi_m.  A fraction-free Gauss-Jordan pass
+        # leaves the left block as prev * I and the last column as prev * u.
+        mod = cyclotomic_polynomial(self.conductor)
+        cols = [list(num)]
+        for _ in range(phi - 1):
+            cols.append(_times_x(mod, cols[-1]))
+        rows = [[col[r] for col in cols] + [int(r == 0)] for r in range(phi)]
+        prev = 1
+        for k in range(phi):
+            p = next(i for i in range(k, phi) if rows[i][k])
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot_row = rows[k]
+            pivot = pivot_row[k]
+            for i, row in enumerate(rows):
+                if i == k:
+                    continue
+                f = row[k]
+                for j in range(k + 1, phi + 1):
+                    row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+            prev = pivot
+        sign = 1 if prev > 0 else -1
+        return _canonical(self.conductor, [sign * den * row[phi] for row in rows],
+                          abs(prev))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -270,14 +303,16 @@ class CycNum:
         return result
 
     def __eq__(self, other):
+        if isinstance(other, CycNum):
+            return (self.conductor == other.conductor and self._num == other._num
+                    and self._den == other._den)
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
+            return (self.is_rational()
+                    and self._num[0] * other.denominator == other.numerator * self._den)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.conductor, self.coeffs))
+        return hash((self.conductor, self._num, self._den))
 
     # -- field moves ---------------------------------------------------------
 
@@ -290,13 +325,12 @@ class CycNum:
                 f"cannot embed conductor {self.conductor} into {conductor}")
         powers = _zeta_powers(conductor)
         step = conductor // self.conductor
-        acc = [_ZERO] * euler_phi(conductor)
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            pw = powers[(k * step) % conductor]
-            acc = [a + c * b for a, b in zip(acc, pw)]
-        return CycNum(conductor, acc)
+        acc = [0] * euler_phi(conductor)
+        for k, c in enumerate(self._num):
+            if c:
+                for i, b in enumerate(powers[(k * step) % conductor]):
+                    acc[i] += c * b
+        return _canonical(conductor, acc, self._den)
 
     # -- rendering -----------------------------------------------------------
 
@@ -307,14 +341,20 @@ class CycNum:
         return f"CycNum({self.conductor}, {render_cycnum(self)!r})"
 
 
+# The slot setters, which bypass the immutability guard of __setattr__.
+_set_conductor = CycNum.conductor.__set__
+_set_num = CycNum._num.__set__
+_set_den = CycNum._den.__set__
+
+
 def primitive_root(m: int) -> CycNum:
     """zeta_m as an element of conductor m; satisfies zeta_m^m = 1 primitively."""
-    return CycNum(m, list(_zeta_powers(m)[1 % m]))
+    return _new(m, _zeta_powers(m)[1 % m], 1)
 
 
 def root_of_unity(m: int, k: int) -> CycNum:
     """zeta_m^k (k taken mod m), looked up in the precomputed power table."""
-    return CycNum(m, list(_zeta_powers(m)[k % m]))
+    return _new(m, _zeta_powers(m)[k % m], 1)
 
 
 def discrete_log_root(value: CycNum, m: int):
@@ -366,4 +406,4 @@ def render_cycnum(a: CycNum) -> str:
 
 
 def term_count(a: CycNum) -> int:
-    return sum(1 for c in a.coeffs if c != 0)
+    return sum(1 for c in a._num if c)

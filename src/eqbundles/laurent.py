@@ -18,6 +18,12 @@ from .cyclotomic import CycNum, render_cycnum, term_count
 from .errors import ConductorMismatch, DimensionMismatch, NonUnimodular, ParseError
 
 
+def _rational(conductor: int, c) -> CycNum:
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"expected CycNum, int or Fraction, got {type(c).__name__}")
+    return CycNum.rational(conductor, c)
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial sum(coeffs[e] * z^e) with CycNum coefficients."""
 
@@ -26,11 +32,13 @@ class LaurentPoly:
     def __init__(self, conductor: int, coeffs=None):
         clean = {}
         for e, c in (coeffs or {}).items():
-            if isinstance(c, (int, Fraction)):
-                c = CycNum.rational(conductor, c)
-            elif c.conductor != conductor:
-                raise ConductorMismatch(
-                    f"coefficient conductor {c.conductor} vs {conductor}")
+            # CycNum first: Fraction is an ABC, so testing it is a Python call
+            if isinstance(c, CycNum):
+                if c.conductor != conductor:
+                    raise ConductorMismatch(
+                        f"coefficient conductor {c.conductor} vs {conductor}")
+            else:
+                c = _rational(conductor, c)
             if not c.is_zero():
                 clean[int(e)] = c
         object.__setattr__(self, "conductor", conductor)
@@ -101,7 +109,7 @@ class LaurentPoly:
         return LaurentPoly(self.conductor, {e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
+        if not isinstance(other, LaurentPoly):
             return self.scale(other)
         self._check(other)
         out = {}
@@ -116,8 +124,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
-        if isinstance(c, (int, Fraction)):
-            c = CycNum.rational(self.conductor, c)
+        if not isinstance(c, CycNum):
+            c = _rational(self.conductor, c)
         return LaurentPoly(self.conductor,
                            {e: v * c for e, v in self.coeffs.items()})
 
@@ -480,6 +488,21 @@ def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:
 # deeper input would exhaust the interpreter stack instead of failing cleanly.
 MAX_NESTING = 100
 
+# Exponents may not exceed this in absolute value.  The section scan and
+# the splitting type grow with the exponent spread of a matrix: with the
+# cap at 200, the rank-2 document [[z^200, 1], [0, z^-200]] takes about
+# a second.  Twists and O(d) shortcuts share the cap.
+MAX_EXPONENT = 200
+
+# A parse error quotes at most this many characters on each side of its column.
+_QUOTE_RADIUS = 40
+
+
+def _excerpt(text, pos):
+    lo, hi = max(0, pos - _QUOTE_RADIUS), min(len(text), pos + _QUOTE_RADIUS)
+    return (("..." if lo else "") + text[lo:hi]
+            + ("..." if hi < len(text) else ""))
+
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<root>z\d+)|(?P<var>z)"
                     r"|(?P<op>[·*+\-^()]))")
 
@@ -490,7 +513,8 @@ def _tokenize(text):
     while pos < len(text):
         mt = _TOKEN.match(text, pos)
         if mt is None or mt.end() == pos:
-            raise ParseError(f"bad character in {text!r}", line=1, column=pos + 1)
+            raise ParseError(f"bad character in {_excerpt(text, pos)!r}",
+                             line=1, column=pos + 1)
         if mt.lastgroup is not None:
             out.append((mt.lastgroup, mt.group(mt.lastgroup), pos))
         pos = mt.end()
@@ -514,8 +538,9 @@ class _Parser:
         return tok
 
     def fail(self, msg, pos):
-        raise ParseError(f"{msg} in {self.text!r}", line=1,
-                         column=(pos or 0) + 1)
+        pos = pos or 0
+        raise ParseError(f"{msg} in {_excerpt(self.text, pos)!r}", line=1,
+                         column=pos + 1)
 
     def parse_expr(self):
         kind, val, pos = self.peek()
@@ -553,6 +578,8 @@ class _Parser:
                 return LaurentPoly.const(self.conductor, Fraction(val))
             except ZeroDivisionError:
                 self.fail("zero denominator", pos)
+            except ValueError:  # more digits than int() converts
+                self.fail("number too long", pos)
         if kind == "root":
             m = int(val[1:])
             from .cyclotomic import root_of_unity
@@ -587,6 +614,10 @@ class _Parser:
                 kind, val, pos = self.take()
             if kind != "num" or "/" in val:
                 self.fail("expected integer exponent", pos)
+            # compare lengths first: int() refuses strings of over 4300 digits
+            if (len(val.lstrip("0")) > len(str(MAX_EXPONENT))
+                    or int(val) > MAX_EXPONENT):
+                self.fail(f"exponent exceeds {MAX_EXPONENT} in absolute value", pos)
             return sign * int(val)
         return 1
 
@@ -597,6 +628,9 @@ def parse_laurent(text: str, conductor: int) -> LaurentPoly:
     result = parser.parse_expr()
     if parser.i != len(parser.tokens):
         parser.fail("trailing input", parser.peek()[2])
+    if any(abs(e) > MAX_EXPONENT for e in result.coeffs):
+        raise ParseError(f"an exponent exceeds {MAX_EXPONENT} in absolute value "
+                         f"in {_excerpt(text, 0)!r}")
     return result
 
 
@@ -604,7 +638,7 @@ def parse_cycnum(text: str, conductor: int) -> CycNum:
     """Parse the canonical text form of a scalar (no Laurent variable allowed)."""
     p = parse_laurent(text, conductor)
     if not p.is_constant():
-        raise ParseError(f"expected a scalar, got {text!r}")
+        raise ParseError(f"expected a scalar, got {_excerpt(text, 0)!r}")
     return p.coeff(0)
 
 

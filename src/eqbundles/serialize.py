@@ -18,7 +18,7 @@ from .classify import DecompositionCertificate
 from .equivariant import EquivariantStructure
 from .errors import EqBundlesError, ParseError, ValidationError
 from .group import Character, GroupSpec, cyclic, klein
-from .laurent import LaurentMatrix, parse_laurent, render_laurent
+from .laurent import MAX_EXPONENT, LaurentMatrix, parse_laurent, render_laurent
 
 
 @dataclass(frozen=True)
@@ -239,6 +239,9 @@ def parse_bundle_shortcut(text: str, conductor: int) -> VectorBundle:
             degrees.append(int(part[2:-1]))
         except ValueError:
             raise ParseError(f"bad degree in {part!r}") from None
+        if abs(degrees[-1]) > MAX_EXPONENT:
+            raise ParseError(f"degree in {part!r} exceeds {MAX_EXPONENT} "
+                             "in absolute value")
     if not degrees:
         raise ParseError(f"empty bundle shortcut {text!r}")
     from .bundle import model_bundle

@@ -5,9 +5,12 @@ come from a dense textbook row reduction over an explicit coefficient
 grid, with a caller-supplied degree bound instead of the package's
 derived bound.  Determinants come from cofactor expansion instead of
 elimination.  The cocycle oracle checks every pair of group elements
-instead of the generator pairs that validation uses.
+instead of the generator pairs that validation uses.  Cyclotomic
+products use Fraction coefficients and long division by a Phi_m built
+from the Moebius formula, instead of integer numerators and a fold table.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 from eqbundles.cyclotomic import CycNum
@@ -119,3 +122,56 @@ def full_cocycle_table(S):
         if S.maps[xy] != right:
             failures.append((x, y))
     return failures
+
+
+def _fraction_product(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fraction_divmod(a, b):
+    """Quotient and remainder of Fraction coefficient lists (ascending degree)."""
+    a = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = q[i] = a[i + len(b) - 1] / b[-1]
+        for j, bj in enumerate(b):
+            a[i + j] -= c * bj
+    return q, a[:len(b) - 1]
+
+
+def _mobius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def cyclotomic_poly_reference(m):
+    """Phi_m = prod over d | m of (x^d - 1)^mu(m/d), ascending degree."""
+    num, den = [Fraction(1)], [Fraction(1)]
+    for d in range(1, m + 1):
+        if m % d == 0 and _mobius(m // d):
+            factor = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+            if _mobius(m // d) > 0:
+                num = _fraction_product(num, factor)
+            else:
+                den = _fraction_product(den, factor)
+    q, r = _fraction_divmod(num, den)
+    assert not any(r)
+    return q
+
+
+def cyclotomic_product_reference(m, a, b):
+    """Power-basis coefficients of a * b in Q[x]/Phi_m: the schoolbook
+    product of the coefficient lists, then its remainder by Phi_m."""
+    _, r = _fraction_divmod(_fraction_product(a, b), cyclotomic_poly_reference(m))
+    return tuple(r)

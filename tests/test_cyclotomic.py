@@ -1,4 +1,6 @@
 from fractions import Fraction
+from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,8 @@ from eqbundles.cyclotomic import (CycNum, cyclotomic_polynomial, euler_phi,
                                   primitive_root, render_cycnum, root_of_unity)
 from eqbundles.errors import ConductorMismatch
 from eqbundles.laurent import parse_cycnum
+
+from oracles import cyclotomic_product_reference
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 12]
 
@@ -130,3 +134,86 @@ def test_render_examples():
     assert render_cycnum(CycNum.rational(4, 1) + z4) == "1+z4"
     assert render_cycnum(-z4) == "-z4"
     assert render_cycnum(CycNum.zero(12)) == "0"
+
+
+ORACLE_CONDUCTORS = [1, 2, 3, 4, 5, 8, 12]
+
+
+def _random_cycnum(rng, m):
+    # half the coefficients are zero, so leading pivots are often zero
+    return CycNum(m, [rng.choice((0, Fraction(rng.randint(-20, 20), rng.randint(1, 12))))
+                      for _ in range(euler_phi(m))])
+
+
+@pytest.mark.parametrize("m", ORACLE_CONDUCTORS)
+def test_product_and_inverse_match_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    phi_m = sympy.cyclotomic_poly(m, x)
+
+    def to_sympy(a):
+        return sum((sympy.Rational(c.numerator, c.denominator) * x ** k
+                    for k, c in enumerate(a.coeffs)), sympy.Integer(0))
+
+    def from_sympy(p):
+        p = sympy.Poly(p, x)
+        return [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+
+    rng = Random(m)
+    for _ in range(12):
+        a, b = _random_cycnum(rng, m), _random_cycnum(rng, m)
+        product = sympy.rem(sympy.expand(to_sympy(a) * to_sympy(b)), phi_m, x)
+        assert a * b == CycNum(m, from_sympy(product))
+        if not a.is_zero():
+            assert a.inverse() == CycNum(m, from_sympy(sympy.invert(to_sympy(a), phi_m, x)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_matches_fraction_reference(data):
+    m = data.draw(st.sampled_from(CONDUCTORS + [5, 7]))
+    a = data.draw(cycnums(conductor=m))
+    b = data.draw(cycnums(conductor=m))
+    product = a * b
+    assert product.coeffs == cyclotomic_product_reference(m, a.coeffs, b.coeffs)
+    # canonical form: positive denominator without a common factor
+    assert product._den > 0 and gcd(product._den, *product._num) == 1
+
+
+def test_canonical_form_equal_values_compare_and_hash_equal():
+    pairs = [
+        (CycNum(4, [Fraction(2, 4), Fraction(1, 2)]),
+         CycNum(4, [Fraction(1, 2), Fraction(1, 2)])),
+        (CycNum(4, [1, 0, 1]), CycNum.zero(4)),  # 1 + x^2 = 0 mod Phi_4
+        (CycNum(3, [0, 0, 1]), CycNum(3, [-1, -1])),  # x^2 = -1 - x mod Phi_3
+        (CycNum(12, [0] * 12 + [Fraction(6, 4)]), CycNum.rational(12, Fraction(3, 2))),
+        (CycNum(5, [Fraction(1, 3), 0, Fraction(2, 3)]) * 3, CycNum(5, [1, 0, 2])),
+        (CycNum.rational(1, Fraction(10, 4)), CycNum(1, [Fraction(5, 2)])),
+    ]
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b)
+    assert len({a for pair in pairs for a in pair}) == len(pairs)
+    rng = Random(5)
+    for m in ORACLE_CONDUCTORS:
+        a, b = _random_cycnum(rng, m), _random_cycnum(rng, m)
+        if not b.is_zero():
+            assert (a * b) / b == a and hash((a * b) / b) == hash(a)
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+
+
+def test_coeffs_is_a_tuple_of_fractions():
+    for a in (CycNum(12, [1, Fraction(1, 2), 0, -3]), CycNum.zero(4), CycNum.one(1),
+              primitive_root(5) / 3):
+        assert isinstance(a.coeffs, tuple)
+        assert len(a.coeffs) == euler_phi(a.conductor)
+        assert all(type(c) is Fraction for c in a.coeffs)
+    assert (primitive_root(5) / 3).coeffs == (0, Fraction(1, 3), 0, 0)
+
+
+@pytest.mark.parametrize("m", ORACLE_CONDUCTORS)
+def test_inverse_of_zero_raises(m):
+    with pytest.raises(ZeroDivisionError):
+        CycNum.zero(m).inverse()
+    with pytest.raises(ZeroDivisionError):
+        CycNum(m, [1] + [0] * (m - 1) + [-1]).inverse()  # 1 - x^m = 0

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from eqbundles.cyclotomic import CycNum, euler_phi, primitive_root, root_of_unity
 from eqbundles.errors import NonUnimodular, ParseError
-from eqbundles.laurent import (MAX_NESTING, LaurentMatrix, LaurentPoly,
-                               parse_laurent, regular_invertible_at,
+from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix,
+                               LaurentPoly, parse_laurent, regular_invertible_at,
                                render_laurent)
 from eqbundles.randgen import random_poly, random_unimodular, random_unit
 
@@ -222,6 +222,23 @@ def test_parse_rejects_deep_nesting_with_position():
         parse_laurent("(" * 5000 + "z" + ")" * 5000, 1)
     assert err.value.column == MAX_NESTING + 1
     assert "nested deeper" in str(err.value)
+
+
+def test_parse_caps_exponents_with_position():
+    assert parse_laurent(f"z^{MAX_EXPONENT}", 1) == LaurentPoly.monomial(1, MAX_EXPONENT)
+    assert parse_laurent(f"z^-{MAX_EXPONENT}+z4^000{MAX_EXPONENT}", 4) == \
+        LaurentPoly(4, {-MAX_EXPONENT: 1, 0: 1})
+    for text, column in ((f"z^{MAX_EXPONENT + 1}", 3), (f"1+z^-{MAX_EXPONENT + 1}", 6),
+                         ("z^300000", 3), ("z^" + "9" * 5000, 3)):
+        with pytest.raises(ParseError) as err:
+            parse_laurent(text, 1)
+        assert err.value.column == column
+        assert "exceeds" in str(err.value) and len(str(err.value)) < 200
+    with pytest.raises(ParseError):  # a product may not leave the cap either
+        parse_laurent(f"z^{MAX_EXPONENT}*z", 1)
+    with pytest.raises(ParseError) as err:
+        parse_laurent("9" * 5000, 1)
+    assert "too long" in str(err.value) and len(str(err.value)) < 200
 
 
 def test_render_mixed_coefficients():

@@ -10,6 +10,7 @@ from eqbundles.equivariant import (canonical_klein_pair, canonical_structure,
                                    canonical_tangent, validate_structure)
 from eqbundles.errors import ParseError, ValidationError
 from eqbundles.group import cyclic, klein
+from eqbundles.laurent import MAX_EXPONENT
 from eqbundles.randgen import planted_bundle, random_certificate
 from eqbundles.serialize import (bundle_from_doc, parse_bundle_shortcut,
                                  parse_character_shortcut, parse_document,
@@ -211,7 +212,9 @@ def test_cli_parse_error_exit(tmp_path, capsys):
 
 @pytest.mark.parametrize("entry", [
     5, "1/0", "z0",
-    pytest.param("(" * 5000 + "z" + ")" * 5000, id="nested-5000")])
+    pytest.param("(" * 5000 + "z" + ")" * 5000, id="nested-5000"),
+    pytest.param("9" * 5000, id="digits-5000"),
+    pytest.param("z^" + "9" * 5000, id="exponent-digits-5000")])
 def test_cli_malformed_matrix_entry_exit(tmp_path, capsys, entry):
     # exit 1 is reserved for mathematical falsity, so no input error may
     # escape as an exception
@@ -220,6 +223,44 @@ def test_cli_malformed_matrix_entry_exit(tmp_path, capsys, entry):
                                 "transition": [[entry]]}))
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_parse_error_quotes_a_bounded_window(tmp_path, capsys):
+    entry = "(" * 5000 + "z" + ")" * 5000
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"kind": "bundle", "conductor": 1,
+                                "transition": [[entry]]}))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "column 101" in err
+    assert len(err) <= 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["sections", "--bundle", "O(3)", "--twist", "300000"],
+    ["sections", "--bundle", "O(3)", "--twist", str(-MAX_EXPONENT - 1)],
+    ["sections", "--bundle", "O(300000)"],
+    ["split-type", "--bundle", "O(2)+O(-300000)"]])
+def test_cli_rejects_exponents_above_the_cap(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_rejects_document_exponents_above_the_cap(tmp_path, capsys):
+    path = tmp_path / "bundle.json"
+    for n in (300000, MAX_EXPONENT + 1):
+        path.write_text(json.dumps({"kind": "bundle", "conductor": 1,
+                                    "transition": [[f"z^{n}", "1"],
+                                                   ["0", f"z^-{n}"]]}))
+        assert main(["split-type", "--bundle", str(path)]) == 2
+        assert "exceeds" in capsys.readouterr().err
+
+
+def test_cli_accepts_exponents_at_the_cap(capsys):
+    assert main(["sections", "--bundle", "O(0)", "--twist", str(MAX_EXPONENT)]) == 0
+    assert capsys.readouterr().out.startswith(f"dimension {MAX_EXPONENT + 1}\n")
+    assert main(["degree", "--bundle", f"O({-MAX_EXPONENT})"]) == 0
+    assert capsys.readouterr().out == f"{-MAX_EXPONENT}\n"
 
 
 def test_cli_equivalent_exit_codes(tmp_path, capsys):
