@@ -9,17 +9,18 @@ Conventions, fixed once for the whole package:
   h0(O(n)) = max(0, n+1) with no sign gymnastics.
 
 Splitting types are computed by scanning the exact dimension of twisted
-section spaces; the constructive model isomorphism onto diag(z^(d_j))
-is self-certifying through two chart-regularity checks.
+section spaces.  The model isomorphism onto diag(z^(d_j)) is
+deterministic: one pass down the Harder-Narasimhan filtration picks, for
+each degree, the first basis section independent at 0 of the columns
+already chosen, and two chart-regularity checks certify the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
 from .cyclotomic import CycNum
-from .errors import ConductorMismatch, InternalInconsistency, SearchExhausted
+from .errors import ConductorMismatch, InternalInconsistency
 from .laurent import LaurentMatrix, LaurentPoly, regular_invertible_at
 from .linalg import sparse_kernel, sparse_rank
 
@@ -218,21 +219,6 @@ def _section_from_sinf(E: VectorBundle, sinf) -> Section:
     return Section(s_zero=tuple(s_zero), s_infty=tuple(sinf))
 
 
-def section_combination(E: VectorBundle, sections, coeffs) -> Section:
-    """Exact linear combination of sections of the same bundle."""
-    r = E.rank
-    zero = LaurentPoly.zero(E.conductor)
-    s_zero = [zero] * r
-    s_infty = [zero] * r
-    for s, c in zip(sections, coeffs):
-        if isinstance(c, int):
-            c = CycNum.rational(E.conductor, c)
-        for i in range(r):
-            s_zero[i] = s_zero[i] + s.s_zero[i].scale(c)
-            s_infty[i] = s_infty[i] + s.s_infty[i].scale(c)
-    return Section(s_zero=tuple(s_zero), s_infty=tuple(s_infty))
-
-
 # ---------------------------------------------------------------------------
 # splitting type and Harder-Narasimhan data
 # ---------------------------------------------------------------------------
@@ -331,23 +317,16 @@ class ModelIso:
 class _RankTracker:
     """Incremental exact rank over CycNum column vectors."""
 
-    def __init__(self, conductor):
-        self.conductor = conductor
+    def __init__(self):
         self.pivot_rows = []  # (pivot index, normalized vector)
 
-    def residual(self, vec):
-        vec = list(vec)
+    def add(self, vec):
+        """Reduce vec by the pivots so far and keep what is left; True
+        when the rank grew."""
         for idx, prow in self.pivot_rows:
             f = vec[idx]
             if not f.is_zero():
                 vec = [a - f * b for a, b in zip(vec, prow)]
-        return vec
-
-    def would_grow(self, vec):
-        return any(not c.is_zero() for c in self.residual(vec))
-
-    def add(self, vec):
-        vec = self.residual(vec)
         for idx, c in enumerate(vec):
             if not c.is_zero():
                 inv = c.inverse()
@@ -356,75 +335,38 @@ class _RankTracker:
         return False
 
 
-def _eval0(polys):
-    return [p.coeff(0) for p in polys]
+def model_isomorphism(E: VectorBundle) -> ModelIso:
+    """The frame psi: diag(z^(d_j)) -> E, read off the Harder-Narasimhan
+    filtration with no search.
 
-
-def model_isomorphism(E: VectorBundle, seed: int = 0) -> ModelIso:
-    """Pick sections of the twists E(-d_j) whose evaluations at the two
-    chart points stay jointly invertible; greedy first, then seeded
-    random combinations."""
+    Let E_{>=d} be the subbundle spanned by H0(E(-d)).  Walking the
+    degrees in descending order, the columns already chosen for degrees
+    > d span the fiber of E_{>d} at 0, while sections of E(-d) span the
+    fiber of E_{>=d} there.  So some basis section of E(-d) has a value
+    at 0 independent of the earlier columns; it is a nonzero constant
+    section of the trivial quotient (E_{>=d}/E_{>d})(-d), hence
+    independent at every point, at infinity in particular.  Each column
+    is the first such basis section; both chart certificates are then
+    replayed as a postcondition."""
     st = splitting_type(E)
-    bases = {}
-    for dd in set(st.degrees):
-        bases[dd] = global_sections(twist(E, -dd))
-    rng = Random(seed)
-
-    def greedy():
-        tracker0 = _RankTracker(E.conductor)
-        trackerinf = _RankTracker(E.conductor)
-        chosen = []
-        for dd in st.degrees:
-            base = bases[dd]
-            pick = None
-            for s in base:
-                if (tracker0.would_grow(_eval0(s.s_zero))
-                        and trackerinf.would_grow(_eval0(s.s_infty))):
-                    pick = s
-                    break
-            if pick is None:
-                twisted = twist(E, -dd)
-                for _ in range(40):
-                    coeffs = [rng.randint(-4, 4) for _ in base]
-                    s = section_combination(twisted, base, coeffs)
-                    if (tracker0.would_grow(_eval0(s.s_zero))
-                            and trackerinf.would_grow(_eval0(s.s_infty))):
-                        pick = s
-                        break
-            if pick is None:
-                return None
-            tracker0.add(_eval0(pick.s_zero))
-            trackerinf.add(_eval0(pick.s_infty))
-            chosen.append(pick)
-        return chosen
-
-    def fully_random():
-        chosen = []
-        for dd in st.degrees:
-            base = bases[dd]
-            twisted = twist(E, -dd)
-            coeffs = [rng.randint(-9, 9) for _ in base]
-            chosen.append(section_combination(twisted, base, coeffs))
-        return chosen
-
-    chosen = greedy()
-    attempts = 0
-    while chosen is None or not _certify(E, st, chosen):
-        attempts += 1
-        if attempts > 60:
-            raise SearchExhausted("model isomorphism search exhausted its budget")
-        chosen = fully_random()
-
-    psi = LaurentMatrix(E.conductor,
-                        [[chosen[j].s_zero[i] for j in range(E.rank)]
-                         for i in range(E.rank)])
+    bases = {dd: iter(global_sections(twist(E, -dd))) for dd in set(st.degrees)}
+    tracker = _RankTracker()
+    columns = []
+    for dd in st.degrees:
+        pick = next((s for s in bases[dd]
+                     if tracker.add([p.coeff(0) for p in s.s_zero])), None)
+        if pick is None:
+            raise InternalInconsistency(
+                f"no section of E({-dd}) is independent at 0 of the earlier columns")
+        columns.append(pick.s_zero)
+    psi = LaurentMatrix(E.conductor, [[col[i] for col in columns]
+                                      for i in range(E.rank)])
+    if not _certify(E, st, psi):
+        raise InternalInconsistency("model isomorphism failed a chart certificate")
     return ModelIso(model=st, psi=psi, bundle=E)
 
 
-def _certify(E, st, chosen):
-    psi = LaurentMatrix(E.conductor,
-                        [[chosen[j].s_zero[i] for j in range(E.rank)]
-                         for i in range(E.rank)])
+def _certify(E, st, psi):
     if not regular_invertible_at(psi, "zero"):
         return False
     corrected = (E.inverse_transition() @ psi

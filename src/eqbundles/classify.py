@@ -421,14 +421,14 @@ def verify_certificate(cert: DecompositionCertificate,
 # the pipeline
 # ---------------------------------------------------------------------------
 
-def decompose(S: EquivariantStructure, seed: int = 0) -> DecompositionCertificate:
+def decompose(S: EquivariantStructure) -> DecompositionCertificate:
     """Classify a validated genuine structure; the returned certificate
     verifies against S exactly."""
     if S.lift:
         raise InvalidStructure("decompose expects a genuine structure")
     if not validate_structure(S):
         raise InvalidStructure("decompose expects a validated structure")
-    iso = model_isomorphism(S.bundle, seed=seed)
+    iso = model_isomorphism(S.bundle)
     N = pullback_structure(S, iso)
     R = block_diagonal_part(N)
     Sav = averaging_intertwiner(N, R)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success / mathematical truth, 1 on mathematical falsity
 (an obstruction, a failed validation, a non-verifying certificate), 2 on
-input errors.  All output is deterministic given the inputs and seeds.
+input errors.  All output is deterministic given the inputs, `fuzz --seed`
+included.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def _cmd_twist_char(args):
 
 def _cmd_decompose(args):
     S = _load_structure(args.file)
-    cert = decompose(S, seed=args.seed)
+    cert = decompose(S)
     _emit_document(cert, args.out)
     return 0
 
@@ -284,7 +285,8 @@ def _build_parser():
 
     p = sub.add_parser("decompose", help="classify a validated structure")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: the frame is deterministic")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_decompose)
 

@@ -27,6 +27,10 @@ from .errors import ConductorMismatch
 # The exact coefficient type used throughout the package.
 Rational = Fraction
 
+# Largest conductor that input may set (serialize checks each one); the
+# cost of Phi_m, the fold table and inverses grows steeply with phi(m).
+MAX_CONDUCTOR = 1000
+
 
 def _poly_mul(a, b):
     """Product of two integer coefficient lists, ascending degree."""

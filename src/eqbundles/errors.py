@@ -29,10 +29,6 @@ class NotComparable(EqBundlesError):
     """Two structures do not live on the same bundle/group and cannot be compared."""
 
 
-class SearchExhausted(EqBundlesError):
-    """A randomized-retry search ran out of budget; indicates a bug, not bad input."""
-
-
 class InternalInconsistency(EqBundlesError):
     """A guaranteed postcondition failed; indicates a bug, not bad input."""
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import lcm
 
 from .bundle import VectorBundle, line_bundle, make_bundle
 from .classify import DecompositionCertificate
+from .cyclotomic import MAX_CONDUCTOR
 from .equivariant import EquivariantStructure
 from .errors import EqBundlesError, ParseError, ValidationError
 from .group import Character, GroupSpec, cyclic, klein
@@ -27,6 +29,14 @@ class Report:
     command: str
     lines: tuple
     exit_code: int
+
+
+def _conductor(m, what: str) -> int:
+    """A conductor set by input: an integer from 1 to MAX_CONDUCTOR."""
+    if not isinstance(m, int) or not 1 <= m <= MAX_CONDUCTOR:
+        raise ValidationError(f"bad {what} {m!r}: expected an integer from 1 "
+                              f"to {MAX_CONDUCTOR}")
+    return m
 
 
 def _dump(doc) -> str:
@@ -57,10 +67,7 @@ def _group_from_doc(doc):
     """(GroupSpec, lift flag)."""
     kind = doc.get("kind")
     if kind == "cyclic":
-        n = doc.get("n")
-        if not isinstance(n, int) or n < 1:
-            raise ValidationError(f"bad cyclic order {n!r}")
-        return cyclic(n), False
+        return cyclic(_conductor(doc.get("n"), "cyclic order")), False
     if kind == "klein":
         return klein(), False
     if kind == "klein_lift":
@@ -96,9 +103,7 @@ def bundle_to_doc(E: VectorBundle):
 
 
 def bundle_from_doc(doc) -> VectorBundle:
-    conductor = doc.get("conductor")
-    if not isinstance(conductor, int) or conductor < 1:
-        raise ValidationError(f"bad conductor {conductor!r}")
+    conductor = _conductor(doc.get("conductor"), "conductor")
     T = _matrix_from_doc(doc.get("transition"), conductor)
     try:
         E = make_bundle(T)
@@ -121,6 +126,7 @@ def structure_to_doc(S: EquivariantStructure):
 def structure_from_doc(doc) -> EquivariantStructure:
     G, lift = _group_from_doc(doc.get("group", {}))
     E = bundle_from_doc(doc.get("bundle", {}))
+    _conductor(lcm(E.conductor, G.conductor), "lcm of bundle and group conductors")
     maps_doc = doc.get("maps")
     if not isinstance(maps_doc, dict):
         raise ValidationError("structure needs a maps table")
@@ -148,9 +154,7 @@ def certificate_from_doc(doc) -> DecompositionCertificate:
     G, lift = _group_from_doc(doc.get("group", {}))
     if lift:
         raise ValidationError("certificates describe genuine structures")
-    conductor = doc.get("conductor")
-    if not isinstance(conductor, int) or conductor < 1:
-        raise ValidationError(f"bad conductor {conductor!r}")
+    conductor = _conductor(doc.get("conductor"), "conductor")
     even = []
     for item in doc.get("even_blocks", []):
         d = item.get("degree")
@@ -227,6 +231,7 @@ def parse_document(text: str):
 
 def parse_bundle_shortcut(text: str, conductor: int) -> VectorBundle:
     """Expand O(d), O(d)+O(e)+..., or tangent into a bundle."""
+    _conductor(conductor, "conductor")
     text = text.strip()
     if text == "tangent":
         return line_bundle(conductor, 2)
@@ -255,9 +260,10 @@ def parse_group_shortcut(text: str) -> GroupSpec:
         return klein()
     if text.startswith("cyclic:"):
         try:
-            return cyclic(int(text.split(":", 1)[1]))
+            n = int(text.split(":", 1)[1])
         except ValueError:
             raise ParseError(f"bad cyclic order in {text!r}") from None
+        return cyclic(_conductor(n, "cyclic order"))
     raise ParseError(f"bad group {text!r}; expected cyclic:N or klein")
 
 

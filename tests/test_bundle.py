@@ -8,7 +8,7 @@ from eqbundles.bundle import (HNData, degree, direct_sum, dual, global_sections,
                               twist)
 from eqbundles.errors import DimensionMismatch, NonUnimodular
 from eqbundles.laurent import LaurentMatrix, regular_invertible_at
-from eqbundles.randgen import planted_bundle
+from eqbundles.randgen import planted_bundle, random_unimodular
 
 from conftest import M
 from oracles import dense_h0, h0_from_degrees
@@ -151,6 +151,37 @@ def test_model_isomorphism_jordan_block():
     iso = model_isomorphism(E)
     assert iso.model.degrees == (1, 1)
     _certify_iso(E, iso)
+
+
+def _assert_frame(E, iso):
+    # independent of the chart certificates: det psi is a section of
+    # O(sum d_j - deg E) = O(0), so a frame has a nonzero constant det
+    _certify_iso(E, iso)
+    det = iso.psi.det()
+    assert det.is_constant() and not det.is_zero()
+
+
+def test_model_isomorphism_skips_sections_of_the_higher_step():
+    # H0(O(1)+O(0)) lists (z, 0) and (1, 0) before (0, 1); both lie in
+    # the O(1) step already chosen, so the degree-0 column is (0, 1)
+    E = model_bundle(1, [1, 0])
+    iso = model_isomorphism(E)
+    _assert_frame(E, iso)
+    assert iso.psi == LaurentMatrix.identity(1, 2)
+
+
+@pytest.mark.parametrize("conductor", [1, 4, 12])
+def test_model_isomorphism_planted_repeats_and_gaps(conductor):
+    rng = Random(conductor)
+    for degrees in [(3,), (1, 1), (2, -2), (2, 2, -1), (1, 1, 0, -3),
+                    (4, 2, 2, 0, 0), (2, 2, 2, -1, -3, -3)]:
+        r = len(degrees)
+        A = random_unimodular(rng, conductor, r, var_sign=1, ops=2 * r)
+        B = random_unimodular(rng, conductor, r, var_sign=-1, ops=2 * r)
+        E = make_bundle(A @ LaurentMatrix.diag_monomials(conductor, degrees) @ B)
+        iso = model_isomorphism(E)
+        assert iso.model.degrees == degrees
+        _assert_frame(E, iso)
 
 
 def test_model_isomorphism_fuzzed_self_certifies():

@@ -3,15 +3,18 @@ from random import Random
 
 import pytest
 
-from eqbundles.bundle import make_bundle
-from eqbundles.classify import decompose
+from eqbundles.bundle import make_bundle, splitting_type
+from eqbundles.classify import build_structure, decompose
 from eqbundles.cli import main
+from eqbundles.cyclotomic import MAX_CONDUCTOR
 from eqbundles.equivariant import (canonical_klein_pair, canonical_structure,
-                                   canonical_tangent, validate_structure)
+                                   canonical_tangent, conjugate_structure,
+                                   validate_structure)
 from eqbundles.errors import ParseError, ValidationError
 from eqbundles.group import cyclic, klein
 from eqbundles.laurent import MAX_EXPONENT
-from eqbundles.randgen import planted_bundle, random_certificate
+from eqbundles.randgen import (planted_bundle, random_certificate,
+                               random_model_automorphism)
 from eqbundles.serialize import (bundle_from_doc, parse_bundle_shortcut,
                                  parse_character_shortcut, parse_document,
                                  parse_group_shortcut, render_document)
@@ -261,6 +264,59 @@ def test_cli_accepts_exponents_at_the_cap(capsys):
     assert capsys.readouterr().out.startswith(f"dimension {MAX_EXPONENT + 1}\n")
     assert main(["degree", "--bundle", f"O({-MAX_EXPONENT})"]) == 0
     assert capsys.readouterr().out == f"{-MAX_EXPONENT}\n"
+
+
+def _line_doc(conductor):
+    return {"kind": "bundle", "conductor": conductor, "rank": 1,
+            "transition": [["z"]]}
+
+
+def _cyclic_doc(bundle_conductor, n):
+    return {"kind": "structure", "group": {"kind": "cyclic", "n": n},
+            "bundle": _line_doc(bundle_conductor), "maps": {}}
+
+
+_OVER = MAX_CONDUCTOR + 1
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["split-type", "--bundle", "{doc}"], _line_doc(100000)),
+    (["split-type", "--bundle", "{doc}"], _line_doc(_OVER)),
+    (["validate", "{doc}"],
+     {"kind": "certificate", "group": {"kind": "cyclic", "n": 1},
+      "conductor": _OVER, "change_of_frame": [["1"]]}),
+    (["validate", "{doc}"], _cyclic_doc(1, _OVER)),
+    (["validate", "{doc}"], _cyclic_doc(997, 991)),
+    (["canonical", "--group", "cyclic:100000", "--target", "O(1)"], None),
+    (["canonical", "--group", f"cyclic:{_OVER}", "--target", "O(1)"], None),
+    (["split-type", "--bundle", "O(1)", "--conductor", str(_OVER)], None),
+    (["split-type", "--bundle", "O(1)", "--conductor", "0"], None),
+], ids=["document-100000", "document", "certificate", "group-order",
+        "lcm-997-991", "cyclic-100000", "cyclic", "shortcut", "shortcut-0"])
+def test_cli_rejects_conductors_above_the_cap(tmp_path, capsys, argv, doc):
+    path = tmp_path / "doc.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    assert main([str(path) if a == "{doc}" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"to {MAX_CONDUCTOR}" in err
+
+
+def test_cli_accepts_conductor_at_the_cap(tmp_path, capsys):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(_line_doc(MAX_CONDUCTOR)))
+    assert main(["split-type", "--bundle", str(path)]) == 0
+    assert capsys.readouterr().out == "{1}\n"
+
+
+def test_cli_decompose_ignores_seed(tmp_path):
+    S0 = build_structure(random_certificate(Random(8), klein(), 4, -3, 3))
+    U = random_model_automorphism(Random(9), 4, splitting_type(S0.bundle).degrees)
+    s, a, b = (tmp_path / name for name in ("s.json", "a.json", "b.json"))
+    s.write_text(render_document(conjugate_structure(S0, U)))
+    assert main(["decompose", str(s), "--seed", "5", "--out", str(a)]) == 0
+    assert main(["decompose", str(s), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_cli_equivalent_exit_codes(tmp_path, capsys):
