@@ -8,11 +8,10 @@ Conventions, fixed once for the whole package:
 * under this convention T(z) = z^n is the degree-n line bundle O(n), and
   h0(O(n)) = max(0, n+1) with no sign gymnastics.
 
-Splitting types are computed by scanning the exact dimension of twisted
-section spaces.  The model isomorphism onto diag(z^(d_j)) is
-deterministic: one pass down the Harder-Narasimhan filtration picks, for
-each degree, the first basis section independent at 0 of the columns
-already chosen, and two chart-regularity checks certify the result.
+The splitting type and the model isomorphism onto diag(z^(d_j)) both
+come from one column reduction of the transition over C[w], w = 1/z,
+which gives the Birkhoff factorization T*U = A(z)*z^D; two
+chart-regularity checks certify the frame.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from .cyclotomic import CycNum
 from .errors import ConductorMismatch, InternalInconsistency
 from .laurent import LaurentMatrix, LaurentPoly, regular_invertible_at
-from .linalg import sparse_kernel, sparse_rank
+from .linalg import kernel_dense, sparse_kernel, sparse_rank
 
 
 class VectorBundle:
@@ -243,50 +242,52 @@ class HNData:
     steps: tuple
 
 
+def _reduce_columns(T: LaurentMatrix):
+    """(deltas, columns) of T*U for some U in GL_r(C[w]), w = 1/z, with
+    delta_j = -(lowest z-exponent of column j) and the matrix L of those
+    lowest coefficients invertible: a column reduction over C[w].
+
+    While L is singular, take a kernel vector v, the column j with
+    v_j != 0 and the largest delta_j, and replace it by
+    sum_k (v_k/v_j) * z^(delta_k - delta_j) * col_k.  Every power here is
+    a power of w, so the step is a unimodular column operation over C[w]
+    made of monomial shifts and scalings; the z^(-delta_j) coefficients
+    cancel, so sum(delta_j) falls.  No column maximum exceeds the largest
+    exponent M of T, and no column vanishes, so delta_j >= -M and the
+    loop ends (Mulders & Storjohann, J. Symbolic Comput. 35, 2003).
+
+    Then T*U = A(z) * z^D with D = diag(-delta_j) and A the columns times
+    z^(delta_j): A is polynomial in z with A(0) = L invertible, and det A
+    is a unit monomial that does not vanish at 0, hence a constant.  This
+    is the Birkhoff factorization (Hazewinkel & Martin, JPAA 25, 1982):
+    E is the direct sum of the O(-delta_j)."""
+    conductor, r = T.conductor, T.rows
+    cols = [list(col) for col in T.transpose().entries]
+
+    def low(col):
+        return -min(p.min_exp() for p in col if not p.is_zero())
+
+    deltas = [low(col) for col in cols]
+    while True:
+        lows = [[col[i].coeff(-d) for col, d in zip(cols, deltas)]
+                for i in range(r)]
+        kernel = kernel_dense(lows, r, conductor)
+        if not kernel:
+            return deltas, cols
+        v = kernel[0]
+        support = [k for k in range(r) if not v[k].is_zero()]
+        j = max(support, key=deltas.__getitem__)
+        inv, new = v[j].inverse(), [LaurentPoly.zero(conductor)] * r
+        for k in support:
+            f, s = v[k] * inv, deltas[k] - deltas[j]
+            new = [a + p.shift(s).scale(f) for a, p in zip(new, cols[k])]
+        cols[j], deltas[j] = new, low(new)
+
+
 def splitting_type(E: VectorBundle) -> SplittingType:
-    """Recover the degrees from the jump pattern of k -> h0(E(k))."""
-    r, d = E.rank, E.degree()
-    cache = {}
-
-    def f(k):
-        if k not in cache:
-            cache[k] = h0(twist(E, k))
-        return cache[k]
-
-    guard = 4 * (E.transition.max_abs_exp()
-                 + E.inverse_transition().max_abs_exp()) + abs(d) + r + 8
-    k = -(-d // r)  # ceil(d / r), always between min and max degree
-    steps = 0
-    if f(k) == 0:
-        while f(k + 1) == 0:
-            k += 1
-            steps += 1
-            if steps > guard:
-                raise InternalInconsistency("h0 scan did not start")
-    else:
-        while f(k) > 0:
-            k -= 1
-            steps += 1
-            if steps > guard:
-                raise InternalInconsistency("h0 scan did not reach zero")
-    # now f(k) = 0 and f(k+1) > 0; walk upward reading off multiplicities
-    degs = []
-    prev_diff = 0
-    while len(degs) < r:
-        k += 1
-        steps += 1
-        if steps > guard:
-            raise InternalInconsistency("h0 scan did not terminate")
-        diff = f(k) - f(k - 1)
-        if diff < prev_diff or diff > r:
-            raise InternalInconsistency(
-                f"h0 difference sequence left [0, r]: {diff} after {prev_diff}")
-        degs.extend([-k] * (diff - prev_diff))
-        prev_diff = diff
-    if len(degs) != r or sum(degs) != d:
-        raise InternalInconsistency(
-            f"splitting scan inconsistent: degrees {degs}, degree {d}")
-    return SplittingType(tuple(degs))
+    """The degrees -delta_j of the column reduction of the transition."""
+    deltas, _ = _reduce_columns(E.transition)
+    return SplittingType(tuple(sorted((-d for d in deltas), reverse=True)))
 
 
 def hn_data(E: VectorBundle) -> HNData:
@@ -307,59 +308,24 @@ def hn_data(E: VectorBundle) -> HNData:
 
 @dataclass(frozen=True)
 class ModelIso:
-    """Columns of psi are 0-chart parts of sections of E(-d_j); the two
-    regularity certificates make psi an isomorphism diag(z^(d_j)) -> E."""
+    """psi: diag(z^(d_j)) -> E, certified regular and invertible on both charts."""
     model: SplittingType
     psi: LaurentMatrix
     bundle: VectorBundle
 
 
-class _RankTracker:
-    """Incremental exact rank over CycNum column vectors."""
-
-    def __init__(self):
-        self.pivot_rows = []  # (pivot index, normalized vector)
-
-    def add(self, vec):
-        """Reduce vec by the pivots so far and keep what is left; True
-        when the rank grew."""
-        for idx, prow in self.pivot_rows:
-            f = vec[idx]
-            if not f.is_zero():
-                vec = [a - f * b for a, b in zip(vec, prow)]
-        for idx, c in enumerate(vec):
-            if not c.is_zero():
-                inv = c.inverse()
-                self.pivot_rows.append((idx, [x * inv for x in vec]))
-                return True
-        return False
-
-
 def model_isomorphism(E: VectorBundle) -> ModelIso:
-    """The frame psi: diag(z^(d_j)) -> E, read off the Harder-Narasimhan
-    filtration with no search.
+    """The frame psi: diag(z^(d_j)) -> E from one column reduction.
 
-    Let E_{>=d} be the subbundle spanned by H0(E(-d)).  Walking the
-    degrees in descending order, the columns already chosen for degrees
-    > d span the fiber of E_{>d} at 0, while sections of E(-d) span the
-    fiber of E_{>=d} there.  So some basis section of E(-d) has a value
-    at 0 independent of the earlier columns; it is a nonzero constant
-    section of the trivial quotient (E_{>=d}/E_{>d})(-d), hence
-    independent at every point, at infinity in particular.  Each column
-    is the first such basis section; both chart certificates are then
-    replayed as a postcondition."""
-    st = splitting_type(E)
-    bases = {dd: iter(global_sections(twist(E, -dd))) for dd in set(st.degrees)}
-    tracker = _RankTracker()
-    columns = []
-    for dd in st.degrees:
-        pick = next((s for s in bases[dd]
-                     if tracker.add([p.coeff(0) for p in s.s_zero])), None)
-        if pick is None:
-            raise InternalInconsistency(
-                f"no section of E({-dd}) is independent at 0 of the earlier columns")
-        columns.append(pick.s_zero)
-    psi = LaurentMatrix(E.conductor, [[col[i] for col in columns]
+    With T*U = A(z) * z^D from `_reduce_columns`, take psi = A, its
+    columns stably ordered by degree, descending.  psi is regular and
+    invertible at 0 because A(0) = L, and E^-1 * psi * z^D = U is regular
+    and invertible at infinity because U is in GL_r(C[w]).  Both chart
+    certificates are replayed as a postcondition."""
+    deltas, cols = _reduce_columns(E.transition)
+    order = sorted(range(E.rank), key=deltas.__getitem__)
+    st = SplittingType(tuple(-deltas[j] for j in order))
+    psi = LaurentMatrix(E.conductor, [[cols[j][i].shift(deltas[j]) for j in order]
                                       for i in range(E.rank)])
     if not _certify(E, st, psi):
         raise InternalInconsistency("model isomorphism failed a chart certificate")

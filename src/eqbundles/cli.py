@@ -204,6 +204,10 @@ def _cmd_equivalent(args):
 
 
 def _cmd_fuzz(args):
+    if args.rank < 1 or args.count < 0:
+        raise ValidationError("--rank must be at least 1 and --count at least 0")
+    if args.deg_min > args.deg_max:
+        raise ValidationError(f"--deg-min {args.deg_min} exceeds --deg-max {args.deg_max}")
     from .randgen import splitting_oracle_run
     matches, lines = splitting_oracle_run(args.seed, args.count, args.rank,
                                           args.deg_min, args.deg_max)

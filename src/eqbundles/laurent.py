@@ -488,10 +488,10 @@ def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:
 # deeper input would exhaust the interpreter stack instead of failing cleanly.
 MAX_NESTING = 100
 
-# Exponents may not exceed this in absolute value.  The section scan and
-# the splitting type grow with the exponent spread of a matrix: with the
-# cap at 200, the rank-2 document [[z^200, 1], [0, z^-200]] takes about
-# a second.  Twists and O(d) shortcuts share the cap.
+# Exponents may not exceed this in absolute value.  Section systems grow
+# with the exponent spread of a matrix: at the cap, `sections --twist 200`
+# on a rank-8 block-diagonal document of [[z^200, 1], [0, z^-200]] blocks
+# takes about 3 s.  Twists and O(d) shortcuts share the cap.
 MAX_EXPONENT = 200
 
 # A parse error quotes at most this many characters on each side of its column.

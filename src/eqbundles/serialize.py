@@ -31,9 +31,29 @@ class Report:
     exit_code: int
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: bool is an int subclass in Python, true is not 1 here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _field(doc: dict, key: str, kind, default=None):
+    """doc[key], or default when absent; a present value must be of the
+    JSON type `kind`."""
+    if key not in doc:
+        return default
+    value = doc[key]
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+        raise ValidationError(f"{key} must be {_JSON_TYPES[kind]}, "
+                              f"got {type(value).__name__}")
+    return value
+
+
 def _conductor(m, what: str) -> int:
     """A conductor set by input: an integer from 1 to MAX_CONDUCTOR."""
-    if not isinstance(m, int) or not 1 <= m <= MAX_CONDUCTOR:
+    if not _is_int(m) or not 1 <= m <= MAX_CONDUCTOR:
         raise ValidationError(f"bad {what} {m!r}: expected an integer from 1 "
                               f"to {MAX_CONDUCTOR}")
     return m
@@ -84,7 +104,7 @@ def _character_to_doc(chi: Character):
 def _character_from_doc(doc, G: GroupSpec) -> Character:
     if G.kind == "cyclic":
         k = doc.get("index")
-        if not isinstance(k, int):
+        if not _is_int(k):
             raise ValidationError(f"bad character index {k!r}")
         return Character(G, index=k % G.n)
     s1, s2 = doc.get("a1"), doc.get("a2")
@@ -109,8 +129,9 @@ def bundle_from_doc(doc) -> VectorBundle:
         E = make_bundle(T)
     except EqBundlesError as err:
         raise ValidationError(f"invalid transition matrix: {err}") from err
-    if "rank" in doc and doc["rank"] != E.rank:
-        raise ValidationError(f"declared rank {doc['rank']} != matrix size {E.rank}")
+    rank = _field(doc, "rank", int)
+    if rank is not None and rank != E.rank:
+        raise ValidationError(f"declared rank {rank} != matrix size {E.rank}")
     return E
 
 
@@ -124,8 +145,8 @@ def structure_to_doc(S: EquivariantStructure):
 
 
 def structure_from_doc(doc) -> EquivariantStructure:
-    G, lift = _group_from_doc(doc.get("group", {}))
-    E = bundle_from_doc(doc.get("bundle", {}))
+    G, lift = _group_from_doc(_field(doc, "group", dict, {}))
+    E = bundle_from_doc(_field(doc, "bundle", dict, {}))
     _conductor(lcm(E.conductor, G.conductor), "lcm of bundle and group conductors")
     maps_doc = doc.get("maps")
     if not isinstance(maps_doc, dict):
@@ -151,18 +172,20 @@ def certificate_to_doc(cert: DecompositionCertificate):
 
 
 def certificate_from_doc(doc) -> DecompositionCertificate:
-    G, lift = _group_from_doc(doc.get("group", {}))
+    G, lift = _group_from_doc(_field(doc, "group", dict, {}))
     if lift:
         raise ValidationError("certificates describe genuine structures")
     conductor = _conductor(doc.get("conductor"), "conductor")
     even = []
-    for item in doc.get("even_blocks", []):
+    for item in _field(doc, "even_blocks", list, []):
+        if not isinstance(item, dict):
+            raise ValidationError("even blocks must be objects")
         d = item.get("degree")
-        if not isinstance(d, int):
+        if not _is_int(d):
             raise ValidationError(f"bad block degree {d!r}")
-        even.append((d, _character_from_doc(item.get("character", {}), G)))
-    odd = doc.get("odd_blocks", [])
-    if not all(isinstance(d, int) for d in odd):
+        even.append((d, _character_from_doc(_field(item, "character", dict, {}), G)))
+    odd = _field(doc, "odd_blocks", list, [])
+    if not all(_is_int(d) for d in odd):
         raise ValidationError("odd block degrees must be integers")
     frame = _matrix_from_doc(doc.get("change_of_frame"), conductor)
     try:
@@ -184,9 +207,11 @@ def report_to_doc(rep: Report):
 
 
 def report_from_doc(doc) -> Report:
-    return Report(command=doc.get("command", ""),
-                  lines=tuple(doc.get("lines", [])),
-                  exit_code=doc.get("exit", 0))
+    lines = _field(doc, "lines", list, [])
+    if not all(isinstance(line, str) for line in lines):
+        raise ValidationError("report lines must be strings")
+    return Report(command=_field(doc, "command", str, ""), lines=tuple(lines),
+                  exit_code=_field(doc, "exit", int, 0))
 
 
 # -- document front door --------------------------------------------------------

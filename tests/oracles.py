@@ -13,6 +13,7 @@ from the Moebius formula, instead of integer numerators and a fold table.
 from fractions import Fraction
 from functools import lru_cache
 
+from eqbundles.bundle import h0, twist
 from eqbundles.cyclotomic import CycNum
 from eqbundles.group import (elements, lift_group, lift_moebius, lift_multiply,
                              multiply)
@@ -90,6 +91,46 @@ def det_cofactor(entries, conductor):
         term = c * det_cofactor(minor, conductor)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def splitting_type_by_h0(E):
+    """Splitting degrees, descending, from the jump pattern of
+    k -> h0(E(k)): h0(E(k)) - h0(E(k-1)) counts the degrees >= -k."""
+    r, d = E.rank, E.degree()
+    cache = {}
+
+    def f(k):
+        if k not in cache:
+            cache[k] = h0(twist(E, k))
+        return cache[k]
+
+    guard = 4 * (E.transition.max_abs_exp()
+                 + E.inverse_transition().max_abs_exp()) + abs(d) + r + 8
+    k = -(-d // r)  # ceil(d / r), always between min and max degree
+    steps = 0
+    if f(k) == 0:
+        while f(k + 1) == 0:
+            k += 1
+            steps += 1
+            assert steps <= guard, "h0 scan did not start"
+    else:
+        while f(k) > 0:
+            k -= 1
+            steps += 1
+            assert steps <= guard, "h0 scan did not reach zero"
+    # now f(k) = 0 and f(k+1) > 0; walk upward reading off multiplicities
+    degs = []
+    prev_diff = 0
+    while len(degs) < r:
+        k += 1
+        steps += 1
+        assert steps <= guard, "h0 scan did not terminate"
+        diff = f(k) - f(k - 1)
+        assert prev_diff <= diff <= r, f"h0 differences {prev_diff}, {diff}"
+        degs.extend([-k] * (diff - prev_diff))
+        prev_diff = diff
+    assert len(degs) == r and sum(degs) == d, f"degrees {degs}, degree {d}"
+    return tuple(degs)
 
 
 def h0_from_degrees(degrees, k=0):

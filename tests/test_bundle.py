@@ -2,16 +2,16 @@ from random import Random
 
 import pytest
 
-from eqbundles.bundle import (HNData, degree, direct_sum, dual, global_sections,
-                              h0, hn_data, hom, line_bundle, make_bundle,
-                              model_bundle, model_isomorphism, splitting_type,
-                              twist)
+from eqbundles.bundle import (HNData, _certify, degree, direct_sum, dual,
+                              global_sections, h0, hn_data, hom, line_bundle,
+                              make_bundle, model_bundle, model_isomorphism,
+                              splitting_type, twist)
 from eqbundles.errors import DimensionMismatch, NonUnimodular
 from eqbundles.laurent import LaurentMatrix, regular_invertible_at
 from eqbundles.randgen import planted_bundle, random_unimodular
 
 from conftest import M
-from oracles import dense_h0, h0_from_degrees
+from oracles import dense_h0, h0_from_degrees, splitting_type_by_h0
 
 
 def test_make_bundle_examples():
@@ -163,11 +163,18 @@ def _assert_frame(E, iso):
 
 def test_model_isomorphism_skips_sections_of_the_higher_step():
     # H0(O(1)+O(0)) lists (z, 0) and (1, 0) before (0, 1); both lie in
-    # the O(1) step already chosen, so the degree-0 column is (0, 1)
+    # the O(1) step, so the degree-0 column of a frame must be (0, 1)
     E = model_bundle(1, [1, 0])
     iso = model_isomorphism(E)
     _assert_frame(E, iso)
     assert iso.psi == LaurentMatrix.identity(1, 2)
+
+
+def _planted(rng, conductor, degrees):
+    r = len(degrees)
+    A = random_unimodular(rng, conductor, r, var_sign=1, ops=2 * r)
+    B = random_unimodular(rng, conductor, r, var_sign=-1, ops=2 * r)
+    return make_bundle(A @ LaurentMatrix.diag_monomials(conductor, degrees) @ B)
 
 
 @pytest.mark.parametrize("conductor", [1, 4, 12])
@@ -175,10 +182,7 @@ def test_model_isomorphism_planted_repeats_and_gaps(conductor):
     rng = Random(conductor)
     for degrees in [(3,), (1, 1), (2, -2), (2, 2, -1), (1, 1, 0, -3),
                     (4, 2, 2, 0, 0), (2, 2, 2, -1, -3, -3)]:
-        r = len(degrees)
-        A = random_unimodular(rng, conductor, r, var_sign=1, ops=2 * r)
-        B = random_unimodular(rng, conductor, r, var_sign=-1, ops=2 * r)
-        E = make_bundle(A @ LaurentMatrix.diag_monomials(conductor, degrees) @ B)
+        E = _planted(rng, conductor, degrees)
         iso = model_isomorphism(E)
         assert iso.model.degrees == degrees
         _assert_frame(E, iso)
@@ -189,3 +193,27 @@ def test_model_isomorphism_fuzzed_self_certifies():
     for _ in range(15):
         E, _ = planted_bundle(rng, rng.choice([1, 3, 4]), rng.randint(1, 4), -4, 4)
         _certify_iso(E, model_isomorphism(E))
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 4, 12])
+def test_splitting_type_matches_h0_scan_oracle(conductor):
+    # the column reduction against the h0 jump pattern, on planted bundles
+    # with repeated degrees and spreads up to 10, and on bundles built
+    # from them by every functor
+    rng = Random(conductor)
+    F = _planted(rng, conductor, (1, -2))
+    for degrees in [(0,), (5,), (1, 1), (5, -5), (2, 2, -1), (5, 0, -5),
+                    (1, 1, 0, -3), (3, 3, -2, -7), (4, 2, 2, 0, 0),
+                    (2, 2, 2, -1, -3, -3), (5, 5, 0, 0, -5, -5)]:
+        E = _planted(rng, conductor, degrees)
+        assert splitting_type(E).degrees == degrees
+        bundles = [E, dual(E), twist(E, rng.randint(-3, 3)), direct_sum(E, F)]
+        if E.rank <= 3:
+            bundles += [hom(E, F), hom(F, E)]
+        for X in bundles:
+            st = splitting_type(X)
+            assert st.degrees == splitting_type_by_h0(X)
+            iso = model_isomorphism(X)
+            assert iso.model == st
+            assert _certify(X, st, iso.psi)
+            _assert_frame(X, iso)

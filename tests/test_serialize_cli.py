@@ -353,3 +353,42 @@ def test_cli_fuzz_report_document(tmp_path, capsys):
     assert rep.exit_code == 0
     assert rep.lines[-1] == "10/10 splitting-type oracle matches"
     capsys.readouterr()
+
+
+_CERT = {"kind": "certificate", "group": {"kind": "cyclic", "n": 2},
+         "conductor": 2, "odd_blocks": [], "change_of_frame": [["1"]],
+         "even_blocks": [{"degree": 0, "character": {"index": 1}}]}
+
+
+def test_cli_validate_accepts_the_unmutated_documents(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    for doc in (_CERT, _line_doc(1)):
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc", [
+    dict(_cyclic_doc(1, 2), bundle=[]),
+    dict(_cyclic_doc(1, 2), group="klein"),
+    dict(_CERT, even_blocks=[5]),
+    dict(_CERT, even_blocks=5),
+    dict(_CERT, even_blocks=[{"degree": 0, "character": [1]}]),
+    dict(_CERT, odd_blocks=5),
+    {"kind": "report", "command": "fuzz", "lines": 5, "exit": 0},
+    dict(_line_doc(1), rank=True),
+], ids=["bundle-list", "group-string", "even-blocks-item", "even-blocks-int",
+        "character-list", "odd-blocks-int", "report-lines-int", "rank-true"])
+def test_cli_validate_rejects_mistyped_fields(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["--rank", "0"], ["--rank", "-2"], ["--deg-min", "5", "--deg-max", "-5"],
+    ["--count", "-1"]])
+def test_cli_fuzz_rejects_bad_arguments(capsys, args):
+    assert main(["fuzz", "--count", "3"] + args) == 2
+    assert capsys.readouterr().err.startswith("error: --")
