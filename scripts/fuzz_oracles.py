@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Long-running oracle experiments: planted splitting types and
-decompose/build roundtrips, tallied per seed.  Exits 1 when any tally
-falls short of its count.
+"""Long-running oracle experiments: planted splitting types, the global
+sections of the same planted bundles, and decompose/build roundtrips,
+tallied per seed.  Exits 1 when any tally falls short of its count.
 
 Usage: python3 scripts/fuzz_oracles.py [--seeds 5] [--count 100] [--rank 4]
 """
@@ -11,12 +11,39 @@ import sys
 import time
 from random import Random
 
-from eqbundles.bundle import splitting_type
+from eqbundles.bundle import global_sections, splitting_type, twist
 from eqbundles.classify import build_structure, decompose, verify_certificate
+from eqbundles.cyclotomic import CycNum
 from eqbundles.equivariant import conjugate_structure
 from eqbundles.group import cyclic, klein
-from eqbundles.randgen import (random_certificate, random_model_automorphism,
-                               splitting_oracle_run)
+from eqbundles.laurent import LaurentMatrix
+from eqbundles.randgen import (planted_bundle, random_certificate,
+                               random_model_automorphism, splitting_oracle_run)
+
+
+def glues(E, s):
+    """T(z) * sinf(1/z) == s0(z) for a section s of E."""
+    one = CycNum.one(E.conductor)
+    sinf = [[p.substitute(one, -1)] for p in s.s_infty]
+    return (E.transition @ LaurentMatrix(E.conductor, sinf)
+            == LaurentMatrix(E.conductor, [[p] for p in s.s_zero]))
+
+
+def sections_run(seed, count, max_rank):
+    """The planted bundles of `splitting_oracle_run` (same draws), each at
+    one random twist k: the section count must be sum max(0, d + k + 1)
+    over the planted degrees, and every section must glue."""
+    rng, twists = Random(seed), Random(~seed)
+    good = 0
+    for _ in range(count):
+        m = (1, 2, 3, 4)[rng.randrange(4)]
+        E, planted = planted_bundle(rng, m, rng.randint(1, max_rank), -5, 5)
+        k = twists.randint(-5, 5)
+        Ek = twist(E, k)
+        secs = global_sections(Ek)
+        good += (len(secs) == sum(max(0, d + k + 1) for d in planted)
+                 and all(glues(Ek, s) for s in secs))
+    return good
 
 
 def roundtrip_run(seed, count, max_rank):
@@ -48,6 +75,9 @@ def main():
         matches, _ = splitting_oracle_run(seed, args.count, args.rank, -5, 5)
         print(f"seed {seed}: splitting oracle {matches}/{args.count}")
         short += matches < args.count
+        good = sections_run(seed, args.count, args.rank)
+        print(f"seed {seed}: sections {good}/{args.count}")
+        short += good < args.count
     for seed in range(args.seeds):
         good = roundtrip_run(seed, args.count, args.rank)
         print(f"seed {seed}: decompose/build roundtrip {good}/{args.count}")

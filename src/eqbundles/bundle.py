@@ -11,7 +11,9 @@ Conventions, fixed once for the whole package:
 The splitting type and the model isomorphism onto diag(z^(d_j)) both
 come from one column reduction of the transition over C[w], w = 1/z,
 which gives the Birkhoff factorization T*U = A(z)*z^D; two
-chart-regularity checks certify the frame.
+chart-regularity checks certify the frame.  Global sections are the
+frame applied to the monomial sections of the model, so no linear
+system over section coefficients is ever built.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from .cyclotomic import CycNum
 from .errors import ConductorMismatch, InternalInconsistency
 from .laurent import LaurentMatrix, LaurentPoly, regular_invertible_at
-from .linalg import kernel_dense, sparse_kernel, sparse_rank
+from .linalg import kernel_dense
 
 
 class VectorBundle:
@@ -134,91 +136,6 @@ def embed_bundle(E: VectorBundle, conductor: int) -> VectorBundle:
 
 
 # ---------------------------------------------------------------------------
-# sections
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Section:
-    """A global section: s_zero(z) = T(z) * s_infty(1/z), both polynomial."""
-    s_zero: tuple
-    s_infty: tuple
-
-
-def _section_degree_bound(E: VectorBundle) -> int:
-    # any section satisfies sinf(1/z) = T^(-1) s0(z) with s0 polynomial,
-    # so deg_w(sinf) <= -min exponent of T^(-1)
-    me = E.inverse_transition().min_exp()
-    return max(0, -me) if me is not None else 0
-
-
-def _section_system(E: VectorBundle):
-    """Sparse rows forcing 'no negative z-powers in T(z) sinf(1/z)'.
-
-    Unknowns are the w-coefficients of sinf, indexed i*(B+1)+j for
-    coordinate i and power w^j."""
-    r = E.rank
-    bound = _section_degree_bound(E)
-    nvars = r * (bound + 1)
-    rows = {}
-    for l in range(r):
-        for i in range(r):
-            entry = E.transition.entries[l][i]
-            for t, c in entry.coeffs.items():
-                for j in range(bound + 1):
-                    e = t - j
-                    if e >= 0:
-                        continue
-                    key = (l, e)
-                    row = rows.setdefault(key, {})
-                    var = i * (bound + 1) + j
-                    cur = row.get(var)
-                    row[var] = c if cur is None else cur + c
-    clean = []
-    for row in rows.values():
-        row = {v: c for v, c in row.items() if not c.is_zero()}
-        if row:
-            clean.append(row)
-    return clean, nvars, bound
-
-
-def h0(E: VectorBundle) -> int:
-    """Exact dimension of the space of global sections."""
-    rows, nvars, _ = _section_system(E)
-    return nvars - sparse_rank(rows)
-
-
-def global_sections(E: VectorBundle):
-    """Canonical basis of global sections (empty when there are none)."""
-    rows, nvars, bound = _section_system(E)
-    basis = sparse_kernel(rows, nvars, E.conductor)
-    out = []
-    for vec in basis:
-        sinf = []
-        for i in range(E.rank):
-            coeffs = {j: vec[i * (bound + 1) + j] for j in range(bound + 1)}
-            sinf.append(LaurentPoly(E.conductor, coeffs))
-        out.append(_section_from_sinf(E, sinf))
-    return out
-
-
-def _section_from_sinf(E: VectorBundle, sinf) -> Section:
-    one = CycNum.one(E.conductor)
-    sub = [p.substitute(one, -1) for p in sinf]
-    s_zero = []
-    for l in range(E.rank):
-        acc = LaurentPoly.zero(E.conductor)
-        for i in range(E.rank):
-            t = E.transition.entries[l][i]
-            if not t.is_zero() and not sub[i].is_zero():
-                acc = acc + t * sub[i]
-        me = acc.min_exp()
-        if me is not None and me < 0:
-            raise InternalInconsistency("section is not polynomial on the 0-chart")
-        s_zero.append(acc)
-    return Section(s_zero=tuple(s_zero), s_infty=tuple(sinf))
-
-
-# ---------------------------------------------------------------------------
 # splitting type and Harder-Narasimhan data
 # ---------------------------------------------------------------------------
 
@@ -303,7 +220,7 @@ def hn_data(E: VectorBundle) -> HNData:
 
 
 # ---------------------------------------------------------------------------
-# constructive model isomorphism
+# constructive model isomorphism and global sections
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -322,19 +239,60 @@ def model_isomorphism(E: VectorBundle) -> ModelIso:
     invertible at 0 because A(0) = L, and E^-1 * psi * z^D = U is regular
     and invertible at infinity because U is in GL_r(C[w]).  Both chart
     certificates are replayed as a postcondition."""
+    st, psi, _ = _frame(E)
+    return ModelIso(model=st, psi=psi, bundle=E)
+
+
+def _frame(E):
+    """(splitting type, psi, U = E^-1 * psi * z^D), certified."""
     deltas, cols = _reduce_columns(E.transition)
     order = sorted(range(E.rank), key=deltas.__getitem__)
     st = SplittingType(tuple(-deltas[j] for j in order))
     psi = LaurentMatrix(E.conductor, [[cols[j][i].shift(deltas[j]) for j in order]
                                       for i in range(E.rank)])
-    if not _certify(E, st, psi):
+    U = _certify(E, st, psi)
+    if U is None:
         raise InternalInconsistency("model isomorphism failed a chart certificate")
-    return ModelIso(model=st, psi=psi, bundle=E)
+    return st, psi, U
 
 
 def _certify(E, st, psi):
+    """U = E^-1 * psi * z^D if both chart certificates hold, else None."""
     if not regular_invertible_at(psi, "zero"):
-        return False
+        return None
     corrected = (E.inverse_transition() @ psi
                  @ LaurentMatrix.diag_monomials(E.conductor, st.degrees))
-    return regular_invertible_at(corrected, "infinity")
+    return corrected if regular_invertible_at(corrected, "infinity") else None
+
+
+@dataclass(frozen=True)
+class Section:
+    """A global section: s_zero(z) = T(z) * s_infty(1/z), both polynomial."""
+    s_zero: tuple
+    s_infty: tuple
+
+
+def h0(E: VectorBundle) -> int:
+    """dim H0(E): the sum of max(0, d_j + 1) over the splitting type."""
+    return sum(max(0, d + 1) for d in splitting_type(E).degrees)
+
+
+def global_sections(E: VectorBundle):
+    """Basis of global sections from the frame (empty when there are none).
+
+    With T*U = psi*z^D from the model isomorphism, column j and
+    0 <= a <= d_j give s_zero = z^a * psi_j and s_infty(w) = w^(d_j - a) *
+    U_j(1/w), which glue: T * U_j(z) * z^(a - d_j) = psi_j * z^a.  Both are
+    polynomial, as the chart certificates found psi regular at 0 and U at
+    infinity, and independent, as U is invertible.  Sections are sorted by
+    their last nonzero s_infty entry and its w-degree, which on a model
+    bundle lists the w-coefficients coordinate by coordinate."""
+    st, psi, U = _frame(E)
+    one, out = CycNum.one(E.conductor), []
+    for j, d in enumerate(st.degrees):
+        u_j = [row[j].substitute(one, -1) for row in U.entries]
+        out += [Section(s_zero=tuple(row[j].shift(a) for row in psi.entries),
+                        s_infty=tuple(p.shift(d - a) for p in u_j))
+                for a in range(d + 1)]
+    return sorted(out, key=lambda s: max((i, p.max_exp()) for i, p in
+                                         enumerate(s.s_infty) if not p.is_zero()))

@@ -2,13 +2,14 @@
 
 Exit codes: 0 on success / mathematical truth, 1 on mathematical falsity
 (an obstruction, a failed validation, a non-verifying certificate), 2 on
-input errors.  All output is deterministic given the inputs, `fuzz --seed`
-included.
+input errors or a closed output.  All output is deterministic given the
+inputs, `fuzz --seed` included.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -338,6 +339,13 @@ def main(argv=None) -> int:
         return 2
     except EqBundlesError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed", file=sys.stderr)
         return 2
 
 

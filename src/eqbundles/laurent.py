@@ -488,10 +488,10 @@ def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:
 # deeper input would exhaust the interpreter stack instead of failing cleanly.
 MAX_NESTING = 100
 
-# Exponents may not exceed this in absolute value.  Section systems grow
-# with the exponent spread of a matrix: at the cap, `sections --twist 200`
-# on a rank-8 block-diagonal document of [[z^200, 1], [0, z^-200]] blocks
-# takes about 3 s.  Twists and O(d) shortcuts share the cap.
+# Exponents may not exceed this in absolute value; twists and O(d)
+# shortcuts share the cap.  The section count grows with the exponent
+# spread: `sections --twist 200` on a rank-8 block-diagonal document of
+# [[z^200, 1], [0, z^-200]] blocks prints 1608 sections in about 0.35 s.
 MAX_EXPONENT = 200
 
 # A parse error quotes at most this many characters on each side of its column.

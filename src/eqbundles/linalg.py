@@ -1,9 +1,8 @@
 """Exact linear algebra over Q(zeta_m) scalars.
 
-Dense routines cover the small constant matrices that appear in
-representation splitting; the sparse routines carry the section
-computations, whose coefficient systems are large but very sparse.
-Rows are dicts {column: CycNum}; reduced echelon form is unique, so
+Dense routines for the small constant matrices that appear in
+representation splitting and in the column reduction of a transition.
+Grids are lists of lists of CycNum; reduced echelon form is unique, so
 every kernel basis produced here is canonical.
 """
 
@@ -119,74 +118,3 @@ def eigenspace(grid, lam, conductor):
     rows = [[grid[i][j] - lam if i == j else grid[i][j] for j in range(n)]
             for i in range(n)]
     return kernel_dense(rows, n, conductor)
-
-
-# -- sparse echelon forms (rows are dicts {col: CycNum}) -----------------------
-
-def _sparse_reduce(row, pivots):
-    """Reduce a row against normalized pivot rows until its leading column
-    is pivot-free; mutates and returns the row dict."""
-    while row:
-        c = min(row)
-        p = pivots.get(c)
-        if p is None:
-            return row, c
-        f = row[c]
-        for col, val in p.items():
-            cur = row.get(col)
-            nxt = (cur - f * val) if cur is not None else -(f * val)
-            if nxt.is_zero():
-                row.pop(col, None)
-            else:
-                row[col] = nxt
-    return row, None
-
-
-def _sparse_echelon(rows):
-    """Normalized pivot rows {leading column: row} of a forward pass."""
-    pivots = {}
-    for row in rows:
-        row, c = _sparse_reduce(dict(row), pivots)
-        if c is None:
-            continue
-        inv = row[c].inverse()
-        pivots[c] = {col: val * inv for col, val in row.items()}
-    return pivots
-
-
-def sparse_rank(rows):
-    """Rank of a sparse matrix given as an iterable of {col: CycNum} rows."""
-    return len(_sparse_echelon(rows))
-
-
-def sparse_kernel(rows, ncols, conductor):
-    """Canonical kernel basis of a sparse system (free columns ascending)."""
-    pivots = _sparse_echelon(rows)
-    # back-substitute to reach reduced form
-    for c in sorted(pivots, reverse=True):
-        prow = pivots[c]
-        for c2, row2 in pivots.items():
-            if c2 >= c or c not in row2:
-                continue
-            f = row2.pop(c)
-            for col, val in prow.items():
-                if col == c:
-                    continue
-                cur = row2.get(col)
-                nxt = (cur - f * val) if cur is not None else -(f * val)
-                if nxt.is_zero():
-                    row2.pop(col, None)
-                else:
-                    row2[col] = nxt
-    zero, one = CycNum.zero(conductor), CycNum.one(conductor)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [zero] * ncols
-        vec[f] = one
-        for c, prow in pivots.items():
-            if f in prow:
-                vec[c] = -prow[f]
-        basis.append(tuple(vec))
-    return basis

@@ -1,9 +1,11 @@
 """Independent brute-force checks used as test oracles.
 
-These deliberately avoid the production code paths: section dimensions
-come from a dense textbook row reduction over an explicit coefficient
-grid, with a caller-supplied degree bound instead of the package's
-derived bound.  Determinants come from cofactor expansion instead of
+These deliberately avoid the production code paths, which read section
+counts and bases off the splitting type and its frame.  Section
+dimensions here come from the linear system on the w-coefficients of
+sinf: `dense_h0` runs a textbook row reduction over an explicit grid
+with a caller-supplied degree bound, `h0_by_section_system` a sparse
+forward elimination with the bound -min exp(T^-1).  Determinants come from cofactor expansion instead of
 elimination.  The cocycle oracle checks every pair of group elements
 instead of the generator pairs that validation uses.  Cyclotomic
 products use Fraction coefficients and long division by a Phi_m built
@@ -13,7 +15,7 @@ from the Moebius formula, instead of integer numerators and a fold table.
 from fractions import Fraction
 from functools import lru_cache
 
-from eqbundles.bundle import h0, twist
+from eqbundles.bundle import twist
 from eqbundles.cyclotomic import CycNum
 from eqbundles.group import (elements, lift_group, lift_moebius, lift_multiply,
                              multiply)
@@ -77,6 +79,45 @@ def _dense_rank(rows, cond):
     return rank
 
 
+def h0_by_section_system(E):
+    """Dimension of global sections as the number of unknowns minus the
+    rank of the sparse rows "no negative z-power in T(z) * sinf(1/z)".
+
+    Unknowns are the w-coefficients of sinf, indexed i*(B+1)+j for
+    coordinate i and power w^j.  Any section has sinf(1/z) = T^-1 s0(z)
+    with s0 polynomial, so B = -min exp(T^-1) bounds its w-degree."""
+    r = E.rank
+    me = E.inverse_transition().min_exp()
+    bound = max(0, -me) if me is not None else 0
+    rows = {}
+    for l in range(r):
+        for i in range(r):
+            for t, c in E.transition.entries[l][i].coeffs.items():
+                for j in range(bound + 1):
+                    if t - j < 0:
+                        row = rows.setdefault((l, t - j), {})
+                        var = i * (bound + 1) + j
+                        row[var] = row[var] + c if var in row else c
+    pivots = {}
+    for row in rows.values():
+        row = {v: c for v, c in row.items() if not c.is_zero()}
+        # reduce against the normalized pivot rows until the leading
+        # column is pivot-free, then keep the row as a new pivot
+        while row and min(row) in pivots:
+            lead = min(row)
+            f = row[lead]
+            for v, c in pivots[lead].items():
+                nxt = row[v] - f * c if v in row else -(f * c)
+                if nxt.is_zero():
+                    row.pop(v, None)
+                else:
+                    row[v] = nxt
+        if row:
+            inv = row[min(row)].inverse()
+            pivots[min(row)] = {v: c * inv for v, c in row.items()}
+    return r * (bound + 1) - len(pivots)
+
+
 def det_cofactor(entries, conductor):
     """Determinant of a square grid of LaurentPoly by cofactor expansion
     along the first row: no division, no pivoting."""
@@ -95,13 +136,14 @@ def det_cofactor(entries, conductor):
 
 def splitting_type_by_h0(E):
     """Splitting degrees, descending, from the jump pattern of
-    k -> h0(E(k)): h0(E(k)) - h0(E(k-1)) counts the degrees >= -k."""
+    k -> h0(E(k)), counted by the section system: h0(E(k)) - h0(E(k-1))
+    counts the degrees >= -k."""
     r, d = E.rank, E.degree()
     cache = {}
 
     def f(k):
         if k not in cache:
-            cache[k] = h0(twist(E, k))
+            cache[k] = h0_by_section_system(twist(E, k))
         return cache[k]
 
     guard = 4 * (E.transition.max_abs_exp()

@@ -6,12 +6,14 @@ from eqbundles.bundle import (HNData, _certify, degree, direct_sum, dual,
                               global_sections, h0, hn_data, hom, line_bundle,
                               make_bundle, model_bundle, model_isomorphism,
                               splitting_type, twist)
+from eqbundles.cyclotomic import CycNum
 from eqbundles.errors import DimensionMismatch, NonUnimodular
-from eqbundles.laurent import LaurentMatrix, regular_invertible_at
+from eqbundles.laurent import LaurentMatrix, LaurentPoly, regular_invertible_at
 from eqbundles.randgen import planted_bundle, random_unimodular
 
 from conftest import M
-from oracles import dense_h0, h0_from_degrees, splitting_type_by_h0
+from oracles import (_dense_rank, dense_h0, h0_by_section_system, h0_from_degrees,
+                     splitting_type_by_h0)
 
 
 def test_make_bundle_examples():
@@ -61,19 +63,36 @@ def test_h0_of_hom_bundles():
     assert h0(hom(model_bundle(1, [1, -1]), model_bundle(1, [1, -1]))) == 5
 
 
+def _glues(E, s):
+    sub = [p.substitute(CycNum.one(E.conductor), -1) for p in s.s_infty]
+    for l in range(E.rank):
+        acc = None
+        for i in range(E.rank):
+            term = E.transition.entries[l][i] * sub[i]
+            acc = term if acc is None else acc + term
+        if acc != s.s_zero[l]:
+            return False
+    return True
+
+
 def test_sections_satisfy_gluing():
-    from eqbundles.cyclotomic import CycNum
     E = make_bundle(M([["z", "1"], ["0", "z"]]))
     secs = global_sections(E)
     assert len(secs) == 4
-    for s in secs:
-        sub = [p.substitute(CycNum.one(1), -1) for p in s.s_infty]
-        for l in range(E.rank):
-            acc = None
-            for i in range(E.rank):
-                term = E.transition.entries[l][i] * sub[i]
-                acc = term if acc is None else acc + term
-            assert acc == s.s_zero[l]
+    assert all(_glues(E, s) for s in secs)
+
+
+def test_model_bundle_sections_list_coordinate_by_coordinate():
+    # on diag(z^(d_i)) the basis is e_i * w^j, ordered by (i, j)
+    degrees = (0, 3, -1, 2)
+    secs = global_sections(model_bundle(4, degrees))
+    expected = [(i, j) for i, d in enumerate(degrees) for j in range(d + 1)]
+    assert len(secs) == len(expected)
+    for s, (i, j) in zip(secs, expected):
+        assert s.s_infty == tuple(LaurentPoly.monomial(4, j) if k == i
+                                  else LaurentPoly.zero(4) for k in range(4))
+        assert s.s_zero == tuple(LaurentPoly.monomial(4, degrees[i] - j) if k == i
+                                 else LaurentPoly.zero(4) for k in range(4))
 
 
 def test_splitting_type_examples():
@@ -112,7 +131,7 @@ def test_h0_profile_matches_formula_and_is_monotone():
     for _ in range(10):
         E, planted = planted_bundle(rng, rng.choice([1, 4]), rng.randint(1, 3), -3, 3)
         lo, hi = -max(planted) - 2, -min(planted) + 1
-        values = [h0(twist(E, k)) for k in range(lo, hi + 1)]
+        values = [h0_by_section_system(twist(E, k)) for k in range(lo, hi + 1)]
         for off, k in enumerate(range(lo, hi + 1)):
             assert values[off] == h0_from_degrees(planted, k)
         diffs = [b - a for a, b in zip(values, values[1:])]
@@ -217,3 +236,27 @@ def test_splitting_type_matches_h0_scan_oracle(conductor):
             assert iso.model == st
             assert _certify(X, st, iso.psi)
             _assert_frame(X, iso)
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 4, 12])
+def test_global_sections_match_section_system_oracle(conductor):
+    # the frame's sections against the section system: same count, each
+    # glues and is polynomial on both charts, and the sinf parts are
+    # linearly independent
+    rng = Random(conductor)
+    F = _planted(rng, conductor, (1, -2))
+    for degrees in [(0,), (3,), (1, 1), (2, -2), (2, 2, -1), (3, 0, -3),
+                    (1, 1, 0, -3), (4, 2, 2, 0, 0), (2, 2, 2, -1, -3, -3)]:
+        E = _planted(rng, conductor, degrees)
+        for X in [E, dual(E), twist(E, rng.randint(-3, 3)), direct_sum(E, F)]:
+            secs = global_sections(X)
+            assert len(secs) == h0_by_section_system(X)
+            for s in secs:
+                assert _glues(X, s)
+                assert all(p.is_zero() or p.min_exp() >= 0
+                           for p in s.s_zero + s.s_infty)
+            top = max([p.max_exp() for s in secs for p in s.s_infty
+                       if not p.is_zero()], default=0)
+            rows = [[p.coeff(j) for p in s.s_infty for j in range(top + 1)]
+                    for s in secs]
+            assert _dense_rank(rows, conductor) == len(secs)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import eqbundles
 from eqbundles.bundle import make_bundle, splitting_type
 from eqbundles.classify import build_structure, decompose
 from eqbundles.cli import main
@@ -129,6 +134,39 @@ def test_cli_sections(capsys):
     assert main(["sections", "--bundle", "O(1)", "--twist", "1"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("dimension 3")
+    assert main(["sections", "--bundle", "O(1)+O(2)"]) == 0
+    assert capsys.readouterr().out == (
+        "dimension 5\n"
+        "section 0: s0 = (z, 0); sinf = (1, 0)\n"
+        "section 1: s0 = (1, 0); sinf = (z, 0)\n"
+        "section 2: s0 = (0, z^2); sinf = (0, 1)\n"
+        "section 3: s0 = (0, z); sinf = (0, z)\n"
+        "section 4: s0 = (0, 1); sinf = (0, z^2)\n")
+
+
+def test_cli_closed_output_exits_2_without_traceback(tmp_path):
+    # the rank-8 exponent-cap document at --twist 200 prints about 131 KB,
+    # more than a pipe buffer holds; the reader closes at once
+    n = 8
+    grid = [["0"] * n for _ in range(n)]
+    for b in range(0, n, 2):
+        grid[b][b], grid[b][b + 1], grid[b + 1][b + 1] = "z^200", "1", "z^-200"
+    doc = tmp_path / "cap.json"
+    doc.write_text(json.dumps({"kind": "bundle", "rank": n, "conductor": 1,
+                               "transition": grid}))
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(eqbundles.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqbundles.cli", "sections", "--bundle",
+             str(doc), "--twist", "200"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr.decode()
+    assert "error: output closed" in proc.stderr.decode()
 
 
 def test_cli_document_flow(tmp_path, capsys):
