@@ -20,7 +20,7 @@ from .equivariant import (canonical_structure, existence, structures_equivalent,
 from .errors import (EqBundlesError, NoSuchStructure, ParseError,
                      ValidationError)
 from .laurent import MAX_EXPONENT, render_laurent
-from .serialize import (Report, parse_bundle_shortcut,
+from .serialize import (MAX_RANK, Report, parse_bundle_shortcut,
                         parse_character_shortcut, parse_document,
                         parse_group_shortcut, render_document)
 
@@ -34,7 +34,11 @@ def _read_document(path: str):
 
 
 def _load_bundle(spec: str, conductor: int):
-    if Path(spec).is_file():
+    try:
+        is_file = Path(spec).is_file()
+    except OSError:  # e.g. a shortcut longer than a file name may be
+        is_file = False
+    if is_file:
         doc = _read_document(spec)
         from .bundle import VectorBundle
         if not isinstance(doc, VectorBundle):
@@ -207,6 +211,8 @@ def _cmd_equivalent(args):
 def _cmd_fuzz(args):
     if args.rank < 1 or args.count < 0:
         raise ValidationError("--rank must be at least 1 and --count at least 0")
+    if args.rank > MAX_RANK:
+        raise ValidationError(f"--rank {args.rank} exceeds the rank cap {MAX_RANK}")
     if args.deg_min > args.deg_max:
         raise ValidationError(f"--deg-min {args.deg_min} exceeds --deg-max {args.deg_max}")
     from .randgen import splitting_oracle_run

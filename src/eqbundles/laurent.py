@@ -2,11 +2,13 @@
 
 A Laurent polynomial is a sparse map {exponent: CycNum} with no stored
 zeros; the empty map is zero.  Matrices are immutable row-major grids of
-Laurent polynomials.  One fraction-free Gauss-Jordan elimination of
-[A | I] gives both det A and the adjugate; the inverse is the adjugate
-divided by a unit-monomial determinant, which is exactly the
-invertibility condition for transition matrices on the two-chart
-projective line.
+Laurent polynomials.  The public constructors check their input; every
+operation keeps the invariant itself, returns through the trusted
+`_poly` or `_matrix`, and works only where entries are nonzero.  One
+fraction-free Gauss-Jordan elimination of [A | I] gives both det A and
+the adjugate; the inverse is the adjugate divided by a unit-monomial
+determinant, which is exactly the invertibility condition for transition
+matrices on the two-chart projective line.
 """
 
 from __future__ import annotations
@@ -96,17 +98,14 @@ class LaurentPoly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            cur = out.get(e)
-            out[e] = c if cur is None else cur + c
-        return LaurentPoly(self.conductor, out)
+        return _poly(self.conductor, _merge(self.coeffs, other.coeffs, False))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return _poly(self.conductor, _merge(self.coeffs, other.coeffs, True))
 
     def __neg__(self):
-        return LaurentPoly(self.conductor, {e: -c for e, c in self.coeffs.items()})
+        return _poly(self.conductor, {e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -119,20 +118,23 @@ class LaurentPoly:
                 p = c1 * c2
                 cur = out.get(e)
                 out[e] = p if cur is None else cur + p
-        return LaurentPoly(self.conductor, out)
+        return _poly(self.conductor,
+                     {e: c for e, c in out.items() if not c.is_zero()})
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
         if not isinstance(c, CycNum):
             c = _rational(self.conductor, c)
-        return LaurentPoly(self.conductor,
-                           {e: v * c for e, v in self.coeffs.items()})
+        elif c.conductor != self.conductor:
+            raise ConductorMismatch(f"conductor {self.conductor} vs {c.conductor}")
+        if c.is_zero():
+            return _poly(self.conductor, {})
+        return _times_monomial(self, c, 0)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^k."""
-        return LaurentPoly(self.conductor,
-                           {e + k: c for e, c in self.coeffs.items()})
+        return _poly(self.conductor, {e + k: c for e, c in self.coeffs.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -140,7 +142,7 @@ class LaurentPoly:
             if um is None:
                 raise ValueError("negative powers only of unit monomials")
             c, e = um
-            return LaurentPoly(self.conductor, {-e: c.inverse()}) ** (-n)
+            return _poly(self.conductor, {-e: c.inverse()}) ** (-n)
         result = LaurentPoly.const(self.conductor, 1)
         base = self
         while n:
@@ -152,15 +154,7 @@ class LaurentPoly:
 
     def substitute(self, c: CycNum, e: int) -> "LaurentPoly":
         """Replace z by c*z^e term by term (e in {+1, -1}); c must be nonzero."""
-        if c.is_zero():
-            raise ValueError("substitution constant must be nonzero")
-        out = {}
-        for k, v in self.coeffs.items():
-            key = e * k
-            val = v * c ** k
-            cur = out.get(key)
-            out[key] = val if cur is None else cur + val
-        return LaurentPoly(self.conductor, out)
+        return _substituted(self, _power_table(c, self.conductor, self.coeffs), e)
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises if the divisor does not divide exactly."""
@@ -172,9 +166,7 @@ class LaurentPoly:
         um = other.unit_monomial()
         if um is not None:
             c, e = um
-            cinv = c.inverse()
-            return LaurentPoly(self.conductor,
-                               {k - e: v * cinv for k, v in self.coeffs.items()})
+            return _times_monomial(self, c.inverse(), -e)
         # shift both to ordinary polynomials and long divide
         sa, sb = self.min_exp(), other.min_exp()
         da, db = self.max_exp() - sa, other.max_exp() - sb
@@ -214,6 +206,59 @@ class LaurentPoly:
         return f"LaurentPoly({self.conductor}, {render_laurent(self)!r})"
 
 
+_set_poly_conductor = LaurentPoly.conductor.__set__
+_set_coeffs = LaurentPoly.coeffs.__set__
+
+
+def _poly(conductor: int, coeffs: dict) -> LaurentPoly:
+    # callers guarantee int keys and nonzero CycNum values at this conductor
+    x = object.__new__(LaurentPoly)
+    _set_poly_conductor(x, conductor)
+    _set_coeffs(x, coeffs)
+    return x
+
+
+def _merge(a: dict, b: dict, subtract: bool) -> dict:
+    """a + b, or a - b, of coefficient maps; sums that cancel are dropped."""
+    out = dict(a)
+    for e, c in b.items():
+        c = -c if subtract else c
+        if e in out:
+            c = out.pop(e) + c
+        if not c.is_zero():
+            out[e] = c
+    return out
+
+
+def _times_monomial(p: LaurentPoly, c: CycNum, k: int) -> LaurentPoly:
+    """c*z^k*p for a nonzero c at p's conductor."""
+    if c.is_one():
+        return p.shift(k) if k else p
+    return _poly(p.conductor, {e + k: v * c for e, v in p.coeffs.items()})
+
+
+def _power_table(c: CycNum, conductor: int, exponents):
+    """{k: c^k} for k in exponents from one inverse at most; None if all are 1."""
+    if c.conductor != conductor:
+        raise ConductorMismatch(f"conductor {conductor} vs {c.conductor}")
+    if c.is_zero():
+        raise ValueError("substitution constant must be nonzero")
+    ks = set(exponents)
+    if c.is_one() or not ks:
+        return None
+    cinv = c.inverse() if min(ks) < 0 else None
+    table = {k: c ** k if k >= 0 else cinv ** -k for k in ks}
+    return None if all(v.is_one() for v in table.values()) else table
+
+
+def _substituted(p: LaurentPoly, table, e: int) -> LaurentPoly:
+    """p(c*z^e) from the power table of c; k -> e*k is one to one and
+    c^k != 0, so no two terms meet and none vanishes."""
+    if table is None:
+        return p if e == 1 else _poly(p.conductor, {-k: v for k, v in p.coeffs.items()})
+    return _poly(p.conductor, {e * k: v * table[k] for k, v in p.coeffs.items()})
+
+
 class LaurentMatrix:
     """Immutable rows x cols grid of LaurentPoly entries at one conductor."""
 
@@ -230,10 +275,12 @@ class LaurentMatrix:
             for p in row:
                 if not isinstance(p, LaurentPoly) or p.conductor != conductor:
                     raise ConductorMismatch("entry conductor mismatch")
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "entries", entries)
+        self._fill(conductor, entries)
+
+    def _fill(self, conductor, entries):
+        for name, value in zip(self.__slots__, (len(entries), len(entries[0]),
+                                                conductor, entries)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentMatrix is immutable")
@@ -248,16 +295,12 @@ class LaurentMatrix:
                                for i in range(n)])
 
     @classmethod
-    def diag(cls, conductor: int, polys) -> "LaurentMatrix":
-        polys = list(polys)
-        zero = LaurentPoly.zero(conductor)
-        return cls(conductor, [[p if i == j else zero for j in range(len(polys))]
-                               for i, p in enumerate(polys)])
-
-    @classmethod
     def diag_monomials(cls, conductor: int, exponents) -> "LaurentMatrix":
-        return cls.diag(conductor, [LaurentPoly.monomial(conductor, e)
-                                    for e in exponents])
+        exponents = list(exponents)
+        zero = LaurentPoly.zero(conductor)
+        return cls(conductor, [[LaurentPoly.monomial(conductor, e) if i == j else zero
+                                for j in range(len(exponents))]
+                               for i, e in enumerate(exponents)])
 
     @classmethod
     def from_const(cls, conductor: int, grid) -> "LaurentMatrix":
@@ -269,57 +312,65 @@ class LaurentMatrix:
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} cols vs {other.rows} rows")
-        zero = LaurentPoly.zero(self.conductor)
+        if self.conductor != other.conductor:
+            raise ConductorMismatch(f"conductor {self.conductor} vs {other.conductor}")
+        # each entry accumulates into one dict over k, skipping zero factors
+        cols = [[b.coeffs for b in col] for col in zip(*other.entries)]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return LaurentMatrix(self.conductor, out)
+        for row in self.entries:
+            terms = [(k, a.coeffs) for k, a in enumerate(row) if a.coeffs]
+            out_row = []
+            for col in cols:
+                acc = {}
+                for k, ac in terms:
+                    bc = col[k]
+                    for e1, c1 in ac.items():
+                        for e2, c2 in bc.items():
+                            e = e1 + e2
+                            p = c1 * c2
+                            cur = acc.get(e)
+                            acc[e] = p if cur is None else cur + p
+                out_row.append(_poly(self.conductor, {
+                    e: c for e, c in acc.items() if not c.is_zero()}))
+            out.append(out_row)
+        return _matrix(self.conductor, out)
+
+    def _map(self, fn) -> "LaurentMatrix":
+        return _matrix(self.conductor, [[fn(p) for p in row] for row in self.entries])
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return LaurentMatrix(self.conductor,
-                             [[a + b for a, b in zip(r1, r2)]
-                              for r1, r2 in zip(self.entries, other.entries)])
+        return _matrix(self.conductor,
+                       [[a + b for a, b in zip(r1, r2)]
+                        for r1, r2 in zip(self.entries, other.entries)])
 
     def __neg__(self):
-        return self.scale(-1)
+        return self._map(LaurentPoly.__neg__)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "LaurentMatrix":
-        return LaurentMatrix(self.conductor,
-                             [[p.scale(c) for p in row] for row in self.entries])
+        return self._map(lambda p: p.scale(c))
 
     def scale_poly(self, q: LaurentPoly) -> "LaurentMatrix":
-        return LaurentMatrix(self.conductor,
-                             [[p * q for p in row] for row in self.entries])
+        return self._map(lambda p: p * q)
 
     def shift(self, k: int) -> "LaurentMatrix":
         """Multiply every entry by z^k."""
-        return LaurentMatrix(self.conductor,
-                             [[p.shift(k) for p in row] for row in self.entries])
+        return self._map(lambda p: p.shift(k))
 
     def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix(self.conductor,
-                             [[self.entries[i][j] for i in range(self.rows)]
-                              for j in range(self.cols)])
+        return _matrix(self.conductor, zip(*self.entries))
 
     def substitute(self, c: CycNum, e: int) -> "LaurentMatrix":
-        return LaurentMatrix(self.conductor,
-                             [[p.substitute(c, e) for p in row]
-                              for row in self.entries])
+        """Replace z by c*z^e in every entry, from one table of powers of c."""
+        table = _power_table(c, self.conductor,
+                             [k for row in self.entries for p in row for k in p.coeffs])
+        if table is None and e == 1:
+            return self
+        return self._map(lambda p: _substituted(p, table, e))
 
     def embed(self, conductor: int) -> "LaurentMatrix":
         return LaurentMatrix(conductor,
@@ -336,7 +387,7 @@ class LaurentMatrix:
                     for l in range(b.cols):
                         row.append(a.entries[i][j] * b.entries[k][l])
                 out.append(row)
-        return cls(a.conductor, out)
+        return _matrix(a.conductor, out)
 
     @classmethod
     def block_diag(cls, blocks) -> "LaurentMatrix":
@@ -368,7 +419,8 @@ class LaurentMatrix:
         if um is None:
             raise NonUnimodular(f"determinant {d} is not a unit monomial")
         c, e = um
-        return um, adj.scale_poly(LaurentPoly(self.conductor, {-e: c.inverse()}))
+        cinv = c.inverse()
+        return um, adj._map(lambda p: _times_monomial(p, cinv, -e))
 
     def inverse(self) -> "LaurentMatrix":
         """adj(A) / det(A); requires a unit-monomial determinant."""
@@ -387,21 +439,6 @@ class LaurentMatrix:
             grid.append(out)
         return grid
 
-    def is_constant(self) -> bool:
-        return all(p.is_constant() for row in self.entries for p in row)
-
-    def max_abs_exp(self) -> int:
-        m = 0
-        for row in self.entries:
-            for p in row:
-                if not p.is_zero():
-                    m = max(m, abs(p.min_exp()), abs(p.max_exp()))
-        return m
-
-    def min_exp(self):
-        exps = [p.min_exp() for row in self.entries for p in row if not p.is_zero()]
-        return min(exps) if exps else None
-
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
@@ -416,6 +453,14 @@ class LaurentMatrix:
     __repr__ = __str__
 
 
+def _matrix(conductor: int, rows) -> LaurentMatrix:
+    # callers guarantee a non-empty rectangular grid of LaurentPoly at this
+    # conductor
+    x = object.__new__(LaurentMatrix)
+    x._fill(conductor, tuple(map(tuple, rows)))
+    return x
+
+
 def _det_adjugate(a: LaurentMatrix):
     """(det A, adj A) by one fraction-free Gauss-Jordan pass over [A | I].
 
@@ -426,6 +471,13 @@ def _det_adjugate(a: LaurentMatrix):
     carry A to p_n * I with p_n = +-det A, so they carry I to +-adj A;
     columns left of the pivot are never read again and are not updated.
     A singular A gives (0, None).
+
+    Transition matrices are sparse, so an update only does the work its
+    nonzero terms need.  With a_ik = 0 it is p_k * row / p_(k-1): zero
+    entries stay zero, and the row stays as it is when p_k = p_(k-1).
+    With pivot_row[j] = 0 it is the first term alone, with row[j] = 0 the
+    second alone.  Each skipped update would have computed exactly the
+    value it leaves, so every entry is still the same minor.
     """
     if a.rows != a.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
@@ -444,17 +496,26 @@ def _det_adjugate(a: LaurentMatrix):
             sign = -sign
         pivot_row = m[k]
         pivot = pivot_row[k]
+        rescale = pivot != prev
         for i, row in enumerate(m):
-            if i == k:
-                continue
             f = row[k]
+            if i == k or not (f.coeffs or rescale):
+                continue
+            neg_f = -f
             for j in range(k + 1, 2 * n):
-                row[j] = (pivot * row[j] - f * pivot_row[j]).divexact(prev)
+                x, y = row[j], pivot_row[j]
+                if not (f.coeffs and y.coeffs):
+                    if x.coeffs and rescale:
+                        row[j] = (pivot * x).divexact(prev)
+                elif not x.coeffs:
+                    row[j] = (neg_f * y).divexact(prev)
+                else:
+                    row[j] = (pivot * x + neg_f * y).divexact(prev)
         prev = pivot
     adj = [row[n:] for row in m]
     if sign < 0:
         prev, adj = -prev, [[-x for x in row] for row in adj]
-    return prev, LaurentMatrix(a.conductor, adj)
+    return prev, _matrix(a.conductor, adj)
 
 
 def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:

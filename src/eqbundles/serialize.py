@@ -18,9 +18,14 @@ from .bundle import VectorBundle, line_bundle, make_bundle
 from .classify import DecompositionCertificate
 from .cyclotomic import MAX_CONDUCTOR
 from .equivariant import EquivariantStructure
-from .errors import EqBundlesError, ParseError, ValidationError
+from .errors import DimensionMismatch, EqBundlesError, ParseError, ValidationError
 from .group import Character, GroupSpec, cyclic, klein
 from .laurent import MAX_EXPONENT, LaurentMatrix, parse_laurent, render_laurent
+
+
+# Largest rank that matrix documents, O(d) shortcuts and `fuzz --rank`
+# may set; elimination is cubic in the rank (README gives a timing).
+MAX_RANK = 64
 
 
 @dataclass(frozen=True)
@@ -67,14 +72,25 @@ def _matrix_to_doc(M: LaurentMatrix):
     return [[render_laurent(p) for p in row] for row in M.entries]
 
 
-def _matrix_from_doc(doc, conductor: int) -> LaurentMatrix:
+def _grid(doc) -> list:
+    """A matrix document's grid of strings, shape checked before parsing."""
     if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
         raise ValidationError("matrix must be a non-empty list of rows")
     if not all(isinstance(s, str) for row in doc for s in row):
         raise ValidationError("matrix entries must be strings")
+    if not doc[0]:
+        raise DimensionMismatch("matrix must have positive dimensions")
+    if any(len(row) != len(doc[0]) for row in doc):
+        raise DimensionMismatch("ragged matrix rows")
+    if max(len(doc), len(doc[0])) > MAX_RANK:
+        raise ValidationError(f"matrix size exceeds the rank cap {MAX_RANK}")
+    return doc
+
+
+def _matrix_from_doc(doc, conductor: int) -> LaurentMatrix:
     return LaurentMatrix(conductor,
                          [[parse_laurent(s, conductor) for s in row]
-                          for row in doc])
+                          for row in _grid(doc)])
 
 
 def _group_to_doc(G: GroupSpec, lift: bool = False):
@@ -124,15 +140,18 @@ def bundle_to_doc(E: VectorBundle):
 
 def bundle_from_doc(doc) -> VectorBundle:
     conductor = _conductor(doc.get("conductor"), "conductor")
-    T = _matrix_from_doc(doc.get("transition"), conductor)
+    grid = _grid(doc.get("transition"))
+    if len(grid) != len(grid[0]):
+        raise ValidationError("invalid transition matrix: determinant of a "
+                              "non-square matrix")
+    rank = _field(doc, "rank", int)
+    if rank is not None and rank != len(grid):
+        raise ValidationError(f"declared rank {rank} != matrix size {len(grid)}")
+    T = _matrix_from_doc(grid, conductor)
     try:
-        E = make_bundle(T)
+        return make_bundle(T)
     except EqBundlesError as err:
         raise ValidationError(f"invalid transition matrix: {err}") from err
-    rank = _field(doc, "rank", int)
-    if rank is not None and rank != E.rank:
-        raise ValidationError(f"declared rank {rank} != matrix size {E.rank}")
-    return E
 
 
 # -- structure ----------------------------------------------------------------
@@ -261,7 +280,10 @@ def parse_bundle_shortcut(text: str, conductor: int) -> VectorBundle:
     if text == "tangent":
         return line_bundle(conductor, 2)
     degrees = []
-    for part in text.split("+"):
+    parts = text.split("+")
+    if len(parts) > MAX_RANK:
+        raise ValidationError(f"{len(parts)} summands exceed the rank cap {MAX_RANK}")
+    for part in parts:
         part = part.strip()
         if not (part.startswith("O(") and part.endswith(")")):
             raise ParseError(f"bad bundle shortcut {part!r}")

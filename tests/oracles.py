@@ -87,7 +87,8 @@ def h0_by_section_system(E):
     coordinate i and power w^j.  Any section has sinf(1/z) = T^-1 s0(z)
     with s0 polynomial, so B = -min exp(T^-1) bounds its w-degree."""
     r = E.rank
-    me = E.inverse_transition().min_exp()
+    me = min((e for row in E.inverse_transition().entries for p in row
+              for e in p.coeffs), default=None)
     bound = max(0, -me) if me is not None else 0
     rows = {}
     for l in range(r):
@@ -134,6 +135,12 @@ def det_cofactor(entries, conductor):
     return acc
 
 
+def _max_abs_exp(M):
+    """Largest |exponent| over the entries of a Laurent matrix."""
+    return max((abs(e) for row in M.entries for p in row for e in p.coeffs),
+               default=0)
+
+
 def splitting_type_by_h0(E):
     """Splitting degrees, descending, from the jump pattern of
     k -> h0(E(k)), counted by the section system: h0(E(k)) - h0(E(k-1))
@@ -146,8 +153,8 @@ def splitting_type_by_h0(E):
             cache[k] = h0_by_section_system(twist(E, k))
         return cache[k]
 
-    guard = 4 * (E.transition.max_abs_exp()
-                 + E.inverse_transition().max_abs_exp()) + abs(d) + r + 8
+    guard = 4 * (_max_abs_exp(E.transition)
+                 + _max_abs_exp(E.inverse_transition())) + abs(d) + r + 8
     k = -(-d // r)  # ceil(d / r), always between min and max degree
     steps = 0
     if f(k) == 0:

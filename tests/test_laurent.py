@@ -1,10 +1,11 @@
+import operator
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqbundles.cyclotomic import CycNum, euler_phi, primitive_root, root_of_unity
-from eqbundles.errors import NonUnimodular, ParseError
+from eqbundles.errors import ConductorMismatch, NonUnimodular, ParseError
 from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix,
                                LaurentPoly, parse_laurent, regular_invertible_at,
                                render_laurent)
@@ -195,6 +196,96 @@ def test_det_and_inverse_match_sympy(conductor):
             if d.unit_monomial() is not None:
                 diff = _sympy_matrix(sympy, A.inverse()) - S.inv()
                 assert diff.applyfunc(sympy.simplify) == sympy.zeros(n, n)
+
+
+def _assert_trusted(r, m):
+    """An arithmetic result holds what the checked constructor would build:
+    nonzero CycNum coefficients at conductor m under int exponents."""
+    assert isinstance(r, LaurentPoly) and r.conductor == m
+    assert r == LaurentPoly(m, dict(r.coeffs))
+    for e, c in r.coeffs.items():
+        assert type(e) is int and isinstance(c, CycNum)
+        assert c.conductor == m and not c.is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_trusted_results_keep_the_invariant(data):
+    m = data.draw(st.sampled_from([1, 3, 4, 12]))
+    a = data.draw(laurents(conductor=m))
+    b = data.draw(laurents(conductor=m))
+    if data.draw(st.booleans()):  # share terms with a, some cancelling
+        b = LaurentPoly(m, {**{e: -c for e, c in a.coeffs.items()}, **b.coeffs})
+    s = data.draw(st.sampled_from([0, 1, -1, 2]))
+    root = root_of_unity(m, data.draw(st.integers(0, m - 1)))
+    unit = LaurentPoly.monomial(m, data.draw(st.integers(-3, 3)),
+                                -root if data.draw(st.booleans()) else root)
+    results = [a + b, a - b, -a, a * b, a.scale(s), a.scale(root * s), a * s,
+               a.shift(data.draw(st.integers(-3, 3))),
+               a.substitute(root, 1), a.substitute(root * 2, -1),
+               a.substitute(CycNum.one(m), -1), (a * unit).divexact(unit),
+               a.divexact(unit)]
+    assert results[-2] == a
+    A = LaurentMatrix(m, [[a, b], [b, a]])
+    B = LaurentMatrix(m, [[b, LaurentPoly.zero(m)], [a - b, a]])
+    for P in (A @ B, B @ A, A.substitute(root, -1), A.substitute(root * 2, 1),
+              A - A, A.transpose()):
+        assert P == LaurentMatrix(m, P.entries)
+        results += [p for row in P.entries for p in row]
+    for r in results:
+        _assert_trusted(r, m)
+    assert (a - a).coeffs == {} and (A - A).entries == ((LaurentPoly.zero(m),) * 2,) * 2
+
+
+@pytest.mark.parametrize("p", ["0", "z^2+1"])
+def test_operations_reject_another_conductor(p):
+    a = parse_laurent(p, 4)
+    for other in (LaurentPoly.zero(3), parse_laurent("z-1", 3)):
+        for x, y in ((a, other), (other, a)):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(ConductorMismatch):
+                    op(x, y)
+    for c in (CycNum.zero(3), CycNum.one(3), primitive_root(3)):
+        with pytest.raises(ConductorMismatch):
+            a.scale(c)
+        with pytest.raises(ConductorMismatch):
+            a.substitute(c, 1)
+
+
+def _permutation(m, perm):
+    return LaurentMatrix(m, [[LaurentPoly.const(m, int(j == perm[i]))
+                              for j in range(len(perm))] for i in range(len(perm))])
+
+
+def _diagonal(m, polys):
+    zero = LaurentPoly.zero(m)
+    return LaurentMatrix(m, [[p if i == j else zero for j in range(len(polys))]
+                             for i, p in enumerate(polys)])
+
+
+@pytest.mark.parametrize("conductor", [1, 2, 3, 4])
+def test_det_adjugate_sparse_shapes(conductor):
+    """The transitions users send are sparse: permutation matrices, signed
+    diagonal monomial matrices and planted A * diag(z^d) * B with two
+    elementary operations per factor (the shape of randgen and of the
+    splitting_oracle benchmark), at ranks 1-8."""
+    m, rng = conductor, Random(300 + conductor)
+    for n in range(1, 9):
+        ident = LaurentMatrix.identity(m, n)
+        perm = _permutation(m, rng.sample(range(n), n))
+        diag = _diagonal(m, [LaurentPoly.monomial(m, rng.randint(-3, 3),
+                                                  random_unit(rng, m) * rng.choice((1, 2)))
+                             for _ in range(n)])
+        degrees = [rng.randint(-5, 5) for _ in range(n)]
+        planted = (random_unimodular(rng, m, n, var_sign=1, ops=2)
+                   @ LaurentMatrix.diag_monomials(m, degrees)
+                   @ random_unimodular(rng, m, n, var_sign=-1, ops=2))
+        for A in (perm, diag, perm @ diag, planted, diag @ planted):
+            d = A.det()
+            if n <= 6:
+                assert d == det_cofactor(A.entries, m)
+            inv = A.inverse()
+            assert A @ inv == ident == inv @ A
 
 
 @settings(max_examples=60, deadline=None)

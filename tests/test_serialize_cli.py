@@ -20,7 +20,7 @@ from eqbundles.group import cyclic, klein
 from eqbundles.laurent import MAX_EXPONENT
 from eqbundles.randgen import (planted_bundle, random_certificate,
                                random_model_automorphism)
-from eqbundles.serialize import (bundle_from_doc, parse_bundle_shortcut,
+from eqbundles.serialize import (MAX_RANK, bundle_from_doc, parse_bundle_shortcut,
                                  parse_character_shortcut, parse_document,
                                  parse_group_shortcut, render_document)
 
@@ -144,16 +144,20 @@ def test_cli_sections(capsys):
         "section 4: s0 = (0, 1); sinf = (0, z^2)\n")
 
 
-def test_cli_closed_output_exits_2_without_traceback(tmp_path):
-    # the rank-8 exponent-cap document at --twist 200 prints about 131 KB,
-    # more than a pipe buffer holds; the reader closes at once
-    n = 8
+def _exponent_cap_doc(n):
+    """Rank-n block-diagonal bundle document of [[z^200, 1], [0, z^-200]]
+    blocks, the exponent cap's worst case."""
     grid = [["0"] * n for _ in range(n)]
     for b in range(0, n, 2):
         grid[b][b], grid[b][b + 1], grid[b + 1][b + 1] = "z^200", "1", "z^-200"
+    return {"kind": "bundle", "rank": n, "conductor": 1, "transition": grid}
+
+
+def test_cli_closed_output_exits_2_without_traceback(tmp_path):
+    # the rank-8 exponent-cap document at --twist 200 prints about 131 KB,
+    # more than a pipe buffer holds; the reader closes at once
     doc = tmp_path / "cap.json"
-    doc.write_text(json.dumps({"kind": "bundle", "rank": n, "conductor": 1,
-                               "transition": grid}))
+    doc.write_text(json.dumps(_exponent_cap_doc(8)))
     read, write = os.pipe()
     os.close(read)
     env = dict(os.environ, PYTHONPATH=str(Path(eqbundles.__file__).parents[1]))
@@ -345,6 +349,56 @@ def test_cli_accepts_conductor_at_the_cap(tmp_path, capsys):
     path.write_text(json.dumps(_line_doc(MAX_CONDUCTOR)))
     assert main(["split-type", "--bundle", str(path)]) == 0
     assert capsys.readouterr().out == "{1}\n"
+
+
+def _identity_doc(n):
+    return {"kind": "bundle", "conductor": 1, "rank": n,
+            "transition": [["1" if i == j else "0" for j in range(n)]
+                           for i in range(n)]}
+
+
+def test_cli_rejects_rank_above_the_cap(tmp_path, capsys):
+    over = MAX_RANK + 1
+    path = tmp_path / "doc.json"
+    structure = {"kind": "structure", "group": {"kind": "cyclic", "n": 1},
+                 "bundle": _identity_doc(over), "maps": {}}
+    for doc in (_identity_doc(over), structure):
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert "rank cap" in capsys.readouterr().err
+    assert main(["split-type", "--bundle", "+".join(["O(0)"] * over)]) == 2
+    assert "rank cap" in capsys.readouterr().err
+    assert main(["fuzz", "--count", "1", "--rank", str(over)]) == 2
+    assert "rank cap" in capsys.readouterr().err
+
+
+def test_cli_accepts_rank_at_the_cap(tmp_path, capsys):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(_exponent_cap_doc(2)))
+    assert main(["split-type", "--bundle", str(path)]) == 0
+    block = capsys.readouterr().out.strip("{}\n").split(", ")
+    path.write_text(json.dumps(_exponent_cap_doc(MAX_RANK)))
+    assert main(["split-type", "--bundle", str(path)]) == 0
+    degrees = sorted(block * (MAX_RANK // 2), key=int, reverse=True)
+    assert capsys.readouterr().out == "{" + ", ".join(degrees) + "}\n"
+    assert main(["split-type", "--bundle", "+".join(["O(0)"] * MAX_RANK)]) == 0
+    assert capsys.readouterr().out == "{" + ", ".join(["0"] * MAX_RANK) + "}\n"
+
+
+@pytest.mark.parametrize("transition, rank, message", [
+    ([["z", "bad!"], ["0"]], None, "ragged matrix rows"),
+    ([["z", "bad!"]], None, "non-square matrix"),
+    ([["z", "bad!"], ["0", "z"]], 3, "declared rank 3 != matrix size 2"),
+], ids=["ragged", "non-square", "declared-rank"])
+def test_bundle_document_shape_is_checked_before_any_entry_is_parsed(
+        tmp_path, capsys, transition, rank, message):
+    doc = {"kind": "bundle", "conductor": 1, "transition": transition}
+    if rank is not None:
+        doc["rank"] = rank
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_decompose_ignores_seed(tmp_path):
