@@ -4,13 +4,16 @@ answers of klein_rank8, cyclic12_rank4, equivalence and splitting_oracle
 at seeds 1 and 2, 48 answers in all.
 
 A change that should not alter any answer must print the same digests
-as its parent.  Each answer is also judged by its workload's own check,
-and the script exits 1 if any check fails.  Runs on the checkout it
-lives in, whatever PYTHONPATH says:
+as its parent; `scripts/answer_digests.txt` holds them, and a change
+that alters answers on purpose updates that file.  Each answer is also
+judged by its workload's own check, and the script exits 1 if any check
+fails, or, with --check FILE, if any printed line differs from FILE.
+Runs on the checkout it lives in, whatever PYTHONPATH says:
 
-    python3 scripts/answer_digest.py
+    python3 scripts/answer_digest.py [--check scripts/answer_digests.txt]
 """
 
+import argparse
 import hashlib
 import sys
 from pathlib import Path
@@ -26,8 +29,13 @@ CASES = 6
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="exit 1 unless the digests equal those in FILE")
+    args = parser.parse_args()
     combined = hashlib.sha256()
     failed = 0
+    lines = []
     for name in NAMES:
         workload = WORKLOADS[name]
         h = hashlib.sha256()
@@ -38,11 +46,16 @@ def main():
                 h.update(answer.encode("utf-8"))
                 h.update(b"\0")
         combined.update(h.digest())
-        print(f"{name:17} {h.hexdigest()}")
-    print(f"{'combined':17} {combined.hexdigest()}")
+        lines.append(f"{name:17} {h.hexdigest()}")
+    lines.append(f"{'combined':17} {combined.hexdigest()}")
+    print("\n".join(lines))
     if failed:
         print(f"{failed} answers failed their check", file=sys.stderr)
-    return 1 if failed else 0
+    mismatch = bool(args.check) and \
+        Path(args.check).read_text(encoding="utf-8").splitlines() != lines
+    if mismatch:
+        print(f"digests differ from {args.check}", file=sys.stderr)
+    return 1 if failed or mismatch else 0
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ from .bundle import (HNData, ModelIso, Section, SplittingType, VectorBundle,
                      degree, direct_sum, dual, embed_bundle, global_sections, h0,
                      hn_data, hom, line_bundle, make_bundle, model_bundle,
                      model_isomorphism, splitting_type, twist)
-from .group import (Character, GroupElement, GroupSpec, LiftedElement, characters,
-                    cyclic, elements, klein, lift_group)
+from .group import (Character, GroupElement, GroupSpec, characters, cyclic,
+                    elements, generators, klein, klein_lift)
 from .equivariant import (EquivariantStructure, canonical_cyclic,
                           canonical_klein_even, canonical_klein_lift,
                           canonical_klein_pair, canonical_structure,

@@ -258,11 +258,19 @@ def _frame(E):
 
 def _certify(E, st, psi):
     """U = E^-1 * psi * z^D if both chart certificates hold, else None."""
-    if not regular_invertible_at(psi, "zero"):
-        return None
-    corrected = (E.inverse_transition() @ psi
-                 @ LaurentMatrix.diag_monomials(E.conductor, st.degrees))
-    return corrected if regular_invertible_at(corrected, "infinity") else None
+    at_zero, U = chart_certificate(
+        psi, LaurentMatrix.diag_monomials(E.conductor, st.degrees), E)
+    return U if at_zero else None
+
+
+def chart_certificate(F: LaurentMatrix, source: LaurentMatrix, target: VectorBundle):
+    """The two chart certificates of a frame F (0-chart data) from the
+    bundle with transition `source` onto `target`: whether F is regular
+    and invertible at 0, and U = target^-1 * F * source if U is regular
+    and invertible at infinity, else None."""
+    U = target.inverse_transition() @ F @ source
+    return (regular_invertible_at(F, "zero"),
+            U if regular_invertible_at(U, "infinity") else None)
 
 
 @dataclass(frozen=True)

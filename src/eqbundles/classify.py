@@ -6,11 +6,14 @@ Order of battle for a validated genuine structure S on a bundle E:
    where it becomes block-triangular in descending-degree order;
 2. average the inverse cocycle against its block-diagonal part, which
    yields a unipotent intertwiner splitting off the diagonal blocks;
-3. factor each diagonal degree block as a reference scalar cocycle
-   times a constant representation;
-4. split the constant representation: simultaneous eigenvectors with
-   characters for cyclic groups and even Klein blocks, eigenvector
-   pairs swapped by the anticommuting generator for odd Klein blocks.
+3. factor each diagonal degree block as the canonical line structure
+   of its degree times a constant representation (for odd Klein blocks
+   the line structure is over the lift group, so the constant matrices
+   represent it up to the lift group's sign);
+4. split the constant representation: simultaneous eigenvectors of the
+   generators with characters for cyclic groups and even Klein blocks,
+   eigenvector pairs swapped by the anticommuting generator for odd
+   Klein blocks.
 
 The certificate records the block data plus the composite change of
 frame; `verify_certificate` replays it exactly.
@@ -21,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundle import ModelIso, model_isomorphism
-from .cyclotomic import CycNum, root_of_unity
+from .bundle import ModelIso, chart_certificate, model_isomorphism
+from .cyclotomic import CycNum
 from .errors import (FactorizationFailure, InternalInconsistency, InvalidStructure,
                      NotBlockDiagonalPart, RelationViolation, ShapeMismatch,
                      TriangularityViolation)
@@ -31,9 +34,11 @@ from .equivariant import (EquivariantStructure, GroupIndexed, canonical_cyclic,
                           canonical_klein_pair, direct_sum_structures,
                           embed_structure, transport_structure,
                           twist_by_character, validate_structure)
-from .group import Character, GroupSpec, characters, elements, inverse, multiply
-from .laurent import LaurentMatrix, LaurentPoly, regular_invertible_at
-from .linalg import eigenspace, kernel_dense, mat_vec_const
+from .group import (Character, GroupSpec, characters, elements, generators, identity,
+                    inverse, klein_lift, multiply)
+from .laurent import LaurentMatrix, LaurentPoly
+from .linalg import (det_const, eigenspace, identity_const, kernel_dense,
+                     mat_mul_const, mat_vec_const)
 
 
 @dataclass(frozen=True)
@@ -159,15 +164,9 @@ _LIFT_REPRESENTATIVE = {"e": "I", "a1": "A1", "a2": "A2", "a1a2": "A1A2"}
 
 def reference_scalars(G: GroupSpec, d: int, conductor: int):
     """The fixed reference scalar cocycle on O(d): the canonical cyclic,
-    Klein-even, or Klein-lift structure, as 1x1 Laurent polynomials."""
-    if G.kind == "cyclic":
-        one = LaurentPoly.const(conductor, 1)
-        return {g.name: one for g in elements(G)}
-    if d % 2 == 0:
-        src = canonical_klein_even(d)
-        return {name: mat.entries[0][0].embed(conductor)
-                for name, mat in src.maps.items()}
-    src = canonical_klein_lift(d)
+    Klein-even, or Klein-lift line structure, as 1x1 Laurent polynomials."""
+    src = (canonical_cyclic(G.n, d) if G.kind == "cyclic"
+           else canonical_klein_even(d) if d % 2 == 0 else canonical_klein_lift(d))
     return {name: mat.entries[0][0].embed(conductor)
             for name, mat in src.maps.items()}
 
@@ -207,29 +206,25 @@ def extract_residual_rep(R: ModelStructure, d: int) -> ResidualRep:
 
 
 def _check_rep_relations(rho: ResidualRep):
-    from .linalg import identity_const, mat_mul_const
-    cond, n = rho.conductor, rho.size
-    ident = identity_const(n, cond)
-    if rho.mode == "klein_lift":
-        a1, a2 = rho.mats["A1"], rho.mats["A2"]
-        if mat_mul_const(a1, a1, cond) != ident or \
-           mat_mul_const(a2, a2, cond) != ident:
-            raise RelationViolation("lift generators must square to the identity")
-        p = mat_mul_const(a1, a2, cond)
-        q = mat_mul_const(a2, a1, cond)
-        if p != [[-x for x in row] for row in q]:
-            raise RelationViolation("lift generators must anticommute")
-        if rho.mats["A1A2"] != p:
-            raise RelationViolation("lift product matrix is inconsistent")
-        return
-    G = rho.group
-    for g in elements(G):
-        for h in elements(G):
-            gh = multiply(G, g, h).name
-            if mat_mul_const(rho.mats[g.name], rho.mats[h.name], cond) \
-                    != rho.mats[gh]:
+    """rho(identity) = I and rho(s) rho(x) = +-rho(sx) for generators s and
+    every x, which gives the relation for every pair by the induction in
+    `validation_report`'s docstring.  The sign is the lift group's in
+    klein_lift mode, whose keys are the lift elements without a sign, and
+    +1 otherwise."""
+    cond = rho.conductor
+    G = klein_lift() if rho.mode == "klein_lift" else rho.group
+    if rho.mats[identity(G).name] != identity_const(rho.size, cond):
+        raise RelationViolation("the identity does not act by the identity matrix")
+    unsigned = [x for x in elements(G) if x.name[0] != "-"]
+    for s in generators(G):
+        for x in unsigned:
+            sx = multiply(G, s, x)
+            expected = rho.mats[sx.name.lstrip("-")]
+            if sx.name[0] == "-":
+                expected = [[-y for y in row] for row in expected]
+            if mat_mul_const(rho.mats[s.name], rho.mats[x.name], cond) != expected:
                 raise RelationViolation(
-                    f"constant matrices are not a representation at ({g.name}, {h.name})")
+                    f"constant matrices are not a representation at ({s.name}, {x.name})")
 
 
 def rep_decompose(rho: ResidualRep):
@@ -251,7 +246,6 @@ def rep_decompose(rho: ResidualRep):
         pairs = [(v, tuple(mat_vec_const(rho.mats["A2"], list(v), cond)))
                  for v in plus]
         # the pair vectors must span: their matrix has a nonzero determinant
-        from .linalg import det_const
         cols = []
         for v, av in pairs:
             cols.append(av)
@@ -261,23 +255,13 @@ def rep_decompose(rho: ResidualRep):
             raise RelationViolation("eigenvector pairs do not form a basis")
         return pairs
     out = []
-    if G.kind == "cyclic":
-        gen = rho.mats["g"] if G.n > 1 else rho.mats["e"]
-        for chi in characters(G):
-            lam = root_of_unity(G.n, chi.index).embed(cond)
-            for v in eigenspace(gen, lam, cond):
-                out.append((chi, v))
-    else:
-        for chi in characters(G):
-            s1 = CycNum.rational(cond, chi.signs[0])
-            s2 = CycNum.rational(cond, chi.signs[1])
-            rows = []
-            for mat, s in ((rho.mats["a1"], s1), (rho.mats["a2"], s2)):
-                for i in range(n):
-                    rows.append([mat[i][j] - s if i == j else mat[i][j]
-                                 for j in range(n)])
-            for v in kernel_dense(rows, n, cond):
-                out.append((chi, v))
+    for chi in characters(G):
+        rows = []
+        for s in generators(G):
+            mat, lam = rho.mats[s.name], chi.value(s.name).embed(cond)
+            rows += [[mat[i][j] - lam if i == j else mat[i][j] for j in range(n)]
+                     for i in range(n)]
+        out += [(chi, v) for v in kernel_dense(rows, n, cond)]
     if len(out) != n:
         raise RelationViolation(
             f"character eigenvectors span {len(out)} of {n} dimensions")
@@ -289,9 +273,7 @@ def rep_decompose(rho: ResidualRep):
 # ---------------------------------------------------------------------------
 
 def _char_key(chi: Character) -> int:
-    if chi.group.kind == "cyclic":
-        return chi.index
-    return list(characters(chi.group)).index(chi)
+    return characters(chi.group).index(chi)
 
 
 @dataclass(frozen=True)
@@ -375,10 +357,10 @@ def build_structure(cert: DecompositionCertificate,
         raise ShapeMismatch(
             f"certificate conductor {cert.conductor} vs target {target.conductor}")
     F = cert.change_of_frame
-    if not regular_invertible_at(F, "zero"):
+    at_zero, at_infinity = chart_certificate(F, built.bundle.transition, target)
+    if not at_zero:
         raise ShapeMismatch("change of frame is not regular+invertible at 0")
-    corrected = (target.inverse_transition() @ F @ built.bundle.transition)
-    if not regular_invertible_at(corrected, "infinity"):
+    if at_infinity is None:
         raise ShapeMismatch("change of frame fails the infinity certificate")
     return transport_structure(built, F, target)
 
@@ -397,10 +379,10 @@ def verify_certificate_report(cert: DecompositionCertificate,
         return [f"certificate conductor {cert.conductor} vs {S.conductor}"]
     built = build_structure(cert)
     F = cert.change_of_frame
-    if not regular_invertible_at(F, "zero"):
+    at_zero, at_infinity = chart_certificate(F, built.bundle.transition, S.bundle)
+    if not at_zero:
         reasons.append("change of frame not regular+invertible at 0")
-    corrected = S.bundle.inverse_transition() @ F @ built.bundle.transition
-    if not regular_invertible_at(corrected, "infinity"):
+    if at_infinity is None:
         reasons.append("change of frame fails the infinity certificate")
     if reasons:
         return reasons

@@ -1,11 +1,12 @@
-"""Equivariant structures: bundle maps over group elements, cocycle
-validation on generators, the canonical constructions, character
-twists, existence tests, and equivalence of structures.
+"""Equivariant structures: bundle maps over group elements, validation
+on generators, the canonical constructions, character twists, existence
+tests, and equivalence of structures.
 
 A bundle map over gamma: z -> c*z^e transports 0-chart section data by
 (phi s)_0(gamma z) = N(z) * s_0(z).  All four chart regularity checks
-are Laurent-exact because group actions are monomial.  Structures over
-the Klein lift group carry one map per lifted element and the center -I
+are Laurent-exact because group actions are monomial.  A structure over
+the Klein lift group is an ordinary structure over `klein_lift()`: one
+map per lift element, acting through its Klein image, and the center -I
 must act by the scalar sign that matches the parity of the degree.
 """
 
@@ -17,24 +18,20 @@ from .bundle import (VectorBundle, direct_sum, embed_bundle, line_bundle,
                      splitting_type, twist)
 from .cyclotomic import discrete_log_root
 from .errors import (DimensionMismatch, InvalidStructure, MissingElement,
-                     NoSuchStructure, NotComparable)
-from .group import (Character, GroupSpec, characters, element_by_name, elements,
-                    identity, klein, lift_by_name, lift_group, lift_moebius,
-                    lift_multiply, multiply, cyclic)
+                     NoSuchStructure, NotComparable, ValidationError)
+from .group import (Character, GroupElement, GroupSpec, characters, cyclic,
+                    element_by_name, elements, generators, identity, klein,
+                    klein_lift, multiply)
 from .laurent import LaurentMatrix, LaurentPoly, regular_invertible_at
 
 
-def is_bundle_map(E: VectorBundle, gamma, N: LaurentMatrix) -> bool:
+def is_bundle_map(E: VectorBundle, gamma: GroupElement, N: LaurentMatrix) -> bool:
     """Exactly the four chart regularity/invertibility conditions for a
-    bundle automorphism over the Moebius map gamma.
-
-    gamma may be a GroupElement or a LiftedElement (which acts through
-    its Klein image)."""
+    bundle automorphism over the Moebius map gamma."""
     if N.rows != N.cols or N.rows != E.rank:
         raise DimensionMismatch(
             f"map is {N.rows}x{N.cols}, bundle has rank {E.rank}")
-    c, e = _moebius_of(gamma)
-    c = c.embed(E.conductor)
+    c, e = gamma.c.embed(E.conductor), gamma.e
     T = E.transition
     Tinv_at_gz = E.inverse_transition().substitute(c, e)
     if e == 1:
@@ -44,31 +41,17 @@ def is_bundle_map(E: VectorBundle, gamma, N: LaurentMatrix) -> bool:
             and regular_invertible_at(N @ T, "infinity"))
 
 
-def _moebius_of(gamma):
-    if hasattr(gamma, "image"):  # lifted element
-        g = lift_moebius(gamma)
-        return g.c, g.e
-    return gamma.c, gamma.e
-
-
 class GroupIndexed:
-    """Maps keyed by group element names, or by lift-group element names
-    when `lift` is set.  Subclasses provide `group` and `conductor`."""
+    """Maps keyed by group element names.  Subclasses provide `group` and
+    `conductor`."""
 
     __slots__ = ()
-    lift = False
 
     def action_items(self):
-        """(name, c embedded in the structure field, e) per indexing element."""
-        if self.lift:
-            acting = [(x.name, lift_moebius(x)) for x in lift_group()]
-        else:
-            acting = [(g.name, g) for g in elements(self.group)]
-        return [(name, g.c.embed(self.conductor), g.e) for name, g in acting]
+        """(name, c embedded in the structure field, e) per group element."""
+        return [(g.name, g.c.embed(self.conductor), g.e) for g in elements(self.group)]
 
     def product_name(self, name1: str, name2: str) -> str:
-        if self.lift:
-            return lift_multiply(lift_by_name(name1), lift_by_name(name2)).name
         return multiply(self.group, element_by_name(self.group, name1),
                         element_by_name(self.group, name2)).name
 
@@ -76,20 +59,16 @@ class GroupIndexed:
 class EquivariantStructure(GroupIndexed):
     """A bundle together with one bundle map per group element.
 
-    For `lift=True` the maps are indexed by the eight lift-group
-    elements and the center acts by a scalar sign."""
+    Over `klein_lift()` the center acts by a scalar sign."""
 
-    __slots__ = ("bundle", "group", "lift", "maps")
+    __slots__ = ("bundle", "group", "maps")
 
-    def __init__(self, bundle: VectorBundle, group: GroupSpec, maps,
-                 lift: bool = False):
+    def __init__(self, bundle: VectorBundle, group: GroupSpec, maps):
         target = lcm(bundle.conductor, group.conductor)
         if bundle.conductor != target:
             bundle = embed_bundle(bundle, target)
-        names = ([x.name for x in lift_group()] if lift
-                 else [g.name for g in elements(group)])
         fixed = {}
-        for name in names:
+        for name in (g.name for g in elements(group)):
             if name not in maps:
                 raise MissingElement(f"structure lacks a map for {name!r}")
             N = maps[name]
@@ -99,7 +78,6 @@ class EquivariantStructure(GroupIndexed):
             fixed[name] = N if N.conductor == target else N.embed(target)
         object.__setattr__(self, "bundle", bundle)
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "lift", lift)
         object.__setattr__(self, "maps", fixed)
 
     def __setattr__(self, name, value):
@@ -109,26 +87,20 @@ class EquivariantStructure(GroupIndexed):
     def conductor(self) -> int:
         return self.bundle.conductor
 
+    @property
+    def lift(self) -> bool:
+        return self.group.kind == "klein_lift"
+
     def __eq__(self, other):
         if not isinstance(other, EquivariantStructure):
             return NotImplemented
         return (self.bundle == other.bundle and self.group == other.group
-                and self.lift == other.lift and self.maps == other.maps)
+                and self.maps == other.maps)
 
     def __repr__(self):
         kind = "lift" if self.lift else "genuine"
         return (f"EquivariantStructure({kind}, group={self.group}, "
                 f"rank={self.bundle.rank}, degree={self.bundle.degree()})")
-
-
-def _generator_names(S: EquivariantStructure):
-    """A generating set of the indexing group: A1, A2 for the lift group,
-    a1, a2 for the Klein group, g for cyclic groups (e when trivial)."""
-    if S.lift:
-        return ("A1", "A2")
-    if S.group.kind == "klein":
-        return ("a1", "a2")
-    return (elements(S.group)[1 % S.group.n].name,)
 
 
 def validation_report(S: EquivariantStructure):
@@ -138,19 +110,24 @@ def validation_report(S: EquivariantStructure):
     generators s.  With N_e = Id this gives it for every pair (y, x), by
     induction on the word length of y: if it holds for (y, x), (s, y)
     and (s, yx), then N_{sy}(x.z) N_x(z) = N_s(yx.z) N_y(x.z) N_x(z)
-    = N_s(yx.z) N_{yx}(z) = N_{syx}(z)."""
+    = N_s(yx.z) N_{yx}(z) = N_{syx}(z).
+
+    Chart regularity is likewise checked on generators only.  Bundle maps
+    compose, so by the cocycle N_{sx}(z) = N_s(x.z) N_x(z) is a bundle map
+    over sx whenever N_s and N_x are, and by induction on the word length
+    of x every N_x is."""
     problems = []
     items = S.action_items()
     ident = LaurentMatrix.identity(S.conductor, S.bundle.rank)
-    id_name = "I" if S.lift else identity(S.group).name
+    id_name = identity(S.group).name
     if S.maps[id_name] != ident:
         problems.append(f"map for the identity {id_name!r} is not Id")
     if S.lift and S.maps["-I"] != ident and S.maps["-I"] != ident.scale(-1):
         problems.append("central element -I does not act by a scalar sign")
-    for name, c, e in items:
-        if not is_bundle_map(S.bundle, _gamma_for(S, name), S.maps[name]):
-            problems.append(f"map for {name!r} fails the bundle-map regularity checks")
-    for s in _generator_names(S):
+    for g in generators(S.group):
+        if not is_bundle_map(S.bundle, g, S.maps[g.name]):
+            problems.append(f"map for {g.name!r} fails the bundle-map regularity checks")
+    for s in [g.name for g in generators(S.group)]:
         for x, c, e in items:
             left = S.maps[S.product_name(s, x)]
             right = S.maps[s].substitute(c, e) @ S.maps[x]
@@ -159,10 +136,6 @@ def validation_report(S: EquivariantStructure):
                     f"cocycle fails on ({s!r}, {x!r}): "
                     f"N_{{{s}{x}}} != N_{s}({x}.z) N_{x}")
     return problems
-
-
-def _gamma_for(S, name):
-    return lift_by_name(name) if S.lift else element_by_name(S.group, name)
 
 
 def validate_structure(S: EquivariantStructure) -> bool:
@@ -217,7 +190,7 @@ def canonical_klein_lift(d: int) -> EquivariantStructure:
         "A2": mk(1, -d), "-A2": mk(s, -d),
         "A1A2": mk(1, -d), "-A1A2": mk(s, -d),
     }
-    return EquivariantStructure(E, klein(), maps, lift=True)
+    return EquivariantStructure(E, klein_lift(), maps)
 
 
 def canonical_klein_pair(d: int) -> EquivariantStructure:
@@ -247,7 +220,7 @@ def canonical_structure(G: GroupSpec, degrees, lift: bool = False) -> Equivarian
     degrees = sorted(degrees, reverse=True)
     if lift:
         if G.kind != "klein" or len(degrees) != 1:
-            raise ValueError("lift structures are single Klein line bundles")
+            raise ValidationError("lift structures are single Klein line bundles")
         return canonical_klein_lift(degrees[0])
     if G.kind == "cyclic":
         out = canonical_cyclic(G.n, degrees[0])
@@ -276,12 +249,12 @@ def canonical_structure(G: GroupSpec, degrees, lift: bool = False) -> Equivarian
 
 def direct_sum_structures(S1: EquivariantStructure,
                           S2: EquivariantStructure) -> EquivariantStructure:
-    if S1.group != S2.group or S1.lift != S2.lift:
+    if S1.group != S2.group:
         raise NotComparable("direct sum needs the same group and kind")
     bundle = direct_sum(S1.bundle, S2.bundle)
     maps = {name: LaurentMatrix.block_diag([S1.maps[name], S2.maps[name]])
             for name in S1.maps}
-    return EquivariantStructure(bundle, S1.group, maps, lift=S1.lift)
+    return EquivariantStructure(bundle, S1.group, maps)
 
 
 def embed_structure(S: EquivariantStructure, conductor: int) -> EquivariantStructure:
@@ -289,8 +262,7 @@ def embed_structure(S: EquivariantStructure, conductor: int) -> EquivariantStruc
     if S.conductor == conductor:
         return S
     return EquivariantStructure(embed_bundle(S.bundle, conductor), S.group,
-                                {k: v.embed(conductor) for k, v in S.maps.items()},
-                                lift=S.lift)
+                                {k: v.embed(conductor) for k, v in S.maps.items()})
 
 
 def central_sign(S: EquivariantStructure) -> int:
@@ -313,7 +285,7 @@ def descend_lift(S: EquivariantStructure) -> EquivariantStructure:
             "the center acts by -1, the action does not factor through the quotient")
     maps = {"e": S.maps["I"], "a1": S.maps["A1"],
             "a2": S.maps["A2"], "a1a2": S.maps["A1A2"]}
-    return EquivariantStructure(S.bundle, S.group, maps)
+    return EquivariantStructure(S.bundle, klein(), maps)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +308,7 @@ def structure_quotient(S1: EquivariantStructure,
     """The unique character chi with S1 = twist_by_character(S2, chi);
     rank-1 automorphisms are constants, so the ratio of the two cocycles
     is a character."""
-    if S1.bundle != S2.bundle or S1.group != S2.group or S1.lift != S2.lift:
+    if S1.bundle != S2.bundle or S1.group != S2.group:
         raise NotComparable("structures live on different bundles or groups")
     if S1.bundle.rank != 1:
         raise NotComparable("structure quotients are defined for line bundles")
@@ -401,7 +373,7 @@ def transport_structure(S: EquivariantStructure, F: LaurentMatrix,
     maps = {}
     for name, c, e in S.action_items():
         maps[name] = F.substitute(c, e) @ S.maps[name] @ Finv
-    return EquivariantStructure(target, S.group, maps, lift=S.lift)
+    return EquivariantStructure(target, S.group, maps)
 
 
 def _center_shifted(S: EquivariantStructure) -> EquivariantStructure:
@@ -410,7 +382,7 @@ def _center_shifted(S: EquivariantStructure) -> EquivariantStructure:
     line = canonical_klein_lift(1)
     maps = {name: N.scale_poly(line.maps[name].entries[0][0].embed(S.conductor))
             for name, N in S.maps.items()}
-    return EquivariantStructure(twist(S.bundle, 1), S.group, maps, lift=True)
+    return EquivariantStructure(twist(S.bundle, 1), S.group, maps)
 
 
 def structures_equivalent(S1: EquivariantStructure,
@@ -425,7 +397,7 @@ def structures_equivalent(S1: EquivariantStructure,
     when the center acts by -1, which is an equivalence onto structures
     on twist(E, 1) with trivial center, and then descended."""
     from .classify import decompose
-    if S1.bundle != S2.bundle or S1.group != S2.group or S1.lift != S2.lift:
+    if S1.bundle != S2.bundle or S1.group != S2.group:
         raise NotComparable("structures live on different bundles or groups")
     if not validate_structure(S1) or not validate_structure(S2):
         raise InvalidStructure("equivalence testing needs validated structures")

@@ -1,11 +1,15 @@
-"""Finite abelian Moebius groups in standard form, their GL(2) lift, and characters.
+"""Finite Moebius groups in standard form, the Klein lift group, and characters.
 
 Supported groups are the cyclic group generated by z -> zeta_n * z and
 the Klein four-group generated by z -> -z and z -> 1/z.  Every group
 action on the line is a monomial substitution z -> c * z^e, which keeps
 all bundle data Laurent.  The Klein lift group is the order-8 subgroup
-of GL(2) generated by diag(-1, 1) and antidiag(1, 1); its center is
-{+I, -I} and the two generators anticommute.
+of GL(2) generated by A1 = diag(-1, 1) and A2 = antidiag(1, 1); it acts
+through its Klein image, its center {I, -I} acts trivially, and the
+generators anticommute.  Its elements are the Klein elements with a
+sign, and lift(g) * lift(h) = -lift(gh) exactly when g inverts z and h
+negates it: a projective representation of the Klein group in Schur's
+sense.
 """
 
 from __future__ import annotations
@@ -19,22 +23,27 @@ from .errors import MissingElement
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A Moebius map z -> c * z^e with a canonical name."""
+    """A Moebius map z -> c * z^e with a canonical name; a leading '-'
+    marks the negative of a lift-group element."""
     name: str
     c: CycNum
     e: int
 
 
+_FIXED_ORDER = {"klein": 4, "klein_lift": 8}
+
+
 @dataclass(frozen=True)
 class GroupSpec:
-    kind: str  # "cyclic" | "klein"
+    kind: str  # "cyclic" | "klein" | "klein_lift"
     n: int     # order
 
     def __post_init__(self):
-        if self.kind not in ("cyclic", "klein"):
+        if self.kind not in ("cyclic", "klein", "klein_lift"):
             raise ValueError(f"unknown group kind {self.kind!r}")
-        if self.kind == "klein" and self.n != 4:
-            raise ValueError("the Klein four-group has order 4")
+        if self.kind != "cyclic" and self.n != _FIXED_ORDER[self.kind]:
+            raise ValueError(f"the {self.kind} group has order "
+                             f"{_FIXED_ORDER[self.kind]}")
         if self.n < 1:
             raise ValueError("group order must be positive")
 
@@ -47,7 +56,7 @@ class GroupSpec:
         return self.n
 
     def __str__(self):
-        return f"cyclic({self.n})" if self.kind == "cyclic" else "klein"
+        return f"cyclic({self.n})" if self.kind == "cyclic" else self.kind
 
 
 def cyclic(n: int) -> GroupSpec:
@@ -56,6 +65,10 @@ def cyclic(n: int) -> GroupSpec:
 
 def klein() -> GroupSpec:
     return GroupSpec("klein", 4)
+
+
+def klein_lift() -> GroupSpec:
+    return GroupSpec("klein_lift", 8)
 
 
 def _cyclic_name(k: int, n: int) -> str:
@@ -69,16 +82,19 @@ def _cyclic_name(k: int, n: int) -> str:
 
 @lru_cache(maxsize=None)
 def elements(G: GroupSpec) -> tuple:
-    """All group elements with their Moebius data, identity first."""
+    """All group elements with their Moebius data, identity first; lift
+    elements carry the Moebius data of their Klein image."""
     if G.kind == "cyclic":
         n = G.n
         return tuple(GroupElement(_cyclic_name(k, n), root_of_unity(n, k), 1)
                      for k in range(n))
     one = CycNum.one(4)
-    return (GroupElement("e", one, 1),
-            GroupElement("a1", -one, 1),
-            GroupElement("a2", one, -1),
-            GroupElement("a1a2", -one, -1))
+    moebius = ((one, 1), (-one, 1), (one, -1), (-one, -1))
+    if G.kind == "klein":
+        return tuple(GroupElement(name, c, e) for name, (c, e)
+                     in zip(("e", "a1", "a2", "a1a2"), moebius))
+    return tuple(GroupElement(sign + name, c, e) for name, (c, e)
+                 in zip(("I", "A1", "A2", "A1A2"), moebius) for sign in ("", "-"))
 
 
 def element_by_name(G: GroupSpec, name: str) -> GroupElement:
@@ -92,21 +108,37 @@ def identity(G: GroupSpec) -> GroupElement:
     return elements(G)[0]
 
 
+def generators(G: GroupSpec) -> tuple:
+    """A generating set: g (e when trivial), a1 and a2, or A1 and A2."""
+    els = elements(G)
+    if G.kind == "cyclic":
+        return (els[1 % G.n],)
+    return (els[1], els[2]) if G.kind == "klein" else (els[2], els[4])
+
+
 @lru_cache(maxsize=None)
 def _element_lookup(G: GroupSpec):
-    return {(g.c, g.e): g for g in elements(G)}
+    return {(g.c, g.e, g.name[0] == "-"): g for g in elements(G)}
+
+
+def _negated(G: GroupSpec, e: int, c: CycNum) -> bool:
+    """lift(g) * lift(h) = -lift(gh) when g.e = -1 and h.c = -1."""
+    return G.kind == "klein_lift" and e == -1 and c == -1
 
 
 def multiply(G: GroupSpec, a: GroupElement, b: GroupElement) -> GroupElement:
-    """(ab)(z) = a(b(z)); composition of z -> c * z^e maps."""
+    """(ab)(z) = a(b(z)); composition of z -> c * z^e maps, with the sign
+    of the lift group."""
     c = a.c * (b.c ** a.e)
     e = a.e * b.e
-    return _element_lookup(G)[(c, e)]
+    negative = (a.name[0] == "-") ^ (b.name[0] == "-") ^ _negated(G, a.e, b.c)
+    return _element_lookup(G)[(c, e, negative)]
 
 
 def inverse(G: GroupSpec, a: GroupElement) -> GroupElement:
     c = (a.c.inverse()) ** a.e
-    return _element_lookup(G)[(c, a.e)]
+    negative = (a.name[0] == "-") ^ _negated(G, a.e, c)
+    return _element_lookup(G)[(c, a.e, negative)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,69 +192,3 @@ def characters(G: GroupSpec) -> tuple:
     # lexicographic in (chi(a1), chi(a2)) with +1 before -1
     return tuple(Character(G, signs=(s1, s2))
                  for s1 in (1, -1) for s2 in (1, -1))
-
-
-# ---------------------------------------------------------------------------
-# the Klein lift group inside GL(2)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LiftedElement:
-    """An element of the order-8 lift group, with its 2x2 matrix and its
-    image in the Klein four-group."""
-    name: str
-    matrix: tuple  # 2x2 grid of CycNum, conductor 4
-    image: str     # name of the Klein element it projects to
-
-    @property
-    def central_sign(self) -> int:
-        return -1 if self.name.startswith("-") else 1
-
-
-def _mat2(a, b, c, d):
-    r = lambda x: CycNum.rational(4, x)
-    return ((r(a), r(b)), (r(c), r(d)))
-
-
-@lru_cache(maxsize=None)
-def lift_group() -> tuple:
-    """The 8 elements {±I, ±A1, ±A2, ±A1A2} with A1 = diag(-1,1) and
-    A2 = antidiag(1,1); the generators satisfy A1*A2 = -A2*A1."""
-    base = {
-        "I": _mat2(1, 0, 0, 1),
-        "A1": _mat2(-1, 0, 0, 1),
-        "A2": _mat2(0, 1, 1, 0),
-        "A1A2": _mat2(0, -1, 1, 0),
-    }
-    images = {"I": "e", "A1": "a1", "A2": "a2", "A1A2": "a1a2"}
-    out = []
-    for name, mat in base.items():
-        out.append(LiftedElement(name, mat, images[name]))
-        neg = tuple(tuple(-x for x in row) for row in mat)
-        out.append(LiftedElement("-" + name, neg, images[name]))
-    return tuple(out)
-
-
-def lift_by_name(name: str) -> LiftedElement:
-    for x in lift_group():
-        if x.name == name:
-            return x
-    raise MissingElement(f"no lift element named {name!r}")
-
-
-@lru_cache(maxsize=None)
-def _lift_lookup():
-    return {x.matrix: x for x in lift_group()}
-
-
-def lift_multiply(a: LiftedElement, b: LiftedElement) -> LiftedElement:
-    prod = tuple(
-        tuple(sum((a.matrix[i][k] * b.matrix[k][j] for k in range(2)),
-                  CycNum.zero(4)) for j in range(2))
-        for i in range(2))
-    return _lift_lookup()[prod]
-
-
-def lift_moebius(x: LiftedElement) -> GroupElement:
-    """The Moebius action of a lifted element (through its Klein image)."""
-    return element_by_name(klein(), x.image)

@@ -605,11 +605,10 @@ class _Parser:
 
     def parse_expr(self):
         kind, val, pos = self.peek()
-        sign = 1
-        if kind == "op" and val == "-":
+        negate = kind == "op" and val == "-"
+        if negate:
             self.take()
-            sign = -1
-        acc = self.parse_term().scale(sign)
+        acc = -self.parse_term() if negate else self.parse_term()
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val in "+-":

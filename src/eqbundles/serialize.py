@@ -19,7 +19,7 @@ from .classify import DecompositionCertificate
 from .cyclotomic import MAX_CONDUCTOR
 from .equivariant import EquivariantStructure
 from .errors import DimensionMismatch, EqBundlesError, ParseError, ValidationError
-from .group import Character, GroupSpec, cyclic, klein
+from .group import Character, GroupSpec, cyclic, klein, klein_lift
 from .laurent import MAX_EXPONENT, LaurentMatrix, parse_laurent, render_laurent
 
 
@@ -93,21 +93,20 @@ def _matrix_from_doc(doc, conductor: int) -> LaurentMatrix:
                           for row in _grid(doc)])
 
 
-def _group_to_doc(G: GroupSpec, lift: bool = False):
+def _group_to_doc(G: GroupSpec):
     if G.kind == "cyclic":
         return {"kind": "cyclic", "n": G.n}
-    return {"kind": "klein_lift" if lift else "klein"}
+    return {"kind": G.kind}
 
 
-def _group_from_doc(doc):
-    """(GroupSpec, lift flag)."""
+def _group_from_doc(doc) -> GroupSpec:
     kind = doc.get("kind")
     if kind == "cyclic":
-        return cyclic(_conductor(doc.get("n"), "cyclic order")), False
+        return cyclic(_conductor(doc.get("n"), "cyclic order"))
     if kind == "klein":
-        return klein(), False
+        return klein()
     if kind == "klein_lift":
-        return klein(), True
+        return klein_lift()
     raise ValidationError(f"unknown group kind {kind!r}")
 
 
@@ -158,22 +157,27 @@ def bundle_from_doc(doc) -> VectorBundle:
 
 def structure_to_doc(S: EquivariantStructure):
     return {"kind": "structure",
-            "group": _group_to_doc(S.group, S.lift),
+            "group": _group_to_doc(S.group),
             "bundle": bundle_to_doc(S.bundle),
             "maps": {name: _matrix_to_doc(M) for name, M in sorted(S.maps.items())}}
 
 
 def structure_from_doc(doc) -> EquivariantStructure:
-    G, lift = _group_from_doc(_field(doc, "group", dict, {}))
+    G = _group_from_doc(_field(doc, "group", dict, {}))
     E = bundle_from_doc(_field(doc, "bundle", dict, {}))
     _conductor(lcm(E.conductor, G.conductor), "lcm of bundle and group conductors")
     maps_doc = doc.get("maps")
     if not isinstance(maps_doc, dict):
         raise ValidationError("structure needs a maps table")
+    for name, m in maps_doc.items():
+        rows, cols = len(_grid(m)), len(m[0])
+        if rows != E.rank or cols != E.rank:
+            raise ValidationError(f"invalid structure: map for {name!r} is "
+                                  f"{rows}x{cols}, rank is {E.rank}")
     maps = {name: _matrix_from_doc(m, E.conductor)
             for name, m in maps_doc.items()}
     try:
-        return EquivariantStructure(E, G, maps, lift=lift)
+        return EquivariantStructure(E, G, maps)
     except EqBundlesError as err:
         raise ValidationError(f"invalid structure: {err}") from err
 
@@ -191,8 +195,8 @@ def certificate_to_doc(cert: DecompositionCertificate):
 
 
 def certificate_from_doc(doc) -> DecompositionCertificate:
-    G, lift = _group_from_doc(_field(doc, "group", dict, {}))
-    if lift:
+    G = _group_from_doc(_field(doc, "group", dict, {}))
+    if G.kind == "klein_lift":
         raise ValidationError("certificates describe genuine structures")
     conductor = _conductor(doc.get("conductor"), "conductor")
     even = []

@@ -7,7 +7,9 @@ sinf: `dense_h0` runs a textbook row reduction over an explicit grid
 with a caller-supplied degree bound, `h0_by_section_system` a sparse
 forward elimination with the bound -min exp(T^-1).  Determinants come from cofactor expansion instead of
 elimination.  The cocycle oracle checks every pair of group elements
-instead of the generator pairs that validation uses.  Cyclotomic
+instead of the generator pairs that validation uses, and it multiplies
+Klein lift elements as 2x2 matrices instead of by the sign rule.
+Cyclotomic
 products use Fraction coefficients and long division by a Phi_m built
 from the Moebius formula, instead of integer numerators and a fold table.
 """
@@ -17,9 +19,9 @@ from functools import lru_cache
 
 from eqbundles.bundle import twist
 from eqbundles.cyclotomic import CycNum
-from eqbundles.group import (elements, lift_group, lift_moebius, lift_multiply,
-                             multiply)
+from eqbundles.group import elements, multiply
 from eqbundles.laurent import LaurentPoly
+from eqbundles.linalg import identity_const, mat_mul_const
 
 
 def dense_h0(E, bound):
@@ -187,15 +189,56 @@ def h0_from_degrees(degrees, k=0):
     return sum(max(0, n + k + 1) for n in degrees)
 
 
+def _mat2(a, b, c, d):
+    r = lambda x: CycNum.rational(4, x)
+    return ((r(a), r(b)), (r(c), r(d)))
+
+
 @lru_cache(maxsize=None)
-def _product_table(group, lift):
-    """{name: Moebius element} and {(x, y): name of xy} by brute force."""
-    if lift:
-        acting = {x.name: lift_moebius(x) for x in lift_group()}
-        table = {(a.name, b.name): lift_multiply(a, b).name
-                 for a in lift_group() for b in lift_group()}
+def lift_matrices():
+    """The Klein lift group in GL(2): {name: 2x2 matrix} for the eight
+    elements +-I, +-A1, +-A2, +-A1A2 with A1 = diag(-1, 1), A2 =
+    antidiag(1, 1) and A1A2 their product."""
+    base = {"I": _mat2(1, 0, 0, 1), "A1": _mat2(-1, 0, 0, 1),
+            "A2": _mat2(0, 1, 1, 0), "A1A2": _mat2(0, -1, 1, 0)}
+    out = {}
+    for name, mat in base.items():
+        out[name] = mat
+        out["-" + name] = tuple(tuple(-x for x in row) for row in mat)
+    return out
+
+
+def mat2_product(a, b):
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(2)), CycNum.zero(4))
+                       for j in range(2)) for i in range(2))
+
+
+def lift_product(x, y):
+    """The name of the lift element xy, from the product of the matrices."""
+    mats = lift_matrices()
+    prod = mat2_product(mats[x], mats[y])
+    return next(name for name, mat in mats.items() if mat == prod)
+
+
+def lift_moebius(name):
+    """(c, e) of the map z -> c * z^e by which a lift element acts, read
+    off its matrix: z -> (a/d) z for diag(a, d), z -> (b/c) / z for
+    antidiag(b, c)."""
+    (a, b), (c, d) = lift_matrices()[name]
+    if b.is_zero() and c.is_zero():
+        return a * d.inverse(), 1
+    return b * c.inverse(), -1
+
+
+@lru_cache(maxsize=None)
+def _product_table(group):
+    """{name: (c, e)} and {(x, y): name of xy} by brute force."""
+    if group.kind == "klein_lift":
+        names = list(lift_matrices())
+        acting = {x: lift_moebius(x) for x in names}
+        table = {(x, y): lift_product(x, y) for x in names for y in names}
     else:
-        acting = {g.name: g for g in elements(group)}
+        acting = {g.name: (g.c, g.e) for g in elements(group)}
         table = {(a.name, b.name): multiply(group, a, b).name
                  for a in elements(group) for b in elements(group)}
     return acting, table
@@ -204,12 +247,36 @@ def _product_table(group, lift):
 def full_cocycle_table(S):
     """Pairs (x, y) where N_{xy}(z) = N_x(y.z) N_y(z) fails, over all
     |G|^2 pairs of group (or lift-group) elements."""
-    acting, product = _product_table(S.group, S.lift)
+    acting, product = _product_table(S.group)
     failures = []
     for (x, y), xy in product.items():
-        g = acting[y]
-        right = S.maps[x].substitute(g.c.embed(S.conductor), g.e) @ S.maps[y]
+        c, e = acting[y]
+        right = S.maps[x].substitute(c.embed(S.conductor), e) @ S.maps[y]
         if S.maps[xy] != right:
+            failures.append((x, y))
+    return failures
+
+
+def rep_relation_failures(rho):
+    """Where a ResidualRep fails to represent its group, over all pairs:
+    (identity,) when rho(identity) != I, and (x, y) when rho(x) rho(y) !=
+    +-rho(xy).  In klein_lift mode xy and its sign come from the 2x2
+    matrices; otherwise the sign is +1."""
+    cond = rho.conductor
+    if rho.mode == "klein_lift":
+        names = ["I", "A1", "A2", "A1A2"]
+        product = {(x, y): lift_product(x, y) for x in names for y in names}
+    else:
+        names = [g.name for g in elements(rho.group)]
+        product = _product_table(rho.group)[1]
+    failures = []
+    if rho.mats[names[0]] != identity_const(rho.size, cond):
+        failures.append((names[0],))
+    for (x, y), xy in product.items():
+        expected = rho.mats[xy.lstrip("-")]
+        if xy[0] == "-":
+            expected = [[-v for v in row] for row in expected]
+        if mat_mul_const(rho.mats[x], rho.mats[y], cond) != expected:
             failures.append((x, y))
     return failures
 

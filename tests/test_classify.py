@@ -5,6 +5,7 @@ import pytest
 
 from eqbundles.bundle import line_bundle, model_bundle, model_isomorphism, splitting_type
 from eqbundles.classify import (DecompositionCertificate, ModelStructure,
+                                ResidualRep, _check_rep_relations,
                                 averaging_intertwiner, block_diagonal_part,
                                 build_structure, decompose, extract_residual_rep,
                                 pullback_structure, rep_decompose,
@@ -17,13 +18,14 @@ from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
                                    validate_structure)
 from eqbundles.errors import (InvalidStructure, NotBlockDiagonalPart,
                               RelationViolation)
-from eqbundles.group import characters, cyclic, klein
+from eqbundles.group import characters, cyclic, elements, klein, multiply
 from eqbundles.laurent import LaurentMatrix, LaurentPoly
-from eqbundles.linalg import mat_mul_const
+from eqbundles.linalg import identity_const, mat_mul_const
 from eqbundles.randgen import (random_certificate,
                                random_model_automorphism, random_unimodular)
 
 from conftest import M
+from oracles import rep_relation_failures
 
 
 # -- pullback -----------------------------------------------------------------
@@ -239,6 +241,59 @@ def test_rep_decompose_rejects_broken_relations():
                        "A1A2": [[two]]}, 4)
     with pytest.raises(RelationViolation):
         rep_decompose(bad)
+
+
+def _regular_rep(G, cond):
+    """rho(g) e_h = e_{gh} on the basis of group elements."""
+    els = elements(G)
+    zero, one = CycNum.zero(cond), CycNum.one(cond)
+    mats = {}
+    for g in els:
+        grid = [[zero] * len(els) for _ in els]
+        for j, h in enumerate(els):
+            grid[els.index(multiply(G, g, h))][j] = one
+        mats[g.name] = grid
+    return mats
+
+
+def _residual_reps():
+    zero, one, minus = CycNum.zero(4), CycNum.one(4), CycNum.rational(4, -1)
+    a1 = [[minus, zero, zero, zero], [zero, one, zero, zero],
+          [zero, zero, minus, zero], [zero, zero, zero, one]]
+    a2 = [[zero, one, zero, zero], [one, zero, zero, zero],
+          [zero, zero, zero, one], [zero, zero, one, zero]]
+    lift = {"I": identity_const(4, 4), "A1": a1, "A2": a2,
+            "A1A2": mat_mul_const(a1, a2, 4)}
+    return [ResidualRep("cyclic", cyclic(3), 0, 3, _regular_rep(cyclic(3), 3), 3),
+            ResidualRep("cyclic", cyclic(1), 0, 1, _regular_rep(cyclic(1), 1), 1),
+            ResidualRep("klein_even", klein(), 0, 4, _regular_rep(klein(), 4), 4),
+            ResidualRep("klein_lift", klein(), -1, 4, lift, 4)]
+
+
+def _relations_hold(rho):
+    try:
+        _check_rep_relations(rho)
+    except RelationViolation:
+        return False
+    return True
+
+
+def test_generator_relation_check_matches_all_pairs():
+    rng = Random(73)
+    for rho in _residual_reps():
+        assert _relations_hold(rho) and rep_relation_failures(rho) == []
+        verdicts = []
+        for _ in range(40):
+            key = rng.choice(sorted(rho.mats))
+            i, j = rng.randrange(rho.size), rng.randrange(rho.size)
+            grid = [list(row) for row in rho.mats[key]]
+            grid[i][j] = (CycNum.zero(rho.conductor) if rng.random() < 0.3
+                          else grid[i][j] + rng.choice([1, -1, 2]))
+            bad = ResidualRep(rho.mode, rho.group, rho.degree, rho.size,
+                              {**rho.mats, key: grid}, rho.conductor)
+            verdicts.append(_relations_hold(bad))
+            assert verdicts[-1] == (rep_relation_failures(bad) == []), (rho.mode, key)
+        assert not all(verdicts)
 
 
 # -- decompose / build / verify ------------------------------------------------------

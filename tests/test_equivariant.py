@@ -17,7 +17,7 @@ from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
                                    validate_structure, validation_report)
 from eqbundles.errors import MissingElement, NoSuchStructure, NotComparable
 from eqbundles.group import (Character, characters, cyclic, element_by_name, elements,
-                             klein, lift_by_name, lift_group)
+                             klein, klein_lift)
 from eqbundles.laurent import LaurentMatrix, LaurentPoly
 from eqbundles.randgen import random_certificate, random_model_automorphism
 
@@ -83,17 +83,22 @@ def test_forged_cocycle_witness_fails():
     assert any("cocycle" in p for p in validation_report(S))
 
 
+def _klein_image(name):
+    """The name of the Klein image of a lift element."""
+    return {"I": "e", "A1": "a1", "A2": "a2", "A1A2": "a1a2"}[name.lstrip("-")]
+
+
 def _twist_lift(S, chi):
     """A lift structure with every map scaled by chi of its Klein image."""
-    maps = {name: N.scale(chi.value(lift_by_name(name).image).embed(S.conductor))
+    maps = {name: N.scale(chi.value(_klein_image(name)).embed(S.conductor))
             for name, N in S.maps.items()}
-    return EquivariantStructure(S.bundle, S.group, maps, lift=True)
+    return EquivariantStructure(S.bundle, S.group, maps)
 
 
 def _inflate(S):
     """The lift structure with trivial center that descends to S."""
-    maps = {x.name: S.maps[x.image] for x in lift_group()}
-    return EquivariantStructure(S.bundle, S.group, maps, lift=True)
+    maps = {x.name: S.maps[_klein_image(x.name)] for x in elements(klein_lift())}
+    return EquivariantStructure(S.bundle, klein_lift(), maps)
 
 
 def _scrambled(rng, S):
@@ -110,8 +115,8 @@ def _non_cocycle_checks_pass(S):
         return False
     if S.lift and S.maps["-I"] not in (ident, ident.scale(-1)):
         return False
-    gamma = lift_by_name if S.lift else (lambda n: element_by_name(S.group, n))
-    return all(is_bundle_map(S.bundle, gamma(n), N) for n, N in S.maps.items())
+    return all(is_bundle_map(S.bundle, element_by_name(S.group, n), N)
+               for n, N in S.maps.items())
 
 
 def _validation_cases(rng):
@@ -149,8 +154,7 @@ def test_generator_validation_matches_full_cocycle_table():
                     S.conductor, rng.randint(-1, 1), rng.choice([1, -1, 2]))
             maps = dict(S.maps)
             maps[name] = LaurentMatrix(S.conductor, grid)
-            _validation_agrees(EquivariantStructure(S.bundle, S.group, maps,
-                                                    lift=S.lift))
+            _validation_agrees(EquivariantStructure(S.bundle, S.group, maps))
 
 
 def test_generator_validation_needs_every_generator():
@@ -163,13 +167,13 @@ def test_generator_validation_needs_every_generator():
     functions = [dict(zip(klein_names, (1,) + values))
                  for values in product((1, -1, 2), repeat=3)]
     for S, _ in _validation_cases(rng):
-        if S.group != klein():
+        if S.group not in (klein(), klein_lift()):
             continue
         verdicts = []
         for f in functions:
-            maps = {name: N.scale(f[lift_by_name(name).image if S.lift else name])
+            maps = {name: N.scale(f[_klein_image(name) if S.lift else name])
                     for name, N in S.maps.items()}
-            T = EquivariantStructure(S.bundle, S.group, maps, lift=S.lift)
+            T = EquivariantStructure(S.bundle, S.group, maps)
             verdicts.append(_validation_agrees(T))
         assert sum(verdicts) == 4  # the four characters
 

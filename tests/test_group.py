@@ -1,9 +1,11 @@
 import pytest
 
 from eqbundles.cyclotomic import CycNum, primitive_root
-from eqbundles.group import (characters, cyclic, elements, identity,
-                             inverse, klein, lift_by_name, lift_group,
-                             lift_multiply, multiply)
+from eqbundles.group import (characters, cyclic, element_by_name, elements,
+                             generators, identity, inverse, klein, klein_lift,
+                             multiply)
+
+from oracles import lift_matrices, lift_moebius, lift_product, mat2_product
 
 
 def test_cyclic_elements():
@@ -27,7 +29,7 @@ def test_klein_elements_and_fixed_points():
     assert a1a2.c * i ** a1a2.e == i  # -1/i = i
 
 
-@pytest.mark.parametrize("G", [cyclic(1), cyclic(2), cyclic(5), klein()])
+@pytest.mark.parametrize("G", [cyclic(1), cyclic(2), cyclic(5), klein(), klein_lift()])
 def test_multiplication_table_closure(G):
     els = elements(G)
     assert len(els) == G.order
@@ -41,7 +43,7 @@ def test_multiplication_table_closure(G):
         assert multiply(G, a, inverse(G, a)) == identity(G)
 
 
-@pytest.mark.parametrize("G", [cyclic(2), cyclic(3), cyclic(4), klein()])
+@pytest.mark.parametrize("G", [cyclic(2), cyclic(3), cyclic(4), klein(), klein_lift()])
 def test_moebius_composition_matches_group_law(G):
     for a in elements(G):
         for b in elements(G):
@@ -86,42 +88,65 @@ def test_character_orthogonality(G):
             assert total == (G.order if c1 == c2 else 0)
 
 
+def _klein_image(x):
+    """The Klein element with the Moebius data of a lift element."""
+    return [g for g in elements(klein()) if (g.c, g.e) == (x.c, x.e)][0]
+
+
+def test_lift_multiply_matches_matrix_oracle():
+    L = klein_lift()
+    assert [x.name for x in elements(L)] == list(lift_matrices())
+    for x in elements(L):
+        assert (x.c, x.e) == lift_moebius(x.name)
+        for y in elements(L):
+            xy = multiply(L, x, y)
+            assert xy.name == lift_product(x.name, y.name)
+            assert (xy.c, xy.e) == lift_moebius(xy.name)
+
+
+def test_generators():
+    assert [g.name for g in generators(cyclic(1))] == ["e"]
+    assert [g.name for g in generators(cyclic(6))] == ["g"]
+    assert [g.name for g in generators(klein())] == ["a1", "a2"]
+    assert [g.name for g in generators(klein_lift())] == ["A1", "A2"]
+
+
 def test_lift_relations():
-    A1, A2 = lift_by_name("A1"), lift_by_name("A2")
-    P = lift_multiply(A1, A2)
-    Q = lift_multiply(A2, A1)
+    L = klein_lift()
+    A1, A2 = element_by_name(L, "A1"), element_by_name(L, "A2")
+    P = multiply(L, A1, A2)
+    Q = multiply(L, A2, A1)
     assert P.name == "A1A2"
     assert Q.name == "-A1A2"
     # A1*A2 has -1 top right and 1 bottom left
-    assert P.matrix == ((CycNum.zero(4), CycNum.rational(4, -1)),
-                        (CycNum.one(4), CycNum.zero(4)))
-    assert lift_multiply(A1, A1).name == "I"
-    assert lift_multiply(A2, A2).name == "I"
+    assert lift_matrices()[P.name] == ((CycNum.zero(4), CycNum.rational(4, -1)),
+                                       (CycNum.one(4), CycNum.zero(4)))
+    assert multiply(L, A1, A1).name == "I"
+    assert multiply(L, A2, A2).name == "I"
     # direct 2x2 multiplication oracle for (A1A2)^2 = -I
-    m = P.matrix
-    sq = tuple(tuple(sum((m[i][k] * m[k][j] for k in range(2)), CycNum.zero(4))
-                     for j in range(2)) for i in range(2))
-    assert sq == lift_by_name("-I").matrix
-    assert lift_multiply(P, P).name == "-I"
+    m = lift_matrices()[P.name]
+    assert mat2_product(m, m) == lift_matrices()["-I"]
+    assert multiply(L, P, P).name == "-I"
 
 
 def test_lift_group_center():
-    lifted = lift_group()
+    L = klein_lift()
+    lifted = elements(L)
     assert len(lifted) == 8
-    ident, neg = lift_by_name("I"), lift_by_name("-I")
+    ident, neg = element_by_name(L, "I"), element_by_name(L, "-I")
     for x in lifted:
-        assert lift_multiply(x, x).name in ("I", "-I")
+        assert multiply(L, x, x).name in ("I", "-I")
     center = [x for x in lifted
-              if all(lift_multiply(x, y) == lift_multiply(y, x) for y in lifted)]
+              if all(multiply(L, x, y) == multiply(L, y, x) for y in lifted)]
     assert sorted(c.name for c in center) == ["-I", "I"]
-    assert ident.image == "e" and neg.image == "e"
+    assert _klein_image(ident).name == "e" and _klein_image(neg).name == "e"
 
 
 def test_lift_images_project_homomorphically():
-    K = klein()
-    for x in lift_group():
-        for y in lift_group():
-            xy = lift_multiply(x, y)
-            gx = [g for g in elements(K) if g.name == x.image][0]
-            gy = [g for g in elements(K) if g.name == y.image][0]
-            assert multiply(K, gx, gy).name == xy.image
+    K, L = klein(), klein_lift()
+    for x in elements(L):
+        for y in elements(L):
+            xy = multiply(L, x, y)
+            gx, gy = _klein_image(x), _klein_image(y)
+            assert multiply(K, gx, gy).name == _klein_image(xy).name
+            assert (xy.c, xy.e) == lift_moebius(lift_product(x.name, y.name))

@@ -401,6 +401,25 @@ def test_bundle_document_shape_is_checked_before_any_entry_is_parsed(
     assert message in capsys.readouterr().err
 
 
+def test_structure_map_size_is_checked_before_any_entry_is_parsed(tmp_path, capsys):
+    S = canonical_structure(klein(), [0])
+    doc = json.loads(render_document(S))
+    doc["maps"]["a2"] = [["1", "0"], ["0", "(("]]
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: invalid structure: map for 'a2' is 2x2, rank is 1\n"
+
+
+@pytest.mark.parametrize("group, target", [("cyclic:3", "O(2)"),
+                                           ("klein", "O(1)+O(1)")])
+def test_cli_canonical_lift_rejects_other_targets(capsys, group, target):
+    assert main(["canonical", "--group", group, "--target", target, "--lift"]) == 2
+    assert capsys.readouterr().err == \
+        "error: lift structures are single Klein line bundles\n"
+
+
 def test_cli_decompose_ignores_seed(tmp_path):
     S0 = build_structure(random_certificate(Random(8), klein(), 4, -3, 3))
     U = random_model_automorphism(Random(9), 4, splitting_type(S0.bundle).degrees)
