@@ -14,6 +14,11 @@ which gives the Birkhoff factorization T*U = A(z)*z^D; two
 chart-regularity checks certify the frame.  Global sections are the
 frame applied to the monomial sections of the model, so no linear
 system over section coefficients is ever built.
+
+The splitting type does not need the inverse transition, so a parsed
+bundle is only checked for a unit-monomial determinant, by the
+determinant-only elimination; the inverse, which the chart certificates
+use, is computed on first use and then kept.
 """
 
 from __future__ import annotations
@@ -27,15 +32,19 @@ from .linalg import kernel_dense
 
 
 class VectorBundle:
-    """rank + transition matrix on the two-chart cover of the projective line."""
+    """rank + transition matrix on the two-chart cover of the projective line.
+
+    Construction checks that det T is a unit monomial c*z^e (NonUnimodular
+    otherwise) by the determinant-only elimination; T^-1 is computed on the
+    first `inverse_transition()` and kept."""
 
     __slots__ = ("rank", "conductor", "transition", "_inverse", "_det_unit")
 
     def __init__(self, transition: LaurentMatrix, _inverse=None, _det_unit=None):
         # constructions that already know the inverse pass it with the unit
-        # determinant; otherwise one elimination gives both
-        if _inverse is None:
-            _det_unit, _inverse = transition.unit_det_inverse()
+        # determinant
+        if _det_unit is None:
+            _det_unit = transition.det_unit()
         object.__setattr__(self, "rank", transition.rows)
         object.__setattr__(self, "conductor", transition.conductor)
         object.__setattr__(self, "transition", transition)
@@ -46,6 +55,8 @@ class VectorBundle:
         raise AttributeError("VectorBundle is immutable")
 
     def inverse_transition(self) -> LaurentMatrix:
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", self.transition.inverse())
         return self._inverse
 
     def degree(self) -> int:
@@ -90,7 +101,7 @@ def twist(E: VectorBundle, k: int) -> VectorBundle:
     """E(k): multiply the transition by z^k."""
     c, e = E._det_unit
     return VectorBundle(E.transition.shift(k),
-                        _inverse=E._inverse.shift(-k),
+                        _inverse=E.inverse_transition().shift(-k),
                         _det_unit=(c, e + k * E.rank))
 
 
@@ -131,7 +142,7 @@ def embed_bundle(E: VectorBundle, conductor: int) -> VectorBundle:
         return E
     c, e = E._det_unit
     return VectorBundle(E.transition.embed(conductor),
-                        _inverse=E._inverse.embed(conductor),
+                        _inverse=E.inverse_transition().embed(conductor),
                         _det_unit=(c.embed(conductor), e))
 
 

@@ -367,10 +367,11 @@ def build_structure(cert: DecompositionCertificate,
 
 def verify_certificate_report(cert: DecompositionCertificate,
                               S: EquivariantStructure):
-    """All reasons the certificate fails to reproduce S (empty = verified)."""
+    """All reasons the certificate fails to reproduce S (empty = verified).
+    A lift structure raises InvalidStructure, as in `decompose`."""
     reasons = []
     if S.lift:
-        return ["certificates describe genuine structures"]
+        raise InvalidStructure("certificates describe genuine structures")
     if cert.group != S.group:
         return [f"certificate group {cert.group} vs structure group {S.group}"]
     if cert.rank != S.bundle.rank:

@@ -136,6 +136,11 @@ def multiply(G: GroupSpec, a: GroupElement, b: GroupElement) -> GroupElement:
 
 
 def inverse(G: GroupSpec, a: GroupElement) -> GroupElement:
+    """g^k has inverse g^(-k), read off by index; otherwise z -> c * z^e
+    inverts to z -> c^(-e) * z^e, with the lift group's sign."""
+    if G.kind == "cyclic":
+        els = elements(G)
+        return els[-els.index(a) % G.n]
     c = (a.c.inverse()) ** a.e
     negative = (a.name[0] == "-") ^ _negated(G, a.e, c)
     return _element_lookup(G)[(c, a.e, negative)]

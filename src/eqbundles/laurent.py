@@ -8,7 +8,9 @@ operation keeps the invariant itself, returns through the trusted
 fraction-free Gauss-Jordan elimination of [A | I] gives both det A and
 the adjugate; the inverse is the adjugate divided by a unit-monomial
 determinant, which is exactly the invertibility condition for transition
-matrices on the two-chart projective line.
+matrices on the two-chart projective line.  The same elimination run on
+A alone gives det A without the adjugate, which is all that `det` and
+the unimodularity check `det_unit` need.
 """
 
 from __future__ import annotations
@@ -409,22 +411,21 @@ class LaurentMatrix:
     # -- determinant and inverse -------------------------------------------------
 
     def det(self) -> LaurentPoly:
-        return _det_adjugate(self)[0]
+        return _det_adjugate(self, adjugate=False)[0]
 
-    def unit_det_inverse(self):
-        """((c, e), A^-1) where det A = c*z^e.  Any other determinant raises
-        NonUnimodular: only a unit monomial is invertible in the Laurent ring."""
-        d, adj = _det_adjugate(self)
-        um = d.unit_monomial()
-        if um is None:
-            raise NonUnimodular(f"determinant {d} is not a unit monomial")
-        c, e = um
-        cinv = c.inverse()
-        return um, adj._map(lambda p: _times_monomial(p, cinv, -e))
+    def det_unit(self):
+        """(c, e) where det A = c*z^e, from the elimination of A alone.  Any
+        other determinant raises NonUnimodular: only a unit monomial is
+        invertible in the Laurent ring."""
+        return _unit(self.det())
 
     def inverse(self) -> "LaurentMatrix":
-        """adj(A) / det(A); requires a unit-monomial determinant."""
-        return self.unit_det_inverse()[1]
+        """adj(A) / det(A) by the elimination of [A | I]; NonUnimodular as
+        in `det_unit`."""
+        d, adj = _det_adjugate(self)
+        c, e = _unit(d)
+        cinv = c.inverse()
+        return adj._map(lambda p: _times_monomial(p, cinv, -e))
 
     def eval_at_zero(self):
         """Constant-term grid of CycNum if no entry has a negative exponent, else None."""
@@ -461,8 +462,16 @@ def _matrix(conductor: int, rows) -> LaurentMatrix:
     return x
 
 
-def _det_adjugate(a: LaurentMatrix):
-    """(det A, adj A) by one fraction-free Gauss-Jordan pass over [A | I].
+def _unit(d: LaurentPoly):
+    um = d.unit_monomial()
+    if um is None:
+        raise NonUnimodular(f"determinant {d} is not a unit monomial")
+    return um
+
+
+def _det_adjugate(a: LaurentMatrix, adjugate: bool = True):
+    """(det A, adj A) by one fraction-free Gauss-Jordan pass over [A | I];
+    with adjugate=False, (det A, None) by the same pass over A alone.
 
     Step k swaps in a row with a nonzero pivot p_k in column k, then
     replaces every other row by (p_k * row - a_ik * pivot row) / p_(k-1).
@@ -470,7 +479,9 @@ def _det_adjugate(a: LaurentMatrix):
     is exact (Bareiss 1968; Nakos, Turner & Williams 1997).  The steps
     carry A to p_n * I with p_n = +-det A, so they carry I to +-adj A;
     columns left of the pivot are never read again and are not updated.
-    A singular A gives (0, None).
+    No pivot reads a column of I, so the pass over A alone finds the same
+    pivots and det A with updates half as wide.  A singular A gives
+    (0, None).
 
     Transition matrices are sparse, so an update only does the work its
     nonzero terms need.  With a_ik = 0 it is p_k * row / p_(k-1): zero
@@ -482,9 +493,10 @@ def _det_adjugate(a: LaurentMatrix):
     if a.rows != a.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
     n = a.rows
+    width = 2 * n if adjugate else n
     zero = LaurentPoly.zero(a.conductor)
     prev = LaurentPoly.const(a.conductor, 1)
-    m = [list(row) + [prev if j == i else zero for j in range(n)]
+    m = [list(row) + [prev if j == i else zero for j in range(width - n)]
          for i, row in enumerate(a.entries)]
     sign = 1
     for k in range(n):
@@ -502,7 +514,7 @@ def _det_adjugate(a: LaurentMatrix):
             if i == k or not (f.coeffs or rescale):
                 continue
             neg_f = -f
-            for j in range(k + 1, 2 * n):
+            for j in range(k + 1, width):
                 x, y = row[j], pivot_row[j]
                 if not (f.coeffs and y.coeffs):
                     if x.coeffs and rescale:
@@ -512,10 +524,11 @@ def _det_adjugate(a: LaurentMatrix):
                 else:
                     row[j] = (pivot * x + neg_f * y).divexact(prev)
         prev = pivot
-    adj = [row[n:] for row in m]
-    if sign < 0:
-        prev, adj = -prev, [[-x for x in row] for row in adj]
-    return prev, _matrix(a.conductor, adj)
+    det = -prev if sign < 0 else prev
+    if not adjugate:
+        return det, None
+    adj = [[-x for x in row[n:]] if sign < 0 else row[n:] for row in m]
+    return det, _matrix(a.conductor, adj)
 
 
 def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:

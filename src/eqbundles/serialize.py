@@ -123,7 +123,7 @@ def _character_from_doc(doc, G: GroupSpec) -> Character:
             raise ValidationError(f"bad character index {k!r}")
         return Character(G, index=k % G.n)
     s1, s2 = doc.get("a1"), doc.get("a2")
-    if s1 not in (1, -1) or s2 not in (1, -1):
+    if not all(_is_int(s) and s in (1, -1) for s in (s1, s2)):
         raise ValidationError(f"bad Klein character signs {doc!r}")
     return Character(G, signs=(s1, s2))
 
@@ -268,7 +268,7 @@ def parse_document(text: str):
         raise ParseError(err.msg, line=err.lineno, column=err.colno) from None
     if not isinstance(doc, dict):
         raise ValidationError("document must be a JSON object")
-    kind = doc.get("kind")
+    kind = _field(doc, "kind", str)
     parser = _PARSERS.get(kind)
     if parser is None:
         raise ValidationError(f"unknown document kind {kind!r}")

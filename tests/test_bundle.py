@@ -1,3 +1,4 @@
+import json
 from random import Random
 
 import pytest
@@ -7,9 +8,12 @@ from eqbundles.bundle import (HNData, _certify, degree, direct_sum, dual,
                               make_bundle, model_bundle, model_isomorphism,
                               splitting_type, twist)
 from eqbundles.cyclotomic import CycNum
-from eqbundles.errors import DimensionMismatch, NonUnimodular
-from eqbundles.laurent import LaurentMatrix, LaurentPoly, regular_invertible_at
+from eqbundles.errors import DimensionMismatch, NonUnimodular, ValidationError
+from eqbundles.cli import main
+from eqbundles.laurent import (LaurentMatrix, LaurentPoly, regular_invertible_at,
+                               render_laurent)
 from eqbundles.randgen import planted_bundle, random_unimodular
+from eqbundles.serialize import parse_document
 
 from conftest import M
 from oracles import (_dense_rank, dense_h0, h0_by_section_system, h0_from_degrees,
@@ -29,6 +33,57 @@ def test_make_bundle_rejects_bad_input():
         make_bundle(M([["z+1"]]))
     with pytest.raises(DimensionMismatch):
         make_bundle(M([["z", "1"]]))
+
+
+def _perturbed_planted():
+    """A planted rank-8 transition T with z^50 added to an entry (i, j)
+    where (T^-1)_(j, i) != 0: the determinant gains z^50 * det T *
+    (T^-1)_(j, i), whose exponents lie far above those of det T, so it is
+    no longer a unit monomial."""
+    E, _ = planted_bundle(Random(61), 4, 8, -3, 3)
+    T, inv = E.transition, E.inverse_transition()
+    i, j = next((i, j) for i in range(8) for j in range(8)
+                if not inv.entries[j][i].is_zero())
+    grid = [list(row) for row in T.entries]
+    grid[i][j] = grid[i][j] + LaurentPoly.monomial(4, 50)
+    return LaurentMatrix(4, grid)
+
+
+_NON_UNIMODULAR = {"one-plus-z": lambda: M([["1+z"]]),
+                   "singular": lambda: M([["z", "1"], ["z^2", "z"]]),
+                   "perturbed-rank-8": _perturbed_planted}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_UNIMODULAR))
+def test_non_unimodular_transitions_are_rejected_at_parse_time(name, tmp_path, capsys):
+    T = _NON_UNIMODULAR[name]()
+    with pytest.raises(NonUnimodular):
+        make_bundle(T)
+    doc = json.dumps({"kind": "bundle", "rank": T.rows, "conductor": T.conductor,
+                      "transition": [[render_laurent(p) for p in row]
+                                     for row in T.entries]})
+    with pytest.raises(ValidationError) as err:
+        parse_document(doc)
+    assert isinstance(err.value.__cause__, NonUnimodular)
+    path = tmp_path / "bundle.json"
+    path.write_text(doc)
+    for command in ("validate", "degree", "split-type"):
+        argv = [command, str(path)] if command == "validate" else [
+            command, "--bundle", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: invalid transition matrix: determinant ")
+
+
+def test_inverse_transition_is_computed_on_first_use_and_kept():
+    E, degrees = planted_bundle(Random(62), 3, 5, -3, 3)
+    assert degree(E) == sum(degrees) and splitting_type(E).degrees == degrees
+    assert E._inverse is None  # neither the degree nor the splitting type needs it
+    inv = E.inverse_transition()
+    assert inv == E.transition.inverse()
+    ident = LaurentMatrix.identity(3, 5)
+    assert E.transition @ inv == ident == inv @ E.transition
+    assert E.inverse_transition() is inv
 
 
 def test_degree_examples():

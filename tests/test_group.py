@@ -43,6 +43,16 @@ def test_multiplication_table_closure(G):
         assert multiply(G, a, inverse(G, a)) == identity(G)
 
 
+@pytest.mark.parametrize("G", [cyclic(n) for n in range(1, 14)]
+                         + [cyclic(97), klein(), klein_lift()], ids=str)
+def test_inverse_is_two_sided(G):
+    for a in elements(G):
+        b = inverse(G, a)
+        assert multiply(G, a, b) == identity(G) == multiply(G, b, a)
+        if G.kind == "cyclic" and G.n < 14:  # against the general field inverse
+            assert b.c == a.c.inverse()
+
+
 @pytest.mark.parametrize("G", [cyclic(2), cyclic(3), cyclic(4), klein(), klein_lift()])
 def test_moebius_composition_matches_group_law(G):
     for a in elements(G):

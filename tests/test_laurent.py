@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from eqbundles.cyclotomic import CycNum, euler_phi, primitive_root, root_of_unity
 from eqbundles.errors import ConductorMismatch, NonUnimodular, ParseError
 from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix,
-                               LaurentPoly, parse_laurent, regular_invertible_at,
-                               render_laurent)
+                               LaurentPoly, _det_adjugate, parse_laurent,
+                               regular_invertible_at, render_laurent)
 from eqbundles.randgen import random_poly, random_unimodular, random_unit
 
 from conftest import L, M
@@ -167,6 +167,47 @@ def test_det_and_inverse_match_cofactor_oracle(conductor):
             else:
                 inv = A.inverse()
                 assert A @ inv == ident == inv @ A
+
+
+@st.composite
+def square_matrices(draw):
+    """Sparse square matrices at conductors 1, 3, 4 and 12 and ranks 1-6:
+    free entries (mostly a determinant that is not a unit monomial), a
+    last row that is a multiple of the first (singular), or a product of
+    elementary operations and unit monomials (unimodular)."""
+    m = draw(st.sampled_from([1, 3, 4, 12]))
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["free", "singular", "unimodular"]))
+    if shape == "unimodular":
+        rng = Random(draw(st.integers(0, 2 ** 16)))
+        units = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        return (random_unimodular(rng, m, n, var_sign=rng.choice((1, -1)), ops=n + 2)
+                @ LaurentMatrix.diag_monomials(m, units).scale(random_unit(rng, m)))
+    coeff = st.lists(st.integers(-2, 2), min_size=euler_phi(m), max_size=euler_phi(m))
+    entry = st.dictionaries(st.integers(-2, 2), coeff.map(lambda c: CycNum(m, c)),
+                            max_size=2).map(lambda d: LaurentPoly(m, d))
+    grid = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if shape == "singular":
+        q = draw(entry)
+        grid[-1] = [q * p for p in grid[0]]
+    return LaurentMatrix(m, grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices())
+def test_det_only_pass_matches_adjugate_pass_and_cofactor(A):
+    d, adj = _det_adjugate(A)
+    assert A.det() == d == det_cofactor(A.entries, A.conductor)
+    if d.is_zero():
+        assert adj is None
+    um = d.unit_monomial()
+    if um is None:
+        with pytest.raises(NonUnimodular):
+            A.det_unit()
+        with pytest.raises(NonUnimodular):
+            A.inverse()
+    else:
+        assert A.det_unit() == um
 
 
 def _sympy_poly(sympy, p):

@@ -225,6 +225,24 @@ def test_cli_canonical_lift(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_verify_cert_rejects_a_lift_structure(tmp_path, capsys):
+    # a lift structure is input of the wrong kind, as for decompose: exit 2
+    s_path, c_path, lift_path = (tmp_path / f for f in ("s.json", "c.json", "lift.json"))
+    assert main(["canonical", "--group", "klein", "--target", "O(-1)+O(-1)",
+                 "--out", str(s_path)]) == 0
+    assert main(["decompose", str(s_path), "--out", str(c_path)]) == 0
+    assert main(["canonical", "--group", "klein", "--target", "O(3)", "--lift",
+                 "--out", str(lift_path)]) == 0
+    capsys.readouterr()
+    assert main(["decompose", str(lift_path)]) == 2
+    assert main(["verify-cert", "--cert", str(c_path),
+                 "--structure", str(lift_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == ("error: InvalidStructure: certificates "
+                                    "describe genuine structures")
+
+
 def test_cli_twist_char(tmp_path, capsys):
     s_path = tmp_path / "s.json"
     t_path = tmp_path / "t.json"
@@ -488,8 +506,13 @@ def test_cli_validate_accepts_the_unmutated_documents(tmp_path, capsys):
     dict(_CERT, odd_blocks=5),
     {"kind": "report", "command": "fuzz", "lines": 5, "exit": 0},
     dict(_line_doc(1), rank=True),
+    dict(_CERT, group={"kind": "klein"}, conductor=4,
+         even_blocks=[{"degree": 0, "character": {"a1": True, "a2": 1}}]),
+    dict(_CERT, group={"kind": "klein"}, conductor=4,
+         even_blocks=[{"degree": 0, "character": {"a1": 1, "a2": -1.0}}]),
 ], ids=["bundle-list", "group-string", "even-blocks-item", "even-blocks-int",
-        "character-list", "odd-blocks-int", "report-lines-int", "rank-true"])
+        "character-list", "odd-blocks-int", "report-lines-int", "rank-true",
+        "klein-sign-true", "klein-sign-float"])
 def test_cli_validate_rejects_mistyped_fields(tmp_path, capsys, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
