@@ -1,6 +1,6 @@
 """The classification pipeline and its machine-checkable certificates.
 
-Order of battle for a validated genuine structure S on a bundle E:
+Order of battle for a genuine structure S on a bundle E:
 
 1. pull the cocycle back along a model isomorphism onto diag(z^(d_j)),
    where it becomes block-triangular in descending-degree order;
@@ -16,7 +16,8 @@ Order of battle for a validated genuine structure S on a bundle E:
    Klein blocks.
 
 The certificate records the block data plus the composite change of
-frame; `verify_certificate` replays it exactly.
+frame; `verify_certificate` replays it exactly.  That replay is the one
+check `decompose` makes, and S is not validated first.
 """
 
 from __future__ import annotations
@@ -26,19 +27,19 @@ from fractions import Fraction
 
 from .bundle import ModelIso, chart_certificate, model_isomorphism
 from .cyclotomic import CycNum
-from .errors import (FactorizationFailure, InternalInconsistency, InvalidStructure,
-                     NotBlockDiagonalPart, RelationViolation, ShapeMismatch,
-                     TriangularityViolation)
+from .errors import (EqBundlesError, FactorizationFailure, InternalInconsistency,
+                     InvalidStructure, NotBlockDiagonalPart, RelationViolation,
+                     ShapeMismatch, TriangularityViolation)
 from .equivariant import (EquivariantStructure, GroupIndexed, canonical_cyclic,
                           canonical_klein_even, canonical_klein_lift,
                           canonical_klein_pair, direct_sum_structures,
-                          embed_structure, transport_structure,
-                          twist_by_character, validate_structure)
+                          embed_structure, require_valid, transport_structure,
+                          twist_by_character)
 from .group import (Character, GroupSpec, characters, elements, generators, identity,
                     inverse, klein_lift, multiply)
 from .laurent import LaurentMatrix, LaurentPoly
-from .linalg import (det_const, eigenspace, identity_const, kernel_dense,
-                     mat_mul_const, mat_vec_const)
+from .linalg import (eigenspace, identity_const, kernel_dense, mat_mul_const,
+                     mat_vec_const)
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,9 @@ def averaging_intertwiner(N: ModelStructure, R: ModelStructure) -> LaurentMatrix
     """S(z) = 1/|G| * sum_gamma N_gamma(z)^(-1) R_gamma(z), where the
     cocycle supplies its own inverses: N_gamma(z)^(-1) = N_{gamma^-1}(gamma z).
 
-    Checked exactly: S is unipotent block-triangular, and
-    N_gamma(z) S(z) = S(gamma z) R_gamma(z) for every gamma."""
+    For a cocycle N, S is unipotent block-triangular and N_gamma(z) S(z) =
+    S(gamma z) R_gamma(z); `test_criterion_8_averaging_and_roundtrip`
+    checks both, and in `decompose` the certificate replay covers them."""
     if N.degrees != R.degrees or N.group != R.group:
         raise NotBlockDiagonalPart("mismatched model structures")
     ranges = _block_ranges(N.degrees)
@@ -126,19 +128,7 @@ def averaging_intertwiner(N: ModelStructure, R: ModelStructure) -> LaurentMatrix
     for name, c, e in N.action_items():
         term = N.maps[inverse_name[name]].substitute(c, e) @ R.maps[name]
         acc = term if acc is None else acc + term
-    S = acc.scale(Fraction(1, order))
-    # postconditions
-    ident = LaurentMatrix.identity(N.conductor, len(N.degrees))
-    for (_, start, stop) in ranges:
-        for i in range(start, stop):
-            for j in range(start, stop):
-                if S.entries[i][j] != ident.entries[i][j]:
-                    raise InternalInconsistency("averaging output is not unipotent")
-    for name, c, e in N.action_items():
-        if N.maps[name] @ S != S.substitute(c, e) @ R.maps[name]:
-            raise InternalInconsistency(
-                f"averaging intertwiner fails at {name!r}")
-    return S
+    return acc.scale(Fraction(1, order))
 
 
 # ---------------------------------------------------------------------------
@@ -233,27 +223,19 @@ def rep_decompose(rho: ResidualRep):
     cyclic / klein_even: returns [(Character, eigenvector)] in canonical
     character order, echelon basis within each eigenspace.
     klein_lift: returns [(v_j, rho(A2) v_j)] with v_j an echelon basis of
-    the +1 eigenspace of rho(A1)."""
+    the +1 eigenspace of rho(A1).
+
+    Once the relations hold, the vectors form a basis: commuting matrices
+    of finite order split into character eigenspaces over a field that
+    holds their eigenvalues, and rho(A2), an involution anticommuting with
+    the involution rho(A1), maps the +1 eigenspace onto the -1 one."""
     _check_rep_relations(rho)
     cond, n = rho.conductor, rho.size
     G = rho.group
     if rho.mode == "klein_lift":
         plus = eigenspace(rho.mats["A1"], CycNum.one(cond), cond)
-        minus = eigenspace(rho.mats["A1"], CycNum.rational(cond, -1), cond)
-        if len(plus) != len(minus) or len(plus) + len(minus) != n:
-            raise RelationViolation(
-                f"eigenspace dimensions {len(plus)}/{len(minus)} do not pair up")
-        pairs = [(v, tuple(mat_vec_const(rho.mats["A2"], list(v), cond)))
-                 for v in plus]
-        # the pair vectors must span: their matrix has a nonzero determinant
-        cols = []
-        for v, av in pairs:
-            cols.append(av)
-            cols.append(v)
-        grid = [[cols[j][i] for j in range(n)] for i in range(n)]
-        if det_const(grid, cond).is_zero():
-            raise RelationViolation("eigenvector pairs do not form a basis")
-        return pairs
+        return [(v, tuple(mat_vec_const(rho.mats["A2"], list(v), cond)))
+                for v in plus]
     out = []
     for chi in characters(G):
         rows = []
@@ -262,9 +244,6 @@ def rep_decompose(rho: ResidualRep):
             rows += [[mat[i][j] - lam if i == j else mat[i][j] for j in range(n)]
                      for i in range(n)]
         out += [(chi, v) for v in kernel_dense(rows, n, cond)]
-    if len(out) != n:
-        raise RelationViolation(
-            f"character eigenvectors span {len(out)} of {n} dimensions")
     return out
 
 
@@ -405,12 +384,33 @@ def verify_certificate(cert: DecompositionCertificate,
 # ---------------------------------------------------------------------------
 
 def decompose(S: EquivariantStructure) -> DecompositionCertificate:
-    """Classify a validated genuine structure; the returned certificate
-    verifies against S exactly."""
+    """Classify a genuine structure; the returned certificate verifies
+    against S exactly.
+
+    S is not validated first: the replay proves it valid.  The replay
+    checks that the change of frame F is a bundle isomorphism from the
+    built canonical structure B (the chart certificates) and that
+    F(gamma z) B_gamma(z) = S_gamma(z) F(z) for every gamma, so S is
+    F-conjugate to the valid B and is valid itself.  S is validated only
+    after an EqBundlesError or a failed replay: bad input then raises
+    InvalidStructure naming the first failed check, and on a valid S the
+    pipeline's own exception, or InternalInconsistency, is raised."""
     if S.lift:
         raise InvalidStructure("decompose expects a genuine structure")
-    if not validate_structure(S):
-        raise InvalidStructure("decompose expects a validated structure")
+    try:
+        cert = _classify(S)
+        report = verify_certificate_report(cert, S)
+        if report:
+            raise InternalInconsistency("decompose produced a non-verifying "
+                                        "certificate: " + "; ".join(report))
+    except EqBundlesError:
+        require_valid(S)
+        raise
+    return cert
+
+
+def _classify(S: EquivariantStructure) -> DecompositionCertificate:
+    """The pipeline of the module docstring; `decompose` checks its answer."""
     iso = model_isomorphism(S.bundle)
     N = pullback_structure(S, iso)
     R = block_diagonal_part(N)
@@ -423,11 +423,7 @@ def decompose(S: EquivariantStructure) -> DecompositionCertificate:
         if rr.mode == "klein_lift":
             pairs = rep_decompose(rr)
             odd_blocks.extend([d] * len(pairs))
-            cols = []
-            for v, av in pairs:
-                cols.append(av)
-                cols.append(v)
-            col_blocks.append(cols)
+            col_blocks.append([c for v, av in pairs for c in (av, v)])
         else:
             eig = rep_decompose(rr)
             even_blocks.extend((d, chi) for chi, _ in eig)
@@ -439,13 +435,8 @@ def decompose(S: EquivariantStructure) -> DecompositionCertificate:
         P_blocks.append(LaurentMatrix.from_const(N.conductor, grid))
     P = LaurentMatrix.block_diag(P_blocks)
     frame = iso.psi @ Sav @ P
-    cert = DecompositionCertificate(group=S.group,
+    return DecompositionCertificate(group=S.group,
                                     even_blocks=tuple(even_blocks),
                                     odd_blocks=tuple(odd_blocks),
                                     change_of_frame=frame,
                                     conductor=S.conductor)
-    report = verify_certificate_report(cert, S)
-    if report:
-        raise InternalInconsistency(
-            "decompose produced a non-verifying certificate: " + "; ".join(report))
-    return cert

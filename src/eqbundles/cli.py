@@ -294,10 +294,8 @@ def _build_parser():
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_twist_char)
 
-    p = sub.add_parser("decompose", help="classify a validated structure")
+    p = sub.add_parser("decompose", help="classify a structure")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted and ignored: the frame is deterministic")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_decompose)
 
@@ -315,8 +313,6 @@ def _build_parser():
     p = sub.add_parser("equivalent", help="are two structures equivalent?")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted and ignored: the answer is exact")
     p.set_defaults(fn=_cmd_equivalent)
 
     p = sub.add_parser("fuzz", help="planted splitting-type oracle run")

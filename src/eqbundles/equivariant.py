@@ -142,6 +142,13 @@ def validate_structure(S: EquivariantStructure) -> bool:
     return not validation_report(S)
 
 
+def require_valid(S: EquivariantStructure):
+    """Raise InvalidStructure naming the first validation failure of S."""
+    problems = validation_report(S)
+    if problems:
+        raise InvalidStructure(problems[0])
+
+
 # ---------------------------------------------------------------------------
 # canonical structures
 # ---------------------------------------------------------------------------
@@ -392,16 +399,19 @@ def structures_equivalent(S1: EquivariantStructure,
 
     By the classification theorem a genuine structure is determined up
     to equivalence by the block data of its decomposition, so the answer
-    is exact.  Lift structures with different central signs are never
-    equivalent; otherwise both are tensored with canonical_klein_lift(1)
-    when the center acts by -1, which is an equivalence onto structures
-    on twist(E, 1) with trivial center, and then descended."""
+    is exact, and `decompose` certifies each genuine structure or raises
+    InvalidStructure.  Lift structures are validated first, as descending
+    drops the maps of -A1, -A2 and -A1A2.  Lift structures with different
+    central signs are never equivalent; otherwise both are tensored with
+    canonical_klein_lift(1) when the center acts by -1, which is an
+    equivalence onto structures on twist(E, 1) with trivial center, and
+    then descended."""
     from .classify import decompose
     if S1.bundle != S2.bundle or S1.group != S2.group:
         raise NotComparable("structures live on different bundles or groups")
-    if not validate_structure(S1) or not validate_structure(S2):
-        raise InvalidStructure("equivalence testing needs validated structures")
     if S1.lift:
+        require_valid(S1)
+        require_valid(S2)
         sign = central_sign(S1)
         if sign != central_sign(S2):
             return False

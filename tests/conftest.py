@@ -1,7 +1,9 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+# test helpers, and scripts/fuzz_oracles.py for its structure mutations
+sys.path[:0] = [str(Path(__file__).resolve().parent),
+                str(Path(__file__).resolve().parents[1] / "scripts")]
 
 from eqbundles.laurent import LaurentMatrix, parse_laurent
 

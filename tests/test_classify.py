@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from eqbundles import classify, equivariant
 from eqbundles.bundle import line_bundle, model_bundle, model_isomorphism, splitting_type
 from eqbundles.classify import (DecompositionCertificate, ModelStructure,
                                 ResidualRep, _check_rep_relations,
@@ -12,11 +13,14 @@ from eqbundles.classify import (DecompositionCertificate, ModelStructure,
                                 verify_certificate, verify_certificate_report)
 from eqbundles.cyclotomic import CycNum, root_of_unity
 from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
-                                   canonical_klein_even, canonical_klein_pair,
-                                   conjugate_structure, direct_sum_structures,
-                                   transport_structure, twist_by_character,
-                                   validate_structure)
-from eqbundles.errors import (InvalidStructure, NotBlockDiagonalPart,
+                                   canonical_klein_even, canonical_klein_lift,
+                                   canonical_klein_pair, conjugate_structure,
+                                   descend_lift, direct_sum_structures,
+                                   structures_equivalent, transport_structure,
+                                   twist_by_character, validate_structure,
+                                   validation_report)
+from eqbundles.errors import (FactorizationFailure, InternalInconsistency,
+                              InvalidStructure, NotBlockDiagonalPart,
                               RelationViolation)
 from eqbundles.group import characters, cyclic, elements, klein, multiply
 from eqbundles.laurent import LaurentMatrix, LaurentPoly
@@ -25,6 +29,7 @@ from eqbundles.randgen import (random_certificate,
                                random_model_automorphism, random_unimodular)
 
 from conftest import M
+from fuzz_oracles import mutate_structure
 from oracles import rep_relation_failures
 
 
@@ -138,8 +143,15 @@ def test_averaging_unipotent_on_fuzz():
         iso = model_isomorphism(S.bundle)
         N = pullback_structure(S, iso)
         R = block_diagonal_part(N)
-        Sav = averaging_intertwiner(N, R)  # checks unipotence + intertwining
-        assert Sav.rows == S.bundle.rank
+        Sav = averaging_intertwiner(N, R)
+        for i, row in enumerate(Sav.entries):
+            for j, p in enumerate(row):
+                if N.degrees[i] == N.degrees[j]:
+                    assert p == LaurentPoly.const(N.conductor, int(i == j))
+                elif N.degrees[i] < N.degrees[j]:
+                    assert p.is_zero()
+        for name, c, e in N.action_items():
+            assert N.maps[name] @ Sav == Sav.substitute(c, e) @ R.maps[name]
 
 
 # -- residual representations -----------------------------------------------------
@@ -332,6 +344,111 @@ def test_decompose_requires_validity():
         "e": mk("1"), "a1": mk("1"), "a2": mk("z"), "a1a2": mk("z")})
     with pytest.raises(InvalidStructure):
         decompose(forged)
+
+
+# -- the trust model: the certificate replay is the only check on success ------------
+
+@pytest.fixture(scope="module")
+def mutated_pairs():
+    """210 pairs (S, T): S a scrambled valid structure over cyclic(1..6)
+    or Klein of rank 1-4, T the same with one map mutated."""
+    rng = Random(2026)
+    pairs = []
+    for i in range(210):
+        G = klein() if i % 4 == 0 else cyclic(rng.randint(1, 6))
+        S0 = build_structure(random_certificate(rng, G, 4, -2, 2))
+        U = random_model_automorphism(rng, S0.conductor,
+                                      splitting_type(S0.bundle).degrees)
+        S = conjugate_structure(S0, U)
+        pairs.append((S, mutate_structure(rng, S)))
+    return pairs
+
+
+def test_decompose_rejects_exactly_the_invalid_mutations(mutated_pairs):
+    invalid = 0
+    for _, T in mutated_pairs:
+        problems = validation_report(T)
+        if problems:
+            invalid += 1
+            with pytest.raises(InvalidStructure) as exc:
+                decompose(T)
+            assert str(exc.value) == problems[0]
+        else:
+            assert verify_certificate(decompose(T), T)
+    assert 100 <= invalid <= len(mutated_pairs) - 20
+
+
+def test_equivalence_rejects_exactly_the_invalid_mutations(mutated_pairs):
+    for S, T in mutated_pairs:
+        if validation_report(T):
+            for pair in ((S, T), (T, S)):
+                with pytest.raises(InvalidStructure):
+                    structures_equivalent(*pair)
+        else:
+            same = decompose(S).block_data() == decompose(T).block_data()
+            assert structures_equivalent(S, T) == same == structures_equivalent(T, S)
+
+
+def test_lift_equivalence_still_validates_the_signed_maps():
+    S = canonical_klein_lift(2)
+    maps = dict(S.maps)
+    maps["-A1"] = maps["-A1"].scale(3)
+    bad = EquivariantStructure(S.bundle, S.group, maps)
+    # descending drops -A1, so no check after it could see the fault
+    assert descend_lift(bad) == descend_lift(S)
+    for pair in ((bad, S), (S, bad)):
+        with pytest.raises(InvalidStructure, match="cocycle fails"):
+            structures_equivalent(*pair)
+
+
+def _two_character_structure():
+    chi = characters(cyclic(3))[1]
+    return direct_sum_structures(twist_by_character(canonical_cyclic(3, 0), chi),
+                                 canonical_cyclic(3, 0))
+
+
+def test_decompose_reports_a_wrong_basis_as_a_bug(monkeypatch):
+    real = classify.rep_decompose
+
+    def reversed_basis(rho):
+        eig = real(rho)
+        return [(chi, v) for (chi, _), (_, v) in zip(eig, reversed(eig))]
+
+    monkeypatch.setattr(classify, "rep_decompose", reversed_basis)
+    with pytest.raises(InternalInconsistency, match="non-verifying certificate"):
+        decompose(_two_character_structure())
+
+
+def test_decompose_re_raises_a_stage_failure_on_valid_input(monkeypatch):
+    def fail(R, d):
+        raise FactorizationFailure("planted stage failure")
+
+    monkeypatch.setattr(classify, "extract_residual_rep", fail)
+    with pytest.raises(FactorizationFailure, match="planted stage failure"):
+        decompose(canonical_klein_pair(-1))
+
+
+def test_success_path_runs_no_validation(monkeypatch):
+    calls = []
+    real = equivariant.validation_report
+
+    def counted(S):
+        calls.append(S)
+        return real(S)
+
+    monkeypatch.setattr(equivariant, "validation_report", counted)
+    S = _two_character_structure()
+    assert verify_certificate(decompose(S), S)
+    T = twist_by_character(S, characters(cyclic(3))[2])
+    assert not structures_equivalent(S, T)
+    assert structures_equivalent(S, S)
+    assert calls == []
+    # the counter sees the validation that a failure triggers
+    maps = dict(S.maps)
+    maps["g"] = maps["g"].scale(2)
+    with pytest.raises(InvalidStructure):
+        decompose(EquivariantStructure(S.bundle, S.group, maps))
+    assert len(calls) == 1
 
 
 def test_build_structure_blocks():

@@ -8,18 +8,18 @@ from random import Random
 import pytest
 
 import eqbundles
-from eqbundles.bundle import make_bundle, splitting_type
-from eqbundles.classify import build_structure, decompose
+from eqbundles.bundle import make_bundle
 from eqbundles.cli import main
 from eqbundles.cyclotomic import MAX_CONDUCTOR
-from eqbundles.equivariant import (canonical_klein_pair, canonical_structure,
-                                   canonical_tangent, conjugate_structure,
-                                   validate_structure)
+from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
+                                   canonical_klein_pair, canonical_structure,
+                                   canonical_tangent, direct_sum_structures,
+                                   twist_by_character, validate_structure,
+                                   validation_report)
 from eqbundles.errors import ParseError, ValidationError
-from eqbundles.group import cyclic, klein
+from eqbundles.group import characters, cyclic, klein
 from eqbundles.laurent import MAX_EXPONENT
-from eqbundles.randgen import (planted_bundle, random_certificate,
-                               random_model_automorphism)
+from eqbundles.randgen import planted_bundle, random_certificate
 from eqbundles.serialize import (MAX_RANK, bundle_from_doc, parse_bundle_shortcut,
                                  parse_character_shortcut, parse_document,
                                  parse_group_shortcut, render_document)
@@ -243,6 +243,49 @@ def test_cli_verify_cert_rejects_a_lift_structure(tmp_path, capsys):
                                     "describe genuine structures")
 
 
+def test_cli_invalid_structure_names_the_failed_check(tmp_path, capsys):
+    S = canonical_tangent()
+    maps = dict(S.maps)
+    maps["a2"] = maps["a2"].scale(2)
+    bad = EquivariantStructure(S.bundle, S.group, maps)
+    first = validation_report(bad)[0]
+    assert first.startswith("cocycle fails on (") and "'a2'" in first
+    s_path, bad_path, c_path = (tmp_path / f for f in ("s.json", "bad.json", "c.json"))
+    s_path.write_text(render_document(S))
+    bad_path.write_text(render_document(bad))
+    assert main(["decompose", str(s_path), "--out", str(c_path)]) == 0
+    capsys.readouterr()
+    for argv in (["decompose", str(bad_path)],
+                 ["equivalent", str(bad_path), str(s_path)],
+                 ["equivalent", str(s_path), str(bad_path)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: InvalidStructure: {first}\n"
+    # a certificate that does not replay is a mathematical falsity
+    assert main(["verify-cert", "--cert", str(c_path),
+                 "--structure", str(bad_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("fail: conjugated built structure differs at 'a2'")
+
+
+def test_cli_decompose_names_a_bug_as_internal_inconsistency(
+        tmp_path, capsys, monkeypatch):
+    import eqbundles.classify as classify
+    real = classify.rep_decompose
+    monkeypatch.setattr(classify, "rep_decompose",
+                        lambda rho: [(chi, v) for (chi, _), (_, v)
+                                     in zip(real(rho), reversed(real(rho)))])
+    chi = characters(cyclic(3))[1]
+    S = direct_sum_structures(twist_by_character(canonical_cyclic(3, 0), chi),
+                              canonical_cyclic(3, 0))
+    path = tmp_path / "s.json"
+    path.write_text(render_document(S))
+    assert main(["decompose", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: InternalInconsistency: decompose produced "
+                          "a non-verifying certificate")
+
+
 def test_cli_twist_char(tmp_path, capsys):
     s_path = tmp_path / "s.json"
     t_path = tmp_path / "t.json"
@@ -438,14 +481,14 @@ def test_cli_canonical_lift_rejects_other_targets(capsys, group, target):
         "error: lift structures are single Klein line bundles\n"
 
 
-def test_cli_decompose_ignores_seed(tmp_path):
-    S0 = build_structure(random_certificate(Random(8), klein(), 4, -3, 3))
-    U = random_model_automorphism(Random(9), 4, splitting_type(S0.bundle).degrees)
-    s, a, b = (tmp_path / name for name in ("s.json", "a.json", "b.json"))
-    s.write_text(render_document(conjugate_structure(S0, U)))
-    assert main(["decompose", str(s), "--seed", "5", "--out", str(a)]) == 0
-    assert main(["decompose", str(s), "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("argv", [["decompose", "s.json", "--seed", "5"],
+                                  ["equivalent", "s.json", "s.json", "--seed", "5"]],
+                         ids=["decompose", "equivalent"])
+def test_cli_seed_is_not_an_option_of_exact_commands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_cli_equivalent_exit_codes(tmp_path, capsys):
@@ -456,9 +499,9 @@ def test_cli_equivalent_exit_codes(tmp_path, capsys):
     assert main(["twist-char", str(s_path), "--char=-+",
                  "--out", str(t_path)]) == 0
     capsys.readouterr()
-    assert main(["equivalent", str(s_path), str(t_path), "--seed", "5"]) == 1
+    assert main(["equivalent", str(s_path), str(t_path)]) == 1
     assert capsys.readouterr().out == "not equivalent\n"
-    assert main(["equivalent", str(s_path), str(s_path), "--seed", "5"]) == 0
+    assert main(["equivalent", str(s_path), str(s_path)]) == 0
     assert capsys.readouterr().out == "equivalent\n"
 
 
