@@ -126,14 +126,16 @@ def hom(E: VectorBundle, F: VectorBundle) -> VectorBundle:
     return VectorBundle(t, _inverse=inv, _det_unit=(det_c, det_e))
 
 
-def direct_sum(E: VectorBundle, F: VectorBundle) -> VectorBundle:
-    if E.conductor != F.conductor:
+def direct_sum(*bundles: VectorBundle) -> VectorBundle:
+    """E_1 + ... + E_n in one block-diagonal pass."""
+    if len({E.conductor for E in bundles}) != 1:
         raise ConductorMismatch("direct sum of bundles over different conductors")
-    t = LaurentMatrix.block_diag([E.transition, F.transition])
-    inv = LaurentMatrix.block_diag([E.inverse_transition(), F.inverse_transition()])
-    cE, eE = E._det_unit
-    cF, eF = F._det_unit
-    return VectorBundle(t, _inverse=inv, _det_unit=(cE * cF, eE + eF))
+    t = LaurentMatrix.block_diag([E.transition for E in bundles])
+    inv = LaurentMatrix.block_diag([E.inverse_transition() for E in bundles])
+    c, e = bundles[0]._det_unit
+    for E in bundles[1:]:
+        c, e = c * E._det_unit[0], e + E._det_unit[1]
+    return VectorBundle(t, _inverse=inv, _det_unit=(c, e))
 
 
 def embed_bundle(E: VectorBundle, conductor: int) -> VectorBundle:

@@ -323,10 +323,7 @@ def build_structure(cert: DecompositionCertificate,
             base = (canonical_cyclic(G.n, d) if G.kind == "cyclic"
                     else canonical_klein_even(d))
             parts.append(twist_by_character(base, chi))
-    built = parts[0]
-    for p in parts[1:]:
-        built = direct_sum_structures(built, p)
-    built = embed_structure(built, cert.conductor)
+    built = embed_structure(direct_sum_structures(*parts), cert.conductor)
     if target is None:
         return built
     if target.rank != cert.rank:

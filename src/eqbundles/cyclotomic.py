@@ -235,6 +235,13 @@ class CycNum:
         if other is None:
             return NotImplemented
         a, b = self._num, other._num
+        # A factor of exactly +-1 gives the other operand or its negation,
+        # already canonical, with no product, fold or gcd.  Most factors
+        # on the classification path are +-1: Klein maps are monomial.
+        if other._den == 1 and b[0] in (1, -1) and not any(b[1:]):
+            return self if b[0] == 1 else -self
+        if self._den == 1 and a[0] in (1, -1) and not any(a[1:]):
+            return other if a[0] == 1 else -other
         den = self._den * other._den
         if len(a) == 1:
             return _canonical(self.conductor, (a[0] * b[0],), den)

@@ -230,10 +230,7 @@ def canonical_structure(G: GroupSpec, degrees, lift: bool = False) -> Equivarian
             raise ValidationError("lift structures are single Klein line bundles")
         return canonical_klein_lift(degrees[0])
     if G.kind == "cyclic":
-        out = canonical_cyclic(G.n, degrees[0])
-        for d in degrees[1:]:
-            out = direct_sum_structures(out, canonical_cyclic(G.n, d))
-        return out
+        return direct_sum_structures(*(canonical_cyclic(G.n, d) for d in degrees))
     blocks = []
     i = 0
     while i < len(degrees):
@@ -248,20 +245,18 @@ def canonical_structure(G: GroupSpec, degrees, lift: bool = False) -> Equivarian
                     "must come in pairs")
             blocks.append(canonical_klein_pair(d))
             i += 2
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = direct_sum_structures(out, b)
-    return out
+    return direct_sum_structures(*blocks)
 
 
-def direct_sum_structures(S1: EquivariantStructure,
-                          S2: EquivariantStructure) -> EquivariantStructure:
-    if S1.group != S2.group:
+def direct_sum_structures(*parts: EquivariantStructure) -> EquivariantStructure:
+    """S_1 + ... + S_n in one block-diagonal pass per map."""
+    group = parts[0].group
+    if any(S.group != group for S in parts):
         raise NotComparable("direct sum needs the same group and kind")
-    bundle = direct_sum(S1.bundle, S2.bundle)
-    maps = {name: LaurentMatrix.block_diag([S1.maps[name], S2.maps[name]])
-            for name in S1.maps}
-    return EquivariantStructure(bundle, S1.group, maps)
+    bundle = direct_sum(*(S.bundle for S in parts))
+    maps = {name: LaurentMatrix.block_diag([S.maps[name] for S in parts])
+            for name in parts[0].maps}
+    return EquivariantStructure(bundle, group, maps)
 
 
 def embed_structure(S: EquivariantStructure, conductor: int) -> EquivariantStructure:

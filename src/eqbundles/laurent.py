@@ -4,13 +4,16 @@ A Laurent polynomial is a sparse map {exponent: CycNum} with no stored
 zeros; the empty map is zero.  Matrices are immutable row-major grids of
 Laurent polynomials.  The public constructors check their input; every
 operation keeps the invariant itself, returns through the trusted
-`_poly` or `_matrix`, and works only where entries are nonzero.  One
-fraction-free Gauss-Jordan elimination of [A | I] gives both det A and
-the adjugate; the inverse is the adjugate divided by a unit-monomial
-determinant, which is exactly the invertibility condition for transition
-matrices on the two-chart projective line.  The same elimination run on
-A alone gives det A without the adjugate, which is all that `det` and
-the unimodularity check `det_unit` need.
+`_poly` or `_matrix`, and works only where entries are nonzero: the
+matrix product builds row i as the sum of a_ik times row k of B over the
+nonzero a_ik and the nonzero entries of B (Gustavson 1978), so an entry
+no term reaches is never computed.  One fraction-free Gauss-Jordan
+elimination of [A | I] gives both det A and the adjugate; the inverse is
+the adjugate divided by a unit-monomial determinant, which is exactly the
+invertibility condition for transition matrices on the two-chart
+projective line.  The same elimination run on A alone gives det A
+without the adjugate, which is all that `det` and the unimodularity
+check `det_unit` need.
 """
 
 from __future__ import annotations
@@ -255,9 +258,11 @@ def _power_table(c: CycNum, conductor: int, exponents):
 
 def _substituted(p: LaurentPoly, table, e: int) -> LaurentPoly:
     """p(c*z^e) from the power table of c; k -> e*k is one to one and
-    c^k != 0, so no two terms meet and none vanishes."""
+    c^k != 0, so no two terms meet and none vanishes; zero passes through."""
+    if not p.coeffs or (table is None and e == 1):
+        return p
     if table is None:
-        return p if e == 1 else _poly(p.conductor, {-k: v for k, v in p.coeffs.items()})
+        return _poly(p.conductor, {-k: v for k, v in p.coeffs.items()})
     return _poly(p.conductor, {e * k: v * table[k] for k, v in p.coeffs.items()})
 
 
@@ -312,28 +317,37 @@ class LaurentMatrix:
     # -- algebra ----------------------------------------------------------------
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} cols vs {other.rows} rows")
         if self.conductor != other.conductor:
             raise ConductorMismatch(f"conductor {self.conductor} vs {other.conductor}")
-        # each entry accumulates into one dict over k, skipping zero factors
-        cols = [[b.coeffs for b in col] for col in zip(*other.entries)]
+        # row i of the product is the sum of a_ik * (row k of B) over the
+        # nonzero a_ik (Gustavson 1978); entries no term reaches stay zero
+        b_rows = [[(j, b.coeffs) for j, b in enumerate(row) if b.coeffs]
+                  for row in other.entries]
+        zero = _poly(self.conductor, {})
         out = []
         for row in self.entries:
-            terms = [(k, a.coeffs) for k, a in enumerate(row) if a.coeffs]
-            out_row = []
-            for col in cols:
-                acc = {}
-                for k, ac in terms:
-                    bc = col[k]
-                    for e1, c1 in ac.items():
+            accs = {}
+            for k, a in enumerate(row):
+                if not a.coeffs:
+                    continue
+                for j, bc in b_rows[k]:
+                    acc = accs.get(j)
+                    if acc is None:
+                        acc = accs[j] = {}
+                    for e1, c1 in a.coeffs.items():
                         for e2, c2 in bc.items():
                             e = e1 + e2
                             p = c1 * c2
                             cur = acc.get(e)
                             acc[e] = p if cur is None else cur + p
-                out_row.append(_poly(self.conductor, {
-                    e: c for e, c in acc.items() if not c.is_zero()}))
+            out_row = [zero] * other.cols
+            for j, acc in accs.items():
+                out_row[j] = _poly(self.conductor, {
+                    e: c for e, c in acc.items() if not c.is_zero()})
             out.append(out_row)
         return _matrix(self.conductor, out)
 
@@ -395,18 +409,17 @@ class LaurentMatrix:
     def block_diag(cls, blocks) -> "LaurentMatrix":
         blocks = list(blocks)
         conductor = blocks[0].conductor
-        n = sum(b.rows for b in blocks)
         m = sum(b.cols for b in blocks)
-        zero = LaurentPoly.zero(conductor)
-        grid = [[zero] * m for _ in range(n)]
-        i0 = j0 = 0
+        if any(b.conductor != conductor for b in blocks):
+            raise ConductorMismatch("block_diag of blocks over different conductors")
+        zero = _poly(conductor, {})
+        grid = []
+        j0 = 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    grid[i0 + i][j0 + j] = b.entries[i][j]
-            i0 += b.rows
+            left, right = [zero] * j0, [zero] * (m - j0 - b.cols)
+            grid += [left + list(row) + right for row in b.entries]
             j0 += b.cols
-        return cls(conductor, grid)
+        return _matrix(conductor, grid)
 
     # -- determinant and inverse -------------------------------------------------
 
@@ -423,9 +436,8 @@ class LaurentMatrix:
         """adj(A) / det(A) by the elimination of [A | I]; NonUnimodular as
         in `det_unit`."""
         d, adj = _det_adjugate(self)
-        c, e = _unit(d)
-        cinv = c.inverse()
-        return adj._map(lambda p: _times_monomial(p, cinv, -e))
+        _unit(d)
+        return adj._map(_exact_divider(d))
 
     def eval_at_zero(self):
         """Constant-term grid of CycNum if no entry has a negative exponent, else None."""
@@ -469,6 +481,18 @@ def _unit(d: LaurentPoly):
     return um
 
 
+def _exact_divider(d: LaurentPoly):
+    """x -> x / d for quotients known to be exact.  A unit monomial c*z^e
+    has c inverted once for every call; any other d falls back to
+    `divexact`'s long division."""
+    um = d.unit_monomial()
+    if um is None:
+        return lambda x: x.divexact(d)
+    c, e = um
+    cinv = c.inverse()
+    return lambda x: _times_monomial(x, cinv, -e)
+
+
 def _det_adjugate(a: LaurentMatrix, adjugate: bool = True):
     """(det A, adj A) by one fraction-free Gauss-Jordan pass over [A | I];
     with adjugate=False, (det A, None) by the same pass over A alone.
@@ -488,7 +512,9 @@ def _det_adjugate(a: LaurentMatrix, adjugate: bool = True):
     entries stay zero, and the row stays as it is when p_k = p_(k-1).
     With pivot_row[j] = 0 it is the first term alone, with row[j] = 0 the
     second alone.  Each skipped update would have computed exactly the
-    value it leaves, so every entry is still the same minor.
+    value it leaves, so every entry is still the same minor.  The divisor
+    p_(k-1) is most often a unit monomial, whose coefficient is inverted
+    once per step rather than once per entry.
     """
     if a.rows != a.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
@@ -509,6 +535,7 @@ def _det_adjugate(a: LaurentMatrix, adjugate: bool = True):
         pivot_row = m[k]
         pivot = pivot_row[k]
         rescale = pivot != prev
+        div = _exact_divider(prev)
         for i, row in enumerate(m):
             f = row[k]
             if i == k or not (f.coeffs or rescale):
@@ -518,11 +545,11 @@ def _det_adjugate(a: LaurentMatrix, adjugate: bool = True):
                 x, y = row[j], pivot_row[j]
                 if not (f.coeffs and y.coeffs):
                     if x.coeffs and rescale:
-                        row[j] = (pivot * x).divexact(prev)
+                        row[j] = div(pivot * x)
                 elif not x.coeffs:
-                    row[j] = (neg_f * y).divexact(prev)
+                    row[j] = div(neg_f * y)
                 else:
-                    row[j] = (pivot * x + neg_f * y).divexact(prev)
+                    row[j] = div(pivot * x + neg_f * y)
         prev = pivot
     det = -prev if sign < 0 else prev
     if not adjugate:

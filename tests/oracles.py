@@ -9,6 +9,7 @@ forward elimination with the bound -min exp(T^-1).  Determinants come from cofac
 elimination.  The cocycle oracle checks every pair of group elements
 instead of the generator pairs that validation uses, and it multiplies
 Klein lift elements as 2x2 matrices instead of by the sign rule.
+Matrix products visit every (i, j, k) instead of the nonzero entries.
 Cyclotomic
 products use Fraction coefficients and long division by a Phi_m built
 from the Moebius formula, instead of integer numerators and a fold table.
@@ -20,7 +21,7 @@ from functools import lru_cache
 from eqbundles.bundle import twist
 from eqbundles.cyclotomic import CycNum
 from eqbundles.group import elements, multiply
-from eqbundles.laurent import LaurentPoly
+from eqbundles.laurent import LaurentMatrix, LaurentPoly
 from eqbundles.linalg import identity_const, mat_mul_const
 
 
@@ -119,6 +120,22 @@ def h0_by_section_system(E):
             inv = row[min(row)].inverse()
             pivots[min(row)] = {v: c * inv for v, c in row.items()}
     return r * (bound + 1) - len(pivots)
+
+
+def dense_matmul(A, B):
+    """A @ B by the dense triple loop: every entry sums a_ik * b_kj over
+    every k, zero factors included."""
+    zero = LaurentPoly.zero(A.conductor)
+    out = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            acc = zero
+            for k in range(A.cols):
+                acc = acc + A.entries[i][k] * B.entries[k][j]
+            row.append(acc)
+        out.append(row)
+    return LaurentMatrix(A.conductor, out)
 
 
 def det_cofactor(entries, conductor):

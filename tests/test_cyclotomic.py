@@ -180,6 +180,36 @@ def test_product_matches_fraction_reference(data):
     assert product._den > 0 and gcd(product._den, *product._num) == 1
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_unit_factor_matches_general_product(data):
+    """A factor of +-1 takes the short path in both operand orders, as a
+    CycNum, an int or a Fraction; the result is the reference product."""
+    m = data.draw(st.sampled_from([1, 4, 12]))
+    a = data.draw(cycnums(conductor=m))
+    if data.draw(st.booleans()):
+        a = a / data.draw(st.sampled_from([3, 5]))  # a denominator other than 1
+    s = data.draw(st.sampled_from([1, -1]))
+    ref = cyclotomic_product_reference(m, a.coeffs, (s,))
+    for u in (CycNum.rational(m, s), s, Fraction(s)):
+        for product in (a * u, u * a):
+            assert isinstance(product, CycNum)
+            assert product.coeffs == ref
+            assert product == a * CycNum.rational(m, 2 * s) / 2
+            assert product._den > 0 and gcd(product._den, *product._num) == 1
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_unit_factor_still_checks_the_conductor(s):
+    for a, b in ((CycNum.rational(4, s), primitive_root(3)),
+                 (CycNum.rational(4, s), CycNum.rational(12, s)),
+                 (primitive_root(12), CycNum.rational(4, s))):
+        with pytest.raises(ConductorMismatch):
+            a * b
+        with pytest.raises(ConductorMismatch):
+            b * a
+
+
 def test_canonical_form_equal_values_compare_and_hash_equal():
     pairs = [
         (CycNum(4, [Fraction(2, 4), Fraction(1, 2)]),

@@ -1,9 +1,11 @@
+from functools import reduce
 from itertools import product
 from random import Random
 
 import pytest
 
-from eqbundles.bundle import h0, hom, line_bundle, model_bundle
+from eqbundles.bundle import (direct_sum, h0, hom, line_bundle, make_bundle,
+                             model_bundle)
 from eqbundles.classify import build_structure
 from eqbundles.cyclotomic import CycNum, root_of_unity
 from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
@@ -13,13 +15,16 @@ from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
                                    central_sign, conjugate_structure,
                                    descend_lift, direct_sum_structures,
                                    existence, is_bundle_map, structure_quotient,
-                                   structures_equivalent, twist_by_character,
-                                   validate_structure, validation_report)
-from eqbundles.errors import MissingElement, NoSuchStructure, NotComparable
+                                   structures_equivalent, transport_structure,
+                                   twist_by_character, validate_structure,
+                                   validation_report)
+from eqbundles.errors import (ConductorMismatch, MissingElement, NoSuchStructure,
+                              NotComparable)
 from eqbundles.group import (Character, characters, cyclic, element_by_name, elements,
                              klein, klein_lift)
 from eqbundles.laurent import LaurentMatrix, LaurentPoly
-from eqbundles.randgen import random_certificate, random_model_automorphism
+from eqbundles.randgen import (random_certificate, random_model_automorphism,
+                               random_unimodular)
 
 from conftest import M
 from oracles import full_cocycle_table
@@ -444,6 +449,48 @@ def test_rank_two_split_structures():
     plus_plus = with_signs(1, 1)
     assert structures_equivalent(plus_minus, minus_plus)  # swap conjugates them
     assert not structures_equivalent(plus_minus, plus_plus)
+
+
+def _assert_same_structure(S, T):
+    assert S.group == T.group and S.maps == T.maps
+    assert S.bundle.transition == T.bundle.transition
+    assert S.bundle.inverse_transition() == T.bundle.inverse_transition()
+    assert S.bundle.degree() == T.bundle.degree()
+    assert S.bundle._det_unit == T.bundle._det_unit
+
+
+def _moved(S, seed):
+    """S moved onto a planted frame P*T*Q, so that its transition and
+    inverse are not diagonal and det T has a coefficient other than 1."""
+    rng, m, r = Random(seed), S.conductor, S.bundle.rank
+    P = random_unimodular(rng, m, r, var_sign=1, ops=2)
+    Q = random_unimodular(rng, m, r, var_sign=-1, ops=2).scale(seed + 2)
+    return transport_structure(S, P, make_bundle(P @ S.bundle.transition @ Q))
+
+
+def test_direct_sum_of_many_parts_equals_the_pairwise_fold():
+    chars3, chars_k = characters(cyclic(3)), characters(klein())
+    families = [
+        [twist_by_character(canonical_cyclic(3, d), chars3[k])
+         for d, k in ((2, 1), (0, 0), (-1, 2), (-3, 1))],
+        [canonical_klein_even(2), twist_by_character(canonical_klein_pair(-1), chars_k[3]),
+         twist_by_character(canonical_klein_even(0), chars_k[1]), canonical_klein_pair(1)],
+        [canonical_klein_lift(1), canonical_klein_lift(-1), canonical_klein_lift(3)],
+    ]
+    families.append([_moved(S, seed) for seed, S in enumerate(families[1])])
+    for parts in families:
+        for n in range(1, len(parts) + 1):
+            S = direct_sum_structures(*parts[:n])
+            _assert_same_structure(S, reduce(direct_sum_structures, parts[:n]))
+            assert S.bundle.rank == sum(P.bundle.rank for P in parts[:n])
+            assert S.bundle._det_unit == S.bundle.transition.det_unit()
+            assert S.bundle.inverse_transition() == S.bundle.transition.inverse()
+            assert validate_structure(S)
+    with pytest.raises(NotComparable):
+        direct_sum_structures(canonical_klein_even(0), canonical_klein_even(2),
+                              canonical_klein_lift(0))
+    with pytest.raises(ConductorMismatch):
+        direct_sum(line_bundle(4, 0), line_bundle(4, 1), line_bundle(3, 0))
 
 
 # The expected answers below agree with the seeded intertwiner search

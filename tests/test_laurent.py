@@ -12,7 +12,7 @@ from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix,
 from eqbundles.randgen import random_poly, random_unimodular, random_unit
 
 from conftest import L, M
-from oracles import det_cofactor
+from oracles import dense_matmul, det_cofactor
 
 
 @st.composite
@@ -276,6 +276,91 @@ def test_trusted_results_keep_the_invariant(data):
     for r in results:
         _assert_trusted(r, m)
     assert (a - a).coeffs == {} and (A - A).entries == ((LaurentPoly.zero(m),) * 2,) * 2
+
+
+@st.composite
+def sparse_matrices(draw, m, rows, cols):
+    """Entries at density 0.2, 0.5 or 0.9 with small integer coefficients
+    (many of them +-1), and sometimes an all-zero row, an all-zero column
+    or the zero matrix."""
+    coeff = st.lists(st.integers(-2, 2), min_size=euler_phi(m), max_size=euler_phi(m))
+    entry = st.dictionaries(st.integers(-2, 2), coeff.map(lambda c: CycNum(m, c)),
+                            min_size=1, max_size=2).map(lambda d: LaurentPoly(m, d))
+    zero = LaurentPoly.zero(m)
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    grid = [[draw(entry) if rnd.random() < density else zero for _ in range(cols)]
+            for _ in range(rows)]
+    blank = draw(st.sampled_from(["none", "row", "col", "all"]))
+    if blank == "row":
+        grid[draw(st.integers(0, rows - 1))] = [zero] * cols
+    elif blank == "col":
+        j = draw(st.integers(0, cols - 1))
+        for row in grid:
+            row[j] = zero
+    elif blank == "all":
+        grid = [[zero] * cols for _ in range(rows)]
+    return LaurentMatrix(m, grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sparse_matmul_matches_dense_triple_loop(data):
+    m = data.draw(st.sampled_from([1, 4, 12]))
+    r, k, c = (data.draw(st.integers(1, 6)) for _ in range(3))
+    A = data.draw(sparse_matrices(m, r, k))
+    B = data.draw(sparse_matrices(m, k, c))
+    P = A @ B
+    assert (P.rows, P.cols, P.conductor) == (r, c, m)
+    assert P == dense_matmul(A, B)
+    for row in P.entries:
+        for p in row:
+            _assert_trusted(p, m)
+
+
+def test_matmul_rejects_other_operands():
+    A = M([["z", "1"], ["0", "z"]])
+    for other in (2, L("z"), [[1, 0], [0, 1]]):
+        with pytest.raises(TypeError):
+            A @ other
+        with pytest.raises(TypeError):
+            other @ A
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matrix_substitute_keeps_zeros_and_matches_entries(data):
+    m = data.draw(st.sampled_from([1, 4, 12]))
+    A = data.draw(sparse_matrices(m, data.draw(st.integers(1, 4)),
+                                  data.draw(st.integers(1, 4))))
+    c = root_of_unity(m, data.draw(st.integers(0, m - 1)))
+    c = c * data.draw(st.sampled_from([1, -1, 2]))
+    e = data.draw(st.sampled_from([1, -1]))
+    S = A.substitute(c, e)
+    for row, srow in zip(A.entries, S.entries):
+        for p, q in zip(row, srow):
+            assert q == p.substitute(c, e)
+            assert q.is_zero() == p.is_zero()
+
+
+def test_det_adjugate_falls_back_to_long_division(monkeypatch):
+    """[[1+z, 1], [1, 1]] has det z, but step 1 divides by the first pivot
+    1+z, which is not a unit monomial."""
+    divisors = []
+    divexact = LaurentPoly.divexact
+
+    def spy(self, other):
+        divisors.append(other)
+        return divexact(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "divexact", spy)
+    A = M([["1+z", "1"], ["1", "1"]])
+    d, _ = _det_adjugate(A)
+    assert d == L("z") == det_cofactor(A.entries, 1)
+    assert divisors and all(q == L("1+z") for q in divisors)
+    inv = A.inverse()
+    assert inv == M([["z^-1", "-z^-1"], ["-z^-1", "1+z^-1"]])
+    assert A @ inv == LaurentMatrix.identity(1, 2) == inv @ A
 
 
 @pytest.mark.parametrize("p", ["0", "z^2+1"])
