@@ -85,7 +85,7 @@ def roundtrip_run(seed, count, max_rank):
     rng, mutations = Random(seed), Random(~seed)
     good = judged = invalid = 0
     for i in range(count):
-        G = klein() if i % 2 == 0 else cyclic(rng.randint(1, 4))
+        G = klein() if i % 2 == 0 else cyclic(rng.randint(1, 12))
         cert = random_certificate(rng, G, max_rank, -3, 3)
         S0 = build_structure(cert)
         U = random_model_automorphism(rng, S0.conductor,

@@ -10,8 +10,9 @@ Conventions, fixed once for the whole package:
 
 The splitting type and the model isomorphism onto diag(z^(d_j)) both
 come from one column reduction of the transition over C[w], w = 1/z,
-which gives the Birkhoff factorization T*U = A(z)*z^D; two
-chart-regularity checks certify the frame.  Global sections are the
+which gives the Birkhoff factorization T*U = A(z)*z^D; in
+`model_isomorphism` and `global_sections`, two chart-regularity checks
+certify the frame.  Global sections are the
 frame applied to the monomial sections of the model, so no linear
 system over section coefficients is ever built.
 
@@ -238,7 +239,9 @@ def hn_data(E: VectorBundle) -> HNData:
 
 @dataclass(frozen=True)
 class ModelIso:
-    """psi: diag(z^(d_j)) -> E, certified regular and invertible on both charts."""
+    """psi: diag(z^(d_j)) -> E.  `model_isomorphism` certifies psi regular
+    and invertible on both charts; a ModelIso built by hand, as
+    `decompose` does from `column_frame`, carries no such guarantee."""
     model: SplittingType
     psi: LaurentMatrix
     bundle: VectorBundle
@@ -256,13 +259,21 @@ def model_isomorphism(E: VectorBundle) -> ModelIso:
     return ModelIso(model=st, psi=psi, bundle=E)
 
 
-def _frame(E):
-    """(splitting type, psi, U = E^-1 * psi * z^D), certified."""
+def column_frame(E: VectorBundle):
+    """(splitting type, psi) straight from the column reduction, with no
+    chart certificate; `decompose` replays the certificates of the frame
+    it builds from psi, and `model_isomorphism` certifies psi itself."""
     deltas, cols = _reduce_columns(E.transition)
     order = sorted(range(E.rank), key=deltas.__getitem__)
     st = SplittingType(tuple(-deltas[j] for j in order))
     psi = LaurentMatrix(E.conductor, [[cols[j][i].shift(deltas[j]) for j in order]
                                       for i in range(E.rank)])
+    return st, psi
+
+
+def _frame(E):
+    """(splitting type, psi, U = E^-1 * psi * z^D), certified."""
+    st, psi = column_frame(E)
     U = _certify(E, st, psi)
     if U is None:
         raise InternalInconsistency("model isomorphism failed a chart certificate")

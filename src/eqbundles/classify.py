@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundle import ModelIso, chart_certificate, model_isomorphism
+from .bundle import ModelIso, chart_certificate, column_frame
 from .cyclotomic import CycNum
 from .errors import (EqBundlesError, FactorizationFailure, InternalInconsistency,
                      InvalidStructure, NotBlockDiagonalPart, RelationViolation,
@@ -230,6 +230,13 @@ def rep_decompose(rho: ResidualRep):
     holds their eigenvalues, and rho(A2), an involution anticommuting with
     the involution rho(A1), maps the +1 eigenspace onto the -1 one."""
     _check_rep_relations(rho)
+    return _split_rep(rho)
+
+
+def _split_rep(rho: ResidualRep):
+    """`rep_decompose` without the relation check.  On matrices that are
+    not a representation the vectors need not be a basis; `_classify`
+    checks their count and the certificate replay the rest."""
     cond, n = rho.conductor, rho.size
     G = rho.group
     if rho.mode == "klein_lift":
@@ -309,20 +316,23 @@ class DecompositionCertificate:
                 self.odd_blocks)
 
 
+def _canonical_block(G: GroupSpec, kind: str, d: int, chi) -> EquivariantStructure:
+    """One entry of `block_sequence`: the pair structure on O(d) + O(d)
+    for an odd Klein block, else the canonical line structure of degree d
+    twisted by chi."""
+    if kind == "odd":
+        return canonical_klein_pair(d)
+    base = canonical_cyclic(G.n, d) if G.kind == "cyclic" else canonical_klein_even(d)
+    return twist_by_character(base, chi)
+
+
 def build_structure(cert: DecompositionCertificate,
                     target=None) -> EquivariantStructure:
     """Assemble the direct sum of canonical blocks twisted per the
     certificate; with a target bundle, conjugate along the certificate's
     change of frame onto it."""
-    G = cert.group
-    parts = []
-    for kind, d, chi in cert.block_sequence():
-        if kind == "odd":
-            parts.append(canonical_klein_pair(d))
-        else:
-            base = (canonical_cyclic(G.n, d) if G.kind == "cyclic"
-                    else canonical_klein_even(d))
-            parts.append(twist_by_character(base, chi))
+    parts = [_canonical_block(cert.group, kind, d, chi)
+             for kind, d, chi in cert.block_sequence()]
     built = embed_structure(direct_sum_structures(*parts), cert.conductor)
     if target is None:
         return built
@@ -407,31 +417,36 @@ def decompose(S: EquivariantStructure) -> DecompositionCertificate:
 
 
 def _classify(S: EquivariantStructure) -> DecompositionCertificate:
-    """The pipeline of the module docstring; `decompose` checks its answer."""
-    iso = model_isomorphism(S.bundle)
-    N = pullback_structure(S, iso)
+    """The pipeline of the module docstring; `decompose` checks its answer.
+
+    No stage re-checks what the replay covers: the frame psi comes
+    without its chart certificates and the residual reps are split
+    without their relation check.  A degree block that splits into the
+    wrong number of vectors raises InternalInconsistency, so that bad
+    input still reaches `require_valid`."""
+    st, psi = column_frame(S.bundle)
+    N = pullback_structure(S, ModelIso(st, psi, S.bundle))
     R = block_diagonal_part(N)
     Sav = averaging_intertwiner(N, R)
     even_blocks = []
     odd_blocks = []
-    col_blocks = []
+    P_blocks = []
     for (d, start, stop) in _block_ranges(N.degrees):
         rr = extract_residual_rep(R, d)
+        split = _split_rep(rr)
         if rr.mode == "klein_lift":
-            pairs = rep_decompose(rr)
-            odd_blocks.extend([d] * len(pairs))
-            col_blocks.append([c for v, av in pairs for c in (av, v)])
+            odd_blocks.extend([d] * len(split))
+            cols = [c for v, av in split for c in (av, v)]
         else:
-            eig = rep_decompose(rr)
-            even_blocks.extend((d, chi) for chi, _ in eig)
-            col_blocks.append([v for _, v in eig])
-    P_blocks = []
-    for cols in col_blocks:
-        n = len(cols)
-        grid = [[cols[j][i] for j in range(n)] for i in range(n)]
-        P_blocks.append(LaurentMatrix.from_const(N.conductor, grid))
-    P = LaurentMatrix.block_diag(P_blocks)
-    frame = iso.psi @ Sav @ P
+            even_blocks.extend((d, chi) for chi, _ in split)
+            cols = [v for _, v in split]
+        if len(cols) != stop - start:
+            raise InternalInconsistency(
+                f"degree-{d} block of size {stop - start} split into "
+                f"{len(cols)} vectors")
+        # the vectors are the columns of the block
+        P_blocks.append(LaurentMatrix.from_const(N.conductor, zip(*cols)))
+    frame = psi @ Sav @ LaurentMatrix.block_diag(P_blocks)
     return DecompositionCertificate(group=S.group,
                                     even_blocks=tuple(even_blocks),
                                     odd_blocks=tuple(odd_blocks),

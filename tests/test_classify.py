@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from eqbundles import classify, equivariant
+from eqbundles import bundle, classify, equivariant
 from eqbundles.bundle import line_bundle, model_bundle, model_isomorphism, splitting_type
 from eqbundles.classify import (DecompositionCertificate, ModelStructure,
                                 ResidualRep, _check_rep_relations,
@@ -19,7 +19,8 @@ from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
                                    structures_equivalent, transport_structure,
                                    twist_by_character, validate_structure,
                                    validation_report)
-from eqbundles.errors import (FactorizationFailure, InternalInconsistency,
+from eqbundles.errors import (EqBundlesError, FactorizationFailure,
+                              InternalInconsistency,
                               InvalidStructure, NotBlockDiagonalPart,
                               RelationViolation)
 from eqbundles.group import characters, cyclic, elements, klein, multiply
@@ -346,6 +347,45 @@ def test_decompose_requires_validity():
         decompose(forged)
 
 
+def _non_representations():
+    """(structure, whether its block splits into the wrong number of
+    vectors): valid bundles and triangular pullbacks whose residual
+    constant matrices are not a representation."""
+    lift_count = EquivariantStructure(line_bundle(4, -1), klein(), {
+        "e": M([["1"]], 4), "a1": M([["1"]], 4),
+        "a2": M([["z"]], 4), "a1a2": M([["z"]], 4)})
+    unipotent = EquivariantStructure(model_bundle(2, [0, 0]), cyclic(2), {
+        "e": LaurentMatrix.identity(2, 2), "g": M([["1", "1"], ["0", "1"]], 2)})
+    right_count = EquivariantStructure(line_bundle(3, 0), cyclic(3), {
+        "e": M([["1"]], 3), "g": M([["1"]], 3), "g^2": M([["2"]], 3)})
+    return [(lift_count, True), (unipotent, True), (right_count, False)]
+
+
+@pytest.mark.parametrize("S, wrong_count", _non_representations(),
+                         ids=["lift_pairs", "unipotent", "right_count"])
+def test_decompose_names_the_first_failure_of_a_non_representation(S, wrong_count):
+    iso = model_isomorphism(S.bundle)
+    R = block_diagonal_part(pullback_structure(S, iso))
+    with pytest.raises(RelationViolation):
+        _check_rep_relations(extract_residual_rep(R, iso.model.degrees[0]))
+    if wrong_count:
+        with pytest.raises(InternalInconsistency, match="split into"):
+            classify._classify(S)
+    with pytest.raises(EqBundlesError) as exc:
+        decompose(S)
+    assert type(exc.value) is InvalidStructure
+    assert str(exc.value) == validation_report(S)[0]
+
+
+def test_decompose_reports_a_wrong_block_count_as_a_bug(monkeypatch):
+    real = classify._split_rep
+    monkeypatch.setattr(classify, "_split_rep", lambda rho: real(rho)[:-1])
+    with pytest.raises(InternalInconsistency,
+                       match="block of size 2 split into 1 vectors") as exc:
+        decompose(_two_character_structure())
+    assert type(exc.value) is InternalInconsistency
+
+
 # -- the trust model: the certificate replay is the only check on success ------------
 
 @pytest.fixture(scope="module")
@@ -408,13 +448,13 @@ def _two_character_structure():
 
 
 def test_decompose_reports_a_wrong_basis_as_a_bug(monkeypatch):
-    real = classify.rep_decompose
+    real = classify._split_rep
 
     def reversed_basis(rho):
         eig = real(rho)
         return [(chi, v) for (chi, _), (_, v) in zip(eig, reversed(eig))]
 
-    monkeypatch.setattr(classify, "rep_decompose", reversed_basis)
+    monkeypatch.setattr(classify, "_split_rep", reversed_basis)
     with pytest.raises(InternalInconsistency, match="non-verifying certificate"):
         decompose(_two_character_structure())
 
@@ -449,6 +489,30 @@ def test_success_path_runs_no_validation(monkeypatch):
     with pytest.raises(InvalidStructure):
         decompose(EquivariantStructure(S.bundle, S.group, maps))
     assert len(calls) == 1
+
+
+def test_decompose_success_path_replays_no_stage_check(monkeypatch):
+    """On success the certificate replay is the only check: no chart
+    certificate of the frame, no relation check of a residual rep."""
+    calls = []
+    for module, name in ((bundle, "_certify"), (classify, "_check_rep_relations")):
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for S in (_two_character_structure(), canonical_klein_pair(-1),
+              direct_sum_structures(canonical_klein_pair(1),
+                                    canonical_klein_even(2))):
+        assert verify_certificate(decompose(S), S)
+    assert calls == []
+    # the counters see the checks that the public stages still run
+    S = _two_character_structure()
+    R = block_diagonal_part(pullback_structure(S, model_isomorphism(S.bundle)))
+    rep_decompose(extract_residual_rep(R, 0))
+    assert calls == ["_certify", "_check_rep_relations"]
 
 
 def test_build_structure_blocks():
