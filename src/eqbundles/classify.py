@@ -17,7 +17,10 @@ Order of battle for a genuine structure S on a bundle E:
 
 The certificate records the block data plus the composite change of
 frame; `verify_certificate` replays it exactly.  That replay is the one
-check `decompose` makes, and S is not validated first.
+check `decompose` makes, and S is not validated first.  It reads the
+canonical model's maps and its bundle diag(z^d) off the block data, from
+`equivariant.canonical_monomials`, the one table of canonical blocks;
+no canonical structure is assembled for it.
 """
 
 from __future__ import annotations
@@ -25,16 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundle import ModelIso, chart_certificate, column_frame
+from .bundle import ModelIso, chart_certificate, column_frame, model_bundle
 from .cyclotomic import CycNum
 from .errors import (EqBundlesError, FactorizationFailure, InternalInconsistency,
                      InvalidStructure, NotBlockDiagonalPart, RelationViolation,
                      ShapeMismatch, TriangularityViolation)
-from .equivariant import (EquivariantStructure, GroupIndexed, canonical_cyclic,
-                          canonical_klein_even, canonical_klein_lift,
-                          canonical_klein_pair, direct_sum_structures,
-                          embed_structure, require_valid, transport_structure,
-                          twist_by_character)
+from .equivariant import (EquivariantStructure, GroupIndexed, canonical_monomials,
+                          monomial_maps, require_valid, transport_structure)
 from .group import (Character, GroupSpec, characters, elements, generators, identity,
                     inverse, klein_lift, multiply)
 from .laurent import LaurentMatrix, LaurentPoly
@@ -154,11 +154,11 @@ _LIFT_REPRESENTATIVE = {"e": "I", "a1": "A1", "a2": "A2", "a1a2": "A1A2"}
 
 def reference_scalars(G: GroupSpec, d: int, conductor: int):
     """The fixed reference scalar cocycle on O(d): the canonical cyclic,
-    Klein-even, or Klein-lift line structure, as 1x1 Laurent polynomials."""
-    src = (canonical_cyclic(G.n, d) if G.kind == "cyclic"
-           else canonical_klein_even(d) if d % 2 == 0 else canonical_klein_lift(d))
-    return {name: mat.entries[0][0].embed(conductor)
-            for name, mat in src.maps.items()}
+    Klein-even, or Klein-lift line structure, as Laurent monomials."""
+    table = canonical_monomials(
+        klein_lift() if G.kind == "klein" and d % 2 else G, d)
+    return {name: LaurentPoly.monomial(conductor, k, c.embed(conductor))
+            for name, ((_, c, k),) in table.items()}
 
 
 def extract_residual_rep(R: ModelStructure, d: int) -> ResidualRep:
@@ -316,14 +316,18 @@ class DecompositionCertificate:
                 self.odd_blocks)
 
 
-def _canonical_block(G: GroupSpec, kind: str, d: int, chi) -> EquivariantStructure:
-    """One entry of `block_sequence`: the pair structure on O(d) + O(d)
-    for an odd Klein block, else the canonical line structure of degree d
-    twisted by chi."""
-    if kind == "odd":
-        return canonical_klein_pair(d)
-    base = canonical_cyclic(G.n, d) if G.kind == "cyclic" else canonical_klein_even(d)
-    return twist_by_character(base, chi)
+def _model(cert: DecompositionCertificate):
+    """The canonical model B of the block data at the certificate's
+    conductor: the degrees d of its bundle diag(z^d) and its maps B_gamma,
+    read off `canonical_monomials` block by block in `block_sequence`
+    order (an odd Klein block is the pair on O(d) + O(d), any other the
+    line of degree d twisted by its character)."""
+    degrees, tables = [], []
+    for _, d, chi in cert.block_sequence():
+        table = canonical_monomials(cert.group, d, chi)
+        tables.append(table)
+        degrees += [d] * len(table["e"])
+    return degrees, monomial_maps(tables, cert.conductor)
 
 
 def build_structure(cert: DecompositionCertificate,
@@ -331,9 +335,8 @@ def build_structure(cert: DecompositionCertificate,
     """Assemble the direct sum of canonical blocks twisted per the
     certificate; with a target bundle, conjugate along the certificate's
     change of frame onto it."""
-    parts = [_canonical_block(cert.group, kind, d, chi)
-             for kind, d, chi in cert.block_sequence()]
-    built = embed_structure(direct_sum_structures(*parts), cert.conductor)
+    degrees, maps = _model(cert)
+    built = EquivariantStructure(model_bundle(cert.conductor, degrees), cert.group, maps)
     if target is None:
         return built
     if target.rank != cert.rank:
@@ -354,7 +357,15 @@ def build_structure(cert: DecompositionCertificate,
 def verify_certificate_report(cert: DecompositionCertificate,
                               S: EquivariantStructure):
     """All reasons the certificate fails to reproduce S (empty = verified).
-    A lift structure raises InvalidStructure, as in `decompose`."""
+    A lift structure raises InvalidStructure, as in `decompose`.
+
+    The replay checks that the change of frame F is a bundle isomorphism
+    from the canonical model diag(z^d) (the chart certificates) and that
+    F(gamma z) B_gamma(z) = S_gamma(z) F(z) for every gamma, with B and
+    diag(z^d) read off the block data (`_model`), not built as a
+    structure.  At the identity B_e = I, so the identity reads F = S_e F;
+    F is invertible at 0, hence as a matrix over the rational functions,
+    so it holds exactly when S_e = I, which is what is compared."""
     reasons = []
     if S.lift:
         raise InvalidStructure("certificates describe genuine structures")
@@ -364,19 +375,23 @@ def verify_certificate_report(cert: DecompositionCertificate,
         return [f"rank accounting {cert.rank} != bundle rank {S.bundle.rank}"]
     if cert.conductor != S.conductor:
         return [f"certificate conductor {cert.conductor} vs {S.conductor}"]
-    built = build_structure(cert)
+    degrees, B = _model(cert)
     F = cert.change_of_frame
-    at_zero, at_infinity = chart_certificate(F, built.bundle.transition, S.bundle)
+    at_zero, at_infinity = chart_certificate(
+        F, LaurentMatrix.diag_monomials(cert.conductor, degrees), S.bundle)
     if not at_zero:
         reasons.append("change of frame not regular+invertible at 0")
     if at_infinity is None:
         reasons.append("change of frame fails the infinity certificate")
     if reasons:
         return reasons
+    id_name = identity(S.group).name
     for name, c, e in S.action_items():
-        lhs = F.substitute(c, e) @ built.maps[name]
-        rhs = S.maps[name] @ F
-        if lhs != rhs:
+        if name == id_name:
+            same = S.maps[name] == LaurentMatrix.identity(S.conductor, S.bundle.rank)
+        else:
+            same = F.substitute(c, e) @ B[name] == S.maps[name] @ F
+        if not same:
             reasons.append(f"conjugated built structure differs at {name!r}")
     return reasons
 

@@ -10,10 +10,12 @@ Everything is exact and canonical: a scalar is a tuple of phi integer
 numerators over one positive common denominator, with no common factor
 (Cohen, "A Course in Computational Algebraic Number Theory", 4.2).  Phi_m
 is monic with integer coefficients, so products fold back to degree
-< phi through an integer table of x^k mod Phi_m, and the inverse comes
-from one fraction-free Gauss-Jordan pass on the integer matrix of
-multiplication by the numerator.  `fractions.Fraction` appears only at
-the edges: constructor input and the `coeffs` view used for rendering.
+< phi through an integer table of x^k mod Phi_m.  The inverse of a
+rational multiple of +-zeta^k is read off the table of powers of zeta;
+any other inverse comes from one fraction-free Gauss-Jordan pass on the
+integer matrix of multiplication by the numerator.  `fractions.Fraction`
+appears only at the edges: constructor input and the `coeffs` view used
+for rendering.
 """
 
 from __future__ import annotations
@@ -89,6 +91,12 @@ def _zeta_powers(m: int) -> tuple:
         powers.append(tuple(vec))
         vec = _times_x(mod, vec)
     return tuple(powers)
+
+
+@lru_cache(maxsize=None)
+def _root_index(m: int) -> dict:
+    """{power-basis vector of zeta_m^k: k} for 0 <= k < m."""
+    return {v: k for k, v in enumerate(_zeta_powers(m))}
 
 
 @lru_cache(maxsize=None)
@@ -264,30 +272,16 @@ class CycNum:
             a = num[0]
             sign = 1 if a > 0 else -1
             return _new(self.conductor, (sign * den,) + (0,) * (phi - 1), abs(a))
-        # Solve M u = e_0 for the matrix M of multiplication by num, whose
-        # column i is num * x^i mod Phi_m.  A fraction-free Gauss-Jordan pass
-        # leaves the left block as prev * I and the last column as prev * u.
-        mod = cyclotomic_polynomial(self.conductor)
-        cols = [list(num)]
-        for _ in range(phi - 1):
-            cols.append(_times_x(mod, cols[-1]))
-        rows = [[col[r] for col in cols] + [int(r == 0)] for r in range(phi)]
-        prev = 1
-        for k in range(phi):
-            p = next(i for i in range(k, phi) if rows[i][k])
-            rows[k], rows[p] = rows[p], rows[k]
-            pivot_row = rows[k]
-            pivot = pivot_row[k]
-            for i, row in enumerate(rows):
-                if i == k:
-                    continue
-                f = row[k]
-                for j in range(k + 1, phi + 1):
-                    row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
-            prev = pivot
-        sign = 1 if prev > 0 else -1
-        return _canonical(self.conductor, [sign * den * row[phi] for row in rows],
-                          abs(prev))
+        # +-zeta^k / den inverts to +-den * zeta^(-k).  A root of unity is a
+        # unit of Z[zeta], so its numerators have no common factor and
+        # appear exactly as in the power table.
+        m = self.conductor
+        roots = _root_index(m)
+        for sign, vec in ((1, num), (-1, tuple(-a for a in num))):
+            k = roots.get(vec)
+            if k is not None:
+                return _new(m, tuple(sign * den * a for a in _zeta_powers(m)[-k % m]), 1)
+        return _gauss_jordan_inverse(self)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -356,6 +350,36 @@ class CycNum:
 _set_conductor = CycNum.conductor.__set__
 _set_num = CycNum._num.__set__
 _set_den = CycNum._den.__set__
+
+
+def _gauss_jordan_inverse(x: CycNum) -> CycNum:
+    """1/x for nonzero x: solve M u = e_0 for the matrix M of
+    multiplication by x's numerators, whose column i is num * x^i mod
+    Phi_m.  A fraction-free Gauss-Jordan pass leaves the left block as
+    prev * I and the last column as prev * u."""
+    num, den = x._num, x._den
+    phi = len(num)
+    mod = cyclotomic_polynomial(x.conductor)
+    cols = [list(num)]
+    for _ in range(phi - 1):
+        cols.append(_times_x(mod, cols[-1]))
+    rows = [[col[r] for col in cols] + [int(r == 0)] for r in range(phi)]
+    prev = 1
+    for k in range(phi):
+        p = next(i for i in range(k, phi) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            f = row[k]
+            for j in range(k + 1, phi + 1):
+                row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+        prev = pivot
+    sign = 1 if prev > 0 else -1
+    return _canonical(x.conductor, [sign * den * row[phi] for row in rows],
+                      abs(prev))
 
 
 def primitive_root(m: int) -> CycNum:

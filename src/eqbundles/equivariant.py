@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from math import lcm
 
-from .bundle import (VectorBundle, direct_sum, embed_bundle, line_bundle,
+from .bundle import (VectorBundle, direct_sum, embed_bundle, model_bundle,
                      splitting_type, twist)
-from .cyclotomic import discrete_log_root
+from .cyclotomic import CycNum, discrete_log_root
 from .errors import (DimensionMismatch, InvalidStructure, MissingElement,
                      NoSuchStructure, NotComparable, ValidationError)
 from .group import (Character, GroupElement, GroupSpec, characters, cyclic,
@@ -153,13 +153,70 @@ def require_valid(S: EquivariantStructure):
 # canonical structures
 # ---------------------------------------------------------------------------
 
+def canonical_monomials(G: GroupSpec, d: int, chi: Character = None) -> dict:
+    """The canonical block of degree d over G, twisted by chi, as monomial
+    matrices: {element name: ((j, c, k) for each row i)}, where row i has
+    the one nonzero entry c*z^k, c a CycNum in G's field, in column j.
+    This table is the one definition of the canonical blocks.
+
+    - cyclic: O(d) with the tensor powers of the tautological action,
+      every map the constant 1;
+    - klein, d even: O(d) with the tensor powers of the derivative lift on
+      the tangent bundle O(2), N_a1 = s, N_a2 = s*z^-d, N_a1a2 = z^-d for
+      s = (-1)^(d/2);
+    - klein, d odd: the pair on O(d) + O(d), the lift scalars tensored with
+      the anticommuting constant pair diag(-1, 1), antidiag(1, 1);
+    - klein_lift: O(d) from the tautological GL(2) action, the center
+      acting by (-1)^d."""
+    one = CycNum.one(G.conductor)
+    if G.kind == "cyclic":
+        table = {g.name: ((0, one, 0),) for g in elements(G)}
+    elif G.kind == "klein_lift":
+        s = -one if d % 2 else one
+        table = {sign + name: ((0, s if sign else one, k),)
+                 for name, k in (("I", 0), ("A1", 0), ("A2", -d), ("A1A2", -d))
+                 for sign in ("", "-")}
+    elif d % 2 == 0:
+        s = -one if d // 2 % 2 else one
+        table = {"e": ((0, one, 0),), "a1": ((0, s, 0),), "a2": ((0, s, -d),),
+                 "a1a2": ((0, one, -d),)}
+    else:
+        table = {"e": ((0, one, 0), (1, one, 0)), "a1": ((0, -one, 0), (1, one, 0)),
+                 "a2": ((1, one, -d), (0, one, -d)),
+                 "a1a2": ((1, -one, -d), (0, one, -d))}
+    if chi is None:
+        return table
+    return {name: tuple((j, c * chi.value(name), k) for j, c, k in rows)
+            for name, rows in table.items()}
+
+
+def monomial_maps(tables, conductor: int) -> dict:
+    """{element name: LaurentMatrix} of the direct sum of the blocks given
+    by `canonical_monomials` tables, at a multiple of their conductor."""
+    sizes = [len(next(iter(t.values()))) for t in tables]
+    zero = LaurentPoly.zero(conductor)
+    maps = {}
+    for name in tables[0]:
+        grid = [[zero] * sum(sizes) for _ in range(sum(sizes))]
+        o = 0
+        for table, size in zip(tables, sizes):
+            for i, (j, c, k) in enumerate(table[name]):
+                grid[o + i][o + j] = LaurentPoly.monomial(conductor, k, c.embed(conductor))
+            o += size
+        maps[name] = LaurentMatrix(conductor, grid)
+    return maps
+
+
+def _canonical(G: GroupSpec, d: int) -> EquivariantStructure:
+    table = canonical_monomials(G, d)
+    rank = len(next(iter(table.values())))
+    return EquivariantStructure(model_bundle(G.conductor, [d] * rank), G,
+                                monomial_maps([table], G.conductor))
+
+
 def canonical_cyclic(n: int, d: int) -> EquivariantStructure:
     """Tensor powers of the tautological action: every map is the constant 1."""
-    G = cyclic(n)
-    E = line_bundle(G.conductor, d)
-    one = LaurentMatrix.identity(G.conductor, 1)
-    maps = {g.name: one for g in elements(G)}
-    return EquivariantStructure(E, G, maps)
+    return _canonical(cyclic(n), d)
 
 
 def canonical_klein_even(d: int) -> EquivariantStructure:
@@ -167,17 +224,7 @@ def canonical_klein_even(d: int) -> EquivariantStructure:
     if d % 2 != 0:
         raise NoSuchStructure(
             f"O({d}) carries no Klein structure: odd degree")
-    m = d // 2
-    sign = -1 if m % 2 else 1
-    E = line_bundle(4, d)
-    mk = lambda c, e: LaurentMatrix(4, [[LaurentPoly(4, {e: c})]])
-    maps = {
-        "e": mk(1, 0),
-        "a1": mk(sign, 0),
-        "a2": mk(sign, -d),
-        "a1a2": mk(1, -d),
-    }
-    return EquivariantStructure(E, klein(), maps)
+    return _canonical(klein(), d)
 
 
 def canonical_tangent() -> EquivariantStructure:
@@ -188,16 +235,7 @@ def canonical_tangent() -> EquivariantStructure:
 def canonical_klein_lift(d: int) -> EquivariantStructure:
     """Lift-group structure on O(d) from the tautological GL(2) action;
     the center acts by (-1)^d."""
-    E = line_bundle(4, d)
-    s = -1 if d % 2 else 1
-    mk = lambda c, e: LaurentMatrix(4, [[LaurentPoly(4, {e: c})]])
-    maps = {
-        "I": mk(1, 0), "-I": mk(s, 0),
-        "A1": mk(1, 0), "-A1": mk(s, 0),
-        "A2": mk(1, -d), "-A2": mk(s, -d),
-        "A1A2": mk(1, -d), "-A1A2": mk(s, -d),
-    }
-    return EquivariantStructure(E, klein_lift(), maps)
+    return _canonical(klein_lift(), d)
 
 
 def canonical_klein_pair(d: int) -> EquivariantStructure:
@@ -205,17 +243,7 @@ def canonical_klein_pair(d: int) -> EquivariantStructure:
     from the lift scalars tensored with the anticommuting constant pair."""
     if d % 2 == 0:
         raise ValueError("pair blocks are reserved for odd degrees")
-    E = direct_sum(line_bundle(4, d), line_bundle(4, d))
-    z = lambda e: LaurentPoly(4, {e: 1})
-    zz = LaurentPoly.zero(4)
-    c = lambda v: LaurentPoly.const(4, v)
-    maps = {
-        "e": LaurentMatrix.identity(4, 2),
-        "a1": LaurentMatrix(4, [[c(-1), zz], [zz, c(1)]]),
-        "a2": LaurentMatrix(4, [[zz, z(-d)], [z(-d), zz]]),
-        "a1a2": LaurentMatrix(4, [[zz, z(-d).scale(-1)], [z(-d), zz]]),
-    }
-    return EquivariantStructure(E, klein(), maps)
+    return _canonical(klein(), d)
 
 
 def canonical_structure(G: GroupSpec, degrees, lift: bool = False) -> EquivariantStructure:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cyclotomic import CycNum, render_cycnum, term_count
+from .cyclotomic import CycNum, render_cycnum, root_of_unity, term_count
 from .errors import ConductorMismatch, DimensionMismatch, NonUnimodular, ParseError
 
 
@@ -103,11 +103,11 @@ class LaurentPoly:
 
     def __add__(self, other):
         self._check(other)
-        return _poly(self.conductor, _merge(self.coeffs, other.coeffs, False))
+        return _poly(self.conductor, _merge(dict(self.coeffs), other.coeffs, False))
 
     def __sub__(self, other):
         self._check(other)
-        return _poly(self.conductor, _merge(self.coeffs, other.coeffs, True))
+        return _poly(self.conductor, _merge(dict(self.coeffs), other.coeffs, True))
 
     def __neg__(self):
         return _poly(self.conductor, {e: -c for e, c in self.coeffs.items()})
@@ -116,23 +116,12 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return self.scale(other)
         self._check(other)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                p = c1 * c2
-                cur = out.get(e)
-                out[e] = p if cur is None else cur + p
-        return _poly(self.conductor,
-                     {e: c for e, c in out.items() if not c.is_zero()})
+        return _poly(self.conductor, _product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
-        if not isinstance(c, CycNum):
-            c = _rational(self.conductor, c)
-        elif c.conductor != self.conductor:
-            raise ConductorMismatch(f"conductor {self.conductor} vs {c.conductor}")
+        c = _scalar(self.conductor, c)
         if c.is_zero():
             return _poly(self.conductor, {})
         return _times_monomial(self, c, 0)
@@ -223,9 +212,19 @@ def _poly(conductor: int, coeffs: dict) -> LaurentPoly:
     return x
 
 
-def _merge(a: dict, b: dict, subtract: bool) -> dict:
-    """a + b, or a - b, of coefficient maps; sums that cancel are dropped."""
-    out = dict(a)
+def _scalar(conductor: int, c) -> CycNum:
+    """c as a CycNum at the conductor: TypeError or ConductorMismatch if it
+    is not a CycNum, int or Fraction there."""
+    if not isinstance(c, CycNum):
+        return _rational(conductor, c)
+    if c.conductor != conductor:
+        raise ConductorMismatch(f"conductor {conductor} vs {c.conductor}")
+    return c
+
+
+def _merge(out: dict, b: dict, subtract: bool) -> dict:
+    """out + b, or out - b, of coefficient maps, computed in out and
+    returned; sums that cancel are dropped."""
     for e, c in b.items():
         c = -c if subtract else c
         if e in out:
@@ -233,6 +232,18 @@ def _merge(a: dict, b: dict, subtract: bool) -> dict:
         if not c.is_zero():
             out[e] = c
     return out
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The product of two coefficient maps; sums that cancel are dropped."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            p = c1 * c2
+            cur = out.get(e)
+            out[e] = p if cur is None else cur + p
+    return {e: c for e, c in out.items() if not c.is_zero()}
 
 
 def _times_monomial(p: LaurentPoly, c: CycNum, k: int) -> LaurentPoly:
@@ -352,13 +363,19 @@ class LaurentMatrix:
         return _matrix(self.conductor, out)
 
     def _map(self, fn) -> "LaurentMatrix":
-        return _matrix(self.conductor, [[fn(p) for p in row] for row in self.entries])
+        """fn applied to every entry; fn must send 0 to 0, as zero entries
+        pass through unchanged."""
+        return _matrix(self.conductor, [[fn(p) if p.coeffs else p for p in row]
+                                        for row in self.entries])
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
+        if self.conductor != other.conductor:
+            raise ConductorMismatch(f"conductor {self.conductor} vs {other.conductor}")
         return _matrix(self.conductor,
-                       [[a + b for a, b in zip(r1, r2)]
+                       [[a if not b.coeffs else b if not a.coeffs else a + b
+                         for a, b in zip(r1, r2)]
                         for r1, r2 in zip(self.entries, other.entries)])
 
     def __neg__(self):
@@ -368,6 +385,7 @@ class LaurentMatrix:
         return self + (-other)
 
     def scale(self, c) -> "LaurentMatrix":
+        c = _scalar(self.conductor, c)
         return self._map(lambda p: p.scale(c))
 
     def scale_poly(self, q: LaurentPoly) -> "LaurentMatrix":
@@ -623,6 +641,11 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent over the token list.  Factors, terms and sums are
+    evaluated as plain coefficient maps {exponent: nonzero CycNum}, each
+    fresh and owned by the caller, so sums accumulate in place;
+    `parse_laurent` wraps the final map in one LaurentPoly."""
+
     def __init__(self, tokens, conductor, text):
         self.tokens = tokens
         self.i = 0
@@ -648,13 +671,14 @@ class _Parser:
         negate = kind == "op" and val == "-"
         if negate:
             self.take()
-        acc = -self.parse_term() if negate else self.parse_term()
+        acc = self.parse_term()
+        if negate:
+            acc = {e: -c for e, c in acc.items()}
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                t = self.parse_term()
-                acc = acc + t if val == "+" else acc - t
+                _merge(acc, self.parse_term(), val == "-")
             else:
                 return acc
 
@@ -664,7 +688,7 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind == "op" and val in ("·", "*"):
                 self.take()
-                acc = acc * self.parse_factor()
+                acc = _product(acc, self.parse_factor())
             elif kind in ("num", "root", "var") or (kind == "op" and val == "("):
                 # implicit product is not part of the grammar
                 self.fail("missing multiplication sign", pos)
@@ -675,22 +699,23 @@ class _Parser:
         kind, val, pos = self.take()
         if kind == "num":
             try:
-                return LaurentPoly.const(self.conductor, Fraction(val))
+                value = Fraction(val) if "/" in val else int(val)
             except ZeroDivisionError:
                 self.fail("zero denominator", pos)
             except ValueError:  # more digits than int() converts
                 self.fail("number too long", pos)
+            return {0: CycNum.rational(self.conductor, value)} if value else {}
         if kind == "root":
-            m = int(val[1:])
-            from .cyclotomic import root_of_unity
+            try:
+                m = int(val[1:])
+            except ValueError:
+                self.fail("number too long", pos)
             k = self.parse_power()
             if m == 0 or self.conductor % m != 0:
                 self.fail(f"root z{m} does not live in conductor {self.conductor}", pos)
-            zeta = root_of_unity(m, k).embed(self.conductor)
-            return LaurentPoly.const(self.conductor, zeta)
+            return {0: root_of_unity(m, k).embed(self.conductor)}
         if kind == "var":
-            k = self.parse_power()
-            return LaurentPoly.monomial(self.conductor, k)
+            return {self.parse_power(): CycNum.one(self.conductor)}
         if kind == "op" and val == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -725,13 +750,13 @@ class _Parser:
 def parse_laurent(text: str, conductor: int) -> LaurentPoly:
     """Parse the canonical text form of a Laurent polynomial."""
     parser = _Parser(_tokenize(text), conductor, text)
-    result = parser.parse_expr()
+    coeffs = parser.parse_expr()
     if parser.i != len(parser.tokens):
         parser.fail("trailing input", parser.peek()[2])
-    if any(abs(e) > MAX_EXPONENT for e in result.coeffs):
+    if any(abs(e) > MAX_EXPONENT for e in coeffs):
         raise ParseError(f"an exponent exceeds {MAX_EXPONENT} in absolute value "
                          f"in {_excerpt(text, 0)!r}")
-    return result
+    return _poly(conductor, coeffs)
 
 
 def parse_cycnum(text: str, conductor: int) -> CycNum:

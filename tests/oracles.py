@@ -13,15 +13,23 @@ Matrix products visit every (i, j, k) instead of the nonzero entries.
 Cyclotomic
 products use Fraction coefficients and long division by a Phi_m built
 from the Moebius formula, instead of integer numerators and a fold table.
+Text is evaluated by LaurentPoly arithmetic instead of on coefficient
+maps.  Canonical blocks are written out map by map and summed, instead
+of read off the table of monomials, and the certificate replay checks
+the identity element by two products like every other one.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from eqbundles.bundle import twist
-from eqbundles.cyclotomic import CycNum
+from eqbundles.bundle import chart_certificate, direct_sum, line_bundle, twist
+from eqbundles.cyclotomic import CycNum, root_of_unity
+from eqbundles.equivariant import (EquivariantStructure, direct_sum_structures,
+                                   embed_structure, twist_by_character)
+from eqbundles.errors import ParseError
 from eqbundles.group import elements, multiply
-from eqbundles.laurent import LaurentMatrix, LaurentPoly
+from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix, LaurentPoly,
+                               _excerpt, _tokenize)
 from eqbundles.linalg import identity_const, mat_mul_const
 
 
@@ -349,3 +357,197 @@ def cyclotomic_product_reference(m, a, b):
     product of the coefficient lists, then its remainder by Phi_m."""
     _, r = _fraction_divmod(_fraction_product(a, b), cyclotomic_poly_reference(m))
     return tuple(r)
+
+
+# ---------------------------------------------------------------------------
+# text parsing by Laurent arithmetic
+# ---------------------------------------------------------------------------
+
+class _ArithmeticParser:
+    """The grammar of `laurent._Parser`, with every factor a LaurentPoly
+    and every term and sum evaluated by LaurentPoly arithmetic."""
+
+    def __init__(self, tokens, conductor, text):
+        self.tokens = tokens
+        self.i = 0
+        self.conductor = conductor
+        self.text = text
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
+
+    def take(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def fail(self, msg, pos):
+        pos = pos or 0
+        raise ParseError(f"{msg} in {_excerpt(self.text, pos)!r}", line=1,
+                         column=pos + 1)
+
+    def parse_expr(self):
+        kind, val, pos = self.peek()
+        negate = kind == "op" and val == "-"
+        if negate:
+            self.take()
+        acc = -self.parse_term() if negate else self.parse_term()
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "op" and val in "+-":
+                self.take()
+                t = self.parse_term()
+                acc = acc + t if val == "+" else acc - t
+            else:
+                return acc
+
+    def parse_term(self):
+        acc = self.parse_factor()
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "op" and val in ("·", "*"):
+                self.take()
+                acc = acc * self.parse_factor()
+            elif kind in ("num", "root", "var") or (kind == "op" and val == "("):
+                self.fail("missing multiplication sign", pos)
+            else:
+                return acc
+
+    def parse_factor(self):
+        kind, val, pos = self.take()
+        if kind == "num":
+            try:
+                return LaurentPoly.const(self.conductor, Fraction(val))
+            except ZeroDivisionError:
+                self.fail("zero denominator", pos)
+            except ValueError:
+                self.fail("number too long", pos)
+        if kind == "root":
+            try:
+                m = int(val[1:])
+            except ValueError:
+                self.fail("number too long", pos)
+            k = self.parse_power()
+            if m == 0 or self.conductor % m != 0:
+                self.fail(f"root z{m} does not live in conductor {self.conductor}", pos)
+            zeta = root_of_unity(m, k).embed(self.conductor)
+            return LaurentPoly.const(self.conductor, zeta)
+        if kind == "var":
+            k = self.parse_power()
+            return LaurentPoly.monomial(self.conductor, k)
+        if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            inner = self.parse_expr()
+            kind, val, pos = self.take()
+            if kind != "op" or val != ")":
+                self.fail("expected ')'", pos)
+            self.depth -= 1
+            return inner
+        self.fail("unexpected token", pos)
+
+    def parse_power(self):
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "^":
+            self.take()
+            kind, val, pos = self.take()
+            sign = 1
+            if kind == "op" and val == "-":
+                sign = -1
+                kind, val, pos = self.take()
+            if kind != "num" or "/" in val:
+                self.fail("expected integer exponent", pos)
+            if (len(val.lstrip("0")) > len(str(MAX_EXPONENT))
+                    or int(val) > MAX_EXPONENT):
+                self.fail(f"exponent exceeds {MAX_EXPONENT} in absolute value", pos)
+            return sign * int(val)
+        return 1
+
+
+def parse_laurent_by_arithmetic(text, conductor):
+    """`parse_laurent` with factors built as LaurentPoly (every literal
+    through Fraction) and terms and sums formed by LaurentPoly products
+    and sums, as the parser evaluated before it worked on coefficient
+    maps."""
+    parser = _ArithmeticParser(_tokenize(text), conductor, text)
+    result = parser.parse_expr()
+    if parser.i != len(parser.tokens):
+        parser.fail("trailing input", parser.peek()[2])
+    if any(abs(e) > MAX_EXPONENT for e in result.coeffs):
+        raise ParseError(f"an exponent exceeds {MAX_EXPONENT} in absolute value "
+                         f"in {_excerpt(text, 0)!r}")
+    return result
+
+
+# ---------------------------------------------------------------------------
+# canonical blocks written out by hand, and the replay on the built structure
+# ---------------------------------------------------------------------------
+
+def canonical_by_hand(G, d):
+    """The canonical block of degree d over G with every map written out:
+    the line O(d) for cyclic groups, for even d over the Klein group and
+    over the lift group, the pair on O(d) + O(d) for odd d over the Klein
+    group."""
+    m = G.conductor
+    mk = lambda c, e: LaurentMatrix(m, [[LaurentPoly(m, {e: c})]])
+    if G.kind == "cyclic":
+        return EquivariantStructure(line_bundle(m, d), G,
+                                    {g.name: mk(1, 0) for g in elements(G)})
+    if G.kind == "klein_lift":
+        s = -1 if d % 2 else 1
+        maps = {"I": mk(1, 0), "-I": mk(s, 0), "A1": mk(1, 0), "-A1": mk(s, 0),
+                "A2": mk(1, -d), "-A2": mk(s, -d),
+                "A1A2": mk(1, -d), "-A1A2": mk(s, -d)}
+        return EquivariantStructure(line_bundle(m, d), G, maps)
+    if d % 2 == 0:
+        sign = -1 if (d // 2) % 2 else 1
+        maps = {"e": mk(1, 0), "a1": mk(sign, 0), "a2": mk(sign, -d),
+                "a1a2": mk(1, -d)}
+        return EquivariantStructure(line_bundle(m, d), G, maps)
+    z = lambda e: LaurentPoly(m, {e: 1})
+    zz = LaurentPoly.zero(m)
+    c = lambda v: LaurentPoly.const(m, v)
+    maps = {"e": LaurentMatrix.identity(m, 2),
+            "a1": LaurentMatrix(m, [[c(-1), zz], [zz, c(1)]]),
+            "a2": LaurentMatrix(m, [[zz, z(-d)], [z(-d), zz]]),
+            "a1a2": LaurentMatrix(m, [[zz, z(-d).scale(-1)], [z(-d), zz]])}
+    return EquivariantStructure(direct_sum(line_bundle(m, d), line_bundle(m, d)),
+                                G, maps)
+
+
+def build_structure_by_sums(cert):
+    """The certificate's canonical structure as a direct sum of the
+    hand-written blocks, each line twisted by its character, embedded in
+    the certificate's field."""
+    parts = [canonical_by_hand(cert.group, d) if kind == "odd"
+             else twist_by_character(canonical_by_hand(cert.group, d), chi)
+             for kind, d, chi in cert.block_sequence()]
+    return embed_structure(direct_sum_structures(*parts), cert.conductor)
+
+
+def replay_by_built_structure(cert, S):
+    """`verify_certificate_report` on the built canonical structure B:
+    both chart certificates of F, then F(gamma z) B_gamma = S_gamma F by
+    two products for every gamma, the identity included."""
+    reasons = []
+    if cert.group != S.group:
+        return [f"certificate group {cert.group} vs structure group {S.group}"]
+    if cert.rank != S.bundle.rank:
+        return [f"rank accounting {cert.rank} != bundle rank {S.bundle.rank}"]
+    if cert.conductor != S.conductor:
+        return [f"certificate conductor {cert.conductor} vs {S.conductor}"]
+    built = build_structure_by_sums(cert)
+    F = cert.change_of_frame
+    at_zero, at_infinity = chart_certificate(F, built.bundle.transition, S.bundle)
+    if not at_zero:
+        reasons.append("change of frame not regular+invertible at 0")
+    if at_infinity is None:
+        reasons.append("change of frame fails the infinity certificate")
+    if reasons:
+        return reasons
+    for name, c, e in S.action_items():
+        if F.substitute(c, e) @ built.maps[name] != S.maps[name] @ F:
+            reasons.append(f"conjugated built structure differs at {name!r}")
+    return reasons

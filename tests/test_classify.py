@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -9,8 +10,9 @@ from eqbundles.classify import (DecompositionCertificate, ModelStructure,
                                 ResidualRep, _check_rep_relations,
                                 averaging_intertwiner, block_diagonal_part,
                                 build_structure, decompose, extract_residual_rep,
-                                pullback_structure, rep_decompose,
-                                verify_certificate, verify_certificate_report)
+                                pullback_structure, reference_scalars,
+                                rep_decompose, verify_certificate,
+                                verify_certificate_report)
 from eqbundles.cyclotomic import CycNum, root_of_unity
 from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
                                    canonical_klein_even, canonical_klein_lift,
@@ -23,7 +25,7 @@ from eqbundles.errors import (EqBundlesError, FactorizationFailure,
                               InternalInconsistency,
                               InvalidStructure, NotBlockDiagonalPart,
                               RelationViolation)
-from eqbundles.group import characters, cyclic, elements, klein, multiply
+from eqbundles.group import characters, cyclic, elements, klein, klein_lift, multiply
 from eqbundles.laurent import LaurentMatrix, LaurentPoly
 from eqbundles.linalg import identity_const, mat_mul_const
 from eqbundles.randgen import (random_certificate,
@@ -31,7 +33,8 @@ from eqbundles.randgen import (random_certificate,
 
 from conftest import M
 from fuzz_oracles import mutate_structure
-from oracles import rep_relation_failures
+from oracles import (build_structure_by_sums, canonical_by_hand,
+                     rep_relation_failures, replay_by_built_structure)
 
 
 # -- pullback -----------------------------------------------------------------
@@ -650,3 +653,73 @@ def test_shape_law_on_fuzz():
         assert len(out.even_blocks) + 2 * len(out.odd_blocks) == S.bundle.rank
         assert all(d % 2 == 0 for d, _ in out.even_blocks)
         assert all(d % 2 == 1 for d in out.odd_blocks)
+
+
+# -- the table of canonical monomials and the replay read off it -------------
+
+def _table_groups():
+    return [cyclic(n) for n in range(1, 13)] + [klein()]
+
+
+def test_canonical_blocks_match_the_hand_written_ones():
+    for d in range(-200, 201, 7):
+        for n in range(1, 13):
+            assert canonical_cyclic(n, d) == canonical_by_hand(cyclic(n), d)
+        assert canonical_klein_lift(d) == canonical_by_hand(klein_lift(), d)
+        pick = canonical_klein_pair if d % 2 else canonical_klein_even
+        assert pick(d) == canonical_by_hand(klein(), d)
+
+
+def test_reference_scalars_are_the_canonical_line_entries():
+    for G in _table_groups():
+        for d in (-200, -3, -2, 0, 1, 2, 5, 200):
+            source = canonical_by_hand(klein_lift() if G.kind == "klein" and d % 2
+                                       else G, d)
+            for conductor in {G.conductor, 12 * G.conductor}:
+                assert reference_scalars(G, d, conductor) == {
+                    name: mat.entries[0][0].embed(conductor)
+                    for name, mat in source.maps.items()}
+
+
+def _replay_cases():
+    """(certificate, structure) pairs: decompose certificates of scrambled
+    random structures over cyclic(1..12) and Klein, and seeded mutations of
+    either side."""
+    rng, mutations = Random(2024), Random(7)
+    for G in _table_groups() * 2:
+        S0 = build_structure(random_certificate(rng, G, 4, -3, 3))
+        S = conjugate_structure(S0, random_model_automorphism(
+            rng, S0.conductor, splitting_type(S0.bundle).degrees))
+        cert = decompose(S)
+        m = cert.conductor
+        yield cert, S
+        if cert.even_blocks and len(characters(G)) > 1:
+            i = mutations.randrange(len(cert.even_blocks))
+            even = list(cert.even_blocks)
+            d, chi = even[i]
+            even[i] = (d, mutations.choice([c for c in characters(G) if c != chi]))
+            yield replace(cert, even_blocks=tuple(even)), S
+        for factor in (LaurentPoly(m, {0: 1, 1: 1}), LaurentPoly(m, {1: 1}),
+                       LaurentPoly(m, {0: 2})):
+            yield replace(cert, change_of_frame=cert.change_of_frame.scale_poly(factor)), S
+        maps = dict(S.maps)
+        maps["e"] = maps[mutations.choice(sorted(maps))].scale(2)
+        yield cert, EquivariantStructure(S.bundle, G, maps)
+        if len(maps) > 2:
+            a, b = mutations.sample(sorted(n for n in S.maps if n != "e"), 2)
+            maps = dict(S.maps)
+            maps[a], maps[b] = maps[b], maps[a]
+            yield cert, EquivariantStructure(S.bundle, G, maps)
+        yield cert, mutate_structure(mutations, S)
+
+
+def test_replay_agrees_with_the_replay_on_the_built_structure():
+    verdicts = []
+    for cert, S in _replay_cases():
+        assert build_structure(cert) == build_structure_by_sums(cert)
+        assert classify._model(cert)[1] == build_structure(cert).maps
+        verified = not verify_certificate_report(cert, S)
+        assert verified == (not replay_by_built_structure(cert, S))
+        verdicts.append(verified)
+    # the 26 decompose certificates and their frames times 2 verify
+    assert verdicts.count(True) >= 52 and verdicts.count(False) >= 100

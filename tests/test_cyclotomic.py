@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from eqbundles.cyclotomic import (CycNum, cyclotomic_polynomial, euler_phi,
                                   primitive_root, render_cycnum, root_of_unity)
+from eqbundles.cyclotomic import _gauss_jordan_inverse
 from eqbundles.errors import ConductorMismatch
 from eqbundles.laurent import parse_cycnum
 
@@ -247,3 +248,14 @@ def test_inverse_of_zero_raises(m):
         CycNum.zero(m).inverse()
     with pytest.raises(ZeroDivisionError):
         CycNum(m, [1] + [0] * (m - 1) + [-1]).inverse()  # 1 - x^m = 0
+
+
+@pytest.mark.parametrize("m", (1, 3, 4, 12, 97))
+def test_root_of_unity_inverse_by_lookup_equals_gauss_jordan(m):
+    # at m = 97 each Gauss-Jordan pass takes tens of ms, so only some k
+    for k in range(m) if m <= 12 else (1, 2, 48, 49, 95, 96):
+        zeta = root_of_unity(m, k)
+        for x in (zeta, -zeta, zeta * 3, zeta / 3, -zeta / 5):
+            inv = x.inverse()
+            assert inv == _gauss_jordan_inverse(x)
+            assert x * inv == 1

@@ -12,7 +12,7 @@ from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix,
 from eqbundles.randgen import random_poly, random_unimodular, random_unit
 
 from conftest import L, M
-from oracles import dense_matmul, det_cofactor
+from oracles import dense_matmul, det_cofactor, parse_laurent_by_arithmetic
 
 
 @st.composite
@@ -464,3 +464,69 @@ def test_render_mixed_coefficients():
     text = render_laurent(p)
     assert text == "2+(1+z4)·z^3"
     assert parse_laurent(text, 4) == p
+
+
+_ATOMS = st.one_of(
+    st.sampled_from(["0", "1", "3", "007", "2/3", "4/6", "0/5", "1/0", "3/00",
+                     "9" * 5000, "1/" + "9" * 5000, "z", "z4", "z3", "z12", "z5",
+                     "z0", "z12^-5", "z4^3", "z3^2", "z^0", "z^-0", "z" + "9" * 5000,
+                     "z^2/3", "z^", "", "()", "+"]),
+    st.integers(0, 99).map(str),
+    st.integers(-250, 250).map(lambda k: f"z^{k}"),
+)
+
+
+def _combined(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "·", " * ", " + ", "+-", ""]),
+                  inner).map("".join),
+        inner.map(lambda t: f"({t})"),
+        inner.map(lambda t: f"-({t})"),
+        inner.map(lambda t: f"({t})-({t})"),  # cancels to 0
+        st.tuples(inner, inner).map(lambda ab: "({})*({})".format(*ab)),
+    )
+
+
+_CONDUCTORS = st.sampled_from([1, 3, 4, 12])
+_TEXTS = st.one_of(
+    _CONDUCTORS.flatmap(lambda m: laurents(m).map(lambda p: (render_laurent(p), m))),
+    st.tuples(st.recursive(_ATOMS, _combined, max_leaves=8), _CONDUCTORS),
+    # exponents that pass the cap only after multiplication
+    st.tuples(st.lists(st.integers(-200, 200), min_size=2, max_size=4)
+              .map(lambda ks: "·".join(f"z^{k}" for k in ks)), _CONDUCTORS),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXTS)
+def test_parse_on_coefficient_maps_matches_laurent_arithmetic(text_and_conductor):
+    text, m = text_and_conductor
+
+    def outcome(parse):
+        try:
+            return parse(text, m)
+        except ParseError as err:
+            return str(err), err.column
+    assert outcome(parse_laurent) == outcome(parse_laurent_by_arithmetic)
+
+
+def test_parse_rejects_an_overlong_root_with_position():
+    with pytest.raises(ParseError) as err:
+        parse_laurent("1+z" + "9" * 5000, 4)
+    assert err.value.column == 3
+    assert "too long" in str(err.value) and len(str(err.value)) < 200
+
+
+def test_zero_entries_pass_through_matrix_maps_and_sums():
+    zero, other = LaurentMatrix(4, [[L("0", 4)]]), LaurentMatrix(3, [[L("0", 3)]])
+    with pytest.raises(ConductorMismatch):
+        zero + other
+    with pytest.raises(ConductorMismatch):
+        zero.scale(CycNum.one(3))
+    A = M([["z", "0"], ["0", "1-z"]], 4)
+    B = M([["0", "2"], ["0", "z"]], 4)
+    assert A + B == M([["z", "2"], ["0", "1"]], 4)
+    assert (A + B).entries[0][0] is A.entries[0][0]
+    assert (A + B).entries[0][1] is B.entries[0][1]
+    assert -A == M([["-z", "0"], ["0", "z-1"]], 4)
+    assert A.shift(2).scale(3) == M([["3·z^3", "0"], ["0", "3·z^2-3·z^3"]], 4)
