@@ -58,14 +58,16 @@ class ShapeMismatch(EqBundlesError):
 
 
 class ParseError(EqBundlesError):
-    """A document or scalar string failed to parse; carries line/column when known."""
+    """A document or scalar string failed to parse; carries line/column when
+    known, and the message without them."""
 
     def __init__(self, message, line=None, column=None):
+        self.message = message
+        self.line = line
+        self.column = column
         if line is not None:
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)
-        self.line = line
-        self.column = column
 
 
 class ValidationError(EqBundlesError):

@@ -607,8 +607,9 @@ def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:
 # deeper input would exhaust the interpreter stack instead of failing cleanly.
 MAX_NESTING = 100
 
-# Exponents may not exceed this in absolute value; twists and O(d)
-# shortcuts share the cap.  The section count grows with the exponent
+# Exponents may not exceed this in absolute value, in a literal or in any
+# partial product of an entry; twists, O(d) shortcuts and certificate
+# block degrees share the cap.  The section count grows with the exponent
 # spread: `sections --twist 200` on a rank-8 block-diagonal document of
 # [[z^200, 1], [0, z^-200]] blocks prints 1608 sections in about 0.35 s.
 MAX_EXPONENT = 200
@@ -644,7 +645,10 @@ class _Parser:
     """Recursive descent over the token list.  Factors, terms and sums are
     evaluated as plain coefficient maps {exponent: nonzero CycNum}, each
     fresh and owned by the caller, so sums accumulate in place;
-    `parse_laurent` wraps the final map in one LaurentPoly."""
+    `parse_laurent` wraps the final map in one LaurentPoly.  Every map
+    keeps its exponents within MAX_EXPONENT: `parse_power` caps literals
+    and `parse_term` refuses a product before forming it, so the work per
+    factor is bounded and no check on the result is needed."""
 
     def __init__(self, tokens, conductor, text):
         self.tokens = tokens
@@ -688,7 +692,16 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind == "op" and val in ("·", "*"):
                 self.take()
-                acc = _product(acc, self.parse_factor())
+                pos = self.peek()[2]
+                factor = self.parse_factor()
+                # over a field the extreme coefficients of a product never
+                # cancel, so its exponent range is known before it is formed
+                if acc and factor and not (
+                        -MAX_EXPONENT <= min(acc) + min(factor)
+                        and max(acc) + max(factor) <= MAX_EXPONENT):
+                    self.fail(f"product exponent exceeds {MAX_EXPONENT} in "
+                              "absolute value", pos)
+                acc = _product(acc, factor)
             elif kind in ("num", "root", "var") or (kind == "op" and val == "("):
                 # implicit product is not part of the grammar
                 self.fail("missing multiplication sign", pos)
@@ -753,9 +766,6 @@ def parse_laurent(text: str, conductor: int) -> LaurentPoly:
     coeffs = parser.parse_expr()
     if parser.i != len(parser.tokens):
         parser.fail("trailing input", parser.peek()[2])
-    if any(abs(e) > MAX_EXPONENT for e in coeffs):
-        raise ParseError(f"an exponent exceeds {MAX_EXPONENT} in absolute value "
-                         f"in {_excerpt(text, 0)!r}")
     return _poly(conductor, coeffs)
 
 

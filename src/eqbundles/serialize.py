@@ -87,10 +87,22 @@ def _grid(doc) -> list:
     return doc
 
 
-def _matrix_from_doc(doc, conductor: int) -> LaurentMatrix:
-    return LaurentMatrix(conductor,
-                         [[parse_laurent(s, conductor) for s in row]
-                          for row in _grid(doc)])
+def _matrix_from_doc(doc, conductor: int, name: str) -> LaurentMatrix:
+    """The matrix `name` of a document.  Each distinct entry text is parsed
+    once, and its repeats share the (immutable) LaurentPoly; a bad entry
+    fails at its first occurrence in row-major order, named by matrix,
+    row and column."""
+    grid = _grid(doc)
+    parsed = {}
+    for i, row in enumerate(grid, 1):
+        for j, s in enumerate(row, 1):
+            if s not in parsed:
+                try:
+                    parsed[s] = parse_laurent(s, conductor)
+                except ParseError as err:
+                    raise ParseError(f"{name} entry ({i}, {j}): {err.message}",
+                                     err.line, err.column) from None
+    return LaurentMatrix(conductor, [[parsed[s] for s in row] for row in grid])
 
 
 def _group_to_doc(G: GroupSpec):
@@ -146,7 +158,7 @@ def bundle_from_doc(doc) -> VectorBundle:
     rank = _field(doc, "rank", int)
     if rank is not None and rank != len(grid):
         raise ValidationError(f"declared rank {rank} != matrix size {len(grid)}")
-    T = _matrix_from_doc(grid, conductor)
+    T = _matrix_from_doc(grid, conductor, "transition")
     try:
         return make_bundle(T)
     except EqBundlesError as err:
@@ -174,7 +186,7 @@ def structure_from_doc(doc) -> EquivariantStructure:
         if rows != E.rank or cols != E.rank:
             raise ValidationError(f"invalid structure: map for {name!r} is "
                                   f"{rows}x{cols}, rank is {E.rank}")
-    maps = {name: _matrix_from_doc(m, E.conductor)
+    maps = {name: _matrix_from_doc(m, E.conductor, f"maps.{name}")
             for name, m in maps_doc.items()}
     try:
         return EquivariantStructure(E, G, maps)
@@ -194,6 +206,17 @@ def certificate_to_doc(cert: DecompositionCertificate):
             "change_of_frame": _matrix_to_doc(cert.change_of_frame)}
 
 
+def _block_degree(d) -> int:
+    """A block degree: an integer within the exponent cap, which the
+    canonical maps of `build` and the replay must be able to write."""
+    if not _is_int(d):
+        raise ValidationError(f"bad block degree {d!r}")
+    if abs(d) > MAX_EXPONENT:
+        raise ValidationError(f"block degree {d} exceeds {MAX_EXPONENT} "
+                              "in absolute value")
+    return d
+
+
 def certificate_from_doc(doc) -> DecompositionCertificate:
     G = _group_from_doc(_field(doc, "group", dict, {}))
     if G.kind == "klein_lift":
@@ -203,14 +226,11 @@ def certificate_from_doc(doc) -> DecompositionCertificate:
     for item in _field(doc, "even_blocks", list, []):
         if not isinstance(item, dict):
             raise ValidationError("even blocks must be objects")
-        d = item.get("degree")
-        if not _is_int(d):
-            raise ValidationError(f"bad block degree {d!r}")
+        d = _block_degree(item.get("degree"))
         even.append((d, _character_from_doc(_field(item, "character", dict, {}), G)))
-    odd = _field(doc, "odd_blocks", list, [])
-    if not all(_is_int(d) for d in odd):
-        raise ValidationError("odd block degrees must be integers")
-    frame = _matrix_from_doc(doc.get("change_of_frame"), conductor)
+    odd = [_block_degree(d) for d in _field(doc, "odd_blocks", list, [])]
+    frame = _matrix_from_doc(doc.get("change_of_frame"), conductor,
+                             "change_of_frame")
     try:
         return DecompositionCertificate(group=G, even_blocks=tuple(even),
                                         odd_blocks=tuple(odd),

@@ -408,7 +408,13 @@ class _ArithmeticParser:
             kind, val, pos = self.peek()
             if kind == "op" and val in ("·", "*"):
                 self.take()
+                pos = self.peek()[2]
                 acc = acc * self.parse_factor()
+                # the cap is checked on the product formed, where the
+                # parser predicts it from the factors' extreme exponents
+                if any(abs(e) > MAX_EXPONENT for e in acc.coeffs):
+                    self.fail(f"product exponent exceeds {MAX_EXPONENT} in "
+                              "absolute value", pos)
             elif kind in ("num", "root", "var") or (kind == "op" and val == "("):
                 self.fail("missing multiplication sign", pos)
             else:
@@ -475,9 +481,6 @@ def parse_laurent_by_arithmetic(text, conductor):
     result = parser.parse_expr()
     if parser.i != len(parser.tokens):
         parser.fail("trailing input", parser.peek()[2])
-    if any(abs(e) > MAX_EXPONENT for e in result.coeffs):
-        raise ParseError(f"an exponent exceeds {MAX_EXPONENT} in absolute value "
-                         f"in {_excerpt(text, 0)!r}")
     return result
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eqbundles
 from eqbundles.bundle import make_bundle
@@ -18,9 +19,10 @@ from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
                                    validation_report)
 from eqbundles.errors import ParseError, ValidationError
 from eqbundles.group import characters, cyclic, klein
-from eqbundles.laurent import MAX_EXPONENT
+from eqbundles.laurent import MAX_EXPONENT, parse_laurent
 from eqbundles.randgen import planted_bundle, random_certificate
-from eqbundles.serialize import (MAX_RANK, bundle_from_doc, parse_bundle_shortcut,
+from eqbundles.serialize import (MAX_RANK, _matrix_from_doc, bundle_from_doc,
+                                 parse_bundle_shortcut,
                                  parse_character_shortcut, parse_document,
                                  parse_group_shortcut, render_document)
 
@@ -74,6 +76,51 @@ def test_parse_error_has_position():
     with pytest.raises(ParseError) as err:
         parse_document("{ not json")
     assert err.value.line == 1 and err.value.column is not None
+
+
+@pytest.mark.parametrize("doc, where, column", [
+    ({"kind": "bundle", "conductor": 1, "transition": [["1", "0"], ["z^201", "1"]]},
+     "transition entry (2, 1)", 3),
+    ({"kind": "structure", "group": {"kind": "cyclic", "n": 2},
+      "bundle": {"kind": "bundle", "conductor": 1, "transition": [["z"]]},
+      "maps": {"e": [["1"]], "g": [["-1+)"]]}}, "maps.g entry (1, 1)", 4),
+    ({"kind": "certificate", "group": {"kind": "cyclic", "n": 2}, "conductor": 2,
+      "even_blocks": [{"degree": 0, "character": {"index": 1}}] * 2,
+      "change_of_frame": [["1", "0"], ["0", "z3"]]}, "change_of_frame entry (2, 2)", 1),
+], ids=["transition", "map", "change-of-frame"])
+def test_parse_error_names_the_matrix_entry(doc, where, column):
+    with pytest.raises(ParseError) as err:
+        parse_document(json.dumps(doc))
+    assert str(err.value).startswith(f"{where}: ")
+    assert err.value.line == 1 and err.value.column == column
+
+
+_ENTRY_POOL = ["0", "1", "z", "-z^-2", "(1+z4)·z^3", "2/3·z4^3", "1-z^200",
+               "z^201", "1+", "z^150·z^100", "z3", "()"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(st.sampled_from(_ENTRY_POOL), min_size=cols, max_size=cols),
+    min_size=1, max_size=4)))
+def test_matrix_parses_each_distinct_text_once_with_the_same_outcome(grid):
+    expected = None
+    for i, row in enumerate(grid, 1):
+        for j, s in enumerate(row, 1):
+            try:
+                parse_laurent(s, 4)
+            except ParseError as err:
+                expected = expected or (f"x entry ({i}, {j}): {err}", err.column)
+    try:
+        A = _matrix_from_doc(grid, 4, "x")
+    except ParseError as err:
+        assert (str(err), err.column) == expected
+        return
+    assert expected is None
+    assert A.entries == tuple(tuple(parse_laurent(s, 4) for s in row) for row in grid)
+    # repeats of a text share one polynomial
+    texts = {s for row in grid for s in row}
+    assert len({id(p) for row in A.entries for p in row}) == len(texts)
 
 
 def test_validation_errors():
@@ -561,6 +608,47 @@ def test_cli_validate_rejects_mistyped_fields(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _klein_cert(even=(), odd=()):
+    r = len(even) + 2 * len(odd)
+    return {"kind": "certificate", "group": {"kind": "klein"}, "conductor": 4,
+            "even_blocks": [{"degree": d, "character": {"a1": 1, "a2": -1}}
+                            for d in even],
+            "odd_blocks": list(odd),
+            "change_of_frame": [["1" if i == j else "0" for j in range(r)]
+                                for i in range(r)]}
+
+
+@pytest.mark.parametrize("doc", [
+    _klein_cert(even=[2000]), _klein_cert(even=[-MAX_EXPONENT - 2]),
+    _klein_cert(odd=[MAX_EXPONENT + 1]),
+    dict(_CERT, even_blocks=[{"degree": MAX_EXPONENT + 1, "character": {"index": 1}}]),
+], ids=["klein-2000", "klein-below", "pair-above", "cyclic-above"])
+def test_cli_rejects_block_degrees_above_the_cap(tmp_path, capsys, doc):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)], ["build", "--cert", str(path)]):
+        assert main(argv) == 2
+        assert f"exceeds {MAX_EXPONENT}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    _klein_cert(even=[MAX_EXPONENT, -MAX_EXPONENT]),
+    _klein_cert(odd=[MAX_EXPONENT - 1, 1 - MAX_EXPONENT]),
+    {"kind": "certificate", "group": {"kind": "cyclic", "n": 3}, "conductor": 3,
+     "odd_blocks": [], "change_of_frame": [["1", "0"], ["0", "1"]],
+     "even_blocks": [{"degree": MAX_EXPONENT, "character": {"index": 1}},
+                     {"degree": -MAX_EXPONENT, "character": {"index": 2}}]},
+], ids=["klein-even", "klein-pair", "cyclic"])
+def test_cli_build_at_the_block_degree_cap_parses_back(tmp_path, capsys, doc):
+    c_path, s_path = tmp_path / "cert.json", tmp_path / "built.json"
+    c_path.write_text(json.dumps(doc))
+    assert main(["validate", str(c_path)]) == 0
+    assert main(["build", "--cert", str(c_path), "--out", str(s_path)]) == 0
+    assert main(["validate", str(s_path)]) == 0
+    assert main(["verify-cert", "--cert", str(c_path), "--structure", str(s_path)]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("args", [
