@@ -23,10 +23,9 @@ from .equivariant import (EquivariantStructure, canonical_cyclic,
                           canonical_klein_pair, canonical_structure,
                           canonical_tangent, central_sign, conjugate_structure,
                           descend_lift, direct_sum_structures, embed_structure,
-                          existence, is_bundle_map, structure_quotient,
-                          structures_equivalent, transport_structure,
-                          twist_by_character, validate_structure,
-                          validation_report)
+                          existence, is_bundle_map, structures_equivalent,
+                          transport_structure, twist_by_character,
+                          validate_structure, validation_report)
 from .classify import (DecompositionCertificate, ModelStructure,
                        averaging_intertwiner, block_diagonal_part, build_structure,
                        decompose, extract_residual_rep, pullback_structure,

@@ -15,12 +15,15 @@ Order of battle for a genuine structure S on a bundle E:
    eigenvector pairs swapped by the anticommuting generator for odd
    Klein blocks.
 
-The certificate records the block data plus the composite change of
-frame; `verify_certificate` replays it exactly.  That replay is the one
-check `decompose` makes, and S is not validated first.  It reads the
-canonical model's maps and its bundle diag(z^d) off the block data, from
-`equivariant.canonical_monomials`, the one table of canonical blocks;
-no canonical structure is assembled for it.
+Each step is one public function (`pullback_structure`,
+`averaging_intertwiner`, `extract_residual_rep`, `rep_decompose`) and
+none re-checks its own postcondition.  The certificate records the block
+data plus the composite change of frame; `verify_certificate` replays it
+exactly.  That replay is the one check `decompose` makes, and S is not
+validated first.  It reads the canonical model's maps and its bundle
+diag(z^d) off the block data, from `equivariant.canonical_monomials`,
+the one table of canonical blocks; no canonical structure is assembled
+for it.
 """
 
 from __future__ import annotations
@@ -31,15 +34,13 @@ from fractions import Fraction
 from .bundle import ModelIso, chart_certificate, column_frame, model_bundle
 from .cyclotomic import CycNum
 from .errors import (EqBundlesError, FactorizationFailure, InternalInconsistency,
-                     InvalidStructure, NotBlockDiagonalPart, RelationViolation,
-                     ShapeMismatch, TriangularityViolation)
+                     InvalidStructure, ShapeMismatch)
 from .equivariant import (EquivariantStructure, GroupIndexed, canonical_monomials,
                           monomial_maps, require_valid, transport_structure)
 from .group import (Character, GroupSpec, characters, elements, generators, identity,
-                    inverse, klein_lift, multiply)
+                    inverse, klein_lift)
 from .laurent import LaurentMatrix, LaurentPoly
-from .linalg import (eigenspace, identity_const, kernel_dense, mat_mul_const,
-                     mat_vec_const)
+from .linalg import eigenspace, kernel_dense, mat_vec_const
 
 
 @dataclass(frozen=True)
@@ -64,24 +65,16 @@ def _block_ranges(degrees):
 
 
 def pullback_structure(S: EquivariantStructure, iso: ModelIso) -> ModelStructure:
-    """N'_gamma(z) = psi(gamma z)^(-1) N_gamma(z) psi(z); the result is
-    block-triangular because a line of some degree admits no nonzero map
-    into a line of strictly smaller degree."""
+    """N'_gamma(z) = psi(gamma z)^(-1) N_gamma(z) psi(z).  For a genuine
+    structure and a model isomorphism psi the result is block-triangular,
+    because a line of some degree admits no nonzero map into a line of
+    strictly smaller degree; that is not re-checked here."""
     if S.lift:
         raise InvalidStructure("pullback expects a genuine structure")
     psi_inv = iso.psi.inverse()
-    degrees = iso.model.degrees
-    maps = {}
-    for name, c, e in S.action_items():
-        pulled = psi_inv.substitute(c, e) @ S.maps[name] @ iso.psi
-        for i in range(len(degrees)):
-            for j in range(len(degrees)):
-                if degrees[i] < degrees[j] and not pulled.entries[i][j].is_zero():
-                    raise TriangularityViolation(
-                        f"pulled-back map for {name!r} has a nonzero entry "
-                        f"from degree {degrees[j]} down to {degrees[i]}")
-        maps[name] = pulled
-    return ModelStructure(S.group, degrees, maps, S.conductor)
+    maps = {name: psi_inv.substitute(c, e) @ S.maps[name] @ iso.psi
+            for name, c, e in S.action_items()}
+    return ModelStructure(S.group, iso.model.degrees, maps, S.conductor)
 
 
 def block_diagonal_part(N: ModelStructure) -> ModelStructure:
@@ -104,24 +97,10 @@ def averaging_intertwiner(N: ModelStructure, R: ModelStructure) -> LaurentMatrix
     """S(z) = 1/|G| * sum_gamma N_gamma(z)^(-1) R_gamma(z), where the
     cocycle supplies its own inverses: N_gamma(z)^(-1) = N_{gamma^-1}(gamma z).
 
-    For a cocycle N, S is unipotent block-triangular and N_gamma(z) S(z) =
+    Precondition, not checked: R = `block_diagonal_part(N)`.  For a
+    cocycle N, S is then unipotent block-triangular and N_gamma(z) S(z) =
     S(gamma z) R_gamma(z); `test_criterion_8_averaging_and_roundtrip`
     checks both, and in `decompose` the certificate replay covers them."""
-    if N.degrees != R.degrees or N.group != R.group:
-        raise NotBlockDiagonalPart("mismatched model structures")
-    ranges = _block_ranges(N.degrees)
-    for name, mat in R.maps.items():
-        ref = N.maps[name]
-        for (_, start, stop) in ranges:
-            for i in range(start, stop):
-                for j in range(len(N.degrees)):
-                    inside = start <= j < stop
-                    if inside and mat.entries[i][j] != ref.entries[i][j]:
-                        raise NotBlockDiagonalPart(
-                            f"diagonal block of R differs from N at {name!r}")
-                    if not inside and not mat.entries[i][j].is_zero():
-                        raise NotBlockDiagonalPart(
-                            f"R has off-diagonal data at {name!r}")
     order = N.group.order
     inverse_name = {g.name: inverse(N.group, g).name for g in elements(N.group)}
     acc = None
@@ -195,28 +174,6 @@ def extract_residual_rep(R: ModelStructure, d: int) -> ResidualRep:
     return ResidualRep(mode, G, d, size, mats, R.conductor)
 
 
-def _check_rep_relations(rho: ResidualRep):
-    """rho(identity) = I and rho(s) rho(x) = +-rho(sx) for generators s and
-    every x, which gives the relation for every pair by the induction in
-    `validation_report`'s docstring.  The sign is the lift group's in
-    klein_lift mode, whose keys are the lift elements without a sign, and
-    +1 otherwise."""
-    cond = rho.conductor
-    G = klein_lift() if rho.mode == "klein_lift" else rho.group
-    if rho.mats[identity(G).name] != identity_const(rho.size, cond):
-        raise RelationViolation("the identity does not act by the identity matrix")
-    unsigned = [x for x in elements(G) if x.name[0] != "-"]
-    for s in generators(G):
-        for x in unsigned:
-            sx = multiply(G, s, x)
-            expected = rho.mats[sx.name.lstrip("-")]
-            if sx.name[0] == "-":
-                expected = [[-y for y in row] for row in expected]
-            if mat_mul_const(rho.mats[s.name], rho.mats[x.name], cond) != expected:
-                raise RelationViolation(
-                    f"constant matrices are not a representation at ({s.name}, {x.name})")
-
-
 def rep_decompose(rho: ResidualRep):
     """Split a residual representation.
 
@@ -225,18 +182,13 @@ def rep_decompose(rho: ResidualRep):
     klein_lift: returns [(v_j, rho(A2) v_j)] with v_j an echelon basis of
     the +1 eigenspace of rho(A1).
 
-    Once the relations hold, the vectors form a basis: commuting matrices
-    of finite order split into character eigenspaces over a field that
-    holds their eigenvalues, and rho(A2), an involution anticommuting with
-    the involution rho(A1), maps the +1 eigenspace onto the -1 one."""
-    _check_rep_relations(rho)
-    return _split_rep(rho)
-
-
-def _split_rep(rho: ResidualRep):
-    """`rep_decompose` without the relation check.  On matrices that are
-    not a representation the vectors need not be a basis; `_classify`
-    checks their count and the certificate replay the rest."""
+    When rho is a representation the vectors form a basis: commuting
+    matrices of finite order split into character eigenspaces over a field
+    that holds their eigenvalues, and rho(A2), an involution anticommuting
+    with the involution rho(A1), maps the +1 eigenspace onto the -1 one.
+    The relations are not checked, so on other matrices the vectors need
+    not be a basis; `_classify` checks their count and the certificate
+    replay the rest."""
     cond, n = rho.conductor, rho.size
     G = rho.group
     if rho.mode == "klein_lift":
@@ -409,14 +361,15 @@ def decompose(S: EquivariantStructure) -> DecompositionCertificate:
     """Classify a genuine structure; the returned certificate verifies
     against S exactly.
 
-    S is not validated first: the replay proves it valid.  The replay
-    checks that the change of frame F is a bundle isomorphism from the
-    built canonical structure B (the chart certificates) and that
-    F(gamma z) B_gamma(z) = S_gamma(z) F(z) for every gamma, so S is
-    F-conjugate to the valid B and is valid itself.  S is validated only
-    after an EqBundlesError or a failed replay: bad input then raises
-    InvalidStructure naming the first failed check, and on a valid S the
-    pipeline's own exception, or InternalInconsistency, is raised."""
+    S is not validated first, and no stage checks its own output: the
+    replay proves both.  It checks that the change of frame F is a bundle
+    isomorphism from the canonical model B of the block data (the chart
+    certificates) and that F(gamma z) B_gamma(z) = S_gamma(z) F(z) for
+    every gamma, so S is F-conjugate to the valid B and is valid itself.
+    S is validated only after an EqBundlesError or a failed replay: bad
+    input then raises InvalidStructure naming the first failed check, and
+    on a valid S the pipeline's own exception, or InternalInconsistency,
+    is raised."""
     if S.lift:
         raise InvalidStructure("decompose expects a genuine structure")
     try:
@@ -434,11 +387,12 @@ def decompose(S: EquivariantStructure) -> DecompositionCertificate:
 def _classify(S: EquivariantStructure) -> DecompositionCertificate:
     """The pipeline of the module docstring; `decompose` checks its answer.
 
-    No stage re-checks what the replay covers: the frame psi comes
-    without its chart certificates and the residual reps are split
-    without their relation check.  A degree block that splits into the
-    wrong number of vectors raises InternalInconsistency, so that bad
-    input still reaches `require_valid`."""
+    No stage re-checks what the replay covers: the frame psi comes from
+    `column_frame` without its chart certificates, and `rep_decompose`
+    splits the residual reps without a relation check.  A degree block
+    that splits into the wrong number of vectors raises
+    InternalInconsistency, so that bad input still reaches
+    `require_valid`."""
     st, psi = column_frame(S.bundle)
     N = pullback_structure(S, ModelIso(st, psi, S.bundle))
     R = block_diagonal_part(N)
@@ -448,7 +402,7 @@ def _classify(S: EquivariantStructure) -> DecompositionCertificate:
     P_blocks = []
     for (d, start, stop) in _block_ranges(N.degrees):
         rr = extract_residual_rep(R, d)
-        split = _split_rep(rr)
+        split = rep_decompose(rr)
         if rr.mode == "klein_lift":
             odd_blocks.extend([d] * len(split))
             cols = [c for v, av in split for c in (av, v)]

@@ -392,19 +392,6 @@ def root_of_unity(m: int, k: int) -> CycNum:
     return _new(m, _zeta_powers(m)[k % m], 1)
 
 
-def discrete_log_root(value: CycNum, m: int):
-    """Return k with value = zeta_m^k in value's field, or None if there is none.
-
-    The value's conductor must be a multiple of m so that zeta_m embeds."""
-    for k in range(m):
-        cand = root_of_unity(m, k)
-        if cand.conductor != value.conductor:
-            cand = cand.embed(value.conductor)
-        if cand == value:
-            return k
-    return None
-
-
 # ---------------------------------------------------------------------------
 # canonical text form: "3/4", "z4" (= zeta_4), "1/2+3·z12^3"
 # ---------------------------------------------------------------------------

@@ -16,12 +16,11 @@ from math import lcm
 
 from .bundle import (VectorBundle, direct_sum, embed_bundle, model_bundle,
                      splitting_type, twist)
-from .cyclotomic import CycNum, discrete_log_root
+from .cyclotomic import CycNum
 from .errors import (DimensionMismatch, InvalidStructure, MissingElement,
                      NoSuchStructure, NotComparable, ValidationError)
-from .group import (Character, GroupElement, GroupSpec, characters, cyclic,
-                    element_by_name, elements, generators, identity, klein,
-                    klein_lift, multiply)
+from .group import (Character, GroupElement, GroupSpec, cyclic, element_by_name,
+                    elements, generators, identity, klein, klein_lift, multiply)
 from .laurent import LaurentMatrix, LaurentPoly, regular_invertible_at
 
 
@@ -319,7 +318,7 @@ def descend_lift(S: EquivariantStructure) -> EquivariantStructure:
 
 
 # ---------------------------------------------------------------------------
-# character twists and the torsor structure
+# character twists
 # ---------------------------------------------------------------------------
 
 def twist_by_character(S: EquivariantStructure, chi: Character) -> EquivariantStructure:
@@ -331,47 +330,6 @@ def twist_by_character(S: EquivariantStructure, chi: Character) -> EquivariantSt
     maps = {name: N.scale(chi.value(name).embed(S.conductor))
             for name, N in S.maps.items()}
     return EquivariantStructure(S.bundle, S.group, maps)
-
-
-def structure_quotient(S1: EquivariantStructure,
-                       S2: EquivariantStructure) -> Character:
-    """The unique character chi with S1 = twist_by_character(S2, chi);
-    rank-1 automorphisms are constants, so the ratio of the two cocycles
-    is a character."""
-    if S1.bundle != S2.bundle or S1.group != S2.group:
-        raise NotComparable("structures live on different bundles or groups")
-    if S1.bundle.rank != 1:
-        raise NotComparable("structure quotients are defined for line bundles")
-    if S1.lift:
-        raise InvalidStructure("structure quotients act on genuine structures")
-    G = S1.group
-
-    def ratio(name):
-        a = S1.maps[name].entries[0][0]
-        b = S2.maps[name].entries[0][0]
-        q = a.divexact(b)
-        if not q.is_constant():
-            raise InvalidStructure(f"ratio at {name!r} is not constant: {q}")
-        return q.coeff(0)
-
-    if G.kind == "cyclic":
-        if G.n == 1:
-            return characters(G)[0]
-        k = discrete_log_root(ratio("g"), G.n)
-        if k is None:
-            raise InvalidStructure("ratio on the generator is not a root of unity")
-        return Character(G, index=k)
-    s1 = ratio("a1")
-    s2 = ratio("a2")
-    signs = []
-    for s in (s1, s2):
-        if s == 1:
-            signs.append(1)
-        elif s == -1:
-            signs.append(-1)
-        else:
-            raise InvalidStructure(f"Klein ratio {s} is not a sign")
-    return Character(G, signs=tuple(signs))
 
 
 # ---------------------------------------------------------------------------

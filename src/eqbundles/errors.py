@@ -33,20 +33,8 @@ class InternalInconsistency(EqBundlesError):
     """A guaranteed postcondition failed; indicates a bug, not bad input."""
 
 
-class TriangularityViolation(InternalInconsistency):
-    """A pulled-back cocycle failed block triangularity (mathematically impossible)."""
-
-
-class NotBlockDiagonalPart(EqBundlesError):
-    """The claimed block-diagonal part disagrees with the diagonal blocks of the cocycle."""
-
-
 class FactorizationFailure(InternalInconsistency):
     """A residual block did not factor as reference scalar times a constant matrix."""
-
-
-class RelationViolation(EqBundlesError):
-    """Constant matrices do not satisfy the required group relations."""
 
 
 class InvalidStructure(EqBundlesError):

@@ -658,7 +658,11 @@ class _Parser:
         self.depth = 0
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
+        """The next token; at the end of input its position is the end of
+        the text, so an error there names the column after the last one."""
+        if self.i < len(self.tokens):
+            return self.tokens[self.i]
+        return None, None, len(self.text)
 
     def take(self):
         tok = self.peek()
@@ -666,7 +670,6 @@ class _Parser:
         return tok
 
     def fail(self, msg, pos):
-        pos = pos or 0
         raise ParseError(f"{msg} in {_excerpt(self.text, pos)!r}", line=1,
                          column=pos + 1)
 

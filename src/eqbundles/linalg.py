@@ -55,10 +55,12 @@ def det_const(grid, conductor):
             m[k], m[pivot] = m[pivot], m[k]
             det = -det
         det = det * m[k][k]
-        inv = m[k][k].inverse()
+        inv = None  # inverted only if a row below needs elimination
         for i in range(k + 1, n):
             if m[i][k].is_zero():
                 continue
+            if inv is None:
+                inv = m[k][k].inverse()
             f = m[i][k] * inv
             for j in range(k, n):
                 m[i][j] = m[i][j] - f * m[k][j]

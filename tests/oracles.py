@@ -375,7 +375,9 @@ class _ArithmeticParser:
         self.depth = 0
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
+        if self.i < len(self.tokens):
+            return self.tokens[self.i]
+        return None, None, len(self.text)
 
     def take(self):
         tok = self.peek()
@@ -383,7 +385,6 @@ class _ArithmeticParser:
         return tok
 
     def fail(self, msg, pos):
-        pos = pos or 0
         raise ParseError(f"{msg} in {_excerpt(self.text, pos)!r}", line=1,
                          column=pos + 1)
 

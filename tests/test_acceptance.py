@@ -19,8 +19,8 @@ from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
                                    canonical_klein_even, canonical_klein_pair,
                                    canonical_structure, canonical_tangent,
                                    conjugate_structure, direct_sum_structures,
-                                   existence, structure_quotient,
-                                   twist_by_character, validate_structure)
+                                   existence, twist_by_character,
+                                   validate_structure)
 from eqbundles.errors import NoSuchStructure
 from eqbundles.group import characters, cyclic, klein
 from eqbundles.laurent import LaurentMatrix, LaurentPoly, parse_laurent
@@ -140,14 +140,16 @@ def test_criterion_5_cyclic_torsor():
                 if validate_structure(S) and not any(c == v for v, _ in valid):
                     valid.append((c, S))
             ok = ok and len(valid) == n
+            # the constant 1 comes first: the canonical line, character 1
             base = valid[0][1]
+            ok = ok and decompose(base).even_blocks == ((d, chars[0]),)
             for _, S in valid:
-                chi = structure_quotient(S, base)
-                ok = ok and twist_by_character(base, chi) == S
+                ((degree_S, chi),) = decompose(S).even_blocks
+                ok = ok and degree_S == d and twist_by_character(base, chi) == S
             for chi in chars:
                 T = twist_by_character(base, chi)
-                ok = ok and structure_quotient(T, base) == chi
-    assert _report(5, "cyclic torsor: n constants, quotient/twist inverse", ok)
+                ok = ok and decompose(T).even_blocks == ((d, chi),)
+    assert _report(5, "cyclic torsor: n constants, character/twist inverse", ok)
 
 
 def test_criterion_6_canonical_structures_validate():

@@ -7,8 +7,7 @@ import pytest
 from eqbundles import bundle, classify, equivariant
 from eqbundles.bundle import line_bundle, model_bundle, model_isomorphism, splitting_type
 from eqbundles.classify import (DecompositionCertificate, ModelStructure,
-                                ResidualRep, _check_rep_relations,
-                                averaging_intertwiner, block_diagonal_part,
+                                ResidualRep, averaging_intertwiner, block_diagonal_part,
                                 build_structure, decompose, extract_residual_rep,
                                 pullback_structure, reference_scalars,
                                 rep_decompose, verify_certificate,
@@ -22,12 +21,10 @@ from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
                                    twist_by_character, validate_structure,
                                    validation_report)
 from eqbundles.errors import (EqBundlesError, FactorizationFailure,
-                              InternalInconsistency,
-                              InvalidStructure, NotBlockDiagonalPart,
-                              RelationViolation)
-from eqbundles.group import characters, cyclic, elements, klein, klein_lift, multiply
+                              InternalInconsistency, InvalidStructure)
+from eqbundles.group import characters, cyclic, klein, klein_lift
 from eqbundles.laurent import LaurentMatrix, LaurentPoly
-from eqbundles.linalg import identity_const, mat_mul_const
+from eqbundles.linalg import mat_mul_const
 from eqbundles.randgen import (random_certificate,
                                random_model_automorphism, random_unimodular)
 
@@ -61,22 +58,6 @@ def test_pullback_cocycle_holds():
         for n2, c2, e2 in N.action_items():
             prod = N.product_name(n1, n2)
             assert N.maps[prod] == N.maps[n1].substitute(c2, e2) @ N.maps[n2]
-
-
-def test_pullback_rejects_wrong_frame():
-    # a deliberately wrong model isomorphism (swapped columns) hides the
-    # degree ordering, so the triangularity guard must fire
-    from eqbundles.bundle import ModelIso, SplittingType
-    from eqbundles.errors import TriangularityViolation
-    G = cyclic(2)
-    E = model_bundle(2, [1, 0])
-    Ng = M([["1", "3"], ["0", "-1"]], 2)
-    S = EquivariantStructure(E, G, {"e": LaurentMatrix.identity(2, 2), "g": Ng})
-    assert validate_structure(S)
-    swap = M([["0", "1"], ["1", "0"]], 2)
-    bogus = ModelIso(model=SplittingType((1, 0)), psi=swap, bundle=E)
-    with pytest.raises(TriangularityViolation):
-        pullback_structure(S, bogus)
 
 
 def test_pullback_triangularity_on_mixed_degrees():
@@ -126,15 +107,6 @@ def test_averaging_halves_planted_off_diagonal_entry():
         assert N.maps[name] @ S == S.substitute(c, e) @ R.maps[name]
 
 
-def test_averaging_rejects_wrong_diagonal():
-    N = _cyclic2_triangular_model(Fraction(1))
-    R = block_diagonal_part(N)
-    bad = ModelStructure(R.group, R.degrees,
-                         {"e": R.maps["e"], "g": R.maps["e"]}, R.conductor)
-    with pytest.raises(NotBlockDiagonalPart):
-        averaging_intertwiner(N, bad)
-
-
 def test_averaging_unipotent_on_fuzz():
     rng = Random(31)
     for _ in range(10):
@@ -168,6 +140,7 @@ def test_extract_reference_times_identity():
     ident = [[CycNum.one(4), CycNum.zero(4)], [CycNum.zero(4), CycNum.one(4)]]
     assert rr.mode == "klein_even"
     assert rr.mats["a1"] == ident and rr.mats["a2"] == ident
+    assert rep_relation_failures(rr) == []
 
 
 def test_extract_cyclic_constant_block():
@@ -207,6 +180,7 @@ def test_rep_decompose_abelian_diagonal():
             "g": [[z, zero], [zero, z2]],
             "g^2": [[z2, zero], [zero, z]]}
     rr = ResidualRep("cyclic", G, 0, 2, mats, 3)
+    assert rep_relation_failures(rr) == []
     out = rep_decompose(rr)
     assert [chi.index for chi, _ in out] == [1, 2]
 
@@ -244,72 +218,9 @@ def test_rep_decompose_klein_lift_two_pairs():
     rr = ResidualRep("klein_lift", klein(), 1, 4,
                      {"I": two_copies([[one, zero], [zero, one]]),
                       "A1": a1, "A2": a2, "A1A2": mat_mul_const(a1, a2, 4)}, 4)
+    assert rep_relation_failures(rr) == []
     pairs = rep_decompose(rr)
     assert len(pairs) == 2
-
-
-def test_rep_decompose_rejects_broken_relations():
-    from eqbundles.classify import ResidualRep
-    zero, one = CycNum.zero(4), CycNum.one(4)
-    two = CycNum.rational(4, 2)
-    bad = ResidualRep("klein_lift", klein(), -1, 1,
-                      {"I": [[one]], "A1": [[two]], "A2": [[one]],
-                       "A1A2": [[two]]}, 4)
-    with pytest.raises(RelationViolation):
-        rep_decompose(bad)
-
-
-def _regular_rep(G, cond):
-    """rho(g) e_h = e_{gh} on the basis of group elements."""
-    els = elements(G)
-    zero, one = CycNum.zero(cond), CycNum.one(cond)
-    mats = {}
-    for g in els:
-        grid = [[zero] * len(els) for _ in els]
-        for j, h in enumerate(els):
-            grid[els.index(multiply(G, g, h))][j] = one
-        mats[g.name] = grid
-    return mats
-
-
-def _residual_reps():
-    zero, one, minus = CycNum.zero(4), CycNum.one(4), CycNum.rational(4, -1)
-    a1 = [[minus, zero, zero, zero], [zero, one, zero, zero],
-          [zero, zero, minus, zero], [zero, zero, zero, one]]
-    a2 = [[zero, one, zero, zero], [one, zero, zero, zero],
-          [zero, zero, zero, one], [zero, zero, one, zero]]
-    lift = {"I": identity_const(4, 4), "A1": a1, "A2": a2,
-            "A1A2": mat_mul_const(a1, a2, 4)}
-    return [ResidualRep("cyclic", cyclic(3), 0, 3, _regular_rep(cyclic(3), 3), 3),
-            ResidualRep("cyclic", cyclic(1), 0, 1, _regular_rep(cyclic(1), 1), 1),
-            ResidualRep("klein_even", klein(), 0, 4, _regular_rep(klein(), 4), 4),
-            ResidualRep("klein_lift", klein(), -1, 4, lift, 4)]
-
-
-def _relations_hold(rho):
-    try:
-        _check_rep_relations(rho)
-    except RelationViolation:
-        return False
-    return True
-
-
-def test_generator_relation_check_matches_all_pairs():
-    rng = Random(73)
-    for rho in _residual_reps():
-        assert _relations_hold(rho) and rep_relation_failures(rho) == []
-        verdicts = []
-        for _ in range(40):
-            key = rng.choice(sorted(rho.mats))
-            i, j = rng.randrange(rho.size), rng.randrange(rho.size)
-            grid = [list(row) for row in rho.mats[key]]
-            grid[i][j] = (CycNum.zero(rho.conductor) if rng.random() < 0.3
-                          else grid[i][j] + rng.choice([1, -1, 2]))
-            bad = ResidualRep(rho.mode, rho.group, rho.degree, rho.size,
-                              {**rho.mats, key: grid}, rho.conductor)
-            verdicts.append(_relations_hold(bad))
-            assert verdicts[-1] == (rep_relation_failures(bad) == []), (rho.mode, key)
-        assert not all(verdicts)
 
 
 # -- decompose / build / verify ------------------------------------------------------
@@ -369,8 +280,7 @@ def _non_representations():
 def test_decompose_names_the_first_failure_of_a_non_representation(S, wrong_count):
     iso = model_isomorphism(S.bundle)
     R = block_diagonal_part(pullback_structure(S, iso))
-    with pytest.raises(RelationViolation):
-        _check_rep_relations(extract_residual_rep(R, iso.model.degrees[0]))
+    assert rep_relation_failures(extract_residual_rep(R, iso.model.degrees[0])) != []
     if wrong_count:
         with pytest.raises(InternalInconsistency, match="split into"):
             classify._classify(S)
@@ -381,8 +291,8 @@ def test_decompose_names_the_first_failure_of_a_non_representation(S, wrong_coun
 
 
 def test_decompose_reports_a_wrong_block_count_as_a_bug(monkeypatch):
-    real = classify._split_rep
-    monkeypatch.setattr(classify, "_split_rep", lambda rho: real(rho)[:-1])
+    real = classify.rep_decompose
+    monkeypatch.setattr(classify, "rep_decompose", lambda rho: real(rho)[:-1])
     with pytest.raises(InternalInconsistency,
                        match="block of size 2 split into 1 vectors") as exc:
         decompose(_two_character_structure())
@@ -451,13 +361,13 @@ def _two_character_structure():
 
 
 def test_decompose_reports_a_wrong_basis_as_a_bug(monkeypatch):
-    real = classify._split_rep
+    real = classify.rep_decompose
 
     def reversed_basis(rho):
         eig = real(rho)
         return [(chi, v) for (chi, _), (_, v) in zip(eig, reversed(eig))]
 
-    monkeypatch.setattr(classify, "_split_rep", reversed_basis)
+    monkeypatch.setattr(classify, "rep_decompose", reversed_basis)
     with pytest.raises(InternalInconsistency, match="non-verifying certificate"):
         decompose(_two_character_structure())
 
@@ -496,26 +406,23 @@ def test_success_path_runs_no_validation(monkeypatch):
 
 def test_decompose_success_path_replays_no_stage_check(monkeypatch):
     """On success the certificate replay is the only check: no chart
-    certificate of the frame, no relation check of a residual rep."""
+    certificate of the frame."""
     calls = []
-    for module, name in ((bundle, "_certify"), (classify, "_check_rep_relations")):
-        real = getattr(module, name)
+    real = bundle._certify
 
-        def counted(*args, _real=real, _name=name):
-            calls.append(_name)
-            return _real(*args)
+    def counted(*args):
+        calls.append("_certify")
+        return real(*args)
 
-        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(bundle, "_certify", counted)
     for S in (_two_character_structure(), canonical_klein_pair(-1),
               direct_sum_structures(canonical_klein_pair(1),
                                     canonical_klein_even(2))):
         assert verify_certificate(decompose(S), S)
     assert calls == []
-    # the counters see the checks that the public stages still run
-    S = _two_character_structure()
-    R = block_diagonal_part(pullback_structure(S, model_isomorphism(S.bundle)))
-    rep_decompose(extract_residual_rep(R, 0))
-    assert calls == ["_certify", "_check_rep_relations"]
+    # the counter sees the certificate that the public model isomorphism runs
+    model_isomorphism(_two_character_structure().bundle)
+    assert calls == ["_certify"]
 
 
 def test_build_structure_blocks():

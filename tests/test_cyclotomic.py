@@ -10,6 +10,7 @@ from eqbundles.cyclotomic import (CycNum, cyclotomic_polynomial, euler_phi,
 from eqbundles.cyclotomic import _gauss_jordan_inverse
 from eqbundles.errors import ConductorMismatch
 from eqbundles.laurent import parse_cycnum
+from eqbundles.linalg import det_const
 
 from oracles import cyclotomic_product_reference
 
@@ -259,3 +260,24 @@ def test_root_of_unity_inverse_by_lookup_equals_gauss_jordan(m):
             inv = x.inverse()
             assert inv == _gauss_jordan_inverse(x)
             assert x * inv == 1
+
+
+def test_det_const_inverts_only_pivots_that_eliminate(monkeypatch):
+    calls = []
+    real = CycNum.inverse
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CycNum, "inverse", counted)
+    z = primitive_root(97)
+    x = z ** 3 - z  # a Gauss-Jordan pass at m = 97, were it inverted
+    assert det_const([[x]], 97) == x
+    zero = CycNum.zero(97)
+    upper = [[x, z, 2], [zero, x + 1, z], [zero, zero, 3 * x]]
+    assert det_const(upper, 97) == x * (x + 1) * (3 * x)
+    assert calls == []
+    # a nonzero entry below the pivot still needs its inverse
+    assert det_const([[x, z], [z, x]], 97) == x * x - z * z
+    assert calls == [x]

@@ -6,7 +6,7 @@ import pytest
 
 from eqbundles.bundle import (direct_sum, h0, hom, line_bundle, make_bundle,
                              model_bundle)
-from eqbundles.classify import build_structure
+from eqbundles.classify import build_structure, decompose
 from eqbundles.cyclotomic import CycNum, root_of_unity
 from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
                                    canonical_klein_even, canonical_klein_lift,
@@ -14,7 +14,7 @@ from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
                                    canonical_structure, canonical_tangent,
                                    central_sign, conjugate_structure,
                                    descend_lift, direct_sum_structures,
-                                   existence, is_bundle_map, structure_quotient,
+                                   existence, is_bundle_map,
                                    structures_equivalent, transport_structure,
                                    twist_by_character, validate_structure,
                                    validation_report)
@@ -274,25 +274,27 @@ def test_twist_tangent_by_sign_character():
     assert validate_structure(T)
 
 
+def _line_character(S):
+    """The character of a rank-1 structure against the canonical line of
+    its degree, read off its decomposition."""
+    ((_, chi),) = decompose(S).even_blocks
+    return chi
+
+
 def test_structure_quotient_roundtrip():
     S = canonical_cyclic(4, 1)
-    assert structure_quotient(S, S).is_trivial()
+    assert _line_character(S).is_trivial()
     for chi in characters(cyclic(4)):
         T = twist_by_character(S, chi)
-        assert structure_quotient(T, S) == chi
-        assert twist_by_character(S, structure_quotient(T, S)) == T
+        assert decompose(T).even_blocks == ((1, chi),)
+        assert twist_by_character(S, _line_character(T)) == T
 
 
 def test_structure_quotient_sign_example():
     S1 = canonical_cyclic(2, -1)
     S2 = twist_by_character(S1, characters(cyclic(2))[1])
     assert S2.maps["g"] == M([["-1"]], 2)
-    assert structure_quotient(S2, S1) == characters(cyclic(2))[1]
-
-
-def test_structure_quotient_not_comparable():
-    with pytest.raises(NotComparable):
-        structure_quotient(canonical_cyclic(2, 0), canonical_cyclic(2, 1))
+    assert _line_character(S2) == characters(cyclic(2))[1]
 
 
 def test_klein_even_torsor_roundtrip():
@@ -300,7 +302,7 @@ def test_klein_even_torsor_roundtrip():
     for chi in characters(klein()):
         T = twist_by_character(S, chi)
         assert validate_structure(T)
-        assert structure_quotient(T, S) == chi
+        assert decompose(T).even_blocks == ((-2, chi),)
         assert twist_by_character(S, chi) == T
 
 
@@ -309,7 +311,8 @@ def test_descended_lift_is_a_character_twist_of_the_even_canonical():
     for d in (-4, -2, 0, 2, 4):
         descended = descend_lift(canonical_klein_lift(d))
         even = canonical_klein_even(d)
-        chi = structure_quotient(descended, even)
+        assert _line_character(even).is_trivial()
+        chi = _line_character(descended)
         m = d // 2
         expect = (1, 1) if m % 2 == 0 else (-1, -1)
         assert chi.signs == expect

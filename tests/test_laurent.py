@@ -421,10 +421,12 @@ def test_render_parse_roundtrip(p):
 
 
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError):
-        parse_laurent("z^", 1)
-    with pytest.raises(ParseError):
-        parse_laurent("2 z", 1)  # implicit products are rejected
+    # an error at the end of the entry names the column after its last one
+    for text, column in (("z^", 3), ("-1+", 4), ("(1", 3), ("1*", 3),
+                         ("2 z", 2)):  # implicit products are rejected
+        with pytest.raises(ParseError) as err:
+            parse_laurent(text, 1)
+        assert err.value.column == column
     with pytest.raises(ParseError):
         parse_laurent("z4", 1)  # root does not live in conductor 1
     for text in ("1/0", "z^2+3/00", "z0", "(z0)^-1"):  # zero divisors

@@ -318,8 +318,8 @@ def test_cli_invalid_structure_names_the_failed_check(tmp_path, capsys):
 def test_cli_decompose_names_a_bug_as_internal_inconsistency(
         tmp_path, capsys, monkeypatch):
     import eqbundles.classify as classify
-    real = classify._split_rep
-    monkeypatch.setattr(classify, "_split_rep",
+    real = classify.rep_decompose
+    monkeypatch.setattr(classify, "rep_decompose",
                         lambda rho: [(chi, v) for (chi, _), (_, v)
                                      in zip(real(rho), reversed(real(rho)))])
     chi = characters(cyclic(3))[1]
