@@ -35,12 +35,12 @@ from .bundle import ModelIso, chart_certificate, column_frame, model_bundle
 from .cyclotomic import CycNum
 from .errors import (EqBundlesError, FactorizationFailure, InternalInconsistency,
                      InvalidStructure, ShapeMismatch)
-from .equivariant import (EquivariantStructure, GroupIndexed, canonical_monomials,
-                          monomial_maps, require_valid, transport_structure)
+from .equivariant import (EquivariantStructure, GroupIndexed, canonical_model,
+                          canonical_monomials, require_valid, transport_structure)
 from .group import (Character, GroupSpec, characters, elements, generators, identity,
                     inverse, klein_lift)
 from .laurent import LaurentMatrix, LaurentPoly
-from .linalg import eigenspace, kernel_dense, mat_vec_const
+from .linalg import kernel_dense
 
 
 @dataclass(frozen=True)
@@ -190,20 +190,22 @@ def rep_decompose(rho: ResidualRep):
     not be a basis; `_classify` checks their count and the certificate
     replay the rest."""
     cond, n = rho.conductor, rho.size
-    G = rho.group
+
+    def common_kernel(conditions):
+        """Echelon basis of the common kernel of mat - lam*I over (mat, lam)."""
+        rows = [[mat[i][j] - lam if i == j else mat[i][j] for j in range(n)]
+                for mat, lam in conditions for i in range(n)]
+        return kernel_dense(rows, n, cond)
+
     if rho.mode == "klein_lift":
-        plus = eigenspace(rho.mats["A1"], CycNum.one(cond), cond)
-        return [(v, tuple(mat_vec_const(rho.mats["A2"], list(v), cond)))
-                for v in plus]
-    out = []
-    for chi in characters(G):
-        rows = []
-        for s in generators(G):
-            mat, lam = rho.mats[s.name], chi.value(s.name).embed(cond)
-            rows += [[mat[i][j] - lam if i == j else mat[i][j] for j in range(n)]
-                     for i in range(n)]
-        out += [(chi, v) for v in kernel_dense(rows, n, cond)]
-    return out
+        a2, zero = rho.mats["A2"], CycNum.zero(cond)
+        return [(v, tuple(sum((a * x for a, x in zip(row, v)
+                               if not (a.is_zero() or x.is_zero())), zero)
+                          for row in a2))
+                for v in common_kernel([(rho.mats["A1"], CycNum.one(cond))])]
+    return [(chi, v) for chi in characters(rho.group)
+            for v in common_kernel([(rho.mats[s.name], chi.value(s.name).embed(cond))
+                                    for s in generators(rho.group)])]
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +273,11 @@ class DecompositionCertificate:
 def _model(cert: DecompositionCertificate):
     """The canonical model B of the block data at the certificate's
     conductor: the degrees d of its bundle diag(z^d) and its maps B_gamma,
-    read off `canonical_monomials` block by block in `block_sequence`
+    assembled by `canonical_model` from the blocks in `block_sequence`
     order (an odd Klein block is the pair on O(d) + O(d), any other the
     line of degree d twisted by its character)."""
-    degrees, tables = [], []
-    for _, d, chi in cert.block_sequence():
-        table = canonical_monomials(cert.group, d, chi)
-        tables.append(table)
-        degrees += [d] * len(table["e"])
-    return degrees, monomial_maps(tables, cert.conductor)
+    return canonical_model(cert.group, [(d, chi) for _, d, chi in cert.block_sequence()],
+                           cert.conductor)
 
 
 def build_structure(cert: DecompositionCertificate,

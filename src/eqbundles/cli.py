@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success / mathematical truth, 1 on mathematical falsity
 (an obstruction, a failed validation, a non-verifying certificate), 2 on
-input errors or a closed output.  All output is deterministic given the
+input errors or an unwritable or closed output.  All output is deterministic given the
 inputs, `fuzz --seed` included.
 """
 
@@ -13,10 +13,12 @@ import os
 import sys
 from pathlib import Path
 
-from .bundle import (degree, global_sections, hn_data, splitting_type, twist)
-from .classify import build_structure, decompose, verify_certificate_report
-from .equivariant import (canonical_structure, existence, structures_equivalent,
-                          twist_by_character, validation_report)
+from .bundle import VectorBundle, degree, global_sections, hn_data, splitting_type, twist
+from .classify import (DecompositionCertificate, build_structure, decompose,
+                       verify_certificate_report)
+from .equivariant import (EquivariantStructure, canonical_structure, existence,
+                          structures_equivalent, twist_by_character,
+                          unpaired_odd_degrees, validation_report)
 from .errors import (EqBundlesError, NoSuchStructure, ParseError,
                      ValidationError)
 from .laurent import MAX_EXPONENT, render_laurent
@@ -28,9 +30,16 @@ from .serialize import (MAX_RANK, Report, parse_bundle_shortcut,
 def _read_document(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ParseError(f"cannot read {path}: {err}") from None
     return parse_document(text)
+
+
+def _load(path: str, cls, kind: str):
+    doc = _read_document(path)
+    if not isinstance(doc, cls):
+        raise ValidationError(f"{path} is not a {kind} document")
+    return doc
 
 
 def _load_bundle(spec: str, conductor: int):
@@ -39,53 +48,42 @@ def _load_bundle(spec: str, conductor: int):
     except OSError:  # e.g. a shortcut longer than a file name may be
         is_file = False
     if is_file:
-        doc = _read_document(spec)
-        from .bundle import VectorBundle
-        if not isinstance(doc, VectorBundle):
-            raise ValidationError(f"{spec} is not a bundle document")
-        return doc
+        return _load(spec, VectorBundle, "bundle")
     return parse_bundle_shortcut(spec, conductor)
 
 
-def _load_structure(path: str):
-    from .equivariant import EquivariantStructure
-    doc = _read_document(path)
-    if not isinstance(doc, EquivariantStructure):
-        raise ValidationError(f"{path} is not a structure document")
-    return doc
-
-
-def _load_certificate(path: str):
-    from .classify import DecompositionCertificate
-    doc = _read_document(path)
-    if not isinstance(doc, DecompositionCertificate):
-        raise ValidationError(f"{path} is not a certificate document")
-    return doc
+def _write(path: str, text: str):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise ValidationError(f"cannot write {path}: {err}") from None
 
 
 def _emit_document(obj, out):
     text = render_document(obj)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)
+
+
+def _report(problems, prefix: str, success: str) -> int:
+    """Print each problem, or the success line; exit 1 on problems."""
+    for p in problems:
+        print(f"{prefix}: {p}")
+    if problems:
+        return 1
+    print(success)
+    return 0
 
 
 # -- command handlers -----------------------------------------------------------
 
 def _cmd_validate(args):
     doc = _read_document(args.file)
-    from .bundle import VectorBundle
-    from .equivariant import EquivariantStructure
     if isinstance(doc, EquivariantStructure):
-        problems = validation_report(doc)
-        if problems:
-            for p in problems:
-                print(f"invalid: {p}")
-            return 1
-        print("valid structure")
-        return 0
+        return _report(validation_report(doc), "invalid", "valid structure")
     if isinstance(doc, VectorBundle):
         print(f"valid bundle: rank {doc.rank}, degree {doc.degree()}")
         return 0
@@ -127,14 +125,8 @@ def _cmd_hn(args):
 
 
 def _cmd_equiv_check(args):
-    S = _load_structure(args.file)
-    problems = validation_report(S)
-    if problems:
-        for p in problems:
-            print(f"fail: {p}")
-        return 1
-    print("cocycle, identity, and regularity checks all pass")
-    return 0
+    return _report(validation_report(_load(args.file, EquivariantStructure, "structure")),
+                   "fail", "cocycle, identity, and regularity checks all pass")
 
 
 def _cmd_obstruction(args):
@@ -143,9 +135,7 @@ def _cmd_obstruction(args):
     if existence(E, G):
         print("equivariant structure exists")
         return 0
-    st = splitting_type(E)
-    odd = sorted({d for d in st.degrees
-                  if d % 2 and st.degrees.count(d) % 2}, reverse=True)
+    odd = unpaired_odd_degrees(splitting_type(E).degrees)
     print(f"obstruction: odd degree {odd} with odd multiplicity")
     return 1
 
@@ -163,33 +153,27 @@ def _cmd_canonical(args):
 
 
 def _cmd_twist_char(args):
-    S = _load_structure(args.file)
+    S = _load(args.file, EquivariantStructure, "structure")
     chi = parse_character_shortcut(args.char, S.group)
     _emit_document(twist_by_character(S, chi), args.out)
     return 0
 
 
 def _cmd_decompose(args):
-    S = _load_structure(args.file)
+    S = _load(args.file, EquivariantStructure, "structure")
     cert = decompose(S)
     _emit_document(cert, args.out)
     return 0
 
 
 def _cmd_verify_cert(args):
-    cert = _load_certificate(args.cert)
-    S = _load_structure(args.structure)
-    reasons = verify_certificate_report(cert, S)
-    if reasons:
-        for r in reasons:
-            print(f"fail: {r}")
-        return 1
-    print("certificate verified")
-    return 0
+    cert = _load(args.cert, DecompositionCertificate, "certificate")
+    S = _load(args.structure, EquivariantStructure, "structure")
+    return _report(verify_certificate_report(cert, S), "fail", "certificate verified")
 
 
 def _cmd_build(args):
-    cert = _load_certificate(args.cert)
+    cert = _load(args.cert, DecompositionCertificate, "certificate")
     target = None
     if args.target:
         target = _load_bundle(args.target, cert.conductor)
@@ -199,8 +183,8 @@ def _cmd_build(args):
 
 
 def _cmd_equivalent(args):
-    S1 = _load_structure(args.file1)
-    S2 = _load_structure(args.file2)
+    S1 = _load(args.file1, EquivariantStructure, "structure")
+    S2 = _load(args.file2, EquivariantStructure, "structure")
     if structures_equivalent(S1, S2):
         print("equivalent")
         return 0
@@ -223,7 +207,7 @@ def _cmd_fuzz(args):
     if args.out:
         rep = Report(command="fuzz", lines=tuple(lines + [summary]),
                      exit_code=exit_code)
-        Path(args.out).write_text(render_document(rep), encoding="utf-8")
+        _write(args.out, render_document(rep))
     if args.verbose:
         for line in lines:
             print(line)

@@ -189,33 +189,36 @@ def canonical_monomials(G: GroupSpec, d: int, chi: Character = None) -> dict:
             for name, rows in table.items()}
 
 
-def monomial_maps(tables, conductor: int) -> dict:
-    """{element name: LaurentMatrix} of the direct sum of the blocks given
-    by `canonical_monomials` tables, at a multiple of their conductor."""
-    sizes = [len(next(iter(t.values()))) for t in tables]
+def canonical_model(G: GroupSpec, blocks, conductor: int):
+    """The direct sum of the canonical blocks [(d, chi or None)] over G,
+    read off their `canonical_monomials` tables at a multiple `conductor`
+    of G's: (the degrees d of its bundle diag(z^d), one per table row,
+    {element name: LaurentMatrix} of its maps)."""
+    tables = [canonical_monomials(G, d, chi) for d, chi in blocks]
+    degrees = [d for (d, _), t in zip(blocks, tables) for _ in next(iter(t.values()))]
     zero = LaurentPoly.zero(conductor)
     maps = {}
     for name in tables[0]:
-        grid = [[zero] * sum(sizes) for _ in range(sum(sizes))]
+        grid = [[zero] * len(degrees) for _ in degrees]
         o = 0
-        for table, size in zip(tables, sizes):
+        for table in tables:
             for i, (j, c, k) in enumerate(table[name]):
                 grid[o + i][o + j] = LaurentPoly.monomial(conductor, k, c.embed(conductor))
-            o += size
+            o += len(table[name])
         maps[name] = LaurentMatrix(conductor, grid)
-    return maps
+    return degrees, maps
 
 
-def _canonical(G: GroupSpec, d: int) -> EquivariantStructure:
-    table = canonical_monomials(G, d)
-    rank = len(next(iter(table.values())))
-    return EquivariantStructure(model_bundle(G.conductor, [d] * rank), G,
-                                monomial_maps([table], G.conductor))
+def _canonical(G: GroupSpec, degrees) -> EquivariantStructure:
+    """The untwisted canonical blocks of the given degrees, summed; an odd
+    degree over the Klein group is one pair block."""
+    degrees, maps = canonical_model(G, [(d, None) for d in degrees], G.conductor)
+    return EquivariantStructure(model_bundle(G.conductor, degrees), G, maps)
 
 
 def canonical_cyclic(n: int, d: int) -> EquivariantStructure:
     """Tensor powers of the tautological action: every map is the constant 1."""
-    return _canonical(cyclic(n), d)
+    return _canonical(cyclic(n), [d])
 
 
 def canonical_klein_even(d: int) -> EquivariantStructure:
@@ -223,7 +226,7 @@ def canonical_klein_even(d: int) -> EquivariantStructure:
     if d % 2 != 0:
         raise NoSuchStructure(
             f"O({d}) carries no Klein structure: odd degree")
-    return _canonical(klein(), d)
+    return _canonical(klein(), [d])
 
 
 def canonical_tangent() -> EquivariantStructure:
@@ -234,7 +237,7 @@ def canonical_tangent() -> EquivariantStructure:
 def canonical_klein_lift(d: int) -> EquivariantStructure:
     """Lift-group structure on O(d) from the tautological GL(2) action;
     the center acts by (-1)^d."""
-    return _canonical(klein_lift(), d)
+    return _canonical(klein_lift(), [d])
 
 
 def canonical_klein_pair(d: int) -> EquivariantStructure:
@@ -242,37 +245,37 @@ def canonical_klein_pair(d: int) -> EquivariantStructure:
     from the lift scalars tensored with the anticommuting constant pair."""
     if d % 2 == 0:
         raise ValueError("pair blocks are reserved for odd degrees")
-    return _canonical(klein(), d)
+    return _canonical(klein(), [d])
+
+
+def unpaired_odd_degrees(degrees) -> list:
+    """The odd degrees of odd multiplicity, descending: the Klein group acts
+    on a bundle of these splitting degrees exactly when there are none."""
+    degrees = list(degrees)
+    return sorted({d for d in degrees if d % 2 and degrees.count(d) % 2}, reverse=True)
 
 
 def canonical_structure(G: GroupSpec, degrees, lift: bool = False) -> EquivariantStructure:
     """Direct sum of canonical blocks for the given degree multiset.
 
     Cyclic groups accept any degrees.  The Klein group needs every odd
-    degree with even multiplicity (pairs); `lift=True` builds the
-    lift-group structure on a single line bundle instead."""
+    degree with even multiplicity, and each two copies of one become a
+    pair block; `lift=True` builds the lift-group structure on a single
+    line bundle instead."""
     degrees = sorted(degrees, reverse=True)
     if lift:
         if G.kind != "klein" or len(degrees) != 1:
             raise ValidationError("lift structures are single Klein line bundles")
         return canonical_klein_lift(degrees[0])
     if G.kind == "cyclic":
-        return direct_sum_structures(*(canonical_cyclic(G.n, d) for d in degrees))
-    blocks = []
-    i = 0
-    while i < len(degrees):
-        d = degrees[i]
-        if d % 2 == 0:
-            blocks.append(canonical_klein_even(d))
-            i += 1
-        else:
-            if i + 1 >= len(degrees) or degrees[i + 1] != d:
-                raise NoSuchStructure(
-                    f"O({d}) carries no Klein structure: odd degree "
-                    "must come in pairs")
-            blocks.append(canonical_klein_pair(d))
-            i += 2
-    return direct_sum_structures(*blocks)
+        return _canonical(G, degrees)
+    unpaired = unpaired_odd_degrees(degrees)
+    if unpaired:
+        raise NoSuchStructure(f"O({unpaired[0]}) carries no Klein structure: "
+                              "odd degree must come in pairs")
+    odd = [d for d in degrees if d % 2]
+    return _canonical(G, sorted([d for d in degrees if d % 2 == 0] + odd[::2],
+                                reverse=True))
 
 
 def direct_sum_structures(*parts: EquivariantStructure) -> EquivariantStructure:
@@ -339,13 +342,7 @@ def twist_by_character(S: EquivariantStructure, chi: Character) -> EquivariantSt
 def existence(E: VectorBundle, G: GroupSpec) -> bool:
     """Cyclic groups act on everything; the Klein group needs every odd
     splitting degree with even multiplicity."""
-    if G.kind == "cyclic":
-        return True
-    st = splitting_type(E)
-    counts = {}
-    for d in st.degrees:
-        counts[d] = counts.get(d, 0) + 1
-    return all(d % 2 == 0 or c % 2 == 0 for d, c in counts.items())
+    return G.kind == "cyclic" or not unpaired_odd_degrees(splitting_type(E).degrees)
 
 
 def conjugate_structure(S: EquivariantStructure, U: LaurentMatrix) -> EquivariantStructure:
@@ -367,9 +364,11 @@ def transport_structure(S: EquivariantStructure, F: LaurentMatrix,
 def _center_shifted(S: EquivariantStructure) -> EquivariantStructure:
     """S tensored with canonical_klein_lift(1): a lift structure on
     twist(E, 1) whose center acts by the opposite sign."""
-    line = canonical_klein_lift(1)
-    maps = {name: N.scale_poly(line.maps[name].entries[0][0].embed(S.conductor))
-            for name, N in S.maps.items()}
+    line = canonical_monomials(klein_lift(), 1)
+    maps = {}
+    for name, N in S.maps.items():
+        ((_, c, k),) = line[name]
+        maps[name] = N.scale_poly(LaurentPoly.monomial(S.conductor, k, c.embed(S.conductor)))
     return EquivariantStructure(twist(S.bundle, 1), S.group, maps)
 
 

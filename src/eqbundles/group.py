@@ -180,11 +180,6 @@ class Character:
             raise MissingElement(f"no element named {name!r} in {G}")
         return CycNum.rational(4, table[name])
 
-    def is_trivial(self) -> bool:
-        if self.group.kind == "cyclic":
-            return self.index % self.group.n == 0
-        return self.signs == (1, 1)
-
     def __str__(self):
         return self.label
 

@@ -130,22 +130,6 @@ class LaurentPoly:
         """Multiply by z^k."""
         return _poly(self.conductor, {e + k: c for e, c in self.coeffs.items()})
 
-    def __pow__(self, n: int):
-        if n < 0:
-            um = self.unit_monomial()
-            if um is None:
-                raise ValueError("negative powers only of unit monomials")
-            c, e = um
-            return _poly(self.conductor, {-e: c.inverse()}) ** (-n)
-        result = LaurentPoly.const(self.conductor, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def substitute(self, c: CycNum, e: int) -> "LaurentPoly":
         """Replace z by c*z^e term by term (e in {+1, -1}); c must be nonzero."""
         return _substituted(self, _power_table(c, self.conductor, self.coeffs), e)
@@ -770,14 +754,6 @@ def parse_laurent(text: str, conductor: int) -> LaurentPoly:
     if parser.i != len(parser.tokens):
         parser.fail("trailing input", parser.peek()[2])
     return _poly(conductor, coeffs)
-
-
-def parse_cycnum(text: str, conductor: int) -> CycNum:
-    """Parse the canonical text form of a scalar (no Laurent variable allowed)."""
-    p = parse_laurent(text, conductor)
-    if not p.is_constant():
-        raise ParseError(f"expected a scalar, got {_excerpt(text, 0)!r}")
-    return p.coeff(0)
 
 
 def render_laurent(p: LaurentPoly) -> str:

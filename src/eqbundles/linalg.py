@@ -11,34 +11,6 @@ from __future__ import annotations
 from .cyclotomic import CycNum
 
 
-# -- dense helpers (grids are lists of lists of CycNum) -----------------------
-
-def mat_mul_const(a, b, conductor):
-    n, k, m = len(a), len(b), len(b[0])
-    zero = CycNum.zero(conductor)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = zero
-            for t in range(k):
-                if not a[i][t].is_zero() and not b[t][j].is_zero():
-                    acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_vec_const(a, v, conductor):
-    return [row[0] for row in
-            mat_mul_const(a, [[x] for x in v], conductor)]
-
-
-def identity_const(n, conductor):
-    one, zero = CycNum.one(conductor), CycNum.zero(conductor)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def det_const(grid, conductor):
     n = len(grid)
     m = [list(row) for row in grid]
@@ -113,10 +85,3 @@ def kernel_dense(rows, ncols, conductor):
         basis.append(tuple(vec))
     return basis
 
-
-def eigenspace(grid, lam, conductor):
-    """Canonical basis of ker(grid - lam*I)."""
-    n = len(grid)
-    rows = [[grid[i][j] - lam if i == j else grid[i][j] for j in range(n)]
-            for i in range(n)]
-    return kernel_dense(rows, n, conductor)

@@ -16,8 +16,7 @@ from .classify import DecompositionCertificate
 from .cyclotomic import CycNum, root_of_unity
 from .errors import InternalInconsistency
 from .group import GroupSpec, characters
-from .laurent import LaurentMatrix, LaurentPoly
-from .linalg import det_const
+from .laurent import LaurentMatrix, LaurentPoly, regular_invertible_at
 
 
 def random_scalar(rng: Random, conductor: int, lo=-2, hi=2,
@@ -155,7 +154,7 @@ def random_model_automorphism(rng: Random, conductor: int,
                     coeffs = {rng.randint(0, gap): random_scalar(rng, conductor)}
                     row.append(LaurentPoly(conductor, coeffs))
             grid.append(row)
-        const = [[grid[i][j].coeff(0) for j in range(r)] for i in range(r)]
-        if not det_const(const, conductor).is_zero():
-            return LaurentMatrix(conductor, grid)
+        U = LaurentMatrix(conductor, grid)
+        if regular_invertible_at(U, "zero"):
+            return U
     raise InternalInconsistency("failed to draw an invertible automorphism")

@@ -19,7 +19,7 @@ from .classify import DecompositionCertificate
 from .cyclotomic import MAX_CONDUCTOR
 from .equivariant import EquivariantStructure
 from .errors import DimensionMismatch, EqBundlesError, ParseError, ValidationError
-from .group import Character, GroupSpec, cyclic, klein, klein_lift
+from .group import Character, GroupSpec, cyclic, elements, klein, klein_lift
 from .laurent import MAX_EXPONENT, LaurentMatrix, parse_laurent, render_laurent
 
 
@@ -181,7 +181,11 @@ def structure_from_doc(doc) -> EquivariantStructure:
     maps_doc = doc.get("maps")
     if not isinstance(maps_doc, dict):
         raise ValidationError("structure needs a maps table")
+    names = {g.name for g in elements(G)}
     for name, m in maps_doc.items():
+        if name not in names:
+            raise ValidationError(f"invalid structure: map key {name!r} is not "
+                                  f"an element of {G}")
         rows, cols = len(_grid(m)), len(m[0])
         if rows != E.rank or cols != E.rank:
             raise ValidationError(f"invalid structure: map for {name!r} is "
@@ -286,6 +290,8 @@ def parse_document(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(err.msg, line=err.lineno, column=err.colno) from None
+    except RecursionError:
+        raise ParseError("document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValidationError("document must be a JSON object")
     kind = _field(doc, "kind", str)

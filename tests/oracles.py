@@ -30,7 +30,6 @@ from eqbundles.errors import ParseError
 from eqbundles.group import elements, multiply
 from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix, LaurentPoly,
                                _excerpt, _tokenize)
-from eqbundles.linalg import identity_const, mat_mul_const
 
 
 def dense_h0(E, bound):
@@ -294,14 +293,15 @@ def rep_relation_failures(rho):
     else:
         names = [g.name for g in elements(rho.group)]
         product = _product_table(rho.group)[1]
+    mat = {name: LaurentMatrix.from_const(cond, grid) for name, grid in rho.mats.items()}
     failures = []
-    if rho.mats[names[0]] != identity_const(rho.size, cond):
+    if mat[names[0]] != LaurentMatrix.identity(cond, rho.size):
         failures.append((names[0],))
     for (x, y), xy in product.items():
-        expected = rho.mats[xy.lstrip("-")]
+        expected = mat[xy.lstrip("-")]
         if xy[0] == "-":
-            expected = [[-v for v in row] for row in expected]
-        if mat_mul_const(rho.mats[x], rho.mats[y], cond) != expected:
+            expected = expected.scale(-1)
+        if dense_matmul(mat[x], mat[y]) != expected:
             failures.append((x, y))
     return failures
 

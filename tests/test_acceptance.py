@@ -24,7 +24,7 @@ from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
 from eqbundles.errors import NoSuchStructure
 from eqbundles.group import characters, cyclic, klein
 from eqbundles.laurent import LaurentMatrix, LaurentPoly, parse_laurent
-from eqbundles.linalg import identity_const, mat_mul_const
+from eqbundles.linalg import det_const
 from eqbundles.randgen import (planted_bundle, random_certificate,
                                random_model_automorphism, splitting_oracle_run)
 
@@ -221,26 +221,24 @@ def test_criterion_9_klein_odd_pairing():
         for _ in range(50):
             C = [[CycNum.rational(4, rng.randint(-2, 2)) for _ in range(n)]
                  for _ in range(n)]
-            from eqbundles.linalg import det_const
             if not det_const(C, 4).is_zero():
                 break
-        Cinv = LaurentMatrix.from_const(4, C).inverse().eval_at_zero()
-        conj = lambda mat: mat_mul_const(mat_mul_const(C, mat, 4), Cinv, 4)
-        ra1, ra2 = conj(a1), conj(a2)
+        Cm = LaurentMatrix.from_const(4, C)
+        conj = lambda mat: Cm @ LaurentMatrix.from_const(4, mat) @ Cm.inverse()
+        A1, A2 = conj(a1), conj(a2)
         rr = ResidualRep("klein_lift", klein(), -1, n,
-                         {"I": identity_const(n, 4), "A1": ra1, "A2": ra2,
-                          "A1A2": mat_mul_const(ra1, ra2, 4)}, 4)
+                         {"I": LaurentMatrix.identity(4, n).eval_at_zero(),
+                          "A1": A1.eval_at_zero(), "A2": A2.eval_at_zero(),
+                          "A1A2": (A1 @ A2).eval_at_zero()}, 4)
         pairs = rep_decompose(rr)
         ok = ok and len(pairs) == rp
         # anticommutation, verified exactly on the conjugated matrices
-        lhs = mat_mul_const(ra1, ra2, 4)
-        rhs = mat_mul_const(ra2, ra1, 4)
-        ok = ok and lhs == [[-x for x in row] for row in rhs]
+        ok = ok and A1 @ A2 == (A2 @ A1).scale(-1)
         # each pair is (v, rho(A2) v) with v in the +1 eigenspace
         for v, av in pairs:
-            from eqbundles.linalg import mat_vec_const
-            ok = ok and mat_vec_const(ra1, list(v), 4) == list(v)
-            ok = ok and mat_vec_const(ra2, list(v), 4) == list(av)
+            col = LaurentMatrix.from_const(4, [[x] for x in v])
+            ok = ok and A1 @ col == col
+            ok = ok and A2 @ col == LaurentMatrix.from_const(4, [[x] for x in av])
         if not ok:
             break
     assert _report(9, "odd blocks pair exactly (dim V+ = dim V- = r')", ok)

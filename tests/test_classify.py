@@ -15,7 +15,8 @@ from eqbundles.classify import (DecompositionCertificate, ModelStructure,
 from eqbundles.cyclotomic import CycNum, root_of_unity
 from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
                                    canonical_klein_even, canonical_klein_lift,
-                                   canonical_klein_pair, conjugate_structure,
+                                   canonical_klein_pair, canonical_structure,
+                                   conjugate_structure,
                                    descend_lift, direct_sum_structures,
                                    structures_equivalent, transport_structure,
                                    twist_by_character, validate_structure,
@@ -24,7 +25,6 @@ from eqbundles.errors import (EqBundlesError, FactorizationFailure,
                               InternalInconsistency, InvalidStructure)
 from eqbundles.group import characters, cyclic, klein, klein_lift
 from eqbundles.laurent import LaurentMatrix, LaurentPoly
-from eqbundles.linalg import mat_mul_const
 from eqbundles.randgen import (random_certificate,
                                random_model_automorphism, random_unimodular)
 
@@ -165,9 +165,8 @@ def test_extract_klein_pair_anticommuting():
                   [CycNum.zero(4), CycNum.one(4)]]
     assert a2 == [[CycNum.zero(4), CycNum.one(4)],
                   [CycNum.one(4), CycNum.zero(4)]]
-    prod = mat_mul_const(a1, a2, 4)
-    anti = mat_mul_const(a2, a1, 4)
-    assert prod == [[-x for x in row] for row in anti]
+    A1, A2 = LaurentMatrix.from_const(4, a1), LaurentMatrix.from_const(4, a2)
+    assert A1 @ A2 == (A2 @ A1).scale(-1)
 
 
 def test_rep_decompose_abelian_diagonal():
@@ -190,7 +189,7 @@ def test_rep_decompose_klein_lift_single_pair():
     zero, one, minus = CycNum.zero(4), CycNum.one(4), CycNum.rational(4, -1)
     a1 = [[minus, zero], [zero, one]]
     a2 = [[zero, one], [one, zero]]
-    a1a2 = mat_mul_const(a1, a2, 4)
+    a1a2 = (LaurentMatrix.from_const(4, a1) @ LaurentMatrix.from_const(4, a2)).eval_at_zero()
     rr = ResidualRep("klein_lift", klein(), -1, 2,
                      {"I": [[one, zero], [zero, one]], "A1": a1, "A2": a2,
                       "A1A2": a1a2}, 4)
@@ -217,7 +216,9 @@ def test_rep_decompose_klein_lift_two_pairs():
     a2 = two_copies([[zero, one], [one, zero]])
     rr = ResidualRep("klein_lift", klein(), 1, 4,
                      {"I": two_copies([[one, zero], [zero, one]]),
-                      "A1": a1, "A2": a2, "A1A2": mat_mul_const(a1, a2, 4)}, 4)
+                      "A1": a1, "A2": a2,
+                      "A1A2": (LaurentMatrix.from_const(4, a1)
+                               @ LaurentMatrix.from_const(4, a2)).eval_at_zero()}, 4)
     assert rep_relation_failures(rr) == []
     pairs = rep_decompose(rr)
     assert len(pairs) == 2
@@ -231,7 +232,7 @@ def test_decompose_canonical_line():
             cert = decompose(canonical_cyclic(n, d))
             assert cert.odd_blocks == ()
             assert [b[0] for b in cert.even_blocks] == [d]
-            assert cert.even_blocks[0][1].is_trivial()
+            assert cert.even_blocks[0][1] == characters(cyclic(n))[0]
 
 
 def test_decompose_klein_pair():
@@ -575,6 +576,22 @@ def test_canonical_blocks_match_the_hand_written_ones():
         assert canonical_klein_lift(d) == canonical_by_hand(klein_lift(), d)
         pick = canonical_klein_pair if d % 2 else canonical_klein_even
         assert pick(d) == canonical_by_hand(klein(), d)
+    # whole multisets, assembled in one pass, against the sums of blocks
+    rng = Random(17)
+    for n in range(1, 13):
+        degrees = sorted((rng.randint(-9, 9) for _ in range(rng.randint(1, 5))),
+                         reverse=True)
+        assert canonical_structure(cyclic(n), degrees) == direct_sum_structures(
+            *(canonical_cyclic(n, d) for d in degrees))
+    for evens, odds in (([2], [-1]), ([], [3, 1]), ([4, 0, 0, -2], [5, 5, -3]),
+                        ([-6], [1, 1])):
+        blocks = sorted([(d, canonical_klein_even(d)) for d in evens]
+                        + [(d, canonical_klein_pair(d)) for d in odds],
+                        key=lambda b: -b[0])
+        multiset = evens + [d for d in odds for _ in (0, 1)]
+        rng.shuffle(multiset)
+        assert canonical_structure(klein(), multiset) == direct_sum_structures(
+            *(S for _, S in blocks))
 
 
 def test_reference_scalars_are_the_canonical_line_entries():

@@ -14,6 +14,7 @@ import tempfile
 from pathlib import Path
 from random import Random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eqbundles.classify import decompose
@@ -88,6 +89,7 @@ def _run(argv):
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
         assert err.getvalue().startswith("error: "), err.getvalue()
+    return code, err.getvalue()
 
 
 @settings(max_examples=100, deadline=None)
@@ -109,3 +111,25 @@ def test_any_document_exits_0_1_or_2(doc, command):
 def test_any_bundle_shortcut_exits_0_1_or_2(text, command):
     argv = [command, f"--bundle={text}"]
     _run(argv + ["--group", "klein"] if command == "obstruction" else argv)
+
+
+# Bytes that are not UTF-8 and nesting deeper than the interpreter's
+# recursion limit, which the text strategy above cannot produce.
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe", "cannot read"),
+    (b"[" * 100000 + b"]" * 100000, "document is nested too deeply")],
+    ids=["undecodable", "over-nested"])
+def test_undecodable_and_over_nested_documents_exit_2(tmp_path, data, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    code, err = _run(["validate", str(path)])
+    assert code == 2 and message in err
+
+
+@pytest.mark.parametrize("argv", [["canonical", "--group", "cyclic:3", "--target", "O(1)"],
+                                  ["fuzz", "--count", "1"]],
+                         ids=["canonical", "fuzz"])
+def test_unwritable_output_exits_2(tmp_path, argv):
+    out = tmp_path / "missing" / "out.json"
+    code, err = _run(argv + ["--out", str(out)])
+    assert code == 2 and err.startswith(f"error: cannot write {out}: ")

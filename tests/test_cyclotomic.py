@@ -9,7 +9,7 @@ from eqbundles.cyclotomic import (CycNum, cyclotomic_polynomial, euler_phi,
                                   primitive_root, render_cycnum, root_of_unity)
 from eqbundles.cyclotomic import _gauss_jordan_inverse
 from eqbundles.errors import ConductorMismatch
-from eqbundles.laurent import parse_cycnum
+from eqbundles.laurent import parse_laurent
 from eqbundles.linalg import det_const
 
 from oracles import cyclotomic_product_reference
@@ -126,7 +126,7 @@ def test_roots_of_unity_table():
 @settings(max_examples=60, deadline=None)
 @given(cycnums())
 def test_render_parse_roundtrip(a):
-    assert parse_cycnum(render_cycnum(a), a.conductor) == a
+    assert parse_laurent(render_cycnum(a), a.conductor).coeff(0) == a
 
 
 def test_render_examples():

@@ -520,6 +520,17 @@ def test_structure_map_size_is_checked_before_any_entry_is_parsed(tmp_path, caps
         "error: invalid structure: map for 'a2' is 2x2, rank is 1\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "decompose"])
+def test_cli_rejects_map_names_outside_the_group(tmp_path, capsys, command):
+    doc = json.loads(render_document(canonical_structure(klein(), [0])))
+    doc["maps"]["bogus"] = [["1"]]
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == ("error: invalid structure: map key 'bogus' "
+                                       "is not an element of klein\n")
+
+
 @pytest.mark.parametrize("group, target", [("cyclic:3", "O(2)"),
                                            ("klein", "O(1)+O(1)")])
 def test_cli_canonical_lift_rejects_other_targets(capsys, group, target):
