@@ -10,7 +10,7 @@ All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
 """
 
-from .cyclotomic import CycNum, Rational, primitive_root, root_of_unity
+from .cyclotomic import CycNum, primitive_root, root_of_unity
 from .laurent import LaurentMatrix, LaurentPoly, parse_laurent, regular_invertible_at
 from .bundle import (HNData, ModelIso, Section, SplittingType, VectorBundle,
                      degree, direct_sum, dual, embed_bundle, global_sections, h0,

@@ -11,8 +11,8 @@ Conventions, fixed once for the whole package:
 The splitting type and the model isomorphism onto diag(z^(d_j)) both
 come from one column reduction of the transition over C[w], w = 1/z,
 which gives the Birkhoff factorization T*U = A(z)*z^D; in
-`model_isomorphism` and `global_sections`, two chart-regularity checks
-certify the frame.  Global sections are the
+`model_isomorphism` and `global_sections`, `chart_certificate`, the
+package's one isomorphism test, certifies the frame.  Global sections are the
 frame applied to the monomial sections of the model, so no linear
 system over section coefficients is ever built.
 
@@ -239,8 +239,8 @@ def hn_data(E: VectorBundle) -> HNData:
 
 @dataclass(frozen=True)
 class ModelIso:
-    """psi: diag(z^(d_j)) -> E.  `model_isomorphism` certifies psi regular
-    and invertible on both charts; a ModelIso built by hand, as
+    """psi: diag(z^(d_j)) -> E.  `model_isomorphism` certifies psi by
+    `chart_certificate`; a ModelIso built by hand, as
     `decompose` does from `column_frame`, carries no such guarantee."""
     model: SplittingType
     psi: LaurentMatrix
@@ -253,15 +253,15 @@ def model_isomorphism(E: VectorBundle) -> ModelIso:
     With T*U = A(z) * z^D from `_reduce_columns`, take psi = A, its
     columns stably ordered by degree, descending.  psi is regular and
     invertible at 0 because A(0) = L, and E^-1 * psi * z^D = U is regular
-    and invertible at infinity because U is in GL_r(C[w]).  Both chart
-    certificates are replayed as a postcondition."""
+    and invertible at infinity because U is in GL_r(C[w]).
+    `chart_certificate` is replayed as a postcondition."""
     st, psi, _ = _frame(E)
     return ModelIso(model=st, psi=psi, bundle=E)
 
 
 def column_frame(E: VectorBundle):
     """(splitting type, psi) straight from the column reduction, with no
-    chart certificate; `decompose` replays the certificates of the frame
+    chart certificate; `decompose` replays the certificate of the frame
     it builds from psi, and `model_isomorphism` certifies psi itself."""
     deltas, cols = _reduce_columns(E.transition)
     order = sorted(range(E.rank), key=deltas.__getitem__)
@@ -281,20 +281,32 @@ def _frame(E):
 
 
 def _certify(E, st, psi):
-    """U = E^-1 * psi * z^D if both chart certificates hold, else None."""
-    at_zero, U = chart_certificate(
-        psi, LaurentMatrix.diag_monomials(E.conductor, st.degrees), E)
-    return U if at_zero else None
+    """U = E^-1 * psi * z^D if psi passes `chart_certificate`, else None."""
+    U, problems = chart_certificate(psi, st.degrees, E)
+    return None if problems else U
 
 
-def chart_certificate(F: LaurentMatrix, source: LaurentMatrix, target: VectorBundle):
-    """The two chart certificates of a frame F (0-chart data) from the
-    bundle with transition `source` onto `target`: whether F is regular
-    and invertible at 0, and U = target^-1 * F * source if U is regular
-    and invertible at infinity, else None."""
-    U = target.inverse_transition() @ F @ source
-    return (regular_invertible_at(F, "zero"),
-            U if regular_invertible_at(U, "infinity") else None)
+def chart_certificate(F: LaurentMatrix, degrees, target: VectorBundle):
+    """(U, problems) for a frame F (0-chart data) from diag(z^d), d in the
+    sequence `degrees`, onto `target`, with U = target^-1 * F * z^D; F is
+    a bundle isomorphism exactly when the list of problems is empty.
+
+    The conditions are deg target = sum(d), F regular and invertible at 0,
+    and U regular and invertible at infinity.  Then det F = c * det U,
+    with c the constant of det target = c*z^(sum d); det F is a polynomial
+    in z and det U one in 1/z, each nonzero at its point, so both are
+    nonzero constants.  Without the degree condition the two point tests
+    pass F = 1 - z from O(0) onto O(1)."""
+    problems = []
+    if sum(degrees) != target.degree():
+        problems.append(f"model degree {sum(degrees)} != bundle degree {target.degree()}")
+    if not regular_invertible_at(F, "zero"):
+        problems.append("change of frame not regular+invertible at 0")
+    U = (target.inverse_transition() @ F
+         @ LaurentMatrix.diag_monomials(target.conductor, degrees))
+    if not regular_invertible_at(U, "infinity"):
+        problems.append("change of frame fails the infinity certificate")
+    return U, problems
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,7 @@ from fractions import Fraction
 
 from .bundle import ModelIso, chart_certificate, column_frame, model_bundle
 from .cyclotomic import CycNum
-from .errors import (EqBundlesError, FactorizationFailure, InternalInconsistency,
-                     InvalidStructure, ShapeMismatch)
+from .errors import EqBundlesError, InternalInconsistency, InvalidStructure, ShapeMismatch
 from .equivariant import (EquivariantStructure, GroupIndexed, canonical_model,
                           canonical_monomials, require_valid, transport_structure)
 from .group import (Character, GroupSpec, characters, elements, generators, identity,
@@ -116,10 +115,10 @@ def averaging_intertwiner(N: ModelStructure, R: ModelStructure) -> LaurentMatrix
 
 @dataclass(frozen=True)
 class ResidualRep:
-    """Constant matrices after dividing a degree block by its reference
-    scalar cocycle.  mode is one of cyclic / klein_even / klein_lift;
-    for klein_lift the keys are the lift representatives I, A1, A2, A1A2
-    and the center acts by -1."""
+    """Constant matrices after dividing a degree block by the canonical
+    line structure of its degree.  mode is one of cyclic / klein_even /
+    klein_lift; for klein_lift the keys are the lift representatives I,
+    A1, A2, A1A2 and the center acts by -1."""
     mode: str
     group: GroupSpec
     degree: int
@@ -131,47 +130,26 @@ class ResidualRep:
 _LIFT_REPRESENTATIVE = {"e": "I", "a1": "A1", "a2": "A2", "a1a2": "A1A2"}
 
 
-def reference_scalars(G: GroupSpec, d: int, conductor: int):
-    """The fixed reference scalar cocycle on O(d): the canonical cyclic,
-    Klein-even, or Klein-lift line structure, as Laurent monomials."""
-    table = canonical_monomials(
-        klein_lift() if G.kind == "klein" and d % 2 else G, d)
-    return {name: LaurentPoly.monomial(conductor, k, c.embed(conductor))
-            for name, ((_, c, k),) in table.items()}
-
-
 def extract_residual_rep(R: ModelStructure, d: int) -> ResidualRep:
-    """Factor the degree-d diagonal block as reference scalars times
-    constant matrices."""
+    """Factor the degree-d diagonal block as the canonical line scalars
+    c*z^k of `canonical_monomials` times constant matrices: C_gamma is the
+    block's z^k coefficient divided by c.  No other coefficient is read;
+    in `decompose` the certificate replay proves the factorization."""
     ranges = [rg for rg in _block_ranges(R.degrees) if rg[0] == d]
     if not ranges:
         raise ValueError(f"degree {d} does not occur in the model")
     _, start, stop = ranges[0]
-    size = stop - start
-    G = R.group
-    nu = reference_scalars(G, d, R.conductor)
+    G, cond = R.group, R.conductor
     mode = ("cyclic" if G.kind == "cyclic"
             else "klein_even" if d % 2 == 0 else "klein_lift")
+    line = canonical_monomials(klein_lift() if mode == "klein_lift" else G, d)
     mats = {}
     for g in elements(G):
-        block = [[R.maps[g.name].entries[i][j] for j in range(start, stop)]
-                 for i in range(start, stop)]
-        scalar = nu[g.name if mode != "klein_lift"
-                    else _LIFT_REPRESENTATIVE[g.name]]
-        grid = []
-        for row in block:
-            out = []
-            for p in row:
-                q = p.divexact(scalar) if not p.is_zero() \
-                    else LaurentPoly.zero(R.conductor)
-                if not q.is_constant():
-                    raise FactorizationFailure(
-                        f"degree-{d} block at {g.name!r} is not scalar times constant")
-                out.append(q.coeff(0))
-            grid.append(out)
         key = g.name if mode != "klein_lift" else _LIFT_REPRESENTATIVE[g.name]
-        mats[key] = grid
-    return ResidualRep(mode, G, d, size, mats, R.conductor)
+        ((_, c, k),) = line[key]
+        cinv, rows = c.embed(cond).inverse(), R.maps[g.name].entries[start:stop]
+        mats[key] = [[p.coeff(k) * cinv for p in row[start:stop]] for row in rows]
+    return ResidualRep(mode, G, d, stop - start, mats, cond)
 
 
 def rep_decompose(rho: ResidualRep):
@@ -295,13 +273,10 @@ def build_structure(cert: DecompositionCertificate,
     if target.conductor != cert.conductor:
         raise ShapeMismatch(
             f"certificate conductor {cert.conductor} vs target {target.conductor}")
-    F = cert.change_of_frame
-    at_zero, at_infinity = chart_certificate(F, built.bundle.transition, target)
-    if not at_zero:
-        raise ShapeMismatch("change of frame is not regular+invertible at 0")
-    if at_infinity is None:
-        raise ShapeMismatch("change of frame fails the infinity certificate")
-    return transport_structure(built, F, target)
+    _, problems = chart_certificate(cert.change_of_frame, degrees, target)
+    if problems:
+        raise ShapeMismatch(problems[0])
+    return transport_structure(built, cert.change_of_frame, target)
 
 
 def verify_certificate_report(cert: DecompositionCertificate,
@@ -310,13 +285,15 @@ def verify_certificate_report(cert: DecompositionCertificate,
     A lift structure raises InvalidStructure, as in `decompose`.
 
     The replay checks that the change of frame F is a bundle isomorphism
-    from the canonical model diag(z^d) (the chart certificates) and that
-    F(gamma z) B_gamma(z) = S_gamma(z) F(z) for every gamma, with B and
+    from the canonical model diag(z^d) and that F(gamma z) B_gamma(z) =
+    S_gamma(z) F(z) for every gamma.  The isomorphism test,
+    `chart_certificate`, needs deg S.bundle = sum(d) besides F regular
+    and invertible at 0 and U = T^-1 F z^D at infinity: then det F = c *
+    det U is a polynomial in z and in 1/z, hence a nonzero constant.  B and
     diag(z^d) read off the block data (`_model`), not built as a
     structure.  At the identity B_e = I, so the identity reads F = S_e F;
     F is invertible at 0, hence as a matrix over the rational functions,
     so it holds exactly when S_e = I, which is what is compared."""
-    reasons = []
     if S.lift:
         raise InvalidStructure("certificates describe genuine structures")
     if cert.group != S.group:
@@ -327,12 +304,7 @@ def verify_certificate_report(cert: DecompositionCertificate,
         return [f"certificate conductor {cert.conductor} vs {S.conductor}"]
     degrees, B = _model(cert)
     F = cert.change_of_frame
-    at_zero, at_infinity = chart_certificate(
-        F, LaurentMatrix.diag_monomials(cert.conductor, degrees), S.bundle)
-    if not at_zero:
-        reasons.append("change of frame not regular+invertible at 0")
-    if at_infinity is None:
-        reasons.append("change of frame fails the infinity certificate")
+    _, reasons = chart_certificate(F, degrees, S.bundle)
     if reasons:
         return reasons
     id_name = identity(S.group).name
@@ -361,9 +333,12 @@ def decompose(S: EquivariantStructure) -> DecompositionCertificate:
 
     S is not validated first, and no stage checks its own output: the
     replay proves both.  It checks that the change of frame F is a bundle
-    isomorphism from the canonical model B of the block data (the chart
-    certificates) and that F(gamma z) B_gamma(z) = S_gamma(z) F(z) for
-    every gamma, so S is F-conjugate to the valid B and is valid itself.
+    isomorphism from the canonical model B of the block data and that
+    F(gamma z) B_gamma(z) = S_gamma(z) F(z) for every gamma, so S is
+    F-conjugate to the valid B and is valid itself.  F is an isomorphism
+    from diag(z^d) onto S.bundle when deg S.bundle = sum(d), F is regular
+    and invertible at 0 and T^-1 F z^D at infinity: det F is then a
+    constant times det(T^-1 F z^D), a polynomial in z and in 1/z alike.
     S is validated only after an EqBundlesError or a failed replay: bad
     input then raises InvalidStructure naming the first failed check, and
     on a valid S the pipeline's own exception, or InternalInconsistency,

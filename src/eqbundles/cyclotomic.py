@@ -26,9 +26,6 @@ from math import gcd, lcm
 
 from .errors import ConductorMismatch
 
-# The exact coefficient type used throughout the package.
-Rational = Fraction
-
 # Largest conductor that input may set (serialize checks each one); the
 # cost of Phi_m, the fold table and inverses grows steeply with phi(m).
 MAX_CONDUCTOR = 1000

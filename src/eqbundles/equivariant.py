@@ -66,8 +66,12 @@ class EquivariantStructure(GroupIndexed):
         target = lcm(bundle.conductor, group.conductor)
         if bundle.conductor != target:
             bundle = embed_bundle(bundle, target)
+        names = [g.name for g in elements(group)]
+        for name in maps:
+            if name not in names:
+                raise MissingElement(f"map key {name!r} is not an element of {group}")
         fixed = {}
-        for name in (g.name for g in elements(group)):
+        for name in names:
             if name not in maps:
                 raise MissingElement(f"structure lacks a map for {name!r}")
             N = maps[name]

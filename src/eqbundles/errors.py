@@ -18,7 +18,8 @@ class NonUnimodular(EqBundlesError):
 
 
 class MissingElement(EqBundlesError):
-    """An equivariant structure lacks a map for some group element."""
+    """An equivariant structure lacks a map for some group element, or has
+    one for a name that is not a group element."""
 
 
 class NoSuchStructure(EqBundlesError):
@@ -31,10 +32,6 @@ class NotComparable(EqBundlesError):
 
 class InternalInconsistency(EqBundlesError):
     """A guaranteed postcondition failed; indicates a bug, not bad input."""
-
-
-class FactorizationFailure(InternalInconsistency):
-    """A residual block did not factor as reference scalar times a constant matrix."""
 
 
 class InvalidStructure(EqBundlesError):

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .cyclotomic import CycNum, render_cycnum, root_of_unity, term_count
 from .errors import ConductorMismatch, DimensionMismatch, NonUnimodular, ParseError
+from .linalg import det_const
 
 
 def _rational(conductor: int, c) -> CycNum:
@@ -441,19 +442,6 @@ class LaurentMatrix:
         _unit(d)
         return adj._map(_exact_divider(d))
 
-    def eval_at_zero(self):
-        """Constant-term grid of CycNum if no entry has a negative exponent, else None."""
-        grid = []
-        for row in self.entries:
-            out = []
-            for p in row:
-                me = p.min_exp()
-                if me is not None and me < 0:
-                    return None
-                out.append(p.coeff(0))
-            grid.append(out)
-        return grid
-
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
@@ -561,22 +549,19 @@ def _det_adjugate(a: LaurentMatrix, adjugate: bool = True):
 
 
 def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:
-    """True iff the matrix is holomorphic and invertible at the chart point.
-
-    At "zero": no entry has a negative exponent and the constant-term
-    matrix is invertible.  At "infinity": the same after z -> 1/z.
-    """
+    """True iff the matrix is holomorphic and invertible at the chart point:
+    no entry has a negative exponent at "zero", or a positive one at
+    "infinity", and the grid of z^0 coefficients, its value there, is
+    invertible."""
     if matrix.rows != matrix.cols:
         raise DimensionMismatch("regularity check needs a square matrix")
-    if point == "infinity":
-        matrix = matrix.substitute(CycNum.one(matrix.conductor), -1)
-    elif point != "zero":
+    if point not in ("zero", "infinity"):
         raise ValueError(f"point must be 'zero' or 'infinity', got {point!r}")
-    grid = matrix.eval_at_zero()
-    if grid is None:
+    sign = 1 if point == "zero" else -1
+    if any(sign * e < 0 for row in matrix.entries for p in row for e in p.coeffs):
         return False
-    from .linalg import det_const
-    return not det_const(grid, matrix.conductor).is_zero()
+    return not det_const([[p.coeff(0) for p in row] for row in matrix.entries],
+                         matrix.conductor).is_zero()
 
 
 # ---------------------------------------------------------------------------

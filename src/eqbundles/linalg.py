@@ -39,23 +39,19 @@ def det_const(grid, conductor):
     return det
 
 
-def rref_dense(rows, conductor):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
+def kernel_dense(rows, ncols, conductor):
+    """Canonical kernel basis (one vector per free column, ascending), read
+    off the reduced row echelon form of the rows."""
     m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot = None
+        r = len(pivots)
         for i in range(r, len(m)):
             if not m[i][c].is_zero():
-                pivot = i
                 break
-        if pivot is None:
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        m[r], m[i] = m[i], m[r]
         inv = m[r][c].inverse()
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
@@ -63,25 +59,16 @@ def rref_dense(rows, conductor):
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if len(pivots) == len(m):
             break
-    return m[:r], pivots
-
-
-def kernel_dense(rows, ncols, conductor):
-    """Canonical kernel basis (one vector per free column, ascending)."""
-    rref, pivots = rref_dense(rows, conductor)
-    pivot_set = set(pivots)
     zero, one = CycNum.zero(conductor), CycNum.one(conductor)
     basis = []
     for f in range(ncols):
-        if f in pivot_set:
+        if f in pivots:
             continue
         vec = [zero] * ncols
         vec[f] = one
         for r, c in enumerate(pivots):
-            vec[c] = -rref[r][f]
+            vec[c] = -m[r][f]
         basis.append(tuple(vec))
     return basis
-

@@ -13,6 +13,12 @@ def L(text, conductor=1):
     return parse_laurent(text, conductor)
 
 
+def const_grid(matrix):
+    """The CycNum grid of a matrix whose entries are all constants."""
+    assert all(p.is_constant() for row in matrix.entries for p in row)
+    return [[p.coeff(0) for p in row] for row in matrix.entries]
+
+
 def M(rows, conductor=1):
     """Shorthand: matrix from a grid of canonical text entries."""
     return LaurentMatrix(conductor,

@@ -28,6 +28,8 @@ from eqbundles.linalg import det_const
 from eqbundles.randgen import (planted_bundle, random_certificate,
                                random_model_automorphism, splitting_oracle_run)
 
+from conftest import const_grid
+
 
 def _report(num, desc, ok):
     print(f"criterion {num:2d} [{desc}]: {'PASS' if ok else 'FAIL'}")
@@ -227,9 +229,9 @@ def test_criterion_9_klein_odd_pairing():
         conj = lambda mat: Cm @ LaurentMatrix.from_const(4, mat) @ Cm.inverse()
         A1, A2 = conj(a1), conj(a2)
         rr = ResidualRep("klein_lift", klein(), -1, n,
-                         {"I": LaurentMatrix.identity(4, n).eval_at_zero(),
-                          "A1": A1.eval_at_zero(), "A2": A2.eval_at_zero(),
-                          "A1A2": (A1 @ A2).eval_at_zero()}, 4)
+                         {"I": const_grid(LaurentMatrix.identity(4, n)),
+                          "A1": const_grid(A1), "A2": const_grid(A2),
+                          "A1A2": const_grid(A1 @ A2)}, 4)
         pairs = rep_decompose(rr)
         ok = ok and len(pairs) == rp
         # anticommutation, verified exactly on the conjugated matrices

@@ -9,26 +9,25 @@ from eqbundles.bundle import line_bundle, model_bundle, model_isomorphism, split
 from eqbundles.classify import (DecompositionCertificate, ModelStructure,
                                 ResidualRep, averaging_intertwiner, block_diagonal_part,
                                 build_structure, decompose, extract_residual_rep,
-                                pullback_structure, reference_scalars,
+                                pullback_structure,
                                 rep_decompose, verify_certificate,
                                 verify_certificate_report)
 from eqbundles.cyclotomic import CycNum, root_of_unity
 from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
                                    canonical_klein_even, canonical_klein_lift,
                                    canonical_klein_pair, canonical_structure,
-                                   conjugate_structure,
+                                   canonical_tangent, conjugate_structure,
                                    descend_lift, direct_sum_structures,
                                    structures_equivalent, transport_structure,
                                    twist_by_character, validate_structure,
                                    validation_report)
-from eqbundles.errors import (EqBundlesError, FactorizationFailure,
-                              InternalInconsistency, InvalidStructure)
-from eqbundles.group import characters, cyclic, klein, klein_lift
+from eqbundles.errors import EqBundlesError, InternalInconsistency, InvalidStructure
+from eqbundles.group import Character, characters, cyclic, klein, klein_lift
 from eqbundles.laurent import LaurentMatrix, LaurentPoly
 from eqbundles.randgen import (random_certificate,
                                random_model_automorphism, random_unimodular)
 
-from conftest import M
+from conftest import M, const_grid
 from fuzz_oracles import mutate_structure
 from oracles import (build_structure_by_sums, canonical_by_hand,
                      rep_relation_failures, replay_by_built_structure)
@@ -189,7 +188,7 @@ def test_rep_decompose_klein_lift_single_pair():
     zero, one, minus = CycNum.zero(4), CycNum.one(4), CycNum.rational(4, -1)
     a1 = [[minus, zero], [zero, one]]
     a2 = [[zero, one], [one, zero]]
-    a1a2 = (LaurentMatrix.from_const(4, a1) @ LaurentMatrix.from_const(4, a2)).eval_at_zero()
+    a1a2 = const_grid(LaurentMatrix.from_const(4, a1) @ LaurentMatrix.from_const(4, a2))
     rr = ResidualRep("klein_lift", klein(), -1, 2,
                      {"I": [[one, zero], [zero, one]], "A1": a1, "A2": a2,
                       "A1A2": a1a2}, 4)
@@ -217,8 +216,8 @@ def test_rep_decompose_klein_lift_two_pairs():
     rr = ResidualRep("klein_lift", klein(), 1, 4,
                      {"I": two_copies([[one, zero], [zero, one]]),
                       "A1": a1, "A2": a2,
-                      "A1A2": (LaurentMatrix.from_const(4, a1)
-                               @ LaurentMatrix.from_const(4, a2)).eval_at_zero()}, 4)
+                      "A1A2": const_grid(LaurentMatrix.from_const(4, a1)
+                                         @ LaurentMatrix.from_const(4, a2))}, 4)
     assert rep_relation_failures(rr) == []
     pairs = rep_decompose(rr)
     assert len(pairs) == 2
@@ -375,10 +374,10 @@ def test_decompose_reports_a_wrong_basis_as_a_bug(monkeypatch):
 
 def test_decompose_re_raises_a_stage_failure_on_valid_input(monkeypatch):
     def fail(R, d):
-        raise FactorizationFailure("planted stage failure")
+        raise InternalInconsistency("planted stage failure")
 
     monkeypatch.setattr(classify, "extract_residual_rep", fail)
-    with pytest.raises(FactorizationFailure, match="planted stage failure"):
+    with pytest.raises(InternalInconsistency, match="planted stage failure"):
         decompose(canonical_klein_pair(-1))
 
 
@@ -594,17 +593,6 @@ def test_canonical_blocks_match_the_hand_written_ones():
             *(S for _, S in blocks))
 
 
-def test_reference_scalars_are_the_canonical_line_entries():
-    for G in _table_groups():
-        for d in (-200, -3, -2, 0, 1, 2, 5, 200):
-            source = canonical_by_hand(klein_lift() if G.kind == "klein" and d % 2
-                                       else G, d)
-            for conductor in {G.conductor, 12 * G.conductor}:
-                assert reference_scalars(G, d, conductor) == {
-                    name: mat.entries[0][0].embed(conductor)
-                    for name, mat in source.maps.items()}
-
-
 def _replay_cases():
     """(certificate, structure) pairs: decompose certificates of scrambled
     random structures over cyclic(1..12) and Klein, and seeded mutations of
@@ -635,6 +623,11 @@ def _replay_cases():
             maps[a], maps[b] = maps[b], maps[a]
             yield cert, EquivariantStructure(S.bundle, G, maps)
         yield cert, mutate_structure(mutations, S)
+    # frames of the wrong degree that pass both point tests
+    yield (DecompositionCertificate(cyclic(1), ((0, characters(cyclic(1))[0]),), (),
+                                    M([["1-z"]]), 1), canonical_cyclic(1, 1))
+    yield (DecompositionCertificate(klein(), ((0, Character(klein(), signs=(-1, 1))),), (),
+                                    M([["1-z^2"]], 4), 4), canonical_tangent())
 
 
 def test_replay_agrees_with_the_replay_on_the_built_structure():

@@ -189,6 +189,15 @@ def test_missing_element_raises():
         EquivariantStructure(E, klein(), {"e": LaurentMatrix.identity(4, 1)})
 
 
+def test_map_key_outside_the_group_raises():
+    S = canonical_tangent()
+    with pytest.raises(MissingElement, match="map key 'bogus' is not an element of klein"):
+        EquivariantStructure(S.bundle, S.group, dict(S.maps, bogus=S.maps["a1"]))
+    # a lift-group name is not an element of the Klein group either
+    with pytest.raises(MissingElement, match="map key 'A1'"):
+        EquivariantStructure(S.bundle, S.group, dict(S.maps, A1=S.maps["a1"]))
+
+
 # -- canonical structures ---------------------------------------------------------
 
 def test_canonical_tangent_cocycle():

@@ -315,6 +315,25 @@ def test_cli_invalid_structure_names_the_failed_check(tmp_path, capsys):
     assert out.startswith("fail: conjugated built structure differs at 'a2'")
 
 
+def test_cli_rejects_a_certificate_of_the_wrong_degree(tmp_path, capsys):
+    # F = 1 - z^2 is regular and invertible at 0, and T^-1 F = z^-2 - 1 at
+    # infinity, but F maps O(0) into the tangent bundle O(2)
+    t_path, c_path = tmp_path / "t.json", tmp_path / "c.json"
+    assert main(["canonical", "--group", "klein", "--target", "tangent",
+                 "--out", str(t_path)]) == 0
+    c_path.write_text(json.dumps({
+        "kind": "certificate", "group": {"kind": "klein"}, "conductor": 4,
+        "even_blocks": [{"degree": 0, "character": {"a1": -1, "a2": 1}}],
+        "odd_blocks": [], "change_of_frame": [["1-z^2"]]}))
+    capsys.readouterr()
+    reason = "model degree 0 != bundle degree 2"
+    assert main(["verify-cert", "--cert", str(c_path), "--structure", str(t_path)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"fail: {reason}"
+    assert main(["build", "--cert", str(c_path), "--target", "tangent"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: ShapeMismatch: {reason}\n"
+
+
 def test_cli_decompose_names_a_bug_as_internal_inconsistency(
         tmp_path, capsys, monkeypatch):
     import eqbundles.classify as classify
