@@ -292,19 +292,28 @@ def chart_certificate(F: LaurentMatrix, degrees, target: VectorBundle):
     a bundle isomorphism exactly when the list of problems is empty.
 
     The conditions are deg target = sum(d), F regular and invertible at 0,
-    and U regular and invertible at infinity.  Then det F = c * det U,
-    with c the constant of det target = c*z^(sum d); det F is a polynomial
-    in z and det U one in 1/z, each nonzero at its point, so both are
-    nonzero constants.  Without the degree condition the two point tests
-    pass F = 1 - z from O(0) onto O(1)."""
+    and U regular and invertible at infinity.  Without the degree
+    condition the two point tests pass F = 1 - z from O(0) onto O(1).
+
+    One determinant is tested, that of F(0).  With det target =
+    c*z^(sum d), det U = c^-1 * z^(-sum d) * det F * z^(sum d) = c^-1 *
+    det F.  F regular at 0 makes det F a polynomial in z, U regular at
+    infinity makes det U one in 1/z, so both are constants, and det U =
+    c^-1 * det F(0) != 0: U is invertible at infinity once it is regular
+    there.  When the degree or the test at 0 fails, the argument does not
+    apply and det U(infinity) is tested as well, so the problems listed
+    are those of the three tests.  z^D acts as a column scaling, so U
+    costs one matrix product."""
     problems = []
     if sum(degrees) != target.degree():
         problems.append(f"model degree {sum(degrees)} != bundle degree {target.degree()}")
     if not regular_invertible_at(F, "zero"):
         problems.append("change of frame not regular+invertible at 0")
-    U = (target.inverse_transition() @ F
-         @ LaurentMatrix.diag_monomials(target.conductor, degrees))
-    if not regular_invertible_at(U, "infinity"):
+    one = CycNum.one(target.conductor)
+    U = (target.inverse_transition() @ F).times_monomial(
+        [(j, one, d) for j, d in enumerate(degrees)])
+    if not (regular_invertible_at(U, "infinity") if problems
+            else all(e <= 0 for row in U.entries for p in row for e in p.coeffs)):
         problems.append("change of frame fails the infinity certificate")
     return U, problems
 

@@ -1,29 +1,45 @@
 """The classification pipeline and its machine-checkable certificates.
 
-Order of battle for a genuine structure S on a bundle E:
+Order of battle for a genuine structure S on a bundle E, with psi:
+diag(z^(d_j)) -> E the frame of one column reduction (degrees
+descending) and N_gamma(z) = psi(gamma z)^-1 S_gamma(z) psi(z) the
+pulled-back cocycle, block upper-triangular by degree:
 
-1. pull the cocycle back along a model isomorphism onto diag(z^(d_j)),
-   where it becomes block-triangular in descending-degree order;
-2. average the inverse cocycle against its block-diagonal part, which
-   yields a unipotent intertwiner splitting off the diagonal blocks;
-3. factor each diagonal degree block as the canonical line structure
-   of its degree times a constant representation (for odd Klein blocks
-   the line structure is over the lift group, so the constant matrices
-   represent it up to the lift group's sign);
-4. split the constant representation: simultaneous eigenvectors of the
-   generators with characters for cyclic groups and even Klein blocks,
-   eigenvector pairs swapped by the anticommuting generator for odd
-   Klein blocks.
+1. residual constants: the diagonal degree-d block of N_s, for each
+   generator s, is c*z^k times a constant matrix C_s, where c*z^k is the
+   canonical line entry of `equivariant.canonical_monomials` (for odd
+   Klein blocks the line is over the lift group, and the C represent it
+   up to its sign).  C_s is read as the z^k coefficient of the block
+   over c, from the coefficients of psi(s z)^-1 and S_s psi; no other
+   entry of N_s is formed;
+2. split the constant representation (`rep_decompose`): simultaneous
+   eigenvectors of the generators with characters for cyclic groups and
+   even Klein blocks, eigenvector pairs swapped by the anticommuting
+   generator for odd Klein blocks.  The vectors are the columns of a
+   constant block-diagonal P, and R_gamma P = P B_gamma for the block
+   diagonal part R of N and the canonical model B of the block data;
+3. one Reynolds average (Sturmfels, Algorithms in Invariant Theory,
+   2.1) onto B gives the change of frame
+       F(z) = 1/|G| sum_gamma (S_{gamma^-1} psi P)(gamma z) B_gamma(z).
+   It equals psi Sav P for the averaging intertwiner Sav = 1/|G|
+   sum_gamma N_{gamma^-1}(gamma z) R_gamma(z), exactly: psi(z)
+   N_{gamma^-1}(gamma z) = S_{gamma^-1}(gamma z) psi(gamma z) and R_gamma
+   P = P B_gamma.  B_gamma is monomial, so the product by it is a column
+   map, and the identity term is psi P.
 
-Each step is one public function (`pullback_structure`,
-`averaging_intertwiner`, `extract_residual_rep`, `rep_decompose`) and
-none re-checks its own postcondition.  The certificate records the block
-data plus the composite change of frame; `verify_certificate` replays it
-exactly.  That replay is the one check `decompose` makes, and S is not
-validated first.  It reads the canonical model's maps and its bundle
-diag(z^d) off the block data, from `equivariant.canonical_monomials`,
-the one table of canonical blocks; no canonical structure is assembled
-for it.
+The certificate records the block data plus F; `verify_certificate`
+replays it exactly.  That replay is the one check `decompose` makes, and
+S is not validated first.  It reads the canonical model's maps and its
+bundle diag(z^d) off the block data, as monomial rows of
+`equivariant.canonical_rows`; no canonical structure is assembled for
+it.
+
+`pullback_structure`, `block_diagonal_part`, `averaging_intertwiner`
+and `extract_residual_rep` are the staged reference path, which
+`decompose` no longer runs: they form N, R and Sav in full, and the
+tests check that psi Sav P renders byte-identical to F.  The benchmark
+in `perfbench` still imports them; ROADMAP item 4 makes them private
+once it stops.
 """
 
 from __future__ import annotations
@@ -32,10 +48,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundle import ModelIso, chart_certificate, column_frame, model_bundle
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, roots_among
 from .errors import EqBundlesError, InternalInconsistency, InvalidStructure, ShapeMismatch
 from .equivariant import (EquivariantStructure, GroupIndexed, canonical_model,
-                          canonical_monomials, require_valid, transport_structure)
+                          canonical_monomials, canonical_rows, require_valid,
+                          transport_structure)
 from .group import (Character, GroupSpec, characters, elements, generators, identity,
                     inverse, klein_lift)
 from .laurent import LaurentMatrix, LaurentPoly
@@ -99,7 +116,7 @@ def averaging_intertwiner(N: ModelStructure, R: ModelStructure) -> LaurentMatrix
     Precondition, not checked: R = `block_diagonal_part(N)`.  For a
     cocycle N, S is then unipotent block-triangular and N_gamma(z) S(z) =
     S(gamma z) R_gamma(z); `test_criterion_8_averaging_and_roundtrip`
-    checks both, and in `decompose` the certificate replay covers them."""
+    checks both.  A stage of the reference path (module docstring)."""
     order = N.group.order
     inverse_name = {g.name: inverse(N.group, g).name for g in elements(N.group)}
     acc = None
@@ -130,30 +147,68 @@ class ResidualRep:
 _LIFT_REPRESENTATIVE = {"e": "I", "a1": "A1", "a2": "A2", "a1a2": "A1A2"}
 
 
+def _canonical_line(G: GroupSpec, d: int):
+    """(mode, {element name: (key, c, k)}) of a degree-d block over G: the
+    residual mode, and per element the key of its constant matrix and the
+    canonical line entry c*z^k of `canonical_monomials` that the block is
+    divided by (over the lift group for odd Klein blocks)."""
+    mode = ("cyclic" if G.kind == "cyclic"
+            else "klein_even" if d % 2 == 0 else "klein_lift")
+    line = canonical_monomials(klein_lift() if mode == "klein_lift" else G, d)
+    keys = {g.name: g.name if mode != "klein_lift" else _LIFT_REPRESENTATIVE[g.name]
+            for g in elements(G)}
+    return mode, {name: (key,) + line[key][0][1:] for name, key in keys.items()}
+
+
 def extract_residual_rep(R: ModelStructure, d: int) -> ResidualRep:
     """Factor the degree-d diagonal block as the canonical line scalars
     c*z^k of `canonical_monomials` times constant matrices: C_gamma is the
-    block's z^k coefficient divided by c.  No other coefficient is read;
-    in `decompose` the certificate replay proves the factorization."""
+    block's z^k coefficient divided by c.  No other coefficient is read.
+    A stage of the reference path; `_classify` reads the same constants
+    for the generators alone (module docstring)."""
     ranges = [rg for rg in _block_ranges(R.degrees) if rg[0] == d]
     if not ranges:
         raise ValueError(f"degree {d} does not occur in the model")
     _, start, stop = ranges[0]
     G, cond = R.group, R.conductor
-    mode = ("cyclic" if G.kind == "cyclic"
-            else "klein_even" if d % 2 == 0 else "klein_lift")
-    line = canonical_monomials(klein_lift() if mode == "klein_lift" else G, d)
+    mode, line = _canonical_line(G, d)
     mats = {}
-    for g in elements(G):
-        key = g.name if mode != "klein_lift" else _LIFT_REPRESENTATIVE[g.name]
-        ((_, c, k),) = line[key]
-        cinv, rows = c.embed(cond).inverse(), R.maps[g.name].entries[start:stop]
+    for name, (key, c, k) in line.items():
+        cinv, rows = c.embed(cond).inverse(), R.maps[name].entries[start:stop]
         mats[key] = [[p.coeff(k) * cinv for p in row[start:stop]] for row in rows]
     return ResidualRep(mode, G, d, stop - start, mats, cond)
 
 
+def _charpoly(a, conductor):
+    """Coefficients of det(x*I - a), leading 1 first, by Berkowitz's
+    division-free algorithm (Inf. Process. Lett. 18, 1984).
+
+    Partition the trailing block a[t:, t:] as [[a_tt, R], [C, A]].  Its
+    characteristic polynomial is the lower-triangular Toeplitz matrix with
+    first column 1, -a_tt, -R C, -R A C, -R A^2 C, ... times that of A,
+    so the blocks from the last one up each cost matrix-vector products
+    and no division."""
+    n, one = len(a), CycNum.one(conductor)
+    zero = CycNum.zero(conductor)
+
+    def dot(u, v):
+        return sum((x * y for x, y in zip(u, v) if not (x.is_zero() or y.is_zero())), zero)
+
+    poly = [one]
+    for t in range(n - 1, -1, -1):
+        R, x = a[t][t + 1:], [a[i][t] for i in range(t + 1, n)]
+        column = [one, -a[t][t]]
+        for _ in range(n - t - 1):
+            column.append(-dot(R, x))
+            x = [dot(row[t + 1:], x) for row in a[t + 1:]]
+        poly = [sum((column[i - j] * poly[j] for j in range(min(i + 1, len(poly)))), zero)
+                for i in range(len(poly) + 1)]
+    return poly
+
+
 def rep_decompose(rho: ResidualRep):
-    """Split a residual representation.
+    """Split a residual representation; only the generators' matrices
+    are read.
 
     cyclic / klein_even: returns [(Character, eigenvector)] in canonical
     character order, echelon basis within each eigenspace.
@@ -166,7 +221,17 @@ def rep_decompose(rho: ResidualRep):
     with the involution rho(A1), maps the +1 eigenspace onto the -1 one.
     The relations are not checked, so on other matrices the vectors need
     not be a basis; `_classify` checks their count and the certificate
-    replay the rest."""
+    replay the rest.
+
+    Eigenvalues come before eigenspaces.  C = rho(g) for a cyclic group
+    and C = rho(a1) + 2 rho(a2) for the Klein group take distinct values
+    chi(C) on distinct characters.  A common eigenvector v of the
+    generators with character chi has C v = chi(C) v, so the common kernel
+    for chi is zero unless the characteristic polynomial of C vanishes at
+    chi(C); `kernel_dense` runs only where it does, at most once per
+    column of the block, and the result is the same on any matrices.
+    (The generators' own polynomials would not do: on chi_++ + chi_--
+    each vanishes at both signs, at all four characters.)"""
     cond, n = rho.conductor, rho.size
 
     def common_kernel(conditions):
@@ -181,9 +246,18 @@ def rep_decompose(rho: ResidualRep):
                                if not (a.is_zero() or x.is_zero())), zero)
                           for row in a2))
                 for v in common_kernel([(rho.mats["A1"], CycNum.one(cond))])]
-    return [(chi, v) for chi in characters(rho.group)
+    gens, chars = generators(rho.group), characters(rho.group)
+    if rho.group.kind == "cyclic":
+        C = rho.mats[gens[0].name]
+        points = [(1, chi.index * (cond // rho.group.n)) for chi in chars]
+    else:
+        a1, a2 = (rho.mats[s.name] for s in gens)
+        C = [[x + y + y for x, y in zip(r1, r2)] for r1, r2 in zip(a1, a2)]
+        points = [(chi.signs[0] + 2 * chi.signs[1], 0) for chi in chars]
+    return [(chi, v) for chi, root in zip(chars, roots_among(_charpoly(C, cond), points))
+            if root
             for v in common_kernel([(rho.mats[s.name], chi.value(s.name).embed(cond))
-                                    for s in generators(rho.group)])]
+                                    for s in gens])]
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +324,12 @@ class DecompositionCertificate:
 
 def _model(cert: DecompositionCertificate):
     """The canonical model B of the block data at the certificate's
-    conductor: the degrees d of its bundle diag(z^d) and its maps B_gamma,
-    assembled by `canonical_model` from the blocks in `block_sequence`
-    order (an odd Klein block is the pair on O(d) + O(d), any other the
-    line of degree d twisted by its character)."""
-    return canonical_model(cert.group, [(d, chi) for _, d, chi in cert.block_sequence()],
-                           cert.conductor)
+    conductor: the degrees d of its bundle diag(z^d) and the monomial rows
+    of its maps B_gamma, read by `canonical_rows` from the blocks in
+    `block_sequence` order (an odd Klein block is the pair on O(d) + O(d),
+    any other the line of degree d twisted by its character)."""
+    return canonical_rows(cert.group, [(d, chi) for _, d, chi in cert.block_sequence()],
+                          cert.conductor)
 
 
 def build_structure(cert: DecompositionCertificate,
@@ -263,7 +337,8 @@ def build_structure(cert: DecompositionCertificate,
     """Assemble the direct sum of canonical blocks twisted per the
     certificate; with a target bundle, conjugate along the certificate's
     change of frame onto it."""
-    degrees, maps = _model(cert)
+    degrees, maps = canonical_model(cert.group, [(d, chi) for _, d, chi
+                                                 in cert.block_sequence()], cert.conductor)
     built = EquivariantStructure(model_bundle(cert.conductor, degrees), cert.group, maps)
     if target is None:
         return built
@@ -285,15 +360,13 @@ def verify_certificate_report(cert: DecompositionCertificate,
     A lift structure raises InvalidStructure, as in `decompose`.
 
     The replay checks that the change of frame F is a bundle isomorphism
-    from the canonical model diag(z^d) and that F(gamma z) B_gamma(z) =
-    S_gamma(z) F(z) for every gamma.  The isomorphism test,
-    `chart_certificate`, needs deg S.bundle = sum(d) besides F regular
-    and invertible at 0 and U = T^-1 F z^D at infinity: then det F = c *
-    det U is a polynomial in z and in 1/z, hence a nonzero constant.  B and
-    diag(z^d) read off the block data (`_model`), not built as a
-    structure.  At the identity B_e = I, so the identity reads F = S_e F;
-    F is invertible at 0, hence as a matrix over the rational functions,
-    so it holds exactly when S_e = I, which is what is compared."""
+    from the canonical model diag(z^d) (`chart_certificate`) and that
+    F(gamma z) B_gamma(z) = S_gamma(z) F(z) for every gamma.  B is read
+    off the block data as monomial rows (`_model`), so F(gamma z) B_gamma
+    is a column map and each element costs one matrix product, S_gamma F.
+    At the identity B_e = I, so the identity reads F = S_e F; F is
+    invertible at 0, hence as a matrix over the rational functions, so it
+    holds exactly when S_e = I, which is what is compared."""
     if S.lift:
         raise InvalidStructure("certificates describe genuine structures")
     if cert.group != S.group:
@@ -312,7 +385,7 @@ def verify_certificate_report(cert: DecompositionCertificate,
         if name == id_name:
             same = S.maps[name] == LaurentMatrix.identity(S.conductor, S.bundle.rank)
         else:
-            same = F.substitute(c, e) @ B[name] == S.maps[name] @ F
+            same = F.substitute(c, e).times_monomial(B[name]) == S.maps[name] @ F
         if not same:
             reasons.append(f"conjugated built structure differs at {name!r}")
     return reasons
@@ -357,6 +430,29 @@ def decompose(S: EquivariantStructure) -> DecompositionCertificate:
     return cert
 
 
+def _residual_at(psi_inv_s, SP, start, stop, c, k):
+    """The constants C with the [start, stop) diagonal block of
+    psi(s z)^-1 (S_s psi) equal to c*z^k*C, read as each entry's z^k
+    coefficient over c; the coefficient is summed from those of the two
+    factors, and the product itself is never formed."""
+    cinv, zero = c.inverse(), CycNum.zero(c.conductor)
+    out = []
+    for row in psi_inv_s.entries[start:stop]:
+        out_row = []
+        for j in range(start, stop):
+            acc = zero
+            for x, sp_row in zip(row, SP.entries):
+                y = sp_row[j].coeffs
+                if y:
+                    for e, a in x.coeffs.items():
+                        b = y.get(k - e)
+                        if b is not None:
+                            acc = acc + a * b
+            out_row.append(acc * cinv)
+        out.append(out_row)
+    return out
+
+
 def _classify(S: EquivariantStructure) -> DecompositionCertificate:
     """The pipeline of the module docstring; `decompose` checks its answer.
 
@@ -366,31 +462,44 @@ def _classify(S: EquivariantStructure) -> DecompositionCertificate:
     that splits into the wrong number of vectors raises
     InternalInconsistency, so that bad input still reaches
     `require_valid`."""
+    G, cond = S.group, S.conductor
     st, psi = column_frame(S.bundle)
-    N = pullback_structure(S, ModelIso(st, psi, S.bundle))
-    R = block_diagonal_part(N)
-    Sav = averaging_intertwiner(N, R)
-    even_blocks = []
-    odd_blocks = []
-    P_blocks = []
-    for (d, start, stop) in _block_ranges(N.degrees):
-        rr = extract_residual_rep(R, d)
-        split = rep_decompose(rr)
-        if rr.mode == "klein_lift":
-            odd_blocks.extend([d] * len(split))
+    psi_inv = psi.inverse()
+    # S_s psi and psi(s z)^-1 for the generators s
+    SP = {s.name: S.maps[s.name] @ psi for s in generators(G)}
+    shifted = {s.name: psi_inv.substitute(s.c.embed(cond), s.e) for s in generators(G)}
+    blocks, P_blocks = [], []
+    for (d, start, stop) in _block_ranges(st.degrees):
+        mode, line = _canonical_line(G, d)
+        mats = {}
+        for s in generators(G):
+            key, c, k = line[s.name]
+            mats[key] = _residual_at(shifted[s.name], SP[s.name], start, stop,
+                                     c.embed(cond), k)
+        split = rep_decompose(ResidualRep(mode, G, d, stop - start, mats, cond))
+        if mode == "klein_lift":
+            blocks += [(d, None)] * len(split)
             cols = [c for v, av in split for c in (av, v)]
         else:
-            even_blocks.extend((d, chi) for chi, _ in split)
+            blocks += [(d, chi) for chi, _ in split]
             cols = [v for _, v in split]
         if len(cols) != stop - start:
             raise InternalInconsistency(
                 f"degree-{d} block of size {stop - start} split into "
                 f"{len(cols)} vectors")
         # the vectors are the columns of the block
-        P_blocks.append(LaurentMatrix.from_const(N.conductor, zip(*cols)))
-    frame = psi @ Sav @ LaurentMatrix.block_diag(P_blocks)
-    return DecompositionCertificate(group=S.group,
-                                    even_blocks=tuple(even_blocks),
-                                    odd_blocks=tuple(odd_blocks),
-                                    change_of_frame=frame,
-                                    conductor=S.conductor)
+        P_blocks.append(LaurentMatrix.from_const(cond, zip(*cols)))
+    P = LaurentMatrix.block_diag(P_blocks)
+    _, B = canonical_rows(G, blocks, cond)
+    # F = 1/|G| sum_gamma (S_{gamma^-1} psi P)(gamma z) B_gamma(z); at the
+    # identity, elements(G)[0], the term is psi P, as the replay checks S_e = I
+    psiP = psi @ P
+    frame = psiP
+    for g in elements(G)[1:]:
+        name = inverse(G, g).name
+        X = SP[name] @ P if name in SP else S.maps[name] @ psiP
+        frame = frame + X.substitute(g.c.embed(cond), g.e).times_monomial(B[g.name])
+    return DecompositionCertificate(
+        group=G, even_blocks=tuple(b for b in blocks if b[1] is not None),
+        odd_blocks=tuple(d for d, chi in blocks if chi is None),
+        change_of_frame=frame.scale(Fraction(1, G.order)), conductor=cond)

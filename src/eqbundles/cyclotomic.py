@@ -14,8 +14,8 @@ is monic with integer coefficients, so products fold back to degree
 rational multiple of +-zeta^k is read off the table of powers of zeta;
 any other inverse comes from one fraction-free Gauss-Jordan pass on the
 integer matrix of multiplication by the numerator.  `fractions.Fraction`
-appears only at the edges: constructor input and the `coeffs` view used
-for rendering.
+appears only at the edges: constructor input, the `coeffs` view, and
+rendering, which forms one per nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, neg
 
 from .errors import ConductorMismatch
 
@@ -194,6 +195,13 @@ class CycNum:
     def is_one(self) -> bool:
         return self._den == 1 and self._num[0] == 1 and not any(self._num[1:])
 
+    def unit_sign(self) -> int:
+        """1 or -1 if the scalar is exactly +-1, else 0."""
+        num = self._num
+        if self._den == 1 and num[0] in (1, -1) and not any(num[1:]):
+            return num[0]
+        return 0
+
     def is_rational(self) -> bool:
         return not any(self._num[1:])
 
@@ -210,10 +218,14 @@ class CycNum:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        # same-conductor scalars, the common case, skip `_coerce`
+        if other.__class__ is not CycNum or other.conductor != self.conductor:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         da, db = self._den, other._den
+        if da == db == 1:
+            return _new(self.conductor, tuple(map(add, self._num, other._num)), 1)
         return _canonical(self.conductor,
                           [a * db + b * da for a, b in zip(self._num, other._num)],
                           da * db)
@@ -233,12 +245,13 @@ class CycNum:
         return other + (-self)
 
     def __neg__(self):
-        return _new(self.conductor, tuple(-a for a in self._num), self._den)
+        return _new(self.conductor, tuple(map(neg, self._num)), self._den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not CycNum or other.conductor != self.conductor:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         a, b = self._num, other._num
         # A factor of exactly +-1 gives the other operand or its negation,
         # already canonical, with no product, fold or gcd.  Most factors
@@ -389,6 +402,48 @@ def root_of_unity(m: int, k: int) -> CycNum:
     return _new(m, _zeta_powers(m)[k % m], 1)
 
 
+@lru_cache(maxsize=None)
+def _high_powers(m: int) -> tuple:
+    """x^t mod Phi_m for phi <= t < m, each row as (index, coefficient)
+    pairs of its nonzero entries."""
+    return tuple(tuple((i, c) for i, c in enumerate(v) if c)
+                 for v in _zeta_powers(m)[euler_phi(m):])
+
+
+def roots_among(coeffs, points) -> list:
+    """For each point (r, j), whether the polynomial sum coeffs[i] *
+    x^(n-i), n = len(coeffs) - 1, vanishes at x = r * zeta_m^j, where m is
+    the coefficients' conductor and r a nonzero integer.
+
+    No scalar product is formed.  Over a common denominator the value is
+    sum r^e * zeta^(j*e) * num_e(x), and multiplying by zeta^(j*e) rotates
+    the numerator vector num_e, padded to length m, by j*e places modulo
+    x^m - 1; the sum is reduced mod Phi_m once, through the rows of
+    x^t mod Phi_m for phi <= t < m."""
+    m, n = coeffs[0].conductor, len(coeffs) - 1
+    den = lcm(*(c._den for c in coeffs))
+    phi = len(coeffs[0]._num)
+    pad = [0] * (m - phi)
+    vecs = [[a * (den // c._den) for a in c._num] + pad for c in coeffs]
+    high = _high_powers(m)
+    out = []
+    for r, j in points:
+        acc = [0] * m
+        for i, v in enumerate(vecs):
+            e = n - i
+            f, s = r ** e, j * e % m
+            rotated = v[m - s:] + v[:m - s]
+            acc = (list(map(add, acc, rotated)) if f == 1
+                   else [a + f * b for a, b in zip(acc, rotated)])
+        value = acc[:phi]
+        for a, row in zip(acc[phi:], high):
+            if a:
+                for i, c in row:
+                    value[i] += a * c
+        out.append(not any(value))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # canonical text form: "3/4", "z4" (= zeta_4), "1/2+3·z12^3"
 # ---------------------------------------------------------------------------
@@ -402,9 +457,10 @@ def render_rational(q: Fraction) -> str:
 def render_cycnum(a: CycNum) -> str:
     parts = []
     sym = f"z{a.conductor}"
-    for k, c in enumerate(a.coeffs):
-        if c == 0:
+    for k, n in enumerate(a._num):
+        if not n:
             continue
+        c = Fraction(n, a._den)
         if k == 0:
             parts.append(render_rational(c))
             continue

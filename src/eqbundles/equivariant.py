@@ -193,22 +193,34 @@ def canonical_monomials(G: GroupSpec, d: int, chi: Character = None) -> dict:
             for name, rows in table.items()}
 
 
-def canonical_model(G: GroupSpec, blocks, conductor: int):
+def canonical_rows(G: GroupSpec, blocks, conductor: int):
     """The direct sum of the canonical blocks [(d, chi or None)] over G,
     read off their `canonical_monomials` tables at a multiple `conductor`
     of G's: (the degrees d of its bundle diag(z^d), one per table row,
-    {element name: LaurentMatrix} of its maps)."""
+    {element name: [(j, c, k) per row]}), row i of a map having its one
+    nonzero entry c*z^k in column j."""
     tables = [canonical_monomials(G, d, chi) for d, chi in blocks]
     degrees = [d for (d, _), t in zip(blocks, tables) for _ in next(iter(t.values()))]
+    rows = {}
+    for name in tables[0]:
+        out = []
+        for table in tables:
+            o = len(out)
+            out += [(o + j, c.embed(conductor), k) for j, c, k in table[name]]
+        rows[name] = out
+    return degrees, rows
+
+
+def canonical_model(G: GroupSpec, blocks, conductor: int):
+    """`canonical_rows` with each map as a LaurentMatrix: (degrees,
+    {element name: LaurentMatrix})."""
+    degrees, rows = canonical_rows(G, blocks, conductor)
     zero = LaurentPoly.zero(conductor)
     maps = {}
-    for name in tables[0]:
+    for name, entries in rows.items():
         grid = [[zero] * len(degrees) for _ in degrees]
-        o = 0
-        for table in tables:
-            for i, (j, c, k) in enumerate(table[name]):
-                grid[o + i][o + j] = LaurentPoly.monomial(conductor, k, c.embed(conductor))
-            o += len(table[name])
+        for i, (j, c, k) in enumerate(entries):
+            grid[i][j] = LaurentPoly.monomial(conductor, k, c)
         maps[name] = LaurentMatrix(conductor, grid)
     return degrees, maps
 

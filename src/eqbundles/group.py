@@ -71,6 +71,11 @@ def klein_lift() -> GroupSpec:
     return GroupSpec("klein_lift", 8)
 
 
+def _cyclic_power(name: str) -> int:
+    """k for the element named g^k, the inverse of `_cyclic_name`."""
+    return 0 if name == "e" else 1 if name == "g" else int(name[2:])
+
+
 def _cyclic_name(k: int, n: int) -> str:
     k %= n
     if k == 0:
@@ -97,11 +102,16 @@ def elements(G: GroupSpec) -> tuple:
                  in zip(("I", "A1", "A2", "A1A2"), moebius) for sign in ("", "-"))
 
 
+@lru_cache(maxsize=None)
+def _element_names(G: GroupSpec) -> dict:
+    return {g.name: g for g in elements(G)}
+
+
 def element_by_name(G: GroupSpec, name: str) -> GroupElement:
-    for g in elements(G):
-        if g.name == name:
-            return g
-    raise MissingElement(f"no element named {name!r} in {G}")
+    g = _element_names(G).get(name)
+    if g is None:
+        raise MissingElement(f"no element named {name!r} in {G}")
+    return g
 
 
 def identity(G: GroupSpec) -> GroupElement:
@@ -139,8 +149,7 @@ def inverse(G: GroupSpec, a: GroupElement) -> GroupElement:
     """g^k has inverse g^(-k), read off by index; otherwise z -> c * z^e
     inverts to z -> c^(-e) * z^e, with the lift group's sign."""
     if G.kind == "cyclic":
-        els = elements(G)
-        return els[-els.index(a) % G.n]
+        return elements(G)[-_cyclic_power(a.name) % G.n]
     c = (a.c.inverse()) ** a.e
     negative = (a.name[0] == "-") ^ _negated(G, a.e, c)
     return _element_lookup(G)[(c, a.e, negative)]
@@ -172,8 +181,7 @@ class Character:
         G = self.group
         if G.kind == "cyclic":
             g = element_by_name(G, name)  # validates the name
-            k = 0 if g.name == "e" else (1 if g.name == "g" else int(g.name[2:]))
-            return root_of_unity(G.n, self.index * k)
+            return root_of_unity(G.n, self.index * _cyclic_power(g.name))
         s1, s2 = self.signs
         table = {"e": 1, "a1": s1, "a2": s2, "a1a2": s1 * s2}
         if name not in table:

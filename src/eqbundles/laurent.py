@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cyclotomic import CycNum, render_cycnum, root_of_unity, term_count
+from .cyclotomic import MAX_CONDUCTOR, CycNum, render_cycnum, root_of_unity, term_count
 from .errors import ConductorMismatch, DimensionMismatch, NonUnimodular, ParseError
 from .linalg import det_const
 
@@ -320,7 +320,9 @@ class LaurentMatrix:
         if self.conductor != other.conductor:
             raise ConductorMismatch(f"conductor {self.conductor} vs {other.conductor}")
         # row i of the product is the sum of a_ik * (row k of B) over the
-        # nonzero a_ik (Gustavson 1978); entries no term reaches stay zero
+        # nonzero a_ik (Gustavson 1978); entries no term reaches stay zero.
+        # A coefficient +-1 of a_ik contributes B's coefficients or their
+        # negations, with no product formed.
         b_rows = [[(j, b.coeffs) for j, b in enumerate(row) if b.coeffs]
                   for row in other.entries]
         zero = _poly(self.conductor, {})
@@ -330,14 +332,15 @@ class LaurentMatrix:
             for k, a in enumerate(row):
                 if not a.coeffs:
                     continue
+                terms = [(e1, c1, c1.unit_sign()) for e1, c1 in a.coeffs.items()]
                 for j, bc in b_rows[k]:
                     acc = accs.get(j)
                     if acc is None:
                         acc = accs[j] = {}
-                    for e1, c1 in a.coeffs.items():
+                    for e1, c1, sign in terms:
                         for e2, c2 in bc.items():
                             e = e1 + e2
-                            p = c1 * c2
+                            p = c2 if sign == 1 else -c2 if sign else c1 * c2
                             cur = acc.get(e)
                             acc[e] = p if cur is None else cur + p
             out_row = [zero] * other.cols
@@ -346,6 +349,19 @@ class LaurentMatrix:
                     e: c for e, c in acc.items() if not c.is_zero()})
             out.append(out_row)
         return _matrix(self.conductor, out)
+
+    def times_monomial(self, rows) -> "LaurentMatrix":
+        """self @ B for the monomial matrix B whose row i has its one nonzero
+        entry c*z^k in column j, rows[i] = (j, c, k), c a nonzero CycNum at
+        this conductor: column j of the product is c*z^k times column i, so
+        no product of Laurent polynomials is formed."""
+        if len(rows) != self.cols:
+            raise DimensionMismatch(f"{self.cols} cols vs {len(rows)} rows")
+        cols = [None] * len(rows)
+        for i, (j, c, k) in enumerate(rows):
+            cols[j] = [_times_monomial(row[i], c, k) if row[i].coeffs else row[i]
+                       for row in self.entries]
+        return _matrix(self.conductor, zip(*cols))
 
     def _map(self, fn) -> "LaurentMatrix":
         """fn applied to every entry; fn must send 0 to 0, as zero entries
@@ -576,9 +592,12 @@ def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:
 # deeper input would exhaust the interpreter stack instead of failing cleanly.
 MAX_NESTING = 100
 
-# Exponents may not exceed this in absolute value, in a literal or in any
-# partial product of an entry; twists, O(d) shortcuts and certificate
-# block degrees share the cap.  The section count grows with the exponent
+# Exponents of z may not exceed this in absolute value, in a literal or in
+# any partial product of an entry; twists, O(d) shortcuts and certificate
+# block degrees share the cap.  The exponent k of a root power z<m>^k is
+# not a Laurent exponent: it may reach MAX_CONDUCTOR in absolute value and
+# is read mod m, so every z<m>^k with k < phi(m) that `render_cycnum`
+# writes reads back.  The section count grows with the exponent
 # spread: `sections --twist 200` on a rank-8 block-diagonal document of
 # [[z^200, 1], [0, z^-200]] blocks prints 1608 sections in about 0.35 s.
 MAX_EXPONENT = 200
@@ -695,7 +714,7 @@ class _Parser:
                 m = int(val[1:])
             except ValueError:
                 self.fail("number too long", pos)
-            k = self.parse_power()
+            k = self.parse_power(MAX_CONDUCTOR)
             if m == 0 or self.conductor % m != 0:
                 self.fail(f"root z{m} does not live in conductor {self.conductor}", pos)
             return {0: root_of_unity(m, k).embed(self.conductor)}
@@ -713,7 +732,8 @@ class _Parser:
             return inner
         self.fail("unexpected token", pos)
 
-    def parse_power(self):
+    def parse_power(self, cap=MAX_EXPONENT):
+        """An optional '^' exponent, at most `cap` in absolute value."""
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.take()
@@ -725,15 +745,54 @@ class _Parser:
             if kind != "num" or "/" in val:
                 self.fail("expected integer exponent", pos)
             # compare lengths first: int() refuses strings of over 4300 digits
-            if (len(val.lstrip("0")) > len(str(MAX_EXPONENT))
-                    or int(val) > MAX_EXPONENT):
-                self.fail(f"exponent exceeds {MAX_EXPONENT} in absolute value", pos)
+            if len(val.lstrip("0")) > len(str(cap)) or int(val) > cap:
+                self.fail(f"exponent exceeds {cap} in absolute value", pos)
             return sign * int(val)
         return 1
 
 
+# A single monomial [-][q·][z<m>[^k]·]z[^e], the form `render_laurent`
+# gives a one-term entry off z^0, with digit counts bounded in the pattern.
+_MONOMIAL = re.compile(r"(-)?(?:(\d{1,18})(?:/(\d{1,18}))?·)?"
+                       r"(?:z(\d{1,4})(?:\^(-?\d{1,4}))?·)?z(?:\^(-?\d{1,3}))?")
+
+
+def _parse_monomial(text: str, conductor: int):
+    """The value of a `_MONOMIAL` entry, or None when the text is not one
+    or breaks a rule of the grammar (zero denominator, foreign root,
+    exponent cap), so that the parser reports it."""
+    mt = _MONOMIAL.fullmatch(text)
+    if mt is None:
+        return None
+    negate, num, den, m, k, e = mt.groups()
+    e = 1 if e is None else int(e)
+    if abs(e) > MAX_EXPONENT:
+        return None
+    c = CycNum.one(conductor)
+    if m is not None:
+        m, k = int(m), 1 if k is None else int(k)
+        if m == 0 or conductor % m or abs(k) > MAX_CONDUCTOR:
+            return None
+        c = root_of_unity(m, k).embed(conductor)
+    if num is not None:
+        if den is not None and int(den) == 0:
+            return None
+        q = Fraction(int(num), 1 if den is None else int(den))
+        if not q:
+            return _poly(conductor, {})
+        c = CycNum.rational(conductor, q) * c
+    return _poly(conductor, {e: -c if negate else c})
+
+
 def parse_laurent(text: str, conductor: int) -> LaurentPoly:
-    """Parse the canonical text form of a Laurent polynomial."""
+    """Parse the canonical text form of a Laurent polynomial: a single
+    monomial by one pattern, anything else, and every error, by the
+    recursive-descent parser."""
+    fast = _parse_monomial(text, conductor)
+    return fast if fast is not None else _parse_general(text, conductor)
+
+
+def _parse_general(text: str, conductor: int) -> LaurentPoly:
     parser = _Parser(_tokenize(text), conductor, text)
     coeffs = parser.parse_expr()
     if parser.i != len(parser.tokens):

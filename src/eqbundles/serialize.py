@@ -20,7 +20,7 @@ from .cyclotomic import MAX_CONDUCTOR
 from .equivariant import EquivariantStructure
 from .errors import DimensionMismatch, EqBundlesError, ParseError, ValidationError
 from .group import Character, GroupSpec, cyclic, elements, klein, klein_lift
-from .laurent import MAX_EXPONENT, LaurentMatrix, parse_laurent, render_laurent
+from .laurent import MAX_EXPONENT, LaurentMatrix, _matrix, parse_laurent, render_laurent
 
 
 # Largest rank that matrix documents, O(d) shortcuts and `fuzz --rank`
@@ -87,13 +87,14 @@ def _grid(doc) -> list:
     return doc
 
 
-def _matrix_from_doc(doc, conductor: int, name: str) -> LaurentMatrix:
+def _matrix_from_doc(doc, conductor: int, name: str, parsed=None) -> LaurentMatrix:
     """The matrix `name` of a document.  Each distinct entry text is parsed
-    once, and its repeats share the (immutable) LaurentPoly; a bad entry
-    fails at its first occurrence in row-major order, named by matrix,
-    row and column."""
+    once per document: `parsed`, shared by the matrices of one document,
+    all at one conductor, maps each text read so far to its (immutable)
+    LaurentPoly.  A bad entry fails at its first occurrence in row-major
+    order, named by matrix, row and column."""
     grid = _grid(doc)
-    parsed = {}
+    parsed = {} if parsed is None else parsed
     for i, row in enumerate(grid, 1):
         for j, s in enumerate(row, 1):
             if s not in parsed:
@@ -102,7 +103,7 @@ def _matrix_from_doc(doc, conductor: int, name: str) -> LaurentMatrix:
                 except ParseError as err:
                     raise ParseError(f"{name} entry ({i}, {j}): {err.message}",
                                      err.line, err.column) from None
-    return LaurentMatrix(conductor, [[parsed[s] for s in row] for row in grid])
+    return _matrix(conductor, [[parsed[s] for s in row] for row in grid])
 
 
 def _group_to_doc(G: GroupSpec):
@@ -149,7 +150,7 @@ def bundle_to_doc(E: VectorBundle):
             "transition": _matrix_to_doc(E.transition)}
 
 
-def bundle_from_doc(doc) -> VectorBundle:
+def bundle_from_doc(doc, parsed=None) -> VectorBundle:
     conductor = _conductor(doc.get("conductor"), "conductor")
     grid = _grid(doc.get("transition"))
     if len(grid) != len(grid[0]):
@@ -158,7 +159,7 @@ def bundle_from_doc(doc) -> VectorBundle:
     rank = _field(doc, "rank", int)
     if rank is not None and rank != len(grid):
         raise ValidationError(f"declared rank {rank} != matrix size {len(grid)}")
-    T = _matrix_from_doc(grid, conductor, "transition")
+    T = _matrix_from_doc(grid, conductor, "transition", parsed)
     try:
         return make_bundle(T)
     except EqBundlesError as err:
@@ -176,7 +177,8 @@ def structure_to_doc(S: EquivariantStructure):
 
 def structure_from_doc(doc) -> EquivariantStructure:
     G = _group_from_doc(_field(doc, "group", dict, {}))
-    E = bundle_from_doc(_field(doc, "bundle", dict, {}))
+    parsed = {}
+    E = bundle_from_doc(_field(doc, "bundle", dict, {}), parsed)
     _conductor(lcm(E.conductor, G.conductor), "lcm of bundle and group conductors")
     maps_doc = doc.get("maps")
     if not isinstance(maps_doc, dict):
@@ -190,7 +192,7 @@ def structure_from_doc(doc) -> EquivariantStructure:
         if rows != E.rank or cols != E.rank:
             raise ValidationError(f"invalid structure: map for {name!r} is "
                                   f"{rows}x{cols}, rank is {E.rank}")
-    maps = {name: _matrix_from_doc(m, E.conductor, f"maps.{name}")
+    maps = {name: _matrix_from_doc(m, E.conductor, f"maps.{name}", parsed)
             for name, m in maps_doc.items()}
     try:
         return EquivariantStructure(E, G, maps)

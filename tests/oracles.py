@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from eqbundles.bundle import direct_sum, line_bundle, twist
-from eqbundles.cyclotomic import CycNum, root_of_unity
+from eqbundles.cyclotomic import MAX_CONDUCTOR, CycNum, root_of_unity
 from eqbundles.equivariant import (EquivariantStructure, direct_sum_structures,
                                    embed_structure, twist_by_character)
 from eqbundles.errors import ParseError
@@ -438,7 +438,7 @@ class _ArithmeticParser:
                 m = int(val[1:])
             except ValueError:
                 self.fail("number too long", pos)
-            k = self.parse_power()
+            k = self.parse_power(MAX_CONDUCTOR)
             if m == 0 or self.conductor % m != 0:
                 self.fail(f"root z{m} does not live in conductor {self.conductor}", pos)
             zeta = root_of_unity(m, k).embed(self.conductor)
@@ -458,7 +458,7 @@ class _ArithmeticParser:
             return inner
         self.fail("unexpected token", pos)
 
-    def parse_power(self):
+    def parse_power(self, cap=MAX_EXPONENT):
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.take()
@@ -469,9 +469,8 @@ class _ArithmeticParser:
                 kind, val, pos = self.take()
             if kind != "num" or "/" in val:
                 self.fail("expected integer exponent", pos)
-            if (len(val.lstrip("0")) > len(str(MAX_EXPONENT))
-                    or int(val) > MAX_EXPONENT):
-                self.fail(f"exponent exceeds {MAX_EXPONENT} in absolute value", pos)
+            if len(val.lstrip("0")) > len(str(cap)) or int(val) > cap:
+                self.fail(f"exponent exceeds {cap} in absolute value", pos)
             return sign * int(val)
         return 1
 

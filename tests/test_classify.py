@@ -5,7 +5,8 @@ from random import Random
 import pytest
 
 from eqbundles import bundle, classify, equivariant
-from eqbundles.bundle import line_bundle, model_bundle, model_isomorphism, splitting_type
+from eqbundles.bundle import (line_bundle, make_bundle, model_bundle, model_isomorphism,
+                             splitting_type)
 from eqbundles.classify import (DecompositionCertificate, ModelStructure,
                                 ResidualRep, averaging_intertwiner, block_diagonal_part,
                                 build_structure, decompose, extract_residual_rep,
@@ -24,6 +25,7 @@ from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
 from eqbundles.errors import EqBundlesError, InternalInconsistency, InvalidStructure
 from eqbundles.group import Character, characters, cyclic, klein, klein_lift
 from eqbundles.laurent import LaurentMatrix, LaurentPoly
+from eqbundles.serialize import render_document
 from eqbundles.randgen import (random_certificate,
                                random_model_automorphism, random_unimodular)
 
@@ -373,10 +375,10 @@ def test_decompose_reports_a_wrong_basis_as_a_bug(monkeypatch):
 
 
 def test_decompose_re_raises_a_stage_failure_on_valid_input(monkeypatch):
-    def fail(R, d):
+    def fail(rho):
         raise InternalInconsistency("planted stage failure")
 
-    monkeypatch.setattr(classify, "extract_residual_rep", fail)
+    monkeypatch.setattr(classify, "rep_decompose", fail)
     with pytest.raises(InternalInconsistency, match="planted stage failure"):
         decompose(canonical_klein_pair(-1))
 
@@ -634,9 +636,133 @@ def test_replay_agrees_with_the_replay_on_the_built_structure():
     verdicts = []
     for cert, S in _replay_cases():
         assert build_structure(cert) == build_structure_by_sums(cert)
-        assert classify._model(cert)[1] == build_structure(cert).maps
+        ident = LaurentMatrix.identity(cert.conductor, cert.rank)
+        assert ({name: ident.times_monomial(rows) for name, rows in classify._model(cert)[1].items()}
+                == build_structure(cert).maps)
         verified = not verify_certificate_report(cert, S)
         assert verified == (not replay_by_built_structure(cert, S))
         verdicts.append(verified)
     # the 26 decompose certificates and their frames times 2 verify
     assert verdicts.count(True) >= 52 and verdicts.count(False) >= 100
+
+
+# -- the Reynolds frame against the staged reference path, and counted costs ---------
+
+def _reference_certificate(S):
+    """The certificate of the staged reference path: model_isomorphism,
+    pullback_structure, block_diagonal_part, averaging_intertwiner, then
+    extract_residual_rep and rep_decompose per degree block, with the
+    change of frame psi * Sav * P."""
+    iso = model_isomorphism(S.bundle)
+    N = pullback_structure(S, iso)
+    R = block_diagonal_part(N)
+    Sav = averaging_intertwiner(N, R)
+    even, odd, blocks = [], [], []
+    for d in sorted(set(R.degrees), reverse=True):
+        rr = extract_residual_rep(R, d)
+        split = rep_decompose(rr)
+        if rr.mode == "klein_lift":
+            odd += [d] * len(split)
+            cols = [c for v, av in split for c in (av, v)]
+        else:
+            even += [(d, chi) for chi, _ in split]
+            cols = [v for _, v in split]
+        blocks.append(LaurentMatrix.from_const(S.conductor, zip(*cols)))
+    return DecompositionCertificate(S.group, tuple(even), tuple(odd),
+                                    iso.psi @ Sav @ LaurentMatrix.block_diag(blocks),
+                                    S.conductor)
+
+
+def _planted(rng, cert):
+    """The certificate's structure scrambled by an automorphism of its model
+    bundle (up to rank 4) and moved along a random frame onto A * T * B."""
+    S0 = build_structure(cert)
+    m, r = cert.conductor, cert.rank
+    U = (random_model_automorphism(rng, m, splitting_type(S0.bundle).degrees)
+         if r <= 4 else LaurentMatrix.identity(m, r))
+    A = random_unimodular(rng, m, r, var_sign=1)
+    B = random_unimodular(rng, m, r, var_sign=-1)
+    return transport_structure(S0, A @ U, make_bundle(A @ S0.bundle.transition @ B))
+
+
+def test_decompose_renders_the_reference_path_certificate():
+    rng = Random(2121)
+    ranks = set()
+    for i in range(36):
+        G = klein() if i % 3 == 0 else cyclic(rng.randint(1, 12))
+        cert = random_certificate(rng, G, 8, -3, 3)
+        ranks.add(cert.rank)
+        S = _planted(rng, cert)
+        out = decompose(S)
+        assert out.block_data() == cert.block_data()
+        assert render_document(out) == render_document(_reference_certificate(S))
+    assert {1, 8} <= ranks
+
+
+def _klein_rank8(rng):
+    G = klein()
+    cert = DecompositionCertificate(G, tuple(zip((4, 2, 0, -2), rng.sample(characters(G), 4))),
+                                    (3, -1), LaurentMatrix.identity(4, 8), 4)
+    return _planted(rng, cert)
+
+
+def test_classify_and_replay_stay_within_their_counted_products(monkeypatch):
+    """On Klein rank 8, `_classify` makes at most 2|G| - 1 matrix products
+    and a replay at most |G|: B_gamma and z^D act as column maps."""
+    count = [0]
+    real = LaurentMatrix.__matmul__
+
+    def counted(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    rng = Random(5)
+    for _ in range(3):
+        S = _klein_rank8(rng)
+        monkeypatch.setattr(LaurentMatrix, "__matmul__", counted)
+        count[0] = 0
+        cert = classify._classify(S)
+        assert count[0] <= 2 * 4 - 1
+        count[0] = 0
+        assert verify_certificate_report(cert, S) == []
+        assert count[0] <= 4
+        monkeypatch.undo()
+
+
+def _rep_split_cases():
+    """Structures whose degree blocks carry several characters: Klein
+    rank 8, Klein blocks where every generator has both eigenvalues, and
+    cyclic blocks of four characters."""
+    rng = Random(12)
+    G, K = cyclic(12), klein()
+    ks = characters(K)
+    yield _klein_rank8(rng)
+    for chars in ((ks[0], ks[3]), (ks[1], ks[2], ks[3]), ks):
+        cert = DecompositionCertificate(K, tuple((0, chi) for chi in chars), (),
+                                        LaurentMatrix.identity(4, len(chars)), 4)
+        yield _planted(rng, cert)
+    chars = characters(G)
+    cert = DecompositionCertificate(G, tuple((1, chars[k]) for k in (1, 5, 6, 11)), (),
+                                    LaurentMatrix.identity(12, 4), 12)
+    yield _planted(rng, cert)
+
+
+@pytest.mark.parametrize("S", _rep_split_cases(),
+                         ids=["klein_rank8", "klein_pm", "klein_three", "klein_all", "cyclic12"])
+def test_rep_decompose_makes_one_kernel_pass_per_column_at_most(monkeypatch, S):
+    passes, sizes = [], []
+    real_kernel, real_split = classify.kernel_dense, classify.rep_decompose
+
+    def kernel(*args):
+        passes[-1] += 1
+        return real_kernel(*args)
+
+    def split(rho):
+        passes.append(0)
+        sizes.append(rho.size)
+        return real_split(rho)
+
+    monkeypatch.setattr(classify, "kernel_dense", kernel)
+    monkeypatch.setattr(classify, "rep_decompose", split)
+    assert verify_certificate(decompose(S), S)
+    assert passes and all(p <= n for p, n in zip(passes, sizes)), (passes, sizes)

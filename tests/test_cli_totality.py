@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eqbundles.classify import decompose
+from eqbundles.cyclotomic import MAX_CONDUCTOR
 from eqbundles.cli import main
 from eqbundles.equivariant import canonical_structure
 from eqbundles.group import cyclic, klein
@@ -133,3 +134,23 @@ def test_unwritable_output_exits_2(tmp_path, argv):
     out = tmp_path / "missing" / "out.json"
     code, err = _run(argv + ["--out", str(out)])
     assert code == 2 and err.startswith(f"error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("group", ["cyclic:251", f"cyclic:{MAX_CONDUCTOR}"])
+def test_every_written_document_reads_back(tmp_path, group):
+    """Each command that writes a document is read by the commands that
+    read its kind, at conductors where root powers pass the exponent cap;
+    a written document is never an input error."""
+    s, t, c, b = (str(tmp_path / f"{name}.json") for name in "stcb")
+    for argv in (["canonical", "--group", group, "--target", "O(1)", "--out", s],
+                 ["twist-char", s, "--char", "1", "--out", t],
+                 ["decompose", t, "--out", c],
+                 ["build", "--cert", c, "--out", b]):
+        code, err = _run(argv)
+        assert code == 0, (argv, err)
+    for argv in ([["validate", f] for f in (s, t, c, b)]
+                 + [["decompose", f] for f in (s, t, b)]
+                 + [["verify-cert", "--cert", c, "--structure", f] for f in (s, t, b)]
+                 + [["build", "--cert", c, "--target", "O(1)"]]):
+        code, err = _run(argv)
+        assert code in (0, 1), (argv, err)

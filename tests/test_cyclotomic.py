@@ -5,7 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqbundles.cyclotomic import (CycNum, cyclotomic_polynomial, euler_phi,
+from eqbundles.cyclotomic import (MAX_CONDUCTOR, CycNum, cyclotomic_polynomial, euler_phi,
                                   primitive_root, render_cycnum, root_of_unity)
 from eqbundles.cyclotomic import _gauss_jordan_inverse
 from eqbundles.errors import ConductorMismatch
@@ -281,3 +281,18 @@ def test_det_const_inverts_only_pivots_that_eliminate(monkeypatch):
     # a nonzero entry below the pivot still needs its inverse
     assert det_const([[x, z], [z, x]], 97) == x * x - z * z
     assert calls == [x]
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([211, 251, 997, MAX_CONDUCTOR]), data=st.data())
+def test_render_parse_roundtrip_past_the_exponent_cap(m, data):
+    """Root powers z<m>^k up to phi(m) - 1 > MAX_EXPONENT read back."""
+    phi = euler_phi(m)
+    terms = data.draw(st.lists(st.tuples(st.integers(0, phi - 1), st.integers(-3, 3)),
+                               min_size=1, max_size=4))
+    a = CycNum.zero(m)
+    for k, c in terms:
+        a = a + CycNum.rational(m, c) * root_of_unity(m, k)
+    assert parse_laurent(render_cycnum(a), m).coeff(0) == a
+    assert parse_laurent(render_cycnum(root_of_unity(m, phi - 1)), m).coeff(0) == \
+        root_of_unity(m, phi - 1)
