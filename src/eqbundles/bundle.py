@@ -174,7 +174,7 @@ class HNData:
 
 
 def _reduce_columns(T: LaurentMatrix):
-    """(deltas, columns) of T*U for some U in GL_r(C[w]), w = 1/z, with
+    """(deltas, columns, steps) of T*U for some U in GL_r(C[w]), w = 1/z, with
     delta_j = -(lowest z-exponent of column j) and the matrix L of those
     lowest coefficients invertible: a column reduction over C[w].
 
@@ -191,33 +191,37 @@ def _reduce_columns(T: LaurentMatrix):
     z^(delta_j): A is polynomial in z with A(0) = L invertible, and det A
     is a unit monomial that does not vanish at 0, hence a constant.  This
     is the Birkhoff factorization (Hazewinkel & Martin, JPAA 25, 1982):
-    E is the direct sum of the O(-delta_j)."""
+    E is the direct sum of the O(-delta_j).
+
+    The steps, in order, are (j, [(k, f, s)]): column j gained f * z^s
+    times column k for each listed k != j, so U is their product."""
     conductor, r = T.conductor, T.rows
     cols = [list(col) for col in T.transpose().entries]
 
     def low(col):
         return -min(p.min_exp() for p in col if not p.is_zero())
 
-    deltas = [low(col) for col in cols]
+    deltas, steps = [low(col) for col in cols], []
     while True:
         lows = [[col[i].coeff(-d) for col, d in zip(cols, deltas)]
                 for i in range(r)]
         kernel = kernel_dense(lows, r, conductor)
         if not kernel:
-            return deltas, cols
+            return deltas, cols, steps
         v = kernel[0]
         support = [k for k in range(r) if not v[k].is_zero()]
         j = max(support, key=deltas.__getitem__)
         inv, new = v[j].inverse(), [LaurentPoly.zero(conductor)] * r
-        for k in support:
-            f, s = v[k] * inv, deltas[k] - deltas[j]
+        terms = [(k, v[k] * inv, deltas[k] - deltas[j]) for k in support]
+        for k, f, s in terms:
             new = [a + p.shift(s).scale(f) for a, p in zip(new, cols[k])]
         cols[j], deltas[j] = new, low(new)
+        steps.append((j, [t for t in terms if t[0] != j]))
 
 
 def splitting_type(E: VectorBundle) -> SplittingType:
     """The degrees -delta_j of the column reduction of the transition."""
-    deltas, _ = _reduce_columns(E.transition)
+    deltas = _reduce_columns(E.transition)[0]
     return SplittingType(tuple(sorted((-d for d in deltas), reverse=True)))
 
 
@@ -259,16 +263,32 @@ def model_isomorphism(E: VectorBundle) -> ModelIso:
     return ModelIso(model=st, psi=psi, bundle=E)
 
 
-def column_frame(E: VectorBundle):
+def column_frame(E: VectorBundle, inverse: bool = False):
     """(splitting type, psi) straight from the column reduction, with no
     chart certificate; `decompose` replays the certificate of the frame
-    it builds from psi, and `model_isomorphism` certifies psi itself."""
-    deltas, cols = _reduce_columns(E.transition)
+    it builds from psi, and `model_isomorphism` certifies psi itself.
+
+    With `inverse`, (splitting type, psi, psi^-1), psi^-1 read off
+    E^-1 and the reduction's steps with no elimination.  T*U = C for the
+    reduced columns C, so C^-1 = U^-1 * T^-1.  A step adds a_k = f*z^s
+    times column k to column j for each listed k != j; its inverse,
+    applied on the left, subtracts a_k times row j from row k.  psi has
+    column i = C's column order[i] times z^(delta), so psi^-1 has row i =
+    C^-1's row order[i] times z^(-delta)."""
+    deltas, cols, steps = _reduce_columns(E.transition)
     order = sorted(range(E.rank), key=deltas.__getitem__)
     st = SplittingType(tuple(-deltas[j] for j in order))
     psi = LaurentMatrix(E.conductor, [[cols[j][i].shift(deltas[j]) for j in order]
                                       for i in range(E.rank)])
-    return st, psi
+    if not inverse:
+        return st, psi
+    rows = [list(row) for row in E.inverse_transition().entries]
+    for j, terms in steps:
+        for k, f, s in terms:
+            rows[k] = [a - b.shift(s).scale(f) if b.coeffs else a
+                       for a, b in zip(rows[k], rows[j])]
+    return st, psi, LaurentMatrix(E.conductor, [[p.shift(-deltas[j]) for p in rows[j]]
+                                                for j in order])
 
 
 def _frame(E):

@@ -463,8 +463,7 @@ def _classify(S: EquivariantStructure) -> DecompositionCertificate:
     InternalInconsistency, so that bad input still reaches
     `require_valid`."""
     G, cond = S.group, S.conductor
-    st, psi = column_frame(S.bundle)
-    psi_inv = psi.inverse()
+    st, psi, psi_inv = column_frame(S.bundle, inverse=True)
     # S_s psi and psi(s z)^-1 for the generators s
     SP = {s.name: S.maps[s.name] @ psi for s in generators(G)}
     shifted = {s.name: psi_inv.substitute(s.c.embed(cond), s.e) for s in generators(G)}

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, neg
+from operator import add, neg, sub
 
 from .errors import ConductorMismatch
 
@@ -125,7 +125,7 @@ def _canonical(conductor: int, num, den: int) -> "CycNum":
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
-            return _new(conductor, tuple(a // g for a in num), den // g)
+            return _new(conductor, tuple([a // g for a in num]), den // g)
     return _new(conductor, tuple(num), den)
 
 
@@ -233,10 +233,16 @@ class CycNum:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not CycNum or other.conductor != self.conductor:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        da, db = self._den, other._den
+        if da == db == 1:
+            return _new(self.conductor, tuple(map(sub, self._num, other._num)), 1)
+        return _canonical(self.conductor,
+                          [a * db - b * da for a, b in zip(self._num, other._num)],
+                          da * db)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -254,15 +260,18 @@ class CycNum:
                 return NotImplemented
         a, b = self._num, other._num
         # A factor of exactly +-1 gives the other operand or its negation,
-        # already canonical, with no product, fold or gcd.  Most factors
-        # on the classification path are +-1: Klein maps are monomial.
-        if other._den == 1 and b[0] in (1, -1) and not any(b[1:]):
-            return self if b[0] == 1 else -self
-        if self._den == 1 and a[0] in (1, -1) and not any(a[1:]):
-            return other if a[0] == 1 else -other
+        # already canonical, with no product, fold or gcd; any other
+        # rational factor scales the numerators.  Most factors on the
+        # classification path are +-1: Klein maps are monomial.
         den = self._den * other._den
-        if len(a) == 1:
-            return _canonical(self.conductor, (a[0] * b[0],), den)
+        if not any(b[1:]):
+            if den == self._den and b[0] in (1, -1):
+                return self if b[0] == 1 else -self
+            return _canonical(self.conductor, [x * b[0] for x in a], den)
+        if not any(a[1:]):
+            if den == other._den and a[0] in (1, -1):
+                return other if a[0] == 1 else -other
+            return _canonical(self.conductor, [a[0] * y for y in b], den)
         prod = _poly_mul(a, b)
         out = prod[:len(a)]
         for t, row in zip(prod[len(a):], _fold_table(self.conductor)):

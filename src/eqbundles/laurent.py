@@ -233,8 +233,11 @@ def _product(a: dict, b: dict) -> dict:
 
 def _times_monomial(p: LaurentPoly, c: CycNum, k: int) -> LaurentPoly:
     """c*z^k*p for a nonzero c at p's conductor."""
-    if c.is_one():
+    sign = c.unit_sign()
+    if sign == 1:
         return p.shift(k) if k else p
+    if sign == -1:
+        return _poly(p.conductor, {e + k: -v for e, v in p.coeffs.items()})
     return _poly(p.conductor, {e + k: v * c for e, v in p.coeffs.items()})
 
 
@@ -247,6 +250,8 @@ def _power_table(c: CycNum, conductor: int, exponents):
     ks = set(exponents)
     if c.is_one() or not ks:
         return None
+    if c.unit_sign() == -1:
+        return {k: c if k % 2 else -c for k in ks} if any(k % 2 for k in ks) else None
     cinv = c.inverse() if min(ks) < 0 else None
     table = {k: c ** k if k >= 0 else cinv ** -k for k in ks}
     return None if all(v.is_one() for v in table.values()) else table
@@ -321,9 +326,10 @@ class LaurentMatrix:
             raise ConductorMismatch(f"conductor {self.conductor} vs {other.conductor}")
         # row i of the product is the sum of a_ik * (row k of B) over the
         # nonzero a_ik (Gustavson 1978); entries no term reaches stay zero.
-        # A coefficient +-1 of a_ik contributes B's coefficients or their
-        # negations, with no product formed.
-        b_rows = [[(j, b.coeffs) for j, b in enumerate(row) if b.coeffs]
+        # A factor +-1 on either side forms no product: the other factor is
+        # added or subtracted as it is.
+        b_rows = [[(j, [(e, c, c.unit_sign()) for e, c in b.coeffs.items()])
+                   for j, b in enumerate(row) if b.coeffs]
                   for row in other.entries]
         zero = _poly(self.conductor, {})
         out = []
@@ -337,12 +343,19 @@ class LaurentMatrix:
                     acc = accs.get(j)
                     if acc is None:
                         acc = accs[j] = {}
-                    for e1, c1, sign in terms:
-                        for e2, c2 in bc.items():
+                    for e1, c1, s1 in terms:
+                        for e2, c2, s2 in bc:
                             e = e1 + e2
-                            p = c2 if sign == 1 else -c2 if sign else c1 * c2
                             cur = acc.get(e)
-                            acc[e] = p if cur is None else cur + p
+                            if s1 or s2:
+                                p, sign = (c2, s1) if s1 else (c1, s2)
+                                if cur is None:
+                                    acc[e] = p if sign == 1 else -p
+                                else:
+                                    acc[e] = cur + p if sign == 1 else cur - p
+                            else:
+                                p = c1 * c2
+                                acc[e] = p if cur is None else cur + p
             out_row = [zero] * other.cols
             for j, acc in accs.items():
                 out_row[j] = _poly(self.conductor, {
@@ -454,9 +467,14 @@ class LaurentMatrix:
     def inverse(self) -> "LaurentMatrix":
         """adj(A) / det(A) by the elimination of [A | I]; NonUnimodular as
         in `det_unit`."""
+        return self.inverse_and_det_unit()[0]
+
+    def inverse_and_det_unit(self):
+        """(A^-1, (c, e)) with det A = c*z^e, both from the one elimination
+        of [A | I]; NonUnimodular as in `det_unit`."""
         d, adj = _det_adjugate(self)
-        _unit(d)
-        return adj._map(_exact_divider(d))
+        unit = _unit(d)
+        return adj._map(_exact_divider(d)), unit
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -703,7 +721,8 @@ class _Parser:
         kind, val, pos = self.take()
         if kind == "num":
             try:
-                value = Fraction(val) if "/" in val else int(val)
+                num, _, den = val.partition("/")
+                value = Fraction(int(num), int(den)) if den else int(num)
             except ZeroDivisionError:
                 self.fail("zero denominator", pos)
             except ValueError:  # more digits than int() converts
@@ -751,10 +770,11 @@ class _Parser:
         return 1
 
 
-# A single monomial [-][q·][z<m>[^k]·]z[^e], the form `render_laurent`
-# gives a one-term entry off z^0, with digit counts bounded in the pattern.
-_MONOMIAL = re.compile(r"(-)?(?:(\d{1,18})(?:/(\d{1,18}))?·)?"
-                       r"(?:z(\d{1,4})(?:\^(-?\d{1,4}))?·)?z(?:\^(-?\d{1,3}))?")
+# A single monomial [-][q][·][z<m>[^k]][·][z[^e]], at least one factor and
+# a '·' between any two, the form `render_laurent` gives a one-term entry;
+# digit counts are bounded in the pattern.
+_MONOMIAL = re.compile(r"(-)?(?=[\dz])(?:(\d{1,18})(?:/(\d{1,18}))?(?:·(?=z)|$))?"
+                       r"(?:z(\d{1,4})(?:\^(-?\d{1,4}))?(?:·(?=z)|$))?(z(?:\^(-?\d{1,3}))?)?")
 
 
 def _parse_monomial(text: str, conductor: int):
@@ -764,8 +784,8 @@ def _parse_monomial(text: str, conductor: int):
     mt = _MONOMIAL.fullmatch(text)
     if mt is None:
         return None
-    negate, num, den, m, k, e = mt.groups()
-    e = 1 if e is None else int(e)
+    negate, num, den, m, k, var, e = mt.groups()
+    e = 0 if var is None else 1 if e is None else int(e)
     if abs(e) > MAX_EXPONENT:
         return None
     c = CycNum.one(conductor)

@@ -11,6 +11,7 @@ canonical document.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from dataclasses import dataclass
 from math import lcm
 
@@ -76,7 +77,7 @@ def _grid(doc) -> list:
     """A matrix document's grid of strings, shape checked before parsing."""
     if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
         raise ValidationError("matrix must be a non-empty list of rows")
-    if not all(isinstance(s, str) for row in doc for s in row):
+    if not all(map(isinstance, chain.from_iterable(doc), repeat(str))):
         raise ValidationError("matrix entries must be strings")
     if not doc[0]:
         raise DimensionMismatch("matrix must have positive dimensions")
@@ -150,7 +151,10 @@ def bundle_to_doc(E: VectorBundle):
             "transition": _matrix_to_doc(E.transition)}
 
 
-def bundle_from_doc(doc, parsed=None) -> VectorBundle:
+def bundle_from_doc(doc, parsed=None, inverse=False) -> VectorBundle:
+    """The bundle of a document.  `inverse` has the determinant check run
+    as the elimination of [T | I], which gives T^-1 as well, for callers
+    that will need the inverse; otherwise T alone is eliminated."""
     conductor = _conductor(doc.get("conductor"), "conductor")
     grid = _grid(doc.get("transition"))
     if len(grid) != len(grid[0]):
@@ -161,6 +165,9 @@ def bundle_from_doc(doc, parsed=None) -> VectorBundle:
         raise ValidationError(f"declared rank {rank} != matrix size {len(grid)}")
     T = _matrix_from_doc(grid, conductor, "transition", parsed)
     try:
+        if inverse:
+            T_inv, det_unit = T.inverse_and_det_unit()
+            return VectorBundle(T, _inverse=T_inv, _det_unit=det_unit)
         return make_bundle(T)
     except EqBundlesError as err:
         raise ValidationError(f"invalid transition matrix: {err}") from err
@@ -178,7 +185,8 @@ def structure_to_doc(S: EquivariantStructure):
 def structure_from_doc(doc) -> EquivariantStructure:
     G = _group_from_doc(_field(doc, "group", dict, {}))
     parsed = {}
-    E = bundle_from_doc(_field(doc, "bundle", dict, {}), parsed)
+    # every use of a structure reads its bundle's inverse transition
+    E = bundle_from_doc(_field(doc, "bundle", dict, {}), parsed, inverse=True)
     _conductor(lcm(E.conductor, G.conductor), "lcm of bundle and group conductors")
     maps_doc = doc.get("maps")
     if not isinstance(maps_doc, dict):

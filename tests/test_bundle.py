@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 
-from eqbundles.bundle import (HNData, _certify, degree, direct_sum, dual,
+from eqbundles import bundle
+from eqbundles.bundle import (HNData, _certify, column_frame, degree, direct_sum, dual,
                               global_sections, h0, hn_data, hom, line_bundle,
                               make_bundle, model_bundle, model_isomorphism,
                               splitting_type, twist)
@@ -315,3 +316,17 @@ def test_global_sections_match_section_system_oracle(conductor):
             rows = [[p.coeff(j) for p in s.s_infty for j in range(top + 1)]
                     for s in secs]
             assert _dense_rank(rows, conductor) == len(secs)
+
+
+def test_frame_inverse_is_read_off_the_reduction_steps():
+    """column_frame(E, inverse=True) forms psi^-1 from E^-1 and the column
+    operations of the reduction; it is the inverse the elimination gives."""
+    rng = Random(31)
+    steps = 0
+    for _ in range(40):
+        E, _ = planted_bundle(rng, rng.choice([1, 3, 4]), rng.randint(2, 6), -4, 4, ops=6)
+        st, psi, psi_inv = column_frame(E, inverse=True)
+        assert (st, psi) == column_frame(E)
+        assert psi_inv == psi.inverse()
+        steps += len(bundle._reduce_columns(E.transition)[2])
+    assert steps >= 40
