@@ -19,7 +19,8 @@ system over section coefficients is ever built.
 The splitting type does not need the inverse transition, so a parsed
 bundle is only checked for a unit-monomial determinant, by the
 determinant-only elimination; the inverse, which the chart certificates
-use, is computed on first use and then kept.
+use, is computed on first use and then kept.  A structure document's
+bundle gets both from one elimination of [T | I] instead.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ pulled-back cocycle, block upper-triangular by degree:
    Klein blocks the line is over the lift group, and the C represent it
    up to its sign).  C_s is read as the z^k coefficient of the block
    over c, from the coefficients of psi(s z)^-1 and S_s psi; no other
-   entry of N_s is formed;
+   entry of N_s is formed, and psi^-1 comes from E^-1 and the column
+   reduction's steps (`column_frame`), with no elimination;
 2. split the constant representation (`rep_decompose`): simultaneous
    eigenvectors of the generators with characters for cyclic groups and
    even Klein blocks, eigenvector pairs swapped by the anticommuting
@@ -337,8 +338,8 @@ def build_structure(cert: DecompositionCertificate,
     """Assemble the direct sum of canonical blocks twisted per the
     certificate; with a target bundle, conjugate along the certificate's
     change of frame onto it."""
-    degrees, maps = canonical_model(cert.group, [(d, chi) for _, d, chi
-                                                 in cert.block_sequence()], cert.conductor)
+    blocks = [(d, chi) for _, d, chi in cert.block_sequence()]
+    degrees, maps = canonical_model(cert.group, blocks, cert.conductor)
     built = EquivariantStructure(model_bundle(cert.conductor, degrees), cert.group, maps)
     if target is None:
         return built

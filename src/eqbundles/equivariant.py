@@ -215,14 +215,8 @@ def canonical_model(G: GroupSpec, blocks, conductor: int):
     """`canonical_rows` with each map as a LaurentMatrix: (degrees,
     {element name: LaurentMatrix})."""
     degrees, rows = canonical_rows(G, blocks, conductor)
-    zero = LaurentPoly.zero(conductor)
-    maps = {}
-    for name, entries in rows.items():
-        grid = [[zero] * len(degrees) for _ in degrees]
-        for i, (j, c, k) in enumerate(entries):
-            grid[i][j] = LaurentPoly.monomial(conductor, k, c)
-        maps[name] = LaurentMatrix(conductor, grid)
-    return degrees, maps
+    ident = LaurentMatrix.identity(conductor, len(degrees))
+    return degrees, {name: ident.times_monomial(r) for name, r in rows.items()}
 
 
 def _canonical(G: GroupSpec, degrees) -> EquivariantStructure:
