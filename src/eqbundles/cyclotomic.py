@@ -195,13 +195,6 @@ class CycNum:
     def is_one(self) -> bool:
         return self._den == 1 and self._num[0] == 1 and not any(self._num[1:])
 
-    def unit_sign(self) -> int:
-        """1 or -1 if the scalar is exactly +-1, else 0."""
-        num = self._num
-        if self._den == 1 and num[0] in (1, -1) and not any(num[1:]):
-            return num[0]
-        return 0
-
     def is_rational(self) -> bool:
         return not any(self._num[1:])
 

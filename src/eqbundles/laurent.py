@@ -233,11 +233,8 @@ def _product(a: dict, b: dict) -> dict:
 
 def _times_monomial(p: LaurentPoly, c: CycNum, k: int) -> LaurentPoly:
     """c*z^k*p for a nonzero c at p's conductor."""
-    sign = c.unit_sign()
-    if sign == 1:
+    if c.is_one():
         return p.shift(k) if k else p
-    if sign == -1:
-        return _poly(p.conductor, {e + k: -v for e, v in p.coeffs.items()})
     return _poly(p.conductor, {e + k: v * c for e, v in p.coeffs.items()})
 
 
@@ -250,8 +247,6 @@ def _power_table(c: CycNum, conductor: int, exponents):
     ks = set(exponents)
     if c.is_one() or not ks:
         return None
-    if c.unit_sign() == -1:
-        return {k: c if k % 2 else -c for k in ks} if any(k % 2 for k in ks) else None
     cinv = c.inverse() if min(ks) < 0 else None
     table = {k: c ** k if k >= 0 else cinv ** -k for k in ks}
     return None if all(v.is_one() for v in table.values()) else table
@@ -325,11 +320,8 @@ class LaurentMatrix:
         if self.conductor != other.conductor:
             raise ConductorMismatch(f"conductor {self.conductor} vs {other.conductor}")
         # row i of the product is the sum of a_ik * (row k of B) over the
-        # nonzero a_ik (Gustavson 1978); entries no term reaches stay zero.
-        # A factor +-1 on either side forms no product: the other factor is
-        # added or subtracted as it is.
-        b_rows = [[(j, [(e, c, c.unit_sign()) for e, c in b.coeffs.items()])
-                   for j, b in enumerate(row) if b.coeffs]
+        # nonzero a_ik (Gustavson 1978); entries no term reaches stay zero
+        b_rows = [[(j, b.coeffs) for j, b in enumerate(row) if b.coeffs]
                   for row in other.entries]
         zero = _poly(self.conductor, {})
         out = []
@@ -338,24 +330,16 @@ class LaurentMatrix:
             for k, a in enumerate(row):
                 if not a.coeffs:
                     continue
-                terms = [(e1, c1, c1.unit_sign()) for e1, c1 in a.coeffs.items()]
                 for j, bc in b_rows[k]:
                     acc = accs.get(j)
                     if acc is None:
                         acc = accs[j] = {}
-                    for e1, c1, s1 in terms:
-                        for e2, c2, s2 in bc:
+                    for e1, c1 in a.coeffs.items():
+                        for e2, c2 in bc.items():
                             e = e1 + e2
+                            p = c1 * c2
                             cur = acc.get(e)
-                            if s1 or s2:
-                                p, sign = (c2, s1) if s1 else (c1, s2)
-                                if cur is None:
-                                    acc[e] = p if sign == 1 else -p
-                                else:
-                                    acc[e] = cur + p if sign == 1 else cur - p
-                            else:
-                                p = c1 * c2
-                                acc[e] = p if cur is None else cur + p
+                            acc[e] = p if cur is None else cur + p
             out_row = [zero] * other.cols
             for j, acc in accs.items():
                 out_row[j] = _poly(self.conductor, {
@@ -770,49 +754,8 @@ class _Parser:
         return 1
 
 
-# A single monomial [-][q][·][z<m>[^k]][·][z[^e]], at least one factor and
-# a '·' between any two, the form `render_laurent` gives a one-term entry;
-# digit counts are bounded in the pattern.
-_MONOMIAL = re.compile(r"(-)?(?=[\dz])(?:(\d{1,18})(?:/(\d{1,18}))?(?:·(?=z)|$))?"
-                       r"(?:z(\d{1,4})(?:\^(-?\d{1,4}))?(?:·(?=z)|$))?(z(?:\^(-?\d{1,3}))?)?")
-
-
-def _parse_monomial(text: str, conductor: int):
-    """The value of a `_MONOMIAL` entry, or None when the text is not one
-    or breaks a rule of the grammar (zero denominator, foreign root,
-    exponent cap), so that the parser reports it."""
-    mt = _MONOMIAL.fullmatch(text)
-    if mt is None:
-        return None
-    negate, num, den, m, k, var, e = mt.groups()
-    e = 0 if var is None else 1 if e is None else int(e)
-    if abs(e) > MAX_EXPONENT:
-        return None
-    c = CycNum.one(conductor)
-    if m is not None:
-        m, k = int(m), 1 if k is None else int(k)
-        if m == 0 or conductor % m or abs(k) > MAX_CONDUCTOR:
-            return None
-        c = root_of_unity(m, k).embed(conductor)
-    if num is not None:
-        if den is not None and int(den) == 0:
-            return None
-        q = Fraction(int(num), 1 if den is None else int(den))
-        if not q:
-            return _poly(conductor, {})
-        c = CycNum.rational(conductor, q) * c
-    return _poly(conductor, {e: -c if negate else c})
-
-
 def parse_laurent(text: str, conductor: int) -> LaurentPoly:
-    """Parse the canonical text form of a Laurent polynomial: a single
-    monomial by one pattern, anything else, and every error, by the
-    recursive-descent parser."""
-    fast = _parse_monomial(text, conductor)
-    return fast if fast is not None else _parse_general(text, conductor)
-
-
-def _parse_general(text: str, conductor: int) -> LaurentPoly:
+    """Parse the canonical text form of a Laurent polynomial."""
     parser = _Parser(_tokenize(text), conductor, text)
     coeffs = parser.parse_expr()
     if parser.i != len(parser.tokens):

@@ -185,7 +185,10 @@ def structure_to_doc(S: EquivariantStructure):
 def structure_from_doc(doc) -> EquivariantStructure:
     G = _group_from_doc(_field(doc, "group", dict, {}))
     parsed = {}
-    # every use of a structure reads its bundle's inverse transition
+    # validate, equiv-check, decompose, verify-cert and equivalent use T^-1
+    # (the chart test of each map, the frame, the replay), so it comes from
+    # the elimination that checks det T; twist-char, and decompose or
+    # verify-cert on a lift structure, which they refuse, do not use it.
     E = bundle_from_doc(_field(doc, "bundle", dict, {}), parsed, inverse=True)
     _conductor(lcm(E.conductor, G.conductor), "lcm of bundle and group conductors")
     maps_doc = doc.get("maps")

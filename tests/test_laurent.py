@@ -4,7 +4,6 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqbundles import laurent
 from eqbundles.cyclotomic import CycNum, euler_phi, primitive_root, root_of_unity
 from eqbundles.errors import ConductorMismatch, NonUnimodular, ParseError
 from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix,
@@ -498,8 +497,35 @@ def _combined(inner):
     )
 
 
+def _monomial_pieces():
+    """Texts of the form [-][q·][z<m>[^k]·]z[^e] with numbers drawn at and
+    past every bound the grammar sets, joined with and without their
+    separators."""
+    number = st.one_of(st.integers(0, 12).map(str), st.sampled_from(
+        ["0", "007", "1/0", "0/3", "2/4", "123456789012345678", "1234567890123456789",
+         "3/1234567890123456789"]))
+    exponent = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(
+        ["200", "-200", "201", "-201", "007", "-0", "1000", "-1000", "1001", "99999", ""]))
+    root = st.tuples(st.sampled_from(["0", "1", "2", "3", "4", "5", "12", "04", "60", "12345"]),
+                     st.one_of(st.just(""), exponent.map(lambda k: "^" + k)))
+    return st.tuples(
+        st.sampled_from(["", "-", "--", "+"]),
+        st.one_of(st.just(""), number.map(lambda q: q + "·")),
+        st.one_of(st.just(""), root.map(lambda mk: "z" + mk[0] + mk[1] + "·")),
+        st.sampled_from(["z", "z^", "", "z·", " z", "z*"]),
+        st.one_of(st.just(""), exponent.map(lambda e: "^" + e)),
+    ).map("".join)
+
+
+_NEAR_MISSES = ["2·", "z^201", "1/0", "-", "z4^0", "z4^0·z", "1/0·z", "0·z", "z0·z",
+                "z5·z", "z4^1001·z", "z4^-1000·z^-200", "z^007", "3/4·z4^3·z^2", "z·",
+                "·z", "z4^·z", "12345678901234567890·z", "z 4·z", "-z^-0", "z12^11·z^-3"]
+
 _CONDUCTORS = st.sampled_from([1, 3, 4, 12])
 _TEXTS = st.one_of(
+    # single terms at and past the number, exponent and root-power bounds
+    st.tuples(st.one_of(_monomial_pieces(), st.sampled_from(_NEAR_MISSES)),
+              st.sampled_from([1, 4, 12, 60])),
     _CONDUCTORS.flatmap(lambda m: laurents(m).map(lambda p: (render_laurent(p), m))),
     st.tuples(st.recursive(_ATOMS, _combined, max_leaves=8), _CONDUCTORS),
     # exponents that pass the cap only after multiplication
@@ -541,58 +567,3 @@ def test_zero_entries_pass_through_matrix_maps_and_sums():
     assert (A + B).entries[0][1] is B.entries[0][1]
     assert -A == M([["-z", "0"], ["0", "z-1"]], 4)
     assert A.shift(2).scale(3) == M([["3·z^3", "0"], ["0", "3·z^2-3·z^3"]], 4)
-
-
-# -- the single-monomial fast path against the recursive-descent parser ------------
-
-def _monomial_pieces():
-    """Texts of the form [-][q·][z<m>[^k]·]z[^e] with numbers drawn at and
-    past every bound the pattern or the grammar sets, joined with and
-    without their separators."""
-    number = st.one_of(st.integers(0, 12).map(str), st.sampled_from(
-        ["0", "007", "1/0", "0/3", "2/4", "123456789012345678", "1234567890123456789",
-         "3/1234567890123456789"]))
-    exponent = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(
-        ["200", "-200", "201", "-201", "007", "-0", "1000", "-1000", "1001", "99999", ""]))
-    root = st.tuples(st.sampled_from(["0", "1", "2", "3", "4", "5", "12", "04", "60", "12345"]),
-                     st.one_of(st.just(""), exponent.map(lambda k: "^" + k)))
-    return st.tuples(
-        st.sampled_from(["", "-", "--", "+"]),
-        st.one_of(st.just(""), number.map(lambda q: q + "·")),
-        st.one_of(st.just(""), root.map(lambda mk: "z" + mk[0] + mk[1] + "·")),
-        st.sampled_from(["z", "z^", "", "z·", " z", "z*"]),
-        st.one_of(st.just(""), exponent.map(lambda e: "^" + e)),
-    ).map("".join)
-
-
-_NEAR_MISSES = ["2·", "z^201", "1/0", "-", "z4^0", "z4^0·z", "1/0·z", "0·z", "z0·z",
-                "z5·z", "z4^1001·z", "z4^-1000·z^-200", "z^007", "3/4·z4^3·z^2", "z·",
-                "·z", "z4^·z", "12345678901234567890·z", "z 4·z", "-z^-0", "z12^11·z^-3"]
-
-
-def _outcome(parse, text, m):
-    try:
-        return parse(text, m)
-    except ParseError as err:
-        return str(err), err.column
-
-
-@settings(max_examples=400, deadline=None)
-@given(text=st.one_of(_monomial_pieces(), st.sampled_from(_NEAR_MISSES)),
-       m=st.sampled_from([1, 4, 12, 60]))
-def test_monomial_fast_path_agrees_with_the_parser(text, m):
-    fast = laurent._parse_monomial(text, m)
-    general = _outcome(laurent._parse_general, text, m)
-    if fast is not None:
-        assert fast == general
-    assert _outcome(parse_laurent, text, m) == general == _outcome(
-        parse_laurent_by_arithmetic, text, m)
-
-
-def test_monomial_fast_path_reads_the_rendered_single_terms():
-    for text, m in (("z", 1), ("-z^-2", 1), ("3/4·z^3", 1), ("-3/4·z4·z^2", 4),
-                    ("z12^3·z^-3", 12), ("-z4·z^200", 4)):
-        fast = laurent._parse_monomial(text, m)
-        assert fast is not None and render_laurent(fast) == text
-    for text in _NEAR_MISSES[:3] + ["z4^1001·z", "1/0·z", "z5·z"]:
-        assert laurent._parse_monomial(text, 4) is None
