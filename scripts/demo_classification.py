@@ -2,13 +2,14 @@
 """Walk through the headline classifications and print their certificates.
 
 Usage: python3 scripts/demo_classification.py
+
+The output is committed as scripts/demo_expected.txt, and CI diffs the
+two; regenerate the transcript when a headline answer changes on purpose.
 """
 
 from eqbundles.bundle import splitting_type
 from eqbundles.classify import decompose, verify_certificate
-from eqbundles.equivariant import (canonical_cyclic, canonical_klein_even,
-                                   canonical_klein_pair, canonical_tangent,
-                                   conjugate_structure, direct_sum_structures,
+from eqbundles.equivariant import (canonical_structure, conjugate_structure,
                                    structures_equivalent, twist_by_character)
 from eqbundles.group import characters, cyclic, klein
 from eqbundles.randgen import random_model_automorphism
@@ -32,14 +33,14 @@ def show(title, S):
 
 
 def main():
-    show("cyclic(3) tautological powers on O(2)", canonical_cyclic(3, 2))
+    show("cyclic(3) tautological powers on O(2)", canonical_structure(cyclic(3), [2]))
     show("cyclic(4) twisted by its second character",
-         twist_by_character(canonical_cyclic(4, 1), characters(cyclic(4))[2]))
-    show("Klein tangent bundle O(2)", canonical_tangent())
-    show("Klein paired O(-1) + O(-1)", canonical_klein_pair(-1))
+         twist_by_character(canonical_structure(cyclic(4), [1]), characters(cyclic(4))[2]))
+    show("Klein tangent bundle O(2)", canonical_structure(klein(), [2]))
+    pair = canonical_structure(klein(), [-1, -1])
+    show("Klein paired O(-1) + O(-1)", pair)
 
-    mixed = direct_sum_structures(canonical_klein_even(2),
-                                  canonical_klein_pair(-1))
+    mixed = canonical_structure(klein(), [2, -1, -1])
     rng = Random(1)
     U = random_model_automorphism(rng, mixed.conductor,
                                   splitting_type(mixed.bundle).degrees)
@@ -50,7 +51,6 @@ def main():
     print(render_document(cert))
 
     print("== instance equivalence on the paired block ==")
-    pair = canonical_klein_pair(-1)
     for chi in characters(klein()):
         same = structures_equivalent(pair, twist_by_character(pair, chi))
         print(f"pair twisted by {chi.label}: "

@@ -10,22 +10,19 @@ All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
 """
 
-from .cyclotomic import CycNum, primitive_root, root_of_unity
+from .cyclotomic import CycNum, root_of_unity
 from .laurent import LaurentMatrix, LaurentPoly, parse_laurent, regular_invertible_at
 from .bundle import (HNData, ModelIso, Section, SplittingType, VectorBundle,
-                     degree, direct_sum, dual, embed_bundle, global_sections, h0,
-                     hn_data, hom, line_bundle, make_bundle, model_bundle,
-                     model_isomorphism, splitting_type, twist)
+                     direct_sum, dual, embed_bundle, global_sections, h0, hn_data,
+                     hom, make_bundle, model_bundle, model_isomorphism,
+                     splitting_type, twist)
 from .group import (Character, GroupElement, GroupSpec, characters, cyclic,
                     elements, generators, klein, klein_lift)
-from .equivariant import (EquivariantStructure, canonical_cyclic,
-                          canonical_klein_even, canonical_klein_lift,
-                          canonical_klein_pair, canonical_structure,
-                          canonical_tangent, central_sign, conjugate_structure,
-                          descend_lift, direct_sum_structures, embed_structure,
-                          existence, is_bundle_map, structures_equivalent,
-                          transport_structure, twist_by_character,
-                          validate_structure, validation_report)
+from .equivariant import (EquivariantStructure, canonical_structure, central_sign,
+                          conjugate_structure, descend_lift, direct_sum_structures,
+                          embed_structure, existence, is_bundle_map,
+                          structures_equivalent, transport_structure,
+                          twist_by_character, validate_structure, validation_report)
 from .classify import (DecompositionCertificate, ModelStructure,
                        averaging_intertwiner, block_diagonal_part, build_structure,
                        decompose, extract_residual_rep, pullback_structure,

@@ -37,21 +37,20 @@ class VectorBundle:
     """rank + transition matrix on the two-chart cover of the projective line.
 
     Construction checks that det T is a unit monomial c*z^e (NonUnimodular
-    otherwise) by the determinant-only elimination; T^-1 is computed on the
-    first `inverse_transition()` and kept."""
+    otherwise) by the determinant-only elimination and keeps the degree e;
+    T^-1 is computed on the first `inverse_transition()` and kept."""
 
-    __slots__ = ("rank", "conductor", "transition", "_inverse", "_det_unit")
+    __slots__ = ("rank", "conductor", "transition", "_inverse", "_degree")
 
-    def __init__(self, transition: LaurentMatrix, _inverse=None, _det_unit=None):
-        # constructions that already know the inverse pass it with the unit
-        # determinant
-        if _det_unit is None:
-            _det_unit = transition.det_unit()
+    def __init__(self, transition: LaurentMatrix, _inverse=None, _degree=None):
+        # constructions that already know the inverse pass it with the degree
+        if _degree is None:
+            _degree = transition.det_unit()[1]
         object.__setattr__(self, "rank", transition.rows)
         object.__setattr__(self, "conductor", transition.conductor)
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "_inverse", _inverse)
-        object.__setattr__(self, "_det_unit", _det_unit)
+        object.__setattr__(self, "_degree", _degree)
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorBundle is immutable")
@@ -62,7 +61,7 @@ class VectorBundle:
         return self._inverse
 
     def degree(self) -> int:
-        return self._det_unit[1]
+        return self._degree
 
     def __eq__(self, other):
         if not isinstance(other, VectorBundle):
@@ -78,40 +77,24 @@ def make_bundle(transition: LaurentMatrix) -> VectorBundle:
     return VectorBundle(transition)
 
 
-def line_bundle(conductor: int, n: int) -> VectorBundle:
-    """O(n): transition z^n."""
-    t = LaurentMatrix(conductor, [[LaurentPoly.monomial(conductor, n)]])
-    return VectorBundle(t, _inverse=LaurentMatrix(
-        conductor, [[LaurentPoly.monomial(conductor, -n)]]),
-        _det_unit=(CycNum.one(conductor), n))
-
-
 def model_bundle(conductor: int, degrees) -> VectorBundle:
     """diag(z^(d_1), ..., z^(d_r)) for the given degree sequence."""
     degrees = list(degrees)
     t = LaurentMatrix.diag_monomials(conductor, degrees)
     inv = LaurentMatrix.diag_monomials(conductor, [-d for d in degrees])
-    return VectorBundle(t, _inverse=inv,
-                        _det_unit=(CycNum.one(conductor), sum(degrees)))
-
-
-def degree(E: VectorBundle) -> int:
-    return E.degree()
+    return VectorBundle(t, _inverse=inv, _degree=sum(degrees))
 
 
 def twist(E: VectorBundle, k: int) -> VectorBundle:
     """E(k): multiply the transition by z^k."""
-    c, e = E._det_unit
     return VectorBundle(E.transition.shift(k),
                         _inverse=E.inverse_transition().shift(-k),
-                        _det_unit=(c, e + k * E.rank))
+                        _degree=E.degree() + k * E.rank)
 
 
 def dual(E: VectorBundle) -> VectorBundle:
     t = E.inverse_transition().transpose()
-    c, e = E._det_unit
-    return VectorBundle(t, _inverse=E.transition.transpose(),
-                        _det_unit=(c.inverse(), -e))
+    return VectorBundle(t, _inverse=E.transition.transpose(), _degree=-E.degree())
 
 
 def hom(E: VectorBundle, F: VectorBundle) -> VectorBundle:
@@ -121,11 +104,8 @@ def hom(E: VectorBundle, F: VectorBundle) -> VectorBundle:
     dE = dual(E)
     t = LaurentMatrix.kron(F.transition, dE.transition)
     inv = LaurentMatrix.kron(F.inverse_transition(), dE.inverse_transition())
-    cF, eF = F._det_unit
-    cDE, eDE = dE._det_unit
-    det_c = cF ** dE.rank * cDE ** F.rank
-    det_e = eF * dE.rank + eDE * F.rank
-    return VectorBundle(t, _inverse=inv, _det_unit=(det_c, det_e))
+    return VectorBundle(t, _inverse=inv,
+                        _degree=F.degree() * E.rank - E.degree() * F.rank)
 
 
 def direct_sum(*bundles: VectorBundle) -> VectorBundle:
@@ -134,20 +114,16 @@ def direct_sum(*bundles: VectorBundle) -> VectorBundle:
         raise ConductorMismatch("direct sum of bundles over different conductors")
     t = LaurentMatrix.block_diag([E.transition for E in bundles])
     inv = LaurentMatrix.block_diag([E.inverse_transition() for E in bundles])
-    c, e = bundles[0]._det_unit
-    for E in bundles[1:]:
-        c, e = c * E._det_unit[0], e + E._det_unit[1]
-    return VectorBundle(t, _inverse=inv, _det_unit=(c, e))
+    return VectorBundle(t, _inverse=inv, _degree=sum(E.degree() for E in bundles))
 
 
 def embed_bundle(E: VectorBundle, conductor: int) -> VectorBundle:
     """The same bundle with scalars re-expressed in a larger cyclotomic field."""
     if conductor == E.conductor:
         return E
-    c, e = E._det_unit
     return VectorBundle(E.transition.embed(conductor),
                         _inverse=E.inverse_transition().embed(conductor),
-                        _det_unit=(c.embed(conductor), e))
+                        _degree=E.degree())
 
 
 # ---------------------------------------------------------------------------

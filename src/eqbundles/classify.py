@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundle import ModelIso, chart_certificate, column_frame, model_bundle
+from .bundle import ModelIso, chart_certificate, column_frame
 from .cyclotomic import CycNum, roots_among
 from .errors import EqBundlesError, InternalInconsistency, InvalidStructure, ShapeMismatch
 from .equivariant import (EquivariantStructure, GroupIndexed, canonical_model,
@@ -339,8 +339,7 @@ def build_structure(cert: DecompositionCertificate,
     certificate; with a target bundle, conjugate along the certificate's
     change of frame onto it."""
     blocks = [(d, chi) for _, d, chi in cert.block_sequence()]
-    degrees, maps = canonical_model(cert.group, blocks, cert.conductor)
-    built = EquivariantStructure(model_bundle(cert.conductor, degrees), cert.group, maps)
+    built = canonical_model(cert.group, blocks, cert.conductor)
     if target is None:
         return built
     if target.rank != cert.rank:
@@ -349,7 +348,7 @@ def build_structure(cert: DecompositionCertificate,
     if target.conductor != cert.conductor:
         raise ShapeMismatch(
             f"certificate conductor {cert.conductor} vs target {target.conductor}")
-    _, problems = chart_certificate(cert.change_of_frame, degrees, target)
+    _, problems = chart_certificate(cert.change_of_frame, _model(cert)[0], target)
     if problems:
         raise ShapeMismatch(problems[0])
     return transport_structure(built, cert.change_of_frame, target)

@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bundle import VectorBundle, degree, global_sections, hn_data, splitting_type, twist
+from .bundle import VectorBundle, global_sections, hn_data, splitting_type, twist
 from .classify import (DecompositionCertificate, build_structure, decompose,
                        verify_certificate_report)
 from .equivariant import (EquivariantStructure, canonical_structure, existence,
@@ -23,7 +23,7 @@ from .errors import (EqBundlesError, NoSuchStructure, ParseError,
                      ValidationError)
 from .laurent import MAX_EXPONENT, render_laurent
 from .serialize import (MAX_RANK, Report, parse_bundle_shortcut,
-                        parse_character_shortcut, parse_document,
+                        parse_character_shortcut, parse_degrees, parse_document,
                         parse_group_shortcut, render_document)
 
 
@@ -93,7 +93,7 @@ def _cmd_validate(args):
 
 def _cmd_degree(args):
     E = _load_bundle(args.bundle, args.conductor)
-    print(degree(E))
+    print(E.degree())
     return 0
 
 
@@ -142,12 +142,7 @@ def _cmd_obstruction(args):
 
 def _cmd_canonical(args):
     G = parse_group_shortcut(args.group)
-    if args.target.strip() == "tangent":
-        degrees = [2]
-    else:
-        E = parse_bundle_shortcut(args.target, G.conductor)
-        degrees = list(splitting_type(E).degrees)
-    S = canonical_structure(G, degrees, lift=args.lift)
+    S = canonical_structure(G, parse_degrees(args.target), lift=args.lift)
     _emit_document(S, args.out)
     return 0
 

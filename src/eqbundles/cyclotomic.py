@@ -394,11 +394,6 @@ def _gauss_jordan_inverse(x: CycNum) -> CycNum:
                       abs(prev))
 
 
-def primitive_root(m: int) -> CycNum:
-    """zeta_m as an element of conductor m; satisfies zeta_m^m = 1 primitively."""
-    return _new(m, _zeta_powers(m)[1 % m], 1)
-
-
 def root_of_unity(m: int, k: int) -> CycNum:
     """zeta_m^k (k taken mod m), looked up in the precomputed power table."""
     return _new(m, _zeta_powers(m)[k % m], 1)

@@ -19,7 +19,7 @@ from .bundle import (VectorBundle, direct_sum, embed_bundle, model_bundle,
 from .cyclotomic import CycNum
 from .errors import (DimensionMismatch, InvalidStructure, MissingElement,
                      NoSuchStructure, NotComparable, ValidationError)
-from .group import (Character, GroupElement, GroupSpec, cyclic, element_by_name,
+from .group import (Character, GroupElement, GroupSpec, element_by_name,
                     elements, generators, identity, klein, klein_lift, multiply)
 from .laurent import LaurentMatrix, LaurentPoly, regular_invertible_at
 
@@ -211,51 +211,14 @@ def canonical_rows(G: GroupSpec, blocks, conductor: int):
     return degrees, rows
 
 
-def canonical_model(G: GroupSpec, blocks, conductor: int):
-    """`canonical_rows` with each map as a LaurentMatrix: (degrees,
-    {element name: LaurentMatrix})."""
+def canonical_model(G: GroupSpec, blocks, conductor: int) -> EquivariantStructure:
+    """The direct sum of the canonical blocks [(d, chi or None)] over G at
+    a multiple `conductor` of G's field, on its bundle diag(z^d): the one
+    assembly of `canonical_rows` into a structure."""
     degrees, rows = canonical_rows(G, blocks, conductor)
     ident = LaurentMatrix.identity(conductor, len(degrees))
-    return degrees, {name: ident.times_monomial(r) for name, r in rows.items()}
-
-
-def _canonical(G: GroupSpec, degrees) -> EquivariantStructure:
-    """The untwisted canonical blocks of the given degrees, summed; an odd
-    degree over the Klein group is one pair block."""
-    degrees, maps = canonical_model(G, [(d, None) for d in degrees], G.conductor)
-    return EquivariantStructure(model_bundle(G.conductor, degrees), G, maps)
-
-
-def canonical_cyclic(n: int, d: int) -> EquivariantStructure:
-    """Tensor powers of the tautological action: every map is the constant 1."""
-    return _canonical(cyclic(n), [d])
-
-
-def canonical_klein_even(d: int) -> EquivariantStructure:
-    """Tensor powers of the derivative lift on the tangent bundle O(2)."""
-    if d % 2 != 0:
-        raise NoSuchStructure(
-            f"O({d}) carries no Klein structure: odd degree")
-    return _canonical(klein(), [d])
-
-
-def canonical_tangent() -> EquivariantStructure:
-    """The derivative lift itself: N_a1 = -1, N_a2 = -z^-2, N_a1a2 = z^-2."""
-    return canonical_klein_even(2)
-
-
-def canonical_klein_lift(d: int) -> EquivariantStructure:
-    """Lift-group structure on O(d) from the tautological GL(2) action;
-    the center acts by (-1)^d."""
-    return _canonical(klein_lift(), [d])
-
-
-def canonical_klein_pair(d: int) -> EquivariantStructure:
-    """The genuine Klein structure on O(d) + O(d) for odd d, descending
-    from the lift scalars tensored with the anticommuting constant pair."""
-    if d % 2 == 0:
-        raise ValueError("pair blocks are reserved for odd degrees")
-    return _canonical(klein(), [d])
+    return EquivariantStructure(model_bundle(conductor, degrees), G,
+                                {name: ident.times_monomial(r) for name, r in rows.items()})
 
 
 def unpaired_odd_degrees(degrees) -> list:
@@ -266,26 +229,28 @@ def unpaired_odd_degrees(degrees) -> list:
 
 
 def canonical_structure(G: GroupSpec, degrees, lift: bool = False) -> EquivariantStructure:
-    """Direct sum of canonical blocks for the given degree multiset.
+    """Direct sum of the untwisted canonical blocks for the given degree
+    multiset.
 
-    Cyclic groups accept any degrees.  The Klein group needs every odd
-    degree with even multiplicity, and each two copies of one become a
-    pair block; `lift=True` builds the lift-group structure on a single
-    line bundle instead."""
+    Cyclic groups accept any degrees: every map is the constant 1.  The
+    Klein group needs every odd degree with even multiplicity, and each
+    two copies of one become a pair block; O(2) carries the derivative
+    lift on the tangent bundle.  `lift=True` builds the lift-group
+    structure on a single Klein line bundle instead, the center acting by
+    (-1)^d."""
     degrees = sorted(degrees, reverse=True)
     if lift:
         if G.kind != "klein" or len(degrees) != 1:
             raise ValidationError("lift structures are single Klein line bundles")
-        return canonical_klein_lift(degrees[0])
-    if G.kind == "cyclic":
-        return _canonical(G, degrees)
-    unpaired = unpaired_odd_degrees(degrees)
-    if unpaired:
-        raise NoSuchStructure(f"O({unpaired[0]}) carries no Klein structure: "
-                              "odd degree must come in pairs")
-    odd = [d for d in degrees if d % 2]
-    return _canonical(G, sorted([d for d in degrees if d % 2 == 0] + odd[::2],
-                                reverse=True))
+        G = klein_lift()
+    elif G.kind == "klein":
+        unpaired = unpaired_odd_degrees(degrees)
+        if unpaired:
+            raise NoSuchStructure(f"O({unpaired[0]}) carries no Klein structure: "
+                                  "odd degree must come in pairs")
+        odd = [d for d in degrees if d % 2]
+        degrees = sorted([d for d in degrees if d % 2 == 0] + odd[::2], reverse=True)
+    return canonical_model(G, [(d, None) for d in degrees], G.conductor)
 
 
 def direct_sum_structures(*parts: EquivariantStructure) -> EquivariantStructure:
@@ -372,8 +337,8 @@ def transport_structure(S: EquivariantStructure, F: LaurentMatrix,
 
 
 def _center_shifted(S: EquivariantStructure) -> EquivariantStructure:
-    """S tensored with canonical_klein_lift(1): a lift structure on
-    twist(E, 1) whose center acts by the opposite sign."""
+    """S tensored with the canonical lift structure on O(1): a lift
+    structure on twist(E, 1) whose center acts by the opposite sign."""
     line = canonical_monomials(klein_lift(), 1)
     maps = {}
     for name, N in S.maps.items():
@@ -393,9 +358,9 @@ def structures_equivalent(S1: EquivariantStructure,
     InvalidStructure.  Lift structures are validated first, as descending
     drops the maps of -A1, -A2 and -A1A2.  Lift structures with different
     central signs are never equivalent; otherwise both are tensored with
-    canonical_klein_lift(1) when the center acts by -1, which is an
-    equivalence onto structures on twist(E, 1) with trivial center, and
-    then descended."""
+    the canonical lift structure on O(1) when the center acts by -1,
+    which is an equivalence onto structures on twist(E, 1) with trivial
+    center, and then descended."""
     from .classify import decompose
     if S1.bundle != S2.bundle or S1.group != S2.group:
         raise NotComparable("structures live on different bundles or groups")

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cyclotomic import MAX_CONDUCTOR, CycNum, render_cycnum, root_of_unity, term_count
 from .errors import ConductorMismatch, DimensionMismatch, NonUnimodular, ParseError
-from .linalg import det_const
+from .linalg import kernel_dense
 
 
 def _rational(conductor: int, c) -> CycNum:
@@ -569,8 +569,8 @@ def _det_adjugate(a: LaurentMatrix, adjugate: bool = True):
 def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:
     """True iff the matrix is holomorphic and invertible at the chart point:
     no entry has a negative exponent at "zero", or a positive one at
-    "infinity", and the grid of z^0 coefficients, its value there, is
-    invertible."""
+    "infinity", and the grid of z^0 coefficients, its value there, has an
+    empty kernel."""
     if matrix.rows != matrix.cols:
         raise DimensionMismatch("regularity check needs a square matrix")
     if point not in ("zero", "infinity"):
@@ -578,8 +578,8 @@ def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:
     sign = 1 if point == "zero" else -1
     if any(sign * e < 0 for row in matrix.entries for p in row for e in p.coeffs):
         return False
-    return not det_const([[p.coeff(0) for p in row] for row in matrix.entries],
-                         matrix.conductor).is_zero()
+    return not kernel_dense([[p.coeff(0) for p in row] for row in matrix.entries],
+                            matrix.cols, matrix.conductor)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from itertools import chain, repeat
 from dataclasses import dataclass
 from math import lcm
 
-from .bundle import VectorBundle, line_bundle, make_bundle
+from .bundle import VectorBundle, make_bundle, model_bundle
 from .classify import DecompositionCertificate
 from .cyclotomic import MAX_CONDUCTOR
 from .equivariant import EquivariantStructure
@@ -166,8 +166,8 @@ def bundle_from_doc(doc, parsed=None, inverse=False) -> VectorBundle:
     T = _matrix_from_doc(grid, conductor, "transition", parsed)
     try:
         if inverse:
-            T_inv, det_unit = T.inverse_and_det_unit()
-            return VectorBundle(T, _inverse=T_inv, _det_unit=det_unit)
+            T_inv, (_, e) = T.inverse_and_det_unit()
+            return VectorBundle(T, _inverse=T_inv, _degree=e)
         return make_bundle(T)
     except EqBundlesError as err:
         raise ValidationError(f"invalid transition matrix: {err}") from err
@@ -316,16 +316,16 @@ def parse_document(text: str):
 
 # -- CLI shortcuts ----------------------------------------------------------------
 
-def parse_bundle_shortcut(text: str, conductor: int) -> VectorBundle:
-    """Expand O(d), O(d)+O(e)+..., or tangent into a bundle."""
-    _conductor(conductor, "conductor")
+def parse_degrees(text: str) -> list:
+    """The splitting degrees of a shortcut O(d), O(d)+O(e)+..., or tangent,
+    in the order written."""
     text = text.strip()
     if text == "tangent":
-        return line_bundle(conductor, 2)
-    degrees = []
+        return [2]
     parts = text.split("+")
     if len(parts) > MAX_RANK:
         raise ValidationError(f"{len(parts)} summands exceed the rank cap {MAX_RANK}")
+    degrees = []
     for part in parts:
         part = part.strip()
         if not (part.startswith("O(") and part.endswith(")")):
@@ -337,10 +337,13 @@ def parse_bundle_shortcut(text: str, conductor: int) -> VectorBundle:
         if abs(degrees[-1]) > MAX_EXPONENT:
             raise ParseError(f"degree in {part!r} exceeds {MAX_EXPONENT} "
                              "in absolute value")
-    if not degrees:
-        raise ParseError(f"empty bundle shortcut {text!r}")
-    from .bundle import model_bundle
-    return model_bundle(conductor, degrees)
+    return degrees
+
+
+def parse_bundle_shortcut(text: str, conductor: int) -> VectorBundle:
+    """The model bundle diag(z^d) of a shortcut (`parse_degrees`)."""
+    _conductor(conductor, "conductor")
+    return model_bundle(conductor, parse_degrees(text))
 
 
 def parse_group_shortcut(text: str) -> GroupSpec:

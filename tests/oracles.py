@@ -25,7 +25,7 @@ the identity element by two products like every other one.
 from fractions import Fraction
 from functools import lru_cache
 
-from eqbundles.bundle import direct_sum, line_bundle, twist
+from eqbundles.bundle import direct_sum, model_bundle, twist
 from eqbundles.cyclotomic import MAX_CONDUCTOR, CycNum, root_of_unity
 from eqbundles.equivariant import (EquivariantStructure, direct_sum_structures,
                                    embed_structure, twist_by_character)
@@ -499,19 +499,19 @@ def canonical_by_hand(G, d):
     m = G.conductor
     mk = lambda c, e: LaurentMatrix(m, [[LaurentPoly(m, {e: c})]])
     if G.kind == "cyclic":
-        return EquivariantStructure(line_bundle(m, d), G,
+        return EquivariantStructure(model_bundle(m, [d]), G,
                                     {g.name: mk(1, 0) for g in elements(G)})
     if G.kind == "klein_lift":
         s = -1 if d % 2 else 1
         maps = {"I": mk(1, 0), "-I": mk(s, 0), "A1": mk(1, 0), "-A1": mk(s, 0),
                 "A2": mk(1, -d), "-A2": mk(s, -d),
                 "A1A2": mk(1, -d), "-A1A2": mk(s, -d)}
-        return EquivariantStructure(line_bundle(m, d), G, maps)
+        return EquivariantStructure(model_bundle(m, [d]), G, maps)
     if d % 2 == 0:
         sign = -1 if (d // 2) % 2 else 1
         maps = {"e": mk(1, 0), "a1": mk(sign, 0), "a2": mk(sign, -d),
                 "a1a2": mk(1, -d)}
-        return EquivariantStructure(line_bundle(m, d), G, maps)
+        return EquivariantStructure(model_bundle(m, [d]), G, maps)
     z = lambda e: LaurentPoly(m, {e: 1})
     zz = LaurentPoly.zero(m)
     c = lambda v: LaurentPoly.const(m, v)
@@ -519,7 +519,7 @@ def canonical_by_hand(G, d):
             "a1": LaurentMatrix(m, [[c(-1), zz], [zz, c(1)]]),
             "a2": LaurentMatrix(m, [[zz, z(-d)], [z(-d), zz]]),
             "a1a2": LaurentMatrix(m, [[zz, z(-d).scale(-1)], [z(-d), zz]])}
-    return EquivariantStructure(direct_sum(line_bundle(m, d), line_bundle(m, d)),
+    return EquivariantStructure(direct_sum(model_bundle(m, [d]), model_bundle(m, [d])),
                                 G, maps)
 
 

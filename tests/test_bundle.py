@@ -4,10 +4,9 @@ from random import Random
 import pytest
 
 from eqbundles import bundle
-from eqbundles.bundle import (HNData, _certify, column_frame, degree, direct_sum, dual,
-                              global_sections, h0, hn_data, hom, line_bundle,
-                              make_bundle, model_bundle, model_isomorphism,
-                              splitting_type, twist)
+from eqbundles.bundle import (HNData, _certify, column_frame, direct_sum, dual,
+                              global_sections, h0, hn_data, hom, make_bundle,
+                              model_bundle, model_isomorphism, splitting_type, twist)
 from eqbundles.cyclotomic import CycNum
 from eqbundles.errors import DimensionMismatch, NonUnimodular, ValidationError
 from eqbundles.cli import main
@@ -23,10 +22,10 @@ from oracles import (_dense_rank, dense_h0, h0_by_section_system, h0_from_degree
 
 def test_make_bundle_examples():
     E = make_bundle(LaurentMatrix.identity(1, 2))
-    assert E.rank == 2 and degree(E) == 0
-    assert degree(make_bundle(M([["z^3"]]))) == 3
+    assert E.rank == 2 and E.degree() == 0
+    assert make_bundle(M([["z^3"]])).degree() == 3
     E2 = make_bundle(M([["z", "1"], ["0", "z"]]))
-    assert E2.rank == 2 and degree(E2) == 2
+    assert E2.rank == 2 and E2.degree() == 2
 
 
 def test_make_bundle_rejects_bad_input():
@@ -78,7 +77,7 @@ def test_non_unimodular_transitions_are_rejected_at_parse_time(name, tmp_path, c
 
 def test_inverse_transition_is_computed_on_first_use_and_kept():
     E, degrees = planted_bundle(Random(62), 3, 5, -3, 3)
-    assert degree(E) == sum(degrees) and splitting_type(E).degrees == degrees
+    assert E.degree() == sum(degrees) and splitting_type(E).degrees == degrees
     assert E._inverse is None  # neither the degree nor the splitting type needs it
     inv = E.inverse_transition()
     assert inv == E.transition.inverse()
@@ -88,22 +87,22 @@ def test_inverse_transition_is_computed_on_first_use_and_kept():
 
 
 def test_degree_examples():
-    assert degree(line_bundle(1, 3)) == 3
-    assert degree(model_bundle(1, [-1, -1])) == -2
+    assert model_bundle(1, [3]).degree() == 3
+    assert model_bundle(1, [-1, -1]).degree() == -2
 
 
 def test_functor_degrees():
     for n in (-3, 0, 2):
         for k in (-2, 1):
-            assert degree(twist(line_bundle(1, n), k)) == n + k
-        assert degree(dual(line_bundle(1, n))) == -n
-    assert degree(hom(line_bundle(1, 3), line_bundle(1, 1))) == -2
-    assert splitting_type(hom(line_bundle(1, 3), line_bundle(1, 1))).degrees == (-2,)
+            assert twist(model_bundle(1, [n]), k).degree() == n + k
+        assert dual(model_bundle(1, [n])).degree() == -n
+    assert hom(model_bundle(1, [3]), model_bundle(1, [1])).degree() == -2
+    assert splitting_type(hom(model_bundle(1, [3]), model_bundle(1, [1]))).degrees == (-2,)
 
 
 @pytest.mark.parametrize("n", range(-5, 6))
 def test_h0_line_bundles(n):
-    assert h0(line_bundle(1, n)) == max(0, n + 1)
+    assert h0(model_bundle(1, [n])) == max(0, n + 1)
 
 
 def test_h0_rank_two_jordan_block():
@@ -114,8 +113,8 @@ def test_h0_rank_two_jordan_block():
 
 
 def test_h0_of_hom_bundles():
-    assert h0(hom(line_bundle(1, 1), line_bundle(1, 3))) == 3
-    assert h0(hom(line_bundle(1, 3), line_bundle(1, 1))) == 0
+    assert h0(hom(model_bundle(1, [1]), model_bundle(1, [3]))) == 3
+    assert h0(hom(model_bundle(1, [3]), model_bundle(1, [1]))) == 0
     assert h0(hom(model_bundle(1, [1, -1]), model_bundle(1, [1, -1]))) == 5
 
 
@@ -209,7 +208,7 @@ def _certify_iso(E, iso):
 
 
 def test_model_isomorphism_line_bundle():
-    E = line_bundle(1, 5)
+    E = model_bundle(1, [5])
     iso = model_isomorphism(E)
     assert iso.model.degrees == (5,)
     assert iso.psi == M([["1"]])

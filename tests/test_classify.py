@@ -5,8 +5,7 @@ from random import Random
 import pytest
 
 from eqbundles import bundle, classify, equivariant
-from eqbundles.bundle import (line_bundle, make_bundle, model_bundle, model_isomorphism,
-                             splitting_type)
+from eqbundles.bundle import make_bundle, model_bundle, model_isomorphism, splitting_type
 from eqbundles.classify import (DecompositionCertificate, ModelStructure,
                                 ResidualRep, averaging_intertwiner, block_diagonal_part,
                                 build_structure, decompose, extract_residual_rep,
@@ -14,10 +13,8 @@ from eqbundles.classify import (DecompositionCertificate, ModelStructure,
                                 rep_decompose, verify_certificate,
                                 verify_certificate_report)
 from eqbundles.cyclotomic import CycNum, root_of_unity
-from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
-                                   canonical_klein_even, canonical_klein_lift,
-                                   canonical_klein_pair, canonical_structure,
-                                   canonical_tangent, conjugate_structure,
+from eqbundles.equivariant import (EquivariantStructure, canonical_structure,
+                                   conjugate_structure,
                                    descend_lift, direct_sum_structures,
                                    structures_equivalent, transport_structure,
                                    twist_by_character, validate_structure,
@@ -38,7 +35,7 @@ from oracles import (build_structure_by_sums, canonical_by_hand,
 # -- pullback -----------------------------------------------------------------
 
 def test_pullback_along_identity_is_identity():
-    S = canonical_klein_pair(-1)
+    S = canonical_structure(klein(), [-1, -1])
     iso = model_isomorphism(S.bundle)
     assert iso.psi == LaurentMatrix.identity(4, 2)
     N = pullback_structure(S, iso)
@@ -62,7 +59,7 @@ def test_pullback_cocycle_holds():
 
 
 def test_pullback_triangularity_on_mixed_degrees():
-    S = direct_sum_structures(canonical_klein_even(2), canonical_klein_pair(-1))
+    S = canonical_structure(klein(), [2, -1, -1])
     U = random_model_automorphism(Random(3), 4, (2, -1, -1))
     S2 = conjugate_structure(S, U)
     iso = model_isomorphism(S2.bundle)
@@ -88,7 +85,7 @@ def _cyclic2_triangular_model(q0):
 
 
 def test_averaging_identity_when_block_diagonal():
-    S = canonical_klein_pair(-1)
+    S = canonical_structure(klein(), [-1, -1])
     iso = model_isomorphism(S.bundle)
     N = pullback_structure(S, iso)
     R = block_diagonal_part(N)
@@ -134,7 +131,8 @@ def test_averaging_unipotent_on_fuzz():
 # -- residual representations -----------------------------------------------------
 
 def test_extract_reference_times_identity():
-    S = direct_sum_structures(canonical_klein_even(2), canonical_klein_even(2))
+    tangent = canonical_structure(klein(), [2])
+    S = direct_sum_structures(tangent, tangent)
     iso = model_isomorphism(S.bundle)
     R = block_diagonal_part(pullback_structure(S, iso))
     rr = extract_residual_rep(R, 2)
@@ -157,7 +155,7 @@ def test_extract_cyclic_constant_block():
 
 
 def test_extract_klein_pair_anticommuting():
-    S = canonical_klein_pair(-1)
+    S = canonical_structure(klein(), [-1, -1])
     R = block_diagonal_part(pullback_structure(S, model_isomorphism(S.bundle)))
     rr = extract_residual_rep(R, -1)
     assert rr.mode == "klein_lift"
@@ -230,14 +228,14 @@ def test_rep_decompose_klein_lift_two_pairs():
 def test_decompose_canonical_line():
     for n in (2, 3):
         for d in (-2, 0, 3):
-            cert = decompose(canonical_cyclic(n, d))
+            cert = decompose(canonical_structure(cyclic(n), [d]))
             assert cert.odd_blocks == ()
             assert [b[0] for b in cert.even_blocks] == [d]
             assert cert.even_blocks[0][1] == characters(cyclic(n))[0]
 
 
 def test_decompose_klein_pair():
-    S = canonical_klein_pair(-1)
+    S = canonical_structure(klein(), [-1, -1])
     cert = decompose(S)
     assert cert.even_blocks == ()
     assert cert.odd_blocks == (-1,)
@@ -245,7 +243,8 @@ def test_decompose_klein_pair():
 
 
 def test_decompose_klein_even_sum():
-    S = direct_sum_structures(canonical_klein_even(2), canonical_klein_even(0))
+    S = direct_sum_structures(canonical_structure(klein(), [2]),
+                              canonical_structure(klein(), [0]))
     cert = decompose(S)
     assert cert.odd_blocks == ()
     assert [(d, chi.label) for d, chi in cert.even_blocks] == \
@@ -255,7 +254,7 @@ def test_decompose_klein_even_sum():
 
 def test_decompose_requires_validity():
     from eqbundles.laurent import parse_laurent
-    E = line_bundle(4, -1)
+    E = model_bundle(4, [-1])
     mk = lambda s: LaurentMatrix(4, [[parse_laurent(s, 4)]])
     forged = EquivariantStructure(E, klein(), {
         "e": mk("1"), "a1": mk("1"), "a2": mk("z"), "a1a2": mk("z")})
@@ -267,12 +266,12 @@ def _non_representations():
     """(structure, whether its block splits into the wrong number of
     vectors): valid bundles and triangular pullbacks whose residual
     constant matrices are not a representation."""
-    lift_count = EquivariantStructure(line_bundle(4, -1), klein(), {
+    lift_count = EquivariantStructure(model_bundle(4, [-1]), klein(), {
         "e": M([["1"]], 4), "a1": M([["1"]], 4),
         "a2": M([["z"]], 4), "a1a2": M([["z"]], 4)})
     unipotent = EquivariantStructure(model_bundle(2, [0, 0]), cyclic(2), {
         "e": LaurentMatrix.identity(2, 2), "g": M([["1", "1"], ["0", "1"]], 2)})
-    right_count = EquivariantStructure(line_bundle(3, 0), cyclic(3), {
+    right_count = EquivariantStructure(model_bundle(3, [0]), cyclic(3), {
         "e": M([["1"]], 3), "g": M([["1"]], 3), "g^2": M([["2"]], 3)})
     return [(lift_count, True), (unipotent, True), (right_count, False)]
 
@@ -345,7 +344,7 @@ def test_equivalence_rejects_exactly_the_invalid_mutations(mutated_pairs):
 
 
 def test_lift_equivalence_still_validates_the_signed_maps():
-    S = canonical_klein_lift(2)
+    S = canonical_structure(klein(), [2], lift=True)
     maps = dict(S.maps)
     maps["-A1"] = maps["-A1"].scale(3)
     bad = EquivariantStructure(S.bundle, S.group, maps)
@@ -358,8 +357,8 @@ def test_lift_equivalence_still_validates_the_signed_maps():
 
 def _two_character_structure():
     chi = characters(cyclic(3))[1]
-    return direct_sum_structures(twist_by_character(canonical_cyclic(3, 0), chi),
-                                 canonical_cyclic(3, 0))
+    return direct_sum_structures(twist_by_character(canonical_structure(cyclic(3), [0]), chi),
+                                 canonical_structure(cyclic(3), [0]))
 
 
 def test_decompose_reports_a_wrong_basis_as_a_bug(monkeypatch):
@@ -380,7 +379,7 @@ def test_decompose_re_raises_a_stage_failure_on_valid_input(monkeypatch):
 
     monkeypatch.setattr(classify, "rep_decompose", fail)
     with pytest.raises(InternalInconsistency, match="planted stage failure"):
-        decompose(canonical_klein_pair(-1))
+        decompose(canonical_structure(klein(), [-1, -1]))
 
 
 def test_success_path_runs_no_validation(monkeypatch):
@@ -417,9 +416,9 @@ def test_decompose_success_path_replays_no_stage_check(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(bundle, "_certify", counted)
-    for S in (_two_character_structure(), canonical_klein_pair(-1),
-              direct_sum_structures(canonical_klein_pair(1),
-                                    canonical_klein_even(2))):
+    for S in (_two_character_structure(), canonical_structure(klein(), [-1, -1]),
+              direct_sum_structures(canonical_structure(klein(), [1, 1]),
+                                    canonical_structure(klein(), [2]))):
         assert verify_certificate(decompose(S), S)
     assert calls == []
     # the counter sees the certificate that the public model isomorphism runs
@@ -442,7 +441,7 @@ def test_build_structure_blocks():
         group=K, even_blocks=(), odd_blocks=(-1,),
         change_of_frame=LaurentMatrix.identity(4, 2), conductor=4)
     Sk = build_structure(certk)
-    assert Sk == canonical_klein_pair(-1)
+    assert Sk == canonical_structure(klein(), [-1, -1])
 
 
 def test_roundtrip_on_random_certificates():
@@ -480,7 +479,7 @@ def test_roundtrip_off_the_model_bundle():
 
 
 def test_verify_rejects_mutations():
-    S = twist_by_character(canonical_cyclic(4, 1), characters(cyclic(4))[2])
+    S = twist_by_character(canonical_structure(cyclic(4), [1]), characters(cyclic(4))[2])
     cert = decompose(S)
     assert verify_certificate(cert, S)
     d, chi = cert.even_blocks[0]
@@ -573,21 +572,21 @@ def _table_groups():
 def test_canonical_blocks_match_the_hand_written_ones():
     for d in range(-200, 201, 7):
         for n in range(1, 13):
-            assert canonical_cyclic(n, d) == canonical_by_hand(cyclic(n), d)
-        assert canonical_klein_lift(d) == canonical_by_hand(klein_lift(), d)
-        pick = canonical_klein_pair if d % 2 else canonical_klein_even
-        assert pick(d) == canonical_by_hand(klein(), d)
+            assert canonical_structure(cyclic(n), [d]) == canonical_by_hand(cyclic(n), d)
+        assert canonical_structure(klein(), [d], lift=True) == canonical_by_hand(klein_lift(), d)
+        assert (canonical_structure(klein(), [d, d] if d % 2 else [d])
+                == canonical_by_hand(klein(), d))
     # whole multisets, assembled in one pass, against the sums of blocks
     rng = Random(17)
     for n in range(1, 13):
         degrees = sorted((rng.randint(-9, 9) for _ in range(rng.randint(1, 5))),
                          reverse=True)
         assert canonical_structure(cyclic(n), degrees) == direct_sum_structures(
-            *(canonical_cyclic(n, d) for d in degrees))
+            *(canonical_structure(cyclic(n), [d]) for d in degrees))
     for evens, odds in (([2], [-1]), ([], [3, 1]), ([4, 0, 0, -2], [5, 5, -3]),
                         ([-6], [1, 1])):
-        blocks = sorted([(d, canonical_klein_even(d)) for d in evens]
-                        + [(d, canonical_klein_pair(d)) for d in odds],
+        blocks = sorted([(d, canonical_structure(klein(), [d])) for d in evens]
+                        + [(d, canonical_structure(klein(), [d, d])) for d in odds],
                         key=lambda b: -b[0])
         multiset = evens + [d for d in odds for _ in (0, 1)]
         rng.shuffle(multiset)
@@ -627,9 +626,9 @@ def _replay_cases():
         yield cert, mutate_structure(mutations, S)
     # frames of the wrong degree that pass both point tests
     yield (DecompositionCertificate(cyclic(1), ((0, characters(cyclic(1))[0]),), (),
-                                    M([["1-z"]]), 1), canonical_cyclic(1, 1))
+                                    M([["1-z"]]), 1), canonical_structure(cyclic(1), [1]))
     yield (DecompositionCertificate(klein(), ((0, Character(klein(), signs=(-1, 1))),), (),
-                                    M([["1-z^2"]], 4), 4), canonical_tangent())
+                                    M([["1-z^2"]], 4), 4), canonical_structure(klein(), [2]))
 
 
 def test_replay_agrees_with_the_replay_on_the_built_structure():

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqbundles.cyclotomic import (MAX_CONDUCTOR, CycNum, cyclotomic_polynomial, euler_phi,
-                                  primitive_root, render_cycnum, root_of_unity)
+                                  render_cycnum, root_of_unity)
 from eqbundles.cyclotomic import _gauss_jordan_inverse
 from eqbundles.errors import ConductorMismatch
 from eqbundles.laurent import parse_laurent
-from eqbundles.linalg import det_const
 
 from oracles import cyclotomic_product_reference
 
@@ -31,20 +30,20 @@ def cycnums(draw, conductor=None, nonzero=False):
 
 
 def test_half_plus_zeta4_cancellation():
-    z4 = primitive_root(4)
+    z4 = root_of_unity(4, 1)
     half = CycNum.rational(4, Fraction(1, 2))
     assert (half + z4) + (half - z4) == 1
 
 
 def test_zeta4_squared():
-    z4 = primitive_root(4)
+    z4 = root_of_unity(4, 1)
     assert z4 * z4 == -1
 
 
 def test_inverse_of_zeta3():
     # frozen from the extended-Euclid computation mod x^2 + x + 1:
     # 1/zeta_3 = zeta_3^2 = -1 - zeta_3 in the power basis
-    z3 = primitive_root(3)
+    z3 = root_of_unity(3, 1)
     inv = 1 / z3
     assert inv == z3 ** 2
     assert inv.coeffs == (Fraction(-1), Fraction(-1))
@@ -52,15 +51,15 @@ def test_inverse_of_zeta3():
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_primitive_root_order(m):
-    z = primitive_root(m)
+    z = root_of_unity(m, 1)
     assert z ** m == 1
     for k in range(1, m):
         assert z ** k != 1
 
 
 def test_small_conductor_values():
-    assert primitive_root(1) == 1
-    assert primitive_root(2) == -1
+    assert root_of_unity(1, 1) == 1
+    assert root_of_unity(2, 1) == -1
 
 
 @pytest.mark.parametrize("m,expect", [
@@ -101,9 +100,9 @@ def test_division_by_zero():
 
 def test_conductor_mismatch():
     with pytest.raises(ConductorMismatch):
-        primitive_root(3) + primitive_root(4)
+        root_of_unity(3, 1) + root_of_unity(4, 1)
     with pytest.raises(ConductorMismatch):
-        primitive_root(4).embed(6)
+        root_of_unity(4, 1).embed(6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,7 +118,7 @@ def test_embedding_is_a_ring_homomorphism(data):
 
 def test_roots_of_unity_table():
     assert root_of_unity(4, 2) == -1
-    assert root_of_unity(4, 3) == -primitive_root(4)
+    assert root_of_unity(4, 3) == -root_of_unity(4, 1)
     assert root_of_unity(6, 3) == -1
 
 
@@ -130,7 +129,7 @@ def test_render_parse_roundtrip(a):
 
 
 def test_render_examples():
-    z4 = primitive_root(4)
+    z4 = root_of_unity(4, 1)
     assert render_cycnum(CycNum.rational(4, Fraction(3, 4))) == "3/4"
     assert render_cycnum(z4) == "z4"
     assert render_cycnum(CycNum.rational(4, 1) + z4) == "1+z4"
@@ -203,9 +202,9 @@ def test_unit_factor_matches_general_product(data):
 
 @pytest.mark.parametrize("s", [1, -1])
 def test_unit_factor_still_checks_the_conductor(s):
-    for a, b in ((CycNum.rational(4, s), primitive_root(3)),
+    for a, b in ((CycNum.rational(4, s), root_of_unity(3, 1)),
                  (CycNum.rational(4, s), CycNum.rational(12, s)),
-                 (primitive_root(12), CycNum.rational(4, s))):
+                 (root_of_unity(12, 1), CycNum.rational(4, s))):
         with pytest.raises(ConductorMismatch):
             a * b
         with pytest.raises(ConductorMismatch):
@@ -236,11 +235,11 @@ def test_canonical_form_equal_values_compare_and_hash_equal():
 
 def test_coeffs_is_a_tuple_of_fractions():
     for a in (CycNum(12, [1, Fraction(1, 2), 0, -3]), CycNum.zero(4), CycNum.one(1),
-              primitive_root(5) / 3):
+              root_of_unity(5, 1) / 3):
         assert isinstance(a.coeffs, tuple)
         assert len(a.coeffs) == euler_phi(a.conductor)
         assert all(type(c) is Fraction for c in a.coeffs)
-    assert (primitive_root(5) / 3).coeffs == (0, Fraction(1, 3), 0, 0)
+    assert (root_of_unity(5, 1) / 3).coeffs == (0, Fraction(1, 3), 0, 0)
 
 
 @pytest.mark.parametrize("m", ORACLE_CONDUCTORS)
@@ -260,27 +259,6 @@ def test_root_of_unity_inverse_by_lookup_equals_gauss_jordan(m):
             inv = x.inverse()
             assert inv == _gauss_jordan_inverse(x)
             assert x * inv == 1
-
-
-def test_det_const_inverts_only_pivots_that_eliminate(monkeypatch):
-    calls = []
-    real = CycNum.inverse
-
-    def counted(self):
-        calls.append(self)
-        return real(self)
-
-    monkeypatch.setattr(CycNum, "inverse", counted)
-    z = primitive_root(97)
-    x = z ** 3 - z  # a Gauss-Jordan pass at m = 97, were it inverted
-    assert det_const([[x]], 97) == x
-    zero = CycNum.zero(97)
-    upper = [[x, z, 2], [zero, x + 1, z], [zero, zero, 3 * x]]
-    assert det_const(upper, 97) == x * (x + 1) * (3 * x)
-    assert calls == []
-    # a nonzero entry below the pivot still needs its inverse
-    assert det_const([[x, z], [z, x]], 97) == x * x - z * z
-    assert calls == [x]
 
 
 @settings(max_examples=30, deadline=None)

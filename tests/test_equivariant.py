@@ -4,14 +4,10 @@ from random import Random
 
 import pytest
 
-from eqbundles.bundle import (direct_sum, h0, hom, line_bundle, make_bundle,
-                             model_bundle)
+from eqbundles.bundle import direct_sum, h0, hom, make_bundle, model_bundle
 from eqbundles.classify import build_structure, decompose
 from eqbundles.cyclotomic import CycNum, root_of_unity
-from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
-                                   canonical_klein_even, canonical_klein_lift,
-                                   canonical_klein_pair,
-                                   canonical_structure, canonical_tangent,
+from eqbundles.equivariant import (EquivariantStructure, canonical_structure,
                                    central_sign, conjugate_structure,
                                    descend_lift, direct_sum_structures,
                                    existence, is_bundle_map,
@@ -33,25 +29,25 @@ from oracles import full_cocycle_table
 def _klein_line_structure(d, n_a1, n_a2, n_a1a2, conductor=4):
     maps = {"e": M([["1"]], conductor), "a1": M([[n_a1]], conductor),
             "a2": M([[n_a2]], conductor), "a1a2": M([[n_a1a2]], conductor)}
-    return EquivariantStructure(line_bundle(conductor, d), klein(), maps)
+    return EquivariantStructure(model_bundle(conductor, [d]), klein(), maps)
 
 
 # -- is_bundle_map -------------------------------------------------------------
 
 def test_bundle_map_tautological_swap():
-    E = line_bundle(4, -1)
+    E = model_bundle(4, [-1])
     a2 = element_by_name(klein(), "a2")
     assert is_bundle_map(E, a2, M([["z"]], 4))
 
 
 def test_bundle_map_tangent_chain_rule():
-    E = line_bundle(4, 2)
+    E = model_bundle(4, [2])
     a2 = element_by_name(klein(), "a2")
     assert is_bundle_map(E, a2, M([["-z^-2"]], 4))
 
 
 def test_bundle_map_rejects_vanishing_at_zero():
-    E = line_bundle(4, -1)
+    E = model_bundle(4, [-1])
     e = element_by_name(klein(), "e")
     assert not is_bundle_map(E, e, M([["z"]], 4))
 
@@ -61,7 +57,7 @@ def test_bundle_map_rejects_vanishing_at_zero():
 @pytest.mark.parametrize("G", [cyclic(1), cyclic(3), klein()])
 def test_trivial_structure_validates(G):
     from eqbundles.group import elements
-    E = line_bundle(G.conductor, 0)
+    E = model_bundle(G.conductor, [0])
     one = LaurentMatrix.identity(G.conductor, 1)
     maps = {g.name: one for g in elements(G)}
     S = EquivariantStructure(E, G, maps)
@@ -69,7 +65,7 @@ def test_trivial_structure_validates(G):
 
 
 def test_tautological_cyclic_action_validates():
-    S = canonical_cyclic(3, -1)
+    S = canonical_structure(cyclic(3), [-1])
     assert S.maps["g"] == LaurentMatrix.identity(3, 1)
     assert validate_structure(S)
 
@@ -126,11 +122,11 @@ def _non_cocycle_checks_pass(S):
 
 def _validation_cases(rng):
     """Valid structures, each with its number of one-entry corruptions."""
-    lift1 = canonical_klein_lift(1)
+    lift1 = canonical_structure(klein(), [1], lift=True)
     built = {G: _scrambled(rng, build_structure(random_certificate(rng, G, 2, -2, 2)))
              for G in (cyclic(12), cyclic(5), klein(), cyclic(1))}
     return [(built[cyclic(12)], 6), (built[cyclic(5)], 30), (built[klein()], 30),
-            (built[cyclic(1)], 10), (canonical_klein_lift(3), 25),
+            (built[cyclic(1)], 10), (canonical_structure(klein(), [3], lift=True), 25),
             (direct_sum_structures(lift1, _twist_lift(lift1, characters(klein())[3])),
              25)]
 
@@ -184,13 +180,13 @@ def test_generator_validation_needs_every_generator():
 
 
 def test_missing_element_raises():
-    E = line_bundle(4, 0)
+    E = model_bundle(4, [0])
     with pytest.raises(MissingElement):
         EquivariantStructure(E, klein(), {"e": LaurentMatrix.identity(4, 1)})
 
 
 def test_map_key_outside_the_group_raises():
-    S = canonical_tangent()
+    S = canonical_structure(klein(), [2])
     with pytest.raises(MissingElement, match="map key 'bogus' is not an element of klein"):
         EquivariantStructure(S.bundle, S.group, dict(S.maps, bogus=S.maps["a1"]))
     # a lift-group name is not an element of the Klein group either
@@ -201,7 +197,7 @@ def test_map_key_outside_the_group_raises():
 # -- canonical structures ---------------------------------------------------------
 
 def test_canonical_tangent_cocycle():
-    S = canonical_tangent()
+    S = canonical_structure(klein(), [2])
     assert S.maps["a1"] == M([["-1"]], 4)
     assert S.maps["a2"] == M([["-z^-2"]], 4)
     assert S.maps["a1a2"] == M([["z^-2"]], 4)
@@ -212,7 +208,7 @@ def test_canonical_tangent_cocycle():
 
 
 def test_canonical_klein_pair():
-    S = canonical_klein_pair(-1)
+    S = canonical_structure(klein(), [-1, -1])
     assert S.maps["a1"] == M([["-1", "0"], ["0", "1"]], 4)
     assert S.maps["a2"] == M([["0", "z"], ["z", "0"]], 4)
     assert validate_structure(S)
@@ -226,8 +222,6 @@ def test_canonical_klein_pair():
 
 def test_canonical_klein_odd_single_is_obstructed():
     with pytest.raises(NoSuchStructure):
-        canonical_klein_even(-1)
-    with pytest.raises(NoSuchStructure):
         canonical_structure(klein(), [-1])
     with pytest.raises(NoSuchStructure):
         canonical_structure(klein(), [3, 1, 1])
@@ -235,11 +229,11 @@ def test_canonical_klein_odd_single_is_obstructed():
 
 def test_canonical_lift_signs():
     for d in (-3, -1, 1, 3, 5):
-        S = canonical_klein_lift(d)
+        S = canonical_structure(klein(), [d], lift=True)
         assert validate_structure(S)
         assert central_sign(S) == -1
     for d in (-2, 0, 2):
-        S = canonical_klein_lift(d)
+        S = canonical_structure(klein(), [d], lift=True)
         assert validate_structure(S)
         assert central_sign(S) == 1
         assert validate_structure(descend_lift(S))
@@ -247,7 +241,7 @@ def test_canonical_lift_signs():
 
 def test_descend_requires_trivial_center():
     with pytest.raises(NoSuchStructure):
-        descend_lift(canonical_klein_lift(1))
+        descend_lift(canonical_structure(klein(), [1], lift=True))
 
 
 def test_canonical_structure_assembles_sums():
@@ -261,13 +255,13 @@ def test_canonical_structure_assembles_sums():
 # -- twists and quotients -----------------------------------------------------------
 
 def test_twist_by_trivial_character_is_identity():
-    S = canonical_tangent()
+    S = canonical_structure(klein(), [2])
     T = twist_by_character(S, characters(klein())[0])
     assert T == S
 
 
 def test_twist_cyclic2_on_trivial_bundle():
-    S = canonical_cyclic(2, 0)
+    S = canonical_structure(cyclic(2), [0])
     chi1 = characters(cyclic(2))[1]
     T = twist_by_character(S, chi1)
     assert T.maps["g"] == M([["-1"]], 2)
@@ -275,7 +269,7 @@ def test_twist_cyclic2_on_trivial_bundle():
 
 
 def test_twist_tangent_by_sign_character():
-    S = canonical_tangent()
+    S = canonical_structure(klein(), [2])
     chi = Character(klein(), signs=(-1, 1))
     T = twist_by_character(S, chi)
     assert T.maps["a1"] == M([["1"]], 4)
@@ -291,7 +285,7 @@ def _line_character(S):
 
 
 def test_structure_quotient_roundtrip():
-    S = canonical_cyclic(4, 1)
+    S = canonical_structure(cyclic(4), [1])
     assert _line_character(S) == characters(S.group)[0]
     for chi in characters(cyclic(4)):
         T = twist_by_character(S, chi)
@@ -300,14 +294,14 @@ def test_structure_quotient_roundtrip():
 
 
 def test_structure_quotient_sign_example():
-    S1 = canonical_cyclic(2, -1)
+    S1 = canonical_structure(cyclic(2), [-1])
     S2 = twist_by_character(S1, characters(cyclic(2))[1])
     assert S2.maps["g"] == M([["-1"]], 2)
     assert _line_character(S2) == characters(cyclic(2))[1]
 
 
 def test_klein_even_torsor_roundtrip():
-    S = canonical_klein_even(-2)
+    S = canonical_structure(klein(), [-2])
     for chi in characters(klein()):
         T = twist_by_character(S, chi)
         assert validate_structure(T)
@@ -318,8 +312,8 @@ def test_klein_even_torsor_roundtrip():
 def test_descended_lift_is_a_character_twist_of_the_even_canonical():
     # the two canonical families on O(2m) differ by a sign character
     for d in (-4, -2, 0, 2, 4):
-        descended = descend_lift(canonical_klein_lift(d))
-        even = canonical_klein_even(d)
+        descended = descend_lift(canonical_structure(klein(), [d], lift=True))
+        even = canonical_structure(klein(), [d])
         assert _line_character(even) == characters(klein())[0]
         chi = _line_character(descended)
         m = d // 2
@@ -370,7 +364,7 @@ def test_no_unit_monomial_cocycle_on_odd_line_bundles():
                 "a2": LaurentMatrix(4, [[LaurentPoly(4, {-d: c2})]]),
                 "a1a2": LaurentMatrix(4, [[LaurentPoly(4, {-d: c1 * c2})]]),
             }
-            S = EquivariantStructure(line_bundle(4, d), K, maps)
+            S = EquivariantStructure(model_bundle(4, [d]), K, maps)
             assert not validate_structure(S)
 
 
@@ -380,7 +374,7 @@ def _constant_cyclic_structure(n, d, c):
     for j in range(n):
         name = "e" if j == 0 else ("g" if j == 1 else f"g^{j}")
         maps[name] = LaurentMatrix(n, [[LaurentPoly.const(n, c ** j)]])
-    return EquivariantStructure(line_bundle(n, d), cyclic(n), maps)
+    return EquivariantStructure(model_bundle(n, [d]), cyclic(n), maps)
 
 
 def test_valid_cyclic_constants_are_roots_of_unity():
@@ -407,29 +401,29 @@ def test_valid_cyclic_constants_are_roots_of_unity():
 def test_existence_parity():
     K = klein()
     for d in range(-6, 7):
-        assert existence(line_bundle(4, d), K) == (d % 2 == 0)
+        assert existence(model_bundle(4, [d]), K) == (d % 2 == 0)
     assert existence(model_bundle(4, [-1, -1]), K)
     assert not existence(model_bundle(4, [2, 1]), K)
     assert existence(model_bundle(4, [3, 3, 0]), K)
     for d in range(-4, 5):
-        assert existence(line_bundle(6, d), cyclic(6))
+        assert existence(model_bundle(6, [d]), cyclic(6))
 
 
 # -- equivalence ----------------------------------------------------------------------
 
 def test_equivalent_reflexive():
-    S = canonical_klein_pair(-1)
+    S = canonical_structure(klein(), [-1, -1])
     assert structures_equivalent(S, S)
 
 
 def test_twisted_line_structures_not_equivalent():
-    S = canonical_cyclic(3, 1)
+    S = canonical_structure(cyclic(3), [1])
     T = twist_by_character(S, characters(cyclic(3))[1])
     assert not structures_equivalent(S, T)
 
 
 def test_conjugated_pair_structures_equivalent():
-    S = canonical_klein_pair(-1)
+    S = canonical_structure(klein(), [-1, -1])
     U = M([["0", "1"], ["1", "0"]], 4)
     T = conjugate_structure(S, U)
     assert validate_structure(T)
@@ -440,7 +434,7 @@ def test_pair_structure_character_twists_all_equivalent():
     # decided instance-wise: constant intertwiners exist for every sign
     # twist of the paired structure (antidiag(1,1) anticommutes with
     # diag(-1,1) and commutes with the swap, etc.)
-    S = canonical_klein_pair(-1)
+    S = canonical_structure(klein(), [-1, -1])
     for chi in characters(klein()):
         T = twist_by_character(S, chi)
         assert validate_structure(T)
@@ -452,8 +446,8 @@ def test_rank_two_split_structures():
 
     def with_signs(s1, s2):
         S0 = direct_sum_structures(
-            twist_by_character(canonical_cyclic(2, 0), chars[0 if s1 == 1 else 1]),
-            twist_by_character(canonical_cyclic(2, 0), chars[0 if s2 == 1 else 1]))
+            twist_by_character(canonical_structure(cyclic(2), [0]), chars[0 if s1 == 1 else 1]),
+            twist_by_character(canonical_structure(cyclic(2), [0]), chars[0 if s2 == 1 else 1]))
         return S0
 
     plus_minus = with_signs(1, -1)
@@ -468,7 +462,6 @@ def _assert_same_structure(S, T):
     assert S.bundle.transition == T.bundle.transition
     assert S.bundle.inverse_transition() == T.bundle.inverse_transition()
     assert S.bundle.degree() == T.bundle.degree()
-    assert S.bundle._det_unit == T.bundle._det_unit
 
 
 def _moved(S, seed):
@@ -483,11 +476,13 @@ def _moved(S, seed):
 def test_direct_sum_of_many_parts_equals_the_pairwise_fold():
     chars3, chars_k = characters(cyclic(3)), characters(klein())
     families = [
-        [twist_by_character(canonical_cyclic(3, d), chars3[k])
+        [twist_by_character(canonical_structure(cyclic(3), [d]), chars3[k])
          for d, k in ((2, 1), (0, 0), (-1, 2), (-3, 1))],
-        [canonical_klein_even(2), twist_by_character(canonical_klein_pair(-1), chars_k[3]),
-         twist_by_character(canonical_klein_even(0), chars_k[1]), canonical_klein_pair(1)],
-        [canonical_klein_lift(1), canonical_klein_lift(-1), canonical_klein_lift(3)],
+        [canonical_structure(klein(), [2]),
+         twist_by_character(canonical_structure(klein(), [-1, -1]), chars_k[3]),
+         twist_by_character(canonical_structure(klein(), [0]), chars_k[1]),
+         canonical_structure(klein(), [1, 1])],
+        [canonical_structure(klein(), [d], lift=True) for d in (1, -1, 3)],
     ]
     families.append([_moved(S, seed) for seed, S in enumerate(families[1])])
     for parts in families:
@@ -495,14 +490,15 @@ def test_direct_sum_of_many_parts_equals_the_pairwise_fold():
             S = direct_sum_structures(*parts[:n])
             _assert_same_structure(S, reduce(direct_sum_structures, parts[:n]))
             assert S.bundle.rank == sum(P.bundle.rank for P in parts[:n])
-            assert S.bundle._det_unit == S.bundle.transition.det_unit()
+            assert S.bundle.degree() == S.bundle.transition.det_unit()[1]
             assert S.bundle.inverse_transition() == S.bundle.transition.inverse()
             assert validate_structure(S)
     with pytest.raises(NotComparable):
-        direct_sum_structures(canonical_klein_even(0), canonical_klein_even(2),
-                              canonical_klein_lift(0))
+        direct_sum_structures(canonical_structure(klein(), [0]),
+                              canonical_structure(klein(), [2]),
+                              canonical_structure(klein(), [0], lift=True))
     with pytest.raises(ConductorMismatch):
-        direct_sum(line_bundle(4, 0), line_bundle(4, 1), line_bundle(3, 0))
+        direct_sum(model_bundle(4, [0]), model_bundle(4, [1]), model_bundle(3, [0]))
 
 
 # The expected answers below agree with the seeded intertwiner search
@@ -511,14 +507,14 @@ def test_direct_sum_of_many_parts_equals_the_pairwise_fold():
 @pytest.mark.parametrize("d", [3, 2, -1])
 def test_lift_character_twists_equivalent_only_when_trivial(d):
     # rank-1 automorphisms are constants, which cannot absorb a character
-    L = canonical_klein_lift(d)
+    L = canonical_structure(klein(), [d], lift=True)
     for chi in characters(klein()):
         assert structures_equivalent(L, _twist_lift(L, chi)) == (chi == characters(klein())[0])
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_lift_direct_sum_equivalent_to_block_swap(d):
-    L = canonical_klein_lift(d)
+    L = canonical_structure(klein(), [d], lift=True)
     T = _twist_lift(L, characters(klein())[2])
     assert structures_equivalent(direct_sum_structures(L, T),
                                  direct_sum_structures(T, L))
@@ -527,12 +523,13 @@ def test_lift_direct_sum_equivalent_to_block_swap(d):
 
 
 def test_lift_unequal_central_signs_not_equivalent():
-    paired = _inflate(canonical_klein_pair(1))
-    lines = direct_sum_structures(canonical_klein_lift(1), canonical_klein_lift(1))
+    paired = _inflate(canonical_structure(klein(), [1, 1]))
+    line = canonical_structure(klein(), [1], lift=True)
+    lines = direct_sum_structures(line, line)
     assert paired.bundle == lines.bundle
     assert central_sign(paired) == 1 and central_sign(lines) == -1
     assert not structures_equivalent(paired, lines)
-    twisted = _inflate(twist_by_character(canonical_klein_pair(1),
+    twisted = _inflate(twist_by_character(canonical_structure(klein(), [1, 1]),
                                           characters(klein())[3]))
     assert structures_equivalent(paired, twisted)
 

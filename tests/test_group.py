@@ -1,6 +1,6 @@
 import pytest
 
-from eqbundles.cyclotomic import CycNum, primitive_root
+from eqbundles.cyclotomic import CycNum, root_of_unity
 from eqbundles.group import (characters, cyclic, element_by_name, elements,
                              generators, identity, inverse, klein, klein_lift,
                              multiply)
@@ -13,7 +13,7 @@ def test_cyclic_elements():
     names = [g.name for g in elements(G)]
     assert names == ["e", "g", "g^2"]
     g = elements(G)[1]
-    assert g.c == primitive_root(3) and g.e == 1
+    assert g.c == root_of_unity(3, 1) and g.e == 1
 
 
 def test_klein_elements_and_fixed_points():
@@ -25,7 +25,7 @@ def test_klein_elements_and_fixed_points():
     # a1a2: z -> -1/z fixes the square roots of -1
     a1a2 = by_name["a1a2"]
     assert a1a2.c == -1 and a1a2.e == -1
-    i = primitive_root(4)
+    i = root_of_unity(4, 1)
     assert a1a2.c * i ** a1a2.e == i  # -1/i = i
 
 

@@ -12,11 +12,9 @@ import eqbundles
 from eqbundles.bundle import make_bundle
 from eqbundles.cli import main
 from eqbundles.cyclotomic import MAX_CONDUCTOR
-from eqbundles.equivariant import (EquivariantStructure, canonical_cyclic,
-                                   canonical_klein_pair, canonical_structure,
-                                   canonical_tangent, direct_sum_structures,
-                                   twist_by_character, validate_structure,
-                                   validation_report)
+from eqbundles.equivariant import (EquivariantStructure, canonical_structure,
+                                   direct_sum_structures, twist_by_character,
+                                   validate_structure, validation_report)
 from eqbundles.errors import ParseError, ValidationError
 from eqbundles.group import characters, cyclic, klein
 from eqbundles.laurent import MAX_EXPONENT, parse_laurent
@@ -48,10 +46,9 @@ def test_bundle_document_roundtrip():
 
 
 def test_structure_document_roundtrip():
-    from eqbundles.equivariant import canonical_klein_lift
-    for S in (canonical_tangent(), canonical_klein_pair(-1),
+    for S in (canonical_structure(klein(), [2]), canonical_structure(klein(), [-1, -1]),
               canonical_structure(cyclic(3), [1, -1]),
-              canonical_klein_lift(-1)):
+              canonical_structure(klein(), [-1], lift=True)):
         text = render_document(S)
         back = parse_document(text)
         assert back == S
@@ -236,11 +233,41 @@ def test_cli_document_flow(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_build_writes_the_bytes_of_canonical(tmp_path, capsys):
+    """`canonical` and `build` assemble the canonical blocks through one
+    function: decomposing a canonical structure and building from its
+    certificate, with no target or onto the same shortcut, writes the
+    same document; `tangent` and `O(2)` are one bundle."""
+    rng = Random(59)
+    cases = [(f"cyclic:{n}", sorted((rng.randint(-5, 5) for _ in range(rng.randint(1, 4))),
+                                    reverse=True)) for n in range(1, 13)]
+    cases += [("klein", [2, 1, 1, 0, -3, -3]), ("klein", [-1, -1]), ("klein", [4, 0, 0]),
+              ("klein", [5, 5, 5, 5, -2])]
+    cases += [(group, "tangent") for group in ("klein", "cyclic:1", "cyclic:4", "cyclic:12")]
+    s_path, c_path, b_path = (tmp_path / name for name in ("s.json", "c.json", "b.json"))
+    for group, degrees in cases:
+        target = degrees if degrees == "tangent" else "+".join(f"O({d})" for d in degrees)
+        assert main(["canonical", "--group", group, "--target", target,
+                     "--out", str(s_path)]) == 0
+        expected = s_path.read_text()
+        assert main(["decompose", str(s_path), "--out", str(c_path)]) == 0
+        builds = [[], ["--target", target]]
+        if degrees == "tangent":
+            builds.append(["--target", "O(2)"])
+            assert main(["canonical", "--group", group, "--target", "O(2)",
+                         "--out", str(s_path)]) == 0
+            assert s_path.read_text() == expected
+        for extra in builds:
+            assert main(["build", "--cert", str(c_path), "--out", str(b_path)] + extra) == 0
+            assert b_path.read_text() == expected, (group, target, extra)
+    capsys.readouterr()
+
+
 def test_cli_build_onto_target(tmp_path, capsys):
     from eqbundles.equivariant import transport_structure
     from eqbundles.randgen import random_unimodular
     rng = Random(53)
-    S0 = canonical_klein_pair(-1)
+    S0 = canonical_structure(klein(), [-1, -1])
     P = random_unimodular(rng, 4, 2, var_sign=1, ops=2)
     Q = random_unimodular(rng, 4, 2, var_sign=-1, ops=2)
     E = make_bundle(P @ S0.bundle.transition @ Q)
@@ -291,7 +318,7 @@ def test_cli_verify_cert_rejects_a_lift_structure(tmp_path, capsys):
 
 
 def test_cli_invalid_structure_names_the_failed_check(tmp_path, capsys):
-    S = canonical_tangent()
+    S = canonical_structure(klein(), [2])
     maps = dict(S.maps)
     maps["a2"] = maps["a2"].scale(2)
     bad = EquivariantStructure(S.bundle, S.group, maps)
@@ -342,8 +369,8 @@ def test_cli_decompose_names_a_bug_as_internal_inconsistency(
                         lambda rho: [(chi, v) for (chi, _), (_, v)
                                      in zip(real(rho), reversed(real(rho)))])
     chi = characters(cyclic(3))[1]
-    S = direct_sum_structures(twist_by_character(canonical_cyclic(3, 0), chi),
-                              canonical_cyclic(3, 0))
+    S = direct_sum_structures(twist_by_character(canonical_structure(cyclic(3), [0]), chi),
+                              canonical_structure(cyclic(3), [0]))
     path = tmp_path / "s.json"
     path.write_text(render_document(S))
     assert main(["decompose", str(path)]) == 2
