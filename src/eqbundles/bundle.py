@@ -17,10 +17,10 @@ frame applied to the monomial sections of the model, so no linear
 system over section coefficients is ever built.
 
 The splitting type does not need the inverse transition, so a parsed
-bundle is only checked for a unit-monomial determinant, by the
-determinant-only elimination; the inverse, which the chart certificates
-use, is computed on first use and then kept.  A structure document's
-bundle gets both from one elimination of [T | I] instead.
+bundle keeps only the degree of its unit-monomial determinant; the
+inverse, which the chart certificates use, is computed on first use and
+then kept.  A structure document's bundle keeps both from the one
+elimination of [T | I].
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNum
 from .errors import ConductorMismatch, InternalInconsistency
-from .laurent import LaurentMatrix, LaurentPoly, regular_invertible_at
+from .laurent import LaurentMatrix, LaurentPoly, formed, regular_invertible_at
 from .linalg import kernel_dense
 
 
@@ -37,8 +37,8 @@ class VectorBundle:
     """rank + transition matrix on the two-chart cover of the projective line.
 
     Construction checks that det T is a unit monomial c*z^e (NonUnimodular
-    otherwise) by the determinant-only elimination and keeps the degree e;
-    T^-1 is computed on the first `inverse_transition()` and kept."""
+    otherwise) and keeps the degree e; T^-1 is computed on the first
+    `inverse_transition()` and kept."""
 
     __slots__ = ("rank", "conductor", "transition", "_inverse", "_degree")
 
@@ -236,7 +236,7 @@ def model_isomorphism(E: VectorBundle) -> ModelIso:
     invertible at 0 because A(0) = L, and E^-1 * psi * z^D = U is regular
     and invertible at infinity because U is in GL_r(C[w]).
     `chart_certificate` is replayed as a postcondition."""
-    st, psi, _ = _frame(E)
+    st, psi = _frame(E)
     return ModelIso(model=st, psi=psi, bundle=E)
 
 
@@ -269,50 +269,59 @@ def column_frame(E: VectorBundle, inverse: bool = False):
 
 
 def _frame(E):
-    """(splitting type, psi, U = E^-1 * psi * z^D), certified."""
+    """(splitting type, psi), certified."""
     st, psi = column_frame(E)
-    U = _certify(E, st, psi)
-    if U is None:
+    if not _certify(E, st, psi):
         raise InternalInconsistency("model isomorphism failed a chart certificate")
-    return st, psi, U
+    return st, psi
 
 
-def _certify(E, st, psi):
-    """U = E^-1 * psi * z^D if psi passes `chart_certificate`, else None."""
-    U, problems = chart_certificate(psi, st.degrees, E)
-    return None if problems else U
+def _certify(E, st, psi) -> bool:
+    """Whether psi passes `chart_certificate`."""
+    return not chart_certificate(psi, st.degrees, E)
 
 
-def chart_certificate(F: LaurentMatrix, degrees, target: VectorBundle):
-    """(U, problems) for a frame F (0-chart data) from diag(z^d), d in the
-    sequence `degrees`, onto `target`, with U = target^-1 * F * z^D; F is
-    a bundle isomorphism exactly when the list of problems is empty.
+def _at_infinity_chart(X: LaurentMatrix, degrees) -> LaurentMatrix:
+    """X * z^D for D = diag(degrees), a column scaling."""
+    one = CycNum.one(X.conductor)
+    return X.times_monomial([(j, one, d) for j, d in enumerate(degrees)])
+
+
+def chart_certificate(F: LaurentMatrix, degrees, target: VectorBundle) -> list:
+    """The problems of a frame F (0-chart data) from diag(z^d), d in the
+    sequence `degrees`, onto `target`: F is a bundle isomorphism exactly
+    when the list is empty.
 
     The conditions are deg target = sum(d), F regular and invertible at 0,
-    and U regular and invertible at infinity.  Without the degree
-    condition the two point tests pass F = 1 - z from O(0) onto O(1).
+    and U = target^-1 * F * z^D regular and invertible at infinity.
+    Without the degree condition the two point tests pass F = 1 - z from
+    O(0) onto O(1).
 
     One determinant is tested, that of F(0).  With det target =
     c*z^(sum d), det U = c^-1 * z^(-sum d) * det F * z^(sum d) = c^-1 *
     det F.  F regular at 0 makes det F a polynomial in z, U regular at
     infinity makes det U one in 1/z, so both are constants, and det U =
     c^-1 * det F(0) != 0: U is invertible at infinity once it is regular
-    there.  When the degree or the test at 0 fails, the argument does not
-    apply and det U(infinity) is tested as well, so the problems listed
-    are those of the three tests.  z^D acts as a column scaling, so U
-    costs one matrix product."""
+    there, which the accumulators of target^-1 * F show with no entry of
+    U formed (z^D adds d_j to the exponents of column j).  When the degree
+    or the test at 0 fails, the argument does not apply: U is formed and
+    det U(infinity) is tested as well, so the problems listed are those
+    of the three tests."""
     problems = []
     if sum(degrees) != target.degree():
         problems.append(f"model degree {sum(degrees)} != bundle degree {target.degree()}")
     if not regular_invertible_at(F, "zero"):
         problems.append("change of frame not regular+invertible at 0")
-    one = CycNum.one(target.conductor)
-    U = (target.inverse_transition() @ F).times_monomial(
-        [(j, one, d) for j, d in enumerate(degrees)])
-    if not (regular_invertible_at(U, "infinity") if problems
-            else all(e <= 0 for row in U.entries for p in row for e in p.coeffs)):
+    table = target.inverse_transition().product_terms(F)
+    if problems:
+        U = _at_infinity_chart(formed(target.conductor, table, F.cols), degrees)
+        regular = regular_invertible_at(U, "infinity")
+    else:
+        regular = not any(e + degrees[j] > 0 and any(v) for accs in table
+                          for j, acc in accs.items() for e, (v, _) in acc.items())
+    if not regular:
         problems.append("change of frame fails the infinity certificate")
-    return U, problems
+    return problems
 
 
 @dataclass(frozen=True)
@@ -337,7 +346,8 @@ def global_sections(E: VectorBundle):
     infinity, and independent, as U is invertible.  Sections are sorted by
     their last nonzero s_infty entry and its w-degree, which on a model
     bundle lists the w-coefficients coordinate by coordinate."""
-    st, psi, U = _frame(E)
+    st, psi = _frame(E)
+    U = _at_infinity_chart(E.inverse_transition() @ psi, st.degrees)
     one, out = CycNum.one(E.conductor), []
     for j, d in enumerate(st.degrees):
         u_j = [row[j].substitute(one, -1) for row in U.entries]

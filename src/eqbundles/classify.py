@@ -56,7 +56,8 @@ from .equivariant import (EquivariantStructure, GroupIndexed, canonical_model,
                           transport_structure)
 from .group import (Character, GroupSpec, characters, elements, generators, identity,
                     inverse, klein_lift)
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import (LaurentMatrix, LaurentPoly, accumulators, add_column_map, agrees,
+                      formed)
 from .linalg import kernel_dense
 
 
@@ -348,7 +349,7 @@ def build_structure(cert: DecompositionCertificate,
     if target.conductor != cert.conductor:
         raise ShapeMismatch(
             f"certificate conductor {cert.conductor} vs target {target.conductor}")
-    _, problems = chart_certificate(cert.change_of_frame, _model(cert)[0], target)
+    problems = chart_certificate(cert.change_of_frame, _model(cert)[0], target)
     if problems:
         raise ShapeMismatch(problems[0])
     return transport_structure(built, cert.change_of_frame, target)
@@ -363,7 +364,9 @@ def verify_certificate_report(cert: DecompositionCertificate,
     from the canonical model diag(z^d) (`chart_certificate`) and that
     F(gamma z) B_gamma(z) = S_gamma(z) F(z) for every gamma.  B is read
     off the block data as monomial rows (`_model`), so F(gamma z) B_gamma
-    is a column map and each element costs one matrix product, S_gamma F.
+    is a column map, which `add_column_map` builds on F's numerators, and
+    each element costs one pass of the product kernel: the accumulators of
+    S_gamma F are compared with it (`agrees`) and no product is formed.
     At the identity B_e = I, so the identity reads F = S_e F; F is
     invertible at 0, hence as a matrix over the rational functions, so it
     holds exactly when S_e = I, which is what is compared."""
@@ -377,15 +380,17 @@ def verify_certificate_report(cert: DecompositionCertificate,
         return [f"certificate conductor {cert.conductor} vs {S.conductor}"]
     degrees, B = _model(cert)
     F = cert.change_of_frame
-    _, reasons = chart_certificate(F, degrees, S.bundle)
+    reasons = chart_certificate(F, degrees, S.bundle)
     if reasons:
         return reasons
-    id_name = identity(S.group).name
+    id_name, cond, source = identity(S.group).name, S.conductor, accumulators(F)
     for name, c, e in S.action_items():
         if name == id_name:
-            same = S.maps[name] == LaurentMatrix.identity(S.conductor, S.bundle.rank)
+            same = S.maps[name] == LaurentMatrix.identity(cond, S.bundle.rank)
         else:
-            same = F.substitute(c, e).times_monomial(B[name]) == S.maps[name] @ F
+            target = [{} for _ in range(F.rows)]
+            add_column_map(target, source, c, e, B[name], cond)
+            same = agrees(S.maps[name].product_terms(F), target)
         if not same:
             reasons.append(f"conjugated built structure differs at {name!r}")
     return reasons
@@ -490,15 +495,22 @@ def _classify(S: EquivariantStructure) -> DecompositionCertificate:
         P_blocks.append(LaurentMatrix.from_const(cond, zip(*cols)))
     P = LaurentMatrix.block_diag(P_blocks)
     _, B = canonical_rows(G, blocks, cond)
-    # F = 1/|G| sum_gamma (S_{gamma^-1} psi P)(gamma z) B_gamma(z); at the
-    # identity, elements(G)[0], the term is psi P, as the replay checks S_e = I
+    # F = 1/|G| sum_gamma (S_{gamma^-1} psi P)(gamma z) B_gamma(z), summed
+    # on numerators by `add_column_map` and formed once; at the identity,
+    # elements(G)[0], the term is psi P, as the replay checks S_e = I
     psiP = psi @ P
-    frame = psiP
-    for g in elements(G)[1:]:
+    total = [{} for _ in range(psiP.rows)]
+    for g in elements(G):
         name = inverse(G, g).name
-        X = SP[name] @ P if name in SP else S.maps[name] @ psiP
-        frame = frame + X.substitute(g.c.embed(cond), g.e).times_monomial(B[g.name])
+        if g is elements(G)[0]:
+            X = accumulators(psiP)
+        elif name in SP:
+            X = SP[name].product_terms(P)
+        else:
+            X = S.maps[name].product_terms(psiP)
+        add_column_map(total, X, g.c.embed(cond), g.e, B[g.name], cond, G.order)
     return DecompositionCertificate(
         group=G, even_blocks=tuple(b for b in blocks if b[1] is not None),
         odd_blocks=tuple(d for d, chi in blocks if chi is None),
-        change_of_frame=frame.scale(Fraction(1, G.order)), conductor=cond)
+        change_of_frame=formed(cond, total, psiP.cols),
+        conductor=cond)

@@ -111,6 +111,18 @@ def _fold_table(m: int) -> tuple:
     return tuple(rows)
 
 
+def _num_product(a, b, fold) -> list:
+    """The numerators of a*b for numerator vectors a and b, folded back to
+    degree < phi through `fold`, the `_fold_table` of their conductor."""
+    prod = _poly_mul(a, b)
+    out = prod[:len(a)]
+    for t, row in zip(prod[len(a):], fold):
+        if t:
+            for i, c in row:
+                out[i] += t * c
+    return out
+
+
 def _new(conductor: int, num: tuple, den: int) -> "CycNum":
     # callers guarantee the canonical form: den > 0, gcd(den, *num) == 1
     x = object.__new__(CycNum)
@@ -265,13 +277,8 @@ class CycNum:
             if den == other._den and a[0] in (1, -1):
                 return other if a[0] == 1 else -other
             return _canonical(self.conductor, [a[0] * y for y in b], den)
-        prod = _poly_mul(a, b)
-        out = prod[:len(a)]
-        for t, row in zip(prod[len(a):], _fold_table(self.conductor)):
-            if t:
-                for i, c in row:
-                    out[i] += t * c
-        return _canonical(self.conductor, out, den)
+        return _canonical(self.conductor, _num_product(a, b, _fold_table(self.conductor)),
+                          den)
 
     __rmul__ = __mul__
 
@@ -405,6 +412,43 @@ def _high_powers(m: int) -> tuple:
     pairs of its nonzero entries."""
     return tuple(tuple((i, c) for i, c in enumerate(v) if c)
                  for v in _zeta_powers(m)[euler_phi(m):])
+
+
+def root_rotation(c: CycNum):
+    """(s, t) with c = s * zeta_m^t and s = +-1, m the conductor of c;
+    ValueError if c is no root of unity or the negative of one.  The
+    product by c is then `_times_root` and a sign."""
+    num = c._num
+    if c._den == 1:
+        if num[0] in (1, -1) and not any(num[1:]):
+            return num[0], 0
+        roots = _root_index(c.conductor)
+        t = roots.get(num)
+        if t is not None:
+            return 1, t
+        t = roots.get(tuple(-a for a in num))
+        if t is not None:
+            return -1, t
+    raise ValueError(f"{render_cycnum(c)} is not a root of unity up to sign")
+
+
+def _times_root(num, t: int, m: int) -> list:
+    """The numerators of num * zeta_m^t, with no product: as in
+    `roots_among`, each nonzero num_i moves to the power x^u, u = i + t
+    mod m, of Z[x]/(x^m - 1), and one with u >= phi is reduced mod Phi_m
+    through the row of x^u, so the cost is one pass over num plus the rows
+    its nonzeros reach."""
+    phi, high = len(num), _high_powers(m)
+    out = [0] * phi
+    for i, a in enumerate(num):
+        if a:
+            u = (i + t) % m
+            if u < phi:
+                out[u] += a
+            else:
+                for j, c in high[u - phi]:
+                    out[j] += a * c
+    return out
 
 
 def roots_among(coeffs, points) -> list:

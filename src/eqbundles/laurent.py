@@ -5,23 +5,29 @@ zeros; the empty map is zero.  Matrices are immutable row-major grids of
 Laurent polynomials.  The public constructors check their input; every
 operation keeps the invariant itself, returns through the trusted
 `_poly` or `_matrix`, and works only where entries are nonzero: the
-matrix product builds row i as the sum of a_ik times row k of B over the
-nonzero a_ik and the nonzero entries of B (Gustavson 1978), so an entry
-no term reaches is never computed.  One fraction-free Gauss-Jordan
-elimination of [A | I] gives both det A and the adjugate; the inverse is
-the adjugate divided by a unit-monomial determinant, which is exactly the
-invertibility condition for transition matrices on the two-chart
-projective line.  The same elimination run on A alone gives det A
-without the adjugate, which is all that `det` and the unimodularity
-check `det_unit` need.
+matrix product is one kernel, `LaurentMatrix.product_terms`, which
+builds row i as the sum of a_ik times row k of B over the nonzero a_ik
+and the nonzero entries of B (Gustavson 1978), so an entry no term
+reaches is never computed, and sums each coefficient on integer
+numerators; `@`, the certificate replay's product checks and the
+Reynolds average of `classify` read its accumulators.  One Gauss-Jordan
+elimination of [A | I], with unit-monomial pivots where it can and a
+fraction-free step elsewhere, gives det A and, when det A is a unit
+monomial, which is exactly the invertibility condition for transition
+matrices on the two-chart projective line, the inverse; `det` and the
+unimodularity check `det_unit` read the determinant off it.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
+from operator import add, ne
 
-from .cyclotomic import MAX_CONDUCTOR, CycNum, render_cycnum, root_of_unity, term_count
+from .cyclotomic import (MAX_CONDUCTOR, CycNum, _canonical, _fold_table, _num_product,
+                         _times_root, render_cycnum, root_of_unity, root_rotation,
+                         term_count)
 from .errors import ConductorMismatch, DimensionMismatch, NonUnimodular, ParseError
 from .linalg import kernel_dense
 
@@ -265,7 +271,7 @@ def _substituted(p: LaurentPoly, table, e: int) -> LaurentPoly:
 class LaurentMatrix:
     """Immutable rows x cols grid of LaurentPoly entries at one conductor."""
 
-    __slots__ = ("rows", "cols", "conductor", "entries")
+    __slots__ = ("rows", "cols", "conductor", "entries", "_table")
 
     def __init__(self, conductor: int, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -282,7 +288,7 @@ class LaurentMatrix:
 
     def _fill(self, conductor, entries):
         for name, value in zip(self.__slots__, (len(entries), len(entries[0]),
-                                                conductor, entries)):
+                                                conductor, entries, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -312,40 +318,64 @@ class LaurentMatrix:
 
     # -- algebra ----------------------------------------------------------------
 
-    def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
+    def _terms(self):
+        """The operand table of the product kernel, built on first use and
+        kept: per row, [(column, [(e, numerators, den, r)])] over the
+        nonzero entries and their terms, r the numerator of a rational
+        coefficient and None otherwise."""
+        if self._table is None:
+            object.__setattr__(self, "_table", [
+                [(j, [(e, c._num, c._den, None if any(c._num[1:]) else c._num[0])
+                      for e, c in p.coeffs.items()])
+                 for j, p in enumerate(row) if p.coeffs]
+                for row in self.entries])
+        return self._table
+
+    def product_terms(self, other: "LaurentMatrix") -> list:
+        """The product kernel: self @ other as an accumulator table (see
+        `formed`).  Row i is the sum of a_ik times row k of B over the
+        nonzero a_ik and the nonzero entries of B (Gustavson 1978), so an
+        entry no term reaches has no accumulator.  Each term product is
+        formed on numerators alone: a rational factor scales the other
+        one's vector, any other pair is multiplied and folded by
+        `_fold_table`, and no CycNum is built."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} cols vs {other.rows} rows")
         if self.conductor != other.conductor:
             raise ConductorMismatch(f"conductor {self.conductor} vs {other.conductor}")
-        # row i of the product is the sum of a_ik * (row k of B) over the
-        # nonzero a_ik (Gustavson 1978); entries no term reaches stay zero
-        b_rows = [[(j, b.coeffs) for j, b in enumerate(row) if b.coeffs]
-                  for row in other.entries]
-        zero = _poly(self.conductor, {})
+        fold = _fold_table(self.conductor)
+        b_rows = other._terms()
         out = []
-        for row in self.entries:
+        for row in self._terms():
             accs = {}
-            for k, a in enumerate(row):
-                if not a.coeffs:
-                    continue
-                for j, bc in b_rows[k]:
+            for k, a_terms in row:
+                for j, b_terms in b_rows[k]:
                     acc = accs.get(j)
                     if acc is None:
                         acc = accs[j] = {}
-                    for e1, c1 in a.coeffs.items():
-                        for e2, c2 in bc.items():
-                            e = e1 + e2
-                            p = c1 * c2
+                    for e1, n1, d1, r1 in a_terms:
+                        for e2, n2, d2, r2 in b_terms:
+                            if r1 is not None:
+                                v = n2 if r1 == 1 else [r1 * y for y in n2]
+                            elif r2 is not None:
+                                v = n1 if r2 == 1 else [r2 * x for x in n1]
+                            else:
+                                v = _num_product(n1, n2, fold)
+                            e, d = e1 + e2, d1 * d2
                             cur = acc.get(e)
-                            acc[e] = p if cur is None else cur + p
-            out_row = [zero] * other.cols
-            for j, acc in accs.items():
-                out_row[j] = _poly(self.conductor, {
-                    e: c for e, c in acc.items() if not c.is_zero()})
-            out.append(out_row)
-        return _matrix(self.conductor, out)
+                            if cur is None:
+                                acc[e] = (v, d)
+                            elif cur[1] == d:
+                                acc[e] = (list(map(add, cur[0], v)), d)
+                            else:
+                                acc[e] = _added(cur, v, d)
+            out.append(accs)
+        return out
+
+    def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
+        return formed(self.conductor, self.product_terms(other), other.cols)
 
     def times_monomial(self, rows) -> "LaurentMatrix":
         """self @ B for the monomial matrix B whose row i has its one nonzero
@@ -367,6 +397,8 @@ class LaurentMatrix:
                                         for row in self.entries])
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
         if self.conductor != other.conductor:
@@ -380,6 +412,8 @@ class LaurentMatrix:
         return self._map(LaurentPoly.__neg__)
 
     def __sub__(self, other):
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, c) -> "LaurentMatrix":
@@ -440,25 +474,24 @@ class LaurentMatrix:
     # -- determinant and inverse -------------------------------------------------
 
     def det(self) -> LaurentPoly:
-        return _det_adjugate(self, adjugate=False)[0]
+        return _det_adjugate(self)[0]
 
     def det_unit(self):
-        """(c, e) where det A = c*z^e, from the elimination of A alone.  Any
-        other determinant raises NonUnimodular: only a unit monomial is
-        invertible in the Laurent ring."""
+        """(c, e) where det A = c*z^e.  Any other determinant raises
+        NonUnimodular: only a unit monomial is invertible in the Laurent
+        ring."""
         return _unit(self.det())
 
     def inverse(self) -> "LaurentMatrix":
-        """adj(A) / det(A) by the elimination of [A | I]; NonUnimodular as
-        in `det_unit`."""
+        """A^-1 by the elimination of [A | I]; NonUnimodular as in
+        `det_unit`."""
         return self.inverse_and_det_unit()[0]
 
     def inverse_and_det_unit(self):
         """(A^-1, (c, e)) with det A = c*z^e, both from the one elimination
         of [A | I]; NonUnimodular as in `det_unit`."""
-        d, adj = _det_adjugate(self)
-        unit = _unit(d)
-        return adj._map(_exact_divider(d)), unit
+        d, inv = _det_adjugate(self)
+        return inv, _unit(d)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -482,6 +515,103 @@ def _matrix(conductor: int, rows) -> LaurentMatrix:
     return x
 
 
+# ---------------------------------------------------------------------------
+# accumulator tables
+#
+# The product kernel, `LaurentMatrix.product_terms`, returns a matrix as an
+# accumulator table: one dict per row, {column: {exponent: (numerators,
+# den)}}, each coefficient its integer numerator vector over a positive
+# denominator, not reduced.  A column or exponent the table lacks is zero,
+# and an all-zero vector may stand in it as well.
+# ---------------------------------------------------------------------------
+
+def _added(cur, v, d):
+    """The accumulated pair cur = (numerators, den) plus v/d, over the
+    least common multiple of the denominators."""
+    w, den = cur
+    if den == d:
+        return list(map(add, w, v)), d
+    g = gcd(den, d)
+    a, b = d // g, den // g
+    return [x * a + y * b for x, y in zip(w, v)], den * a
+
+
+def accumulators(matrix: LaurentMatrix) -> list:
+    """The matrix's coefficients as an accumulator table."""
+    return [{j: {e: (c._num, c._den) for e, c in p.coeffs.items()}
+             for j, p in enumerate(row) if p.coeffs}
+            for row in matrix.entries]
+
+
+def formed(conductor: int, table, cols: int) -> LaurentMatrix:
+    """The matrix of an accumulator table with `cols` columns: one
+    `_canonical` per nonzero coefficient."""
+    zero = _poly(conductor, {})
+    out = []
+    for accs in table:
+        row = [zero] * cols
+        for j, acc in accs.items():
+            row[j] = _poly(conductor, {e: _canonical(conductor, v, d)
+                                       for e, (v, d) in acc.items() if any(v)})
+        out.append(row)
+    return _matrix(conductor, out)
+
+
+def agrees(a, b) -> bool:
+    """Whether the accumulator table a holds the same matrix as b, whose
+    coefficients are all nonzero, as those of `accumulators` and of a
+    column map of them are: a coefficient of a must be zero where b has
+    none, and equal to b's, by cross-multiplying numerators with the other
+    denominator, where it has one."""
+    for ra, rb in zip(a, b):
+        if not rb.keys() <= ra.keys():
+            return False
+        for j, x in ra.items():
+            y = rb.get(j, {})
+            if not y.keys() <= x.keys():
+                return False
+            for e, (v, d) in x.items():
+                w = y.get(e)
+                if w is None:
+                    if any(v):
+                        return False
+                elif (any(map(ne, v, w[0])) if w[1] == d
+                      else any(p * w[1] != q * d for p, q in zip(v, w[0]))):
+                    return False
+    return True
+
+
+def add_column_map(total, table, c: CycNum, e: int, rows, conductor: int,
+                   den: int = 1):
+    """Add X(c*z^e) B / den into the accumulator table `total`, X given as
+    the accumulator table `table` and B the monomial matrix whose row l
+    has its one nonzero entry c_l*z^(k_l) in column j, rows[l] = (j, c_l,
+    k_l): this fuses `LaurentMatrix.substitute` and `times_monomial`.
+
+    A term x*z^k of X_il lands in column j at the exponent e*k + k_l, times
+    c^k c_l.  c and every c_l must be roots of unity up to sign
+    (`root_rotation`), as group actions and canonical rows are, so the
+    factor is +-zeta^t: its product moves x's numerators to the powers
+    x^(i+t) mod x^m - 1, m the conductor, and reduces them mod Phi_m
+    (`_times_root`), with no product of scalars formed."""
+    m = conductor
+    sc, tc = root_rotation(c)
+    moved = [(j,) + root_rotation(cl) + (kl,) for j, cl, kl in rows]
+    for out, row in zip(total, table):
+        for l, terms in row.items():
+            j, sl, tl, kl = moved[l]
+            dest = out.setdefault(j, {})
+            for k, (v, d) in terms.items():
+                t = (tc * k + tl) % m
+                if t:
+                    v = _times_root(v, t, m)
+                if (sc < 0 and k % 2) != (sl < 0):
+                    v = [-x for x in v]
+                k, d = e * k + kl, d * den
+                cur = dest.get(k)
+                dest[k] = (v, d) if cur is None else _added(cur, v, d)
+
+
 def _unit(d: LaurentPoly):
     um = d.unit_monomial()
     if um is None:
@@ -501,40 +631,60 @@ def _exact_divider(d: LaurentPoly):
     return lambda x: _times_monomial(x, cinv, -e)
 
 
-def _det_adjugate(a: LaurentMatrix, adjugate: bool = True):
-    """(det A, adj A) by one fraction-free Gauss-Jordan pass over [A | I];
-    with adjugate=False, (det A, None) by the same pass over A alone.
+def _pivot_row(m, k: int):
+    """The row index i >= k of step k's pivot in column k: a unit monomial
+    in the row with the fewest nonzeros from column k on, else the first
+    nonzero entry; None if the column is zero there."""
+    first = best = None
+    for i in range(k, len(m)):
+        x = m[i][k]
+        if x.coeffs:
+            if first is None:
+                first = i
+            if len(x.coeffs) == 1:
+                nonzeros = sum(1 for y in m[i][k:] if y.coeffs)
+                if best is None or nonzeros < fewest:
+                    best, fewest = i, nonzeros
+    return first if best is None else best
 
-    Step k swaps in a row with a nonzero pivot p_k in column k, then
-    replaces every other row by (p_k * row - a_ik * pivot row) / p_(k-1).
-    Each entry is then a minor of the row-swapped [A | I], so the division
-    is exact (Bareiss 1968; Nakos, Turner & Williams 1997).  The steps
-    carry A to p_n * I with p_n = +-det A, so they carry I to +-adj A;
-    columns left of the pivot are never read again and are not updated.
-    No pivot reads a column of I, so the pass over A alone finds the same
-    pivots and det A with updates half as wide.  A singular A gives
-    (0, None).
 
-    Transition matrices are sparse, so an update only does the work its
-    nonzero terms need.  With a_ik = 0 it is p_k * row / p_(k-1): zero
-    entries stay zero, and the row stays as it is when p_k = p_(k-1).
-    With pivot_row[j] = 0 it is the first term alone, with row[j] = 0 the
-    second alone.  Each skipped update would have computed exactly the
-    value it leaves, so every entry is still the same minor.  The divisor
-    p_(k-1) is most often a unit monomial, whose coefficient is inverted
-    once per step rather than once per entry.
-    """
+def _det_adjugate(a: LaurentMatrix):
+    """(det A, A^-1) by one Gauss-Jordan pass over [A | I], with A^-1 None
+    unless det A is a unit monomial; a singular A gives (0, None).
+
+    Every row is kept at one scale s: the stored rows are s times those
+    of the Gauss-Jordan pass over the field of fractions, outside the
+    columns already eliminated, which are never read again and are not
+    updated.  Step k swaps in the pivot that `_pivot_row` picks, p in
+    column k, and then
+    - for a unit monomial p, subtracts a_ik times the pivot row over p
+      from each other row, and then scales the pivot row by s/p: a row
+      with a_ik = 0 is untouched, and s stays;
+    - for any other p, replaces every other row by (p * row - a_ik *
+      pivot row) / s and sets s = p.  The division is exact (Bareiss
+      1968; Nakos, Turner & Williams 1997), and with a_ik = 0 the update
+      is p * row / s alone.
+    Only nonzero terms are computed, so zero entries cost nothing.  Each
+    stored entry is a minor of the swapped [A | I] times a unit monomial
+    and the scales s in force at the unit steps, so it stays a Laurent
+    polynomial of bounded degree.
+
+    det A is the sign of the row swaps times D, the product of the pivots
+    p/s of the field's pass, kept as the leading minor of the swapped A:
+    D = D * p / s at each step, which is p while D = s.  At the end the
+    right half is s * A^-1."""
     if a.rows != a.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
     n = a.rows
-    width = 2 * n if adjugate else n
+    width = 2 * n
     zero = LaurentPoly.zero(a.conductor)
-    prev = LaurentPoly.const(a.conductor, 1)
-    m = [list(row) + [prev if j == i else zero for j in range(width - n)]
+    one = LaurentPoly.const(a.conductor, 1)
+    m = [list(row) + [one if j == i else zero for j in range(n)]
          for i, row in enumerate(a.entries)]
+    s = det = one
     sign = 1
     for k in range(n):
-        p = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
+        p = _pivot_row(m, k)
         if p is None:
             return zero, None
         if p != k:
@@ -542,8 +692,26 @@ def _det_adjugate(a: LaurentMatrix, adjugate: bool = True):
             sign = -sign
         pivot_row = m[k]
         pivot = pivot_row[k]
-        rescale = pivot != prev
-        div = _exact_divider(prev)
+        um = pivot.unit_monomial()
+        if det == s:
+            det = pivot
+        else:
+            det = _times_monomial(det, *um) if um else det * pivot
+            det = det if s == one else _exact_divider(s)(det)
+        if um is not None:
+            cinv, e = um[0].inverse(), -um[1]
+            q = [(j, _times_monomial(y, cinv, e)) for j, y in
+                 enumerate(pivot_row[k + 1:], k + 1) if y.coeffs]
+            for i, row in enumerate(m):
+                f = row[k]
+                if i != k and f.coeffs:
+                    for j, y in q:
+                        row[j] = row[j] - f * y
+            for j, y in q:
+                pivot_row[j] = y if s == one else s * y
+            continue
+        rescale = pivot != s
+        div = _exact_divider(s)
         for i, row in enumerate(m):
             f = row[k]
             if i == k or not (f.coeffs or rescale):
@@ -558,12 +726,13 @@ def _det_adjugate(a: LaurentMatrix, adjugate: bool = True):
                     row[j] = div(neg_f * y)
                 else:
                     row[j] = div(pivot * x + neg_f * y)
-        prev = pivot
-    det = -prev if sign < 0 else prev
-    if not adjugate:
+        s = pivot
+    det = -det if sign < 0 else det
+    if det.unit_monomial() is None:
         return det, None
-    adj = [[-x for x in row[n:]] if sign < 0 else row[n:] for row in m]
-    return det, _matrix(a.conductor, adj)
+    div = (lambda x: x) if s == one else _exact_divider(s)
+    return det, _matrix(a.conductor, [[div(x) if x.coeffs else x for x in row[n:]]
+                                      for row in m])
 
 
 def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:

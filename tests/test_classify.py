@@ -706,10 +706,11 @@ def _klein_rank8(rng):
 
 
 def test_classify_and_replay_stay_within_their_counted_products(monkeypatch):
-    """On Klein rank 8, `_classify` makes at most 2|G| - 1 matrix products
-    and a replay at most |G|: B_gamma and z^D act as column maps."""
+    """On Klein rank 8, `_classify` makes at most 2|G| - 1 passes of the
+    product kernel and a replay at most |G|: B_gamma and z^D act as
+    column maps."""
     count = [0]
-    real = LaurentMatrix.__matmul__
+    real = LaurentMatrix.product_terms
 
     def counted(a, b):
         count[0] += 1
@@ -718,7 +719,7 @@ def test_classify_and_replay_stay_within_their_counted_products(monkeypatch):
     rng = Random(5)
     for _ in range(3):
         S = _klein_rank8(rng)
-        monkeypatch.setattr(LaurentMatrix, "__matmul__", counted)
+        monkeypatch.setattr(LaurentMatrix, "product_terms", counted)
         count[0] = 0
         cert = classify._classify(S)
         assert count[0] <= 2 * 4 - 1

@@ -1,14 +1,17 @@
 import operator
+from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqbundles import cyclotomic
 from eqbundles.cyclotomic import CycNum, euler_phi, root_of_unity
 from eqbundles.errors import ConductorMismatch, NonUnimodular, ParseError
 from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix,
-                               LaurentPoly, _det_adjugate, parse_laurent,
-                               regular_invertible_at, render_laurent)
+                               LaurentPoly, _det_adjugate, accumulators, add_column_map,
+                               agrees, formed, parse_laurent, regular_invertible_at,
+                               render_laurent)
 from eqbundles.randgen import random_poly, random_unimodular, random_unit
 
 from conftest import L, M
@@ -279,11 +282,14 @@ def test_trusted_results_keep_the_invariant(data):
 
 
 @st.composite
-def sparse_matrices(draw, m, rows, cols):
-    """Entries at density 0.2, 0.5 or 0.9 with small integer coefficients
-    (many of them +-1), and sometimes an all-zero row, an all-zero column
-    or the zero matrix."""
-    coeff = st.lists(st.integers(-2, 2), min_size=euler_phi(m), max_size=euler_phi(m))
+def sparse_matrices(draw, m, rows, cols, max_den=1):
+    """Entries at density 0.2, 0.5 or 0.9 with small coefficients (many of
+    them +-1), integer or, with max_den > 1, over denominators up to
+    max_den, and sometimes an all-zero row, an all-zero column or the zero
+    matrix."""
+    number = (st.integers(-2, 2) if max_den == 1 else
+              st.builds(Fraction, st.integers(-2, 2), st.integers(1, max_den)))
+    coeff = st.lists(number, min_size=euler_phi(m), max_size=euler_phi(m))
     entry = st.dictionaries(st.integers(-2, 2), coeff.map(lambda c: CycNum(m, c)),
                             min_size=1, max_size=2).map(lambda d: LaurentPoly(m, d))
     zero = LaurentPoly.zero(m)
@@ -318,13 +324,136 @@ def test_sparse_matmul_matches_dense_triple_loop(data):
             _assert_trusted(p, m)
 
 
+def _near_miss(rnd, D, kind):
+    """D, the product, or a near miss of it: one coefficient changed by
+    1/q or by a root of unity, one extra term, one dropped term, or the
+    zero matrix."""
+    m = D.conductor
+    grid = [[dict(p.coeffs) for p in row] for row in D.entries]
+    i, j = rnd.randrange(D.rows), rnd.randrange(D.cols)
+    nonzero = [(a, b) for a in range(D.rows) for b in range(D.cols) if grid[a][b]]
+    if kind == "q":
+        e = rnd.choice(sorted(grid[i][j]) or [rnd.randint(-4, 4)])
+        grid[i][j][e] = grid[i][j].get(e, CycNum.zero(m)) + Fraction(rnd.choice((1, -1)),
+                                                                    rnd.randint(1, 5))
+    elif kind == "zeta" and nonzero:
+        i, j = rnd.choice(nonzero)
+        e = rnd.choice(sorted(grid[i][j]))
+        grid[i][j][e] = grid[i][j][e] * root_of_unity(m, rnd.randrange(1, max(m, 2)))
+    elif kind == "extra":
+        e = rnd.choice([x for x in range(-6, 7) if x not in grid[i][j]])
+        grid[i][j][e] = root_of_unity(m, rnd.randrange(m)) * rnd.choice((1, -1, 2))
+    elif kind == "dropped" and nonzero:
+        i, j = rnd.choice(nonzero)
+        del grid[i][j][rnd.choice(sorted(grid[i][j]))]
+    elif kind == "zero":
+        grid = [[{} for _ in row] for row in grid]
+    return LaurentMatrix(m, [[LaurentPoly(m, c) for c in row] for row in grid])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_check_agrees_with_the_dense_product(data):
+    """The replay's product check: the kernel's accumulators of A @ B
+    against G(c*z^e) B_gamma as `add_column_map` builds it, for G chosen
+    by the reference substitute/times_monomial path so that G(c*z^e)
+    B_gamma = C.  `agrees` says yes exactly when dense_matmul(A, B) == C,
+    for C the product or a near miss of it."""
+    m = data.draw(st.sampled_from([1, 3, 4, 12]))
+    r, k, c = (data.draw(st.integers(1, 6)) for _ in range(3))
+    A = data.draw(sparse_matrices(m, r, k, max_den=5))
+    B = data.draw(sparse_matrices(m, k, c, max_den=5))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    kind = data.draw(st.sampled_from(["true", "q", "zeta", "extra", "dropped", "zero"]))
+    C = _near_miss(rnd, dense_matmul(A, B), kind)
+    # the column map X -> X(root*z^e) B_gamma, B_gamma row l holding
+    # c_l*z^(k_l) in column perm[l], and its inverse, which gives G
+    root = root_of_unity(m, rnd.randrange(m)) * rnd.choice((1, -1))
+    e = rnd.choice((1, -1))
+    perm = rnd.sample(range(c), c)
+    rows = [(perm[l], root_of_unity(m, rnd.randrange(m)) * rnd.choice((1, -1)),
+             rnd.randint(-2, 2)) for l in range(c)]
+    inverse_rows = [None] * c
+    for l, (j, cl, kl) in enumerate(rows):
+        inverse_rows[j] = (l, cl.inverse(), -kl)
+    G = C.times_monomial(inverse_rows)
+    G = G.substitute(root.inverse(), 1) if e == 1 else G.substitute(root, -1)
+    assert G.substitute(root, e).times_monomial(rows) == C
+    target = [{} for _ in range(r)]
+    add_column_map(target, accumulators(G), root, e, rows, m)
+    assert formed(m, target, c) == C
+    assert agrees(A.product_terms(B), target) == (dense_matmul(A, B) == C)
+
+
+def test_column_map_by_a_root_forms_no_scalar_product(monkeypatch):
+    """Scaling a cyclic(1000) frame column by roots of unity rotates
+    numerators: no `_poly_mul` call."""
+    m = 1000
+    F = LaurentMatrix(m, [[LaurentPoly(m, {0: CycNum(m, [1, 2, 0, -1]),
+                                           1: root_of_unity(m, 7) * Fraction(1, 3)})],
+                          [LaurentPoly(m, {-2: root_of_unity(m, 999)})]])
+    root, cl = root_of_unity(m, 1), -root_of_unity(m, 3)
+    calls = []
+    real = cyclotomic._poly_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(cyclotomic, "_poly_mul", counted)
+    target = [{}, {}]
+    add_column_map(target, accumulators(F), root, -1, [(0, cl, 2)], m)
+    assert calls == []
+    monkeypatch.undo()
+    assert formed(m, target, 1) == F.substitute(root, -1).times_monomial([(0, cl, 2)])
+
+
+def _signed_permutation(rng, m, n):
+    """A permutation matrix with each 1 replaced by a unit monomial
+    +-zeta^t * z^k."""
+    perm = rng.sample(range(n), n)
+    zero = LaurentPoly.zero(m)
+    return LaurentMatrix(m, [[LaurentPoly.monomial(m, rng.randint(-3, 3),
+                                                   root_of_unity(m, rng.randrange(m))
+                                                   * rng.choice((1, -1)))
+                              if j == perm[i] else zero for j in range(n)]
+                             for i in range(n)])
+
+
+def test_elimination_of_signed_permutations_forms_no_product(monkeypatch):
+    """Unit pivots leave the rows with a zero in the pivot column as they
+    are, so on signed permutation matrices of unit monomials the pass over
+    [A | I], which `det` runs as well, forms no Laurent product and does
+    not divide."""
+    rng = Random(23)
+    cases = [_signed_permutation(rng, m, n) for m in (1, 4, 12) for n in range(1, 9)]
+    calls = []
+    for name in ("__mul__", "divexact"):
+        real = getattr(LaurentPoly, name)
+
+        def counted(self, other, real=real, name=name):
+            calls.append(name)
+            return real(self, other)
+
+        monkeypatch.setattr(LaurentPoly, name, counted)
+    results = [(_det_adjugate(A), A.det()) for A in cases]
+    assert calls == []
+    monkeypatch.undo()
+    for A, ((d, inv), d_only) in zip(cases, results):
+        assert d == d_only and d.unit_monomial()
+        if A.rows <= 6:
+            assert d == det_cofactor(A.entries, A.conductor)
+        assert A @ inv == LaurentMatrix.identity(A.conductor, A.rows) == inv @ A
+
+
 def test_matmul_rejects_other_operands():
     A = M([["z", "1"], ["0", "z"]])
     for other in (2, L("z"), [[1, 0], [0, 1]]):
-        with pytest.raises(TypeError):
-            A @ other
-        with pytest.raises(TypeError):
-            other @ A
+        for op in (operator.matmul, operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(A, other)
+            with pytest.raises(TypeError):
+                op(other, A)
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,8 +473,8 @@ def test_matrix_substitute_keeps_zeros_and_matches_entries(data):
 
 
 def test_det_adjugate_falls_back_to_long_division(monkeypatch):
-    """[[1+z, 1], [1, 1]] has det z, but step 1 divides by the first pivot
-    1+z, which is not a unit monomial."""
+    """[[1+z, 1], [1-z, 1]] has det 2z, but column 0 holds no unit
+    monomial, so step 0 pivots on 1+z and step 1 divides by it."""
     divisors = []
     divexact = LaurentPoly.divexact
 
@@ -354,12 +483,12 @@ def test_det_adjugate_falls_back_to_long_division(monkeypatch):
         return divexact(self, other)
 
     monkeypatch.setattr(LaurentPoly, "divexact", spy)
-    A = M([["1+z", "1"], ["1", "1"]])
+    A = M([["1+z", "1"], ["1-z", "1"]])
     d, _ = _det_adjugate(A)
-    assert d == L("z") == det_cofactor(A.entries, 1)
+    assert d == L("2·z") == det_cofactor(A.entries, 1)
     assert divisors and all(q == L("1+z") for q in divisors)
     inv = A.inverse()
-    assert inv == M([["z^-1", "-z^-1"], ["-z^-1", "1+z^-1"]])
+    assert inv == M([["1/2·z^-1", "-1/2·z^-1"], ["1/2-1/2·z^-1", "1/2+1/2·z^-1"]])
     assert A @ inv == LaurentMatrix.identity(1, 2) == inv @ A
 
 
