@@ -16,11 +16,9 @@ package's one isomorphism test, certifies the frame.  Global sections are the
 frame applied to the monomial sections of the model, so no linear
 system over section coefficients is ever built.
 
-The splitting type does not need the inverse transition, so a parsed
-bundle keeps only the degree of its unit-monomial determinant; the
-inverse, which the chart certificates use, is computed on first use and
-then kept.  A structure document's bundle keeps both from the one
-elimination of [T | I].
+Construction checks that the determinant is a unit monomial by the
+one elimination of [T | I], which gives T^-1 as well; the bundle keeps
+it for the chart certificates.
 """
 
 from __future__ import annotations
@@ -37,15 +35,15 @@ class VectorBundle:
     """rank + transition matrix on the two-chart cover of the projective line.
 
     Construction checks that det T is a unit monomial c*z^e (NonUnimodular
-    otherwise) and keeps the degree e; T^-1 is computed on the first
-    `inverse_transition()` and kept."""
+    otherwise) and keeps the degree e and T^-1, both from one elimination
+    of [T | I]."""
 
     __slots__ = ("rank", "conductor", "transition", "_inverse", "_degree")
 
     def __init__(self, transition: LaurentMatrix, _inverse=None, _degree=None):
         # constructions that already know the inverse pass it with the degree
         if _degree is None:
-            _degree = transition.det_unit()[1]
+            _inverse, (_, _degree) = transition.inverse_and_det_unit()
         object.__setattr__(self, "rank", transition.rows)
         object.__setattr__(self, "conductor", transition.conductor)
         object.__setattr__(self, "transition", transition)
@@ -56,8 +54,6 @@ class VectorBundle:
         raise AttributeError("VectorBundle is immutable")
 
     def inverse_transition(self) -> LaurentMatrix:
-        if self._inverse is None:
-            object.__setattr__(self, "_inverse", self.transition.inverse())
         return self._inverse
 
     def degree(self) -> int:
@@ -178,9 +174,9 @@ def _reduce_columns(T: LaurentMatrix):
     def low(col):
         return -min(p.min_exp() for p in col if not p.is_zero())
 
-    deltas, steps = [low(col) for col in cols], []
+    deltas, steps, zero = [low(col) for col in cols], [], CycNum.zero(conductor)
     while True:
-        lows = [[col[i].coeff(-d) for col, d in zip(cols, deltas)]
+        lows = [[col[i].coeffs.get(-d, zero) for col, d in zip(cols, deltas)]
                 for i in range(r)]
         kernel = kernel_dense(lows, r, conductor)
         if not kernel:

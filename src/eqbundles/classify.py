@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundle import ModelIso, chart_certificate, column_frame
-from .cyclotomic import CycNum, roots_among
+from .cyclotomic import CycNum, _root_index, roots_among
 from .errors import EqBundlesError, InternalInconsistency, InvalidStructure, ShapeMismatch
 from .equivariant import (EquivariantStructure, GroupIndexed, canonical_model,
                           canonical_monomials, canonical_rows, require_valid,
@@ -208,6 +208,20 @@ def _charpoly(a, conductor):
     return poly
 
 
+def _line_character(G: GroupSpec, values, conductor: int):
+    """The character of G whose values on the generators are `values`,
+    in the field of the given conductor, or None: a Klein character is
+    read off the two signs, a cyclic one off the power of zeta in the
+    table of roots, in time independent of |G|."""
+    chars = characters(G)
+    if G.kind == "cyclic":
+        (x,), step = values, conductor // G.n
+        t = _root_index(conductor).get(x._num) if x._den == 1 else None
+        return None if t is None or t % step else chars[t // step]
+    signs = tuple(1 if x == 1 else -1 if x == -1 else 0 for x in values)
+    return next((chi for chi in chars if chi.signs == signs), None)
+
+
 def rep_decompose(rho: ResidualRep):
     """Split a residual representation; only the generators' matrices
     are read.
@@ -233,7 +247,9 @@ def rep_decompose(rho: ResidualRep):
     chi(C); `kernel_dense` runs only where it does, at most once per
     column of the block, and the result is the same on any matrices.
     (The generators' own polynomials would not do: on chi_++ + chi_--
-    each vanishes at both signs, at all four characters.)"""
+    each vanishes at both signs, at all four characters.)  A block of
+    size 1 is its own eigenvector: its character is read off the
+    generators' scalars (`_line_character`), with no kernel pass."""
     cond, n = rho.conductor, rho.size
 
     def common_kernel(conditions):
@@ -249,6 +265,9 @@ def rep_decompose(rho: ResidualRep):
                           for row in a2))
                 for v in common_kernel([(rho.mats["A1"], CycNum.one(cond))])]
     gens, chars = generators(rho.group), characters(rho.group)
+    if n == 1:
+        chi = _line_character(rho.group, [rho.mats[s.name][0][0] for s in gens], cond)
+        return [] if chi is None else [(chi, (CycNum.one(cond),))]
     if rho.group.kind == "cyclic":
         C = rho.mats[gens[0].name]
         points = [(1, chi.index * (cond // rho.group.n)) for chi in chars]
@@ -369,7 +388,8 @@ def verify_certificate_report(cert: DecompositionCertificate,
     S_gamma F are compared with it (`agrees`) and no product is formed.
     At the identity B_e = I, so the identity reads F = S_e F; F is
     invertible at 0, hence as a matrix over the rational functions, so it
-    holds exactly when S_e = I, which is what is compared."""
+    holds exactly when S_e = I, which is what is compared, entry by
+    entry."""
     if S.lift:
         raise InvalidStructure("certificates describe genuine structures")
     if cert.group != S.group:
@@ -378,7 +398,13 @@ def verify_certificate_report(cert: DecompositionCertificate,
         return [f"rank accounting {cert.rank} != bundle rank {S.bundle.rank}"]
     if cert.conductor != S.conductor:
         return [f"certificate conductor {cert.conductor} vs {S.conductor}"]
-    degrees, B = _model(cert)
+    return _replay(cert, S, _model(cert))
+
+
+def _replay(cert: DecompositionCertificate, S: EquivariantStructure, model):
+    """`verify_certificate_report` past its group, rank and conductor
+    checks, on the model (degrees, rows) of `_model(cert)`."""
+    degrees, B = model
     F = cert.change_of_frame
     reasons = chart_certificate(F, degrees, S.bundle)
     if reasons:
@@ -386,7 +412,10 @@ def verify_certificate_report(cert: DecompositionCertificate,
     id_name, cond, source = identity(S.group).name, S.conductor, accumulators(F)
     for name, c, e in S.action_items():
         if name == id_name:
-            same = S.maps[name] == LaurentMatrix.identity(cond, S.bundle.rank)
+            one = {0: CycNum.one(cond)}
+            same = all(p.coeffs == one if i == j else not p.coeffs
+                       for i, row in enumerate(S.maps[name].entries)
+                       for j, p in enumerate(row))
         else:
             target = [{} for _ in range(F.rows)]
             add_column_map(target, source, c, e, B[name], cond)
@@ -424,8 +453,8 @@ def decompose(S: EquivariantStructure) -> DecompositionCertificate:
     if S.lift:
         raise InvalidStructure("decompose expects a genuine structure")
     try:
-        cert = _classify(S)
-        report = verify_certificate_report(cert, S)
+        cert, model = _classify_with_model(S)
+        report = _replay(cert, S, model)
         if report:
             raise InternalInconsistency("decompose produced a non-verifying "
                                         "certificate: " + "; ".join(report))
@@ -459,7 +488,14 @@ def _residual_at(psi_inv_s, SP, start, stop, c, k):
 
 
 def _classify(S: EquivariantStructure) -> DecompositionCertificate:
-    """The pipeline of the module docstring; `decompose` checks its answer.
+    """The pipeline of the module docstring; `decompose` checks its answer."""
+    return _classify_with_model(S)[0]
+
+
+def _classify_with_model(S: EquivariantStructure):
+    """(certificate, its `_model`) of the pipeline, which reads the model's
+    rows for the Reynolds average anyway, so the replay of `decompose`
+    does not read them again.
 
     No stage re-checks what the replay covers: the frame psi comes from
     `column_frame` without its chart certificates, and `rep_decompose`
@@ -494,7 +530,8 @@ def _classify(S: EquivariantStructure) -> DecompositionCertificate:
         # the vectors are the columns of the block
         P_blocks.append(LaurentMatrix.from_const(cond, zip(*cols)))
     P = LaurentMatrix.block_diag(P_blocks)
-    _, B = canonical_rows(G, blocks, cond)
+    model = canonical_rows(G, blocks, cond)
+    B = model[1]
     # F = 1/|G| sum_gamma (S_{gamma^-1} psi P)(gamma z) B_gamma(z), summed
     # on numerators by `add_column_map` and formed once; at the identity,
     # elements(G)[0], the term is psi P, as the replay checks S_e = I
@@ -513,4 +550,4 @@ def _classify(S: EquivariantStructure) -> DecompositionCertificate:
         group=G, even_blocks=tuple(b for b in blocks if b[1] is not None),
         odd_blocks=tuple(d for d, chi in blocks if chi is None),
         change_of_frame=formed(cond, total, psiP.cols),
-        conductor=cond)
+        conductor=cond), model

@@ -14,8 +14,7 @@ is monic with integer coefficients, so products fold back to degree
 rational multiple of +-zeta^k is read off the table of powers of zeta;
 any other inverse comes from one fraction-free Gauss-Jordan pass on the
 integer matrix of multiplication by the numerator.  `fractions.Fraction`
-appears only at the edges: constructor input, the `coeffs` view, and
-rendering, which forms one per nonzero coefficient.
+appears only at the edges: constructor input and the `coeffs` view.
 """
 
 from __future__ import annotations
@@ -489,29 +488,30 @@ def roots_among(coeffs, points) -> list:
 # canonical text form: "3/4", "z4" (= zeta_4), "1/2+3·z12^3"
 # ---------------------------------------------------------------------------
 
-def render_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _render_ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, d > 0, as an integer or p/q."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def render_cycnum(a: CycNum) -> str:
     parts = []
     sym = f"z{a.conductor}"
+    den = a._den
     for k, n in enumerate(a._num):
         if not n:
             continue
-        c = Fraction(n, a._den)
         if k == 0:
-            parts.append(render_rational(c))
+            parts.append(_render_ratio(n, den))
             continue
         power = sym if k == 1 else f"{sym}^{k}"
-        if c == 1:
+        if n == den:
             term = power
-        elif c == -1:
+        elif n == -den:
             term = f"-{power}"
         else:
-            term = f"{render_rational(c)}·{power}"
+            term = f"{_render_ratio(n, den)}·{power}"
         parts.append(term)
     if not parts:
         return "0"

@@ -189,7 +189,13 @@ def canonical_monomials(G: GroupSpec, d: int, chi: Character = None) -> dict:
                  "a1a2": ((1, -one, -d), (0, one, -d))}
     if chi is None:
         return table
-    return {name: tuple((j, c * chi.value(name), k) for j, c, k in rows)
+    if G.kind == "cyclic":
+        return {name: tuple((j, c * chi.value(name), k) for j, c, k in rows)
+                for name, rows in table.items()}
+    # a Klein character is a sign per element: negate the rows where it is -1
+    s1, s2 = chi.signs
+    negated = {"a1": s1 < 0, "a2": s2 < 0, "a1a2": s1 != s2}
+    return {name: tuple((j, -c, k) for j, c, k in rows) if negated.get(name) else rows
             for name, rows in table.items()}
 
 

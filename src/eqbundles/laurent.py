@@ -26,8 +26,8 @@ from math import gcd
 from operator import add, ne
 
 from .cyclotomic import (MAX_CONDUCTOR, CycNum, _canonical, _fold_table, _num_product,
-                         _times_root, render_cycnum, root_of_unity, root_rotation,
-                         term_count)
+                         _times_root, _zeta_powers, euler_phi, render_cycnum,
+                         root_of_unity, root_rotation, term_count)
 from .errors import ConductorMismatch, DimensionMismatch, NonUnimodular, ParseError
 from .linalg import kernel_dense
 
@@ -81,7 +81,8 @@ class LaurentPoly:
         return not self.coeffs
 
     def coeff(self, e: int) -> CycNum:
-        return self.coeffs.get(e, CycNum.zero(self.conductor))
+        c = self.coeffs.get(e)
+        return CycNum.zero(self.conductor) if c is None else c
 
     def min_exp(self):
         return min(self.coeffs) if self.coeffs else None
@@ -135,6 +136,8 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^k."""
+        if not (k and self.coeffs):
+            return self
         return _poly(self.conductor, {e + k: c for e, c in self.coeffs.items()})
 
     def substitute(self, c: CycNum, e: int) -> "LaurentPoly":
@@ -240,7 +243,7 @@ def _product(a: dict, b: dict) -> dict:
 def _times_monomial(p: LaurentPoly, c: CycNum, k: int) -> LaurentPoly:
     """c*z^k*p for a nonzero c at p's conductor."""
     if c.is_one():
-        return p.shift(k) if k else p
+        return p.shift(k)
     return _poly(p.conductor, {e + k: v * c for e, v in p.coeffs.items()})
 
 
@@ -747,12 +750,15 @@ def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:
     sign = 1 if point == "zero" else -1
     if any(sign * e < 0 for row in matrix.entries for p in row for e in p.coeffs):
         return False
-    return not kernel_dense([[p.coeff(0) for p in row] for row in matrix.entries],
-                            matrix.cols, matrix.conductor)
+    zero = CycNum.zero(matrix.conductor)
+    grid = [[p.coeffs.get(0, zero) for p in row] for row in matrix.entries]
+    return not kernel_dense(grid, matrix.cols, matrix.conductor)
 
 
 # ---------------------------------------------------------------------------
-# canonical text form and parser, shared by scalars and Laurent polynomials
+# canonical text form and parser, shared by scalars and Laurent polynomials;
+# `parse_laurent` reads the sums of canonical terms that `render_laurent`
+# writes by one scan and hands any other text to the parser
 #
 #   expr   := ['-'] term (('+'|'-') term)*
 #   term   := factor (('·'|'*') factor)*
@@ -923,8 +929,96 @@ class _Parser:
         return 1
 
 
+# One term of the form `render_laurent` writes: a sign, then a coefficient
+# (a parenthesized sum of scalars, or a rational and/or a root z<m>^k
+# joined by '·') followed by an optional '·z^e', or z^e alone.  Group by
+# group: sign, sum, numerator, denominator, root and power after a
+# rational, root and power alone, variable and exponent after a
+# coefficient, variable and exponent alone.
+_CANONICAL_TERM = re.compile(
+    r"([+-]?)(?:(?:\(([^()]*)\)"
+    r"|(\d+)(?:/(\d+))?(?:·z(\d{1,9})(?:\^(-?\d{1,9}))?)?"
+    r"|z(\d{1,9})(?:\^(-?\d{1,9}))?)"
+    r"(?:·(z)(?:\^(-?\d{1,9}))?)?"
+    r"|(z)(?:\^(-?\d{1,9}))?)")
+
+
+def _scan_canonical(text: str, conductor: int, start: int = 0, stop: int = None,
+                    scalar: bool = False):
+    """The coefficient map {exponent: nonzero CycNum} of text[start:stop]
+    when it is a sum of `_CANONICAL_TERM`s; None for any other text, which
+    `_Parser` then reads or refuses.  Each term is one CycNum built from
+    integer numerators: a root z<m>^k is the row k*(conductor/m) of the
+    power table of zeta.  The parser's caps hold: exponents within
+    MAX_EXPONENT, root powers within MAX_CONDUCTOR, roots whose m divides
+    the conductor, only '-' before the first term and a sign before every
+    later one.  With `scalar`, as inside parentheses, a term may not carry
+    z or parentheses."""
+    stop = len(text) if stop is None else stop
+    if start >= stop:
+        return None
+    acc, pos = {}, start
+    while pos < stop:
+        mt = _CANONICAL_TERM.match(text, pos, stop)
+        if mt is None:
+            return None
+        sign, inner, num, den, m, k, m_alone, k_alone, var, e, bare, e_bare = mt.groups()
+        if (sign == "+") if pos == start else not sign:
+            return None
+        if inner is not None:
+            sub = None if scalar else _scan_canonical(text, conductor, mt.start(2),
+                                                      mt.end(2), True)
+            if sub is None:
+                return None
+            c = sub.get(0)
+            if c is not None and sign == "-":
+                c = -c
+        else:
+            try:
+                p, q = (1, 1) if num is None else (int(num), int(den or 1))
+            except ValueError:  # more digits than int() converts
+                return None
+            if q == 0:
+                return None
+            p = -p if sign == "-" else p
+            if m_alone is not None:
+                m, k = m_alone, k_alone
+            if m is None:
+                v = (p,) + (0,) * (euler_phi(conductor) - 1)
+            else:
+                m, k = int(m), int(k or 1)
+                if m == 0 or conductor % m or abs(k) > MAX_CONDUCTOR:
+                    return None
+                v = _zeta_powers(conductor)[k % m * (conductor // m)]
+                v = v if p == 1 else [p * x for x in v]
+            c = _canonical(conductor, v, q) if p else None
+        if bare is not None:
+            var, e = bare, e_bare
+        if var is None:
+            e = 0
+        else:
+            e = int(e or 1)
+            if scalar or abs(e) > MAX_EXPONENT:
+                return None
+        if c is not None:
+            cur = acc.get(e)
+            if cur is not None:
+                c = cur + c
+                del acc[e]
+            if not c.is_zero():
+                acc[e] = c
+        pos = mt.end()
+    return acc
+
+
 def parse_laurent(text: str, conductor: int) -> LaurentPoly:
-    """Parse the canonical text form of a Laurent polynomial."""
+    """Parse the canonical text form of a Laurent polynomial.  A sum of
+    canonical terms, which is every text `render_laurent` writes, is read
+    by one scan (`_scan_canonical`); any other text, and every malformed
+    one, by `_Parser`."""
+    scanned = _scan_canonical(text, conductor)
+    if scanned is not None:
+        return _poly(conductor, scanned)
     parser = _Parser(_tokenize(text), conductor, text)
     coeffs = parser.parse_expr()
     if parser.i != len(parser.tokens):
@@ -944,9 +1038,9 @@ def render_laurent(p: LaurentPoly) -> str:
             parts.append(f"({cs})" if multi and len(p.coeffs) > 1 else cs)
             continue
         zpart = "z" if e == 1 else f"z^{e}"
-        if c.is_one():
+        if cs == "1":
             parts.append(zpart)
-        elif c == -1:
+        elif cs == "-1":
             parts.append(f"-{zpart}")
         elif multi:
             parts.append(f"({cs})·{zpart}")

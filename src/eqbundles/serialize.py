@@ -151,10 +151,8 @@ def bundle_to_doc(E: VectorBundle):
             "transition": _matrix_to_doc(E.transition)}
 
 
-def bundle_from_doc(doc, parsed=None, inverse=False) -> VectorBundle:
-    """The bundle of a document.  `inverse` has the determinant check run
-    as the elimination of [T | I], which gives T^-1 as well, for callers
-    that will need the inverse; otherwise T alone is eliminated."""
+def bundle_from_doc(doc, parsed=None) -> VectorBundle:
+    """The bundle of a document."""
     conductor = _conductor(doc.get("conductor"), "conductor")
     grid = _grid(doc.get("transition"))
     if len(grid) != len(grid[0]):
@@ -165,9 +163,6 @@ def bundle_from_doc(doc, parsed=None, inverse=False) -> VectorBundle:
         raise ValidationError(f"declared rank {rank} != matrix size {len(grid)}")
     T = _matrix_from_doc(grid, conductor, "transition", parsed)
     try:
-        if inverse:
-            T_inv, (_, e) = T.inverse_and_det_unit()
-            return VectorBundle(T, _inverse=T_inv, _degree=e)
         return make_bundle(T)
     except EqBundlesError as err:
         raise ValidationError(f"invalid transition matrix: {err}") from err
@@ -185,11 +180,7 @@ def structure_to_doc(S: EquivariantStructure):
 def structure_from_doc(doc) -> EquivariantStructure:
     G = _group_from_doc(_field(doc, "group", dict, {}))
     parsed = {}
-    # validate, equiv-check, decompose, verify-cert and equivalent use T^-1
-    # (the chart test of each map, the frame, the replay), so it comes from
-    # the elimination that checks det T; twist-char, and decompose or
-    # verify-cert on a lift structure, which they refuse, do not use it.
-    E = bundle_from_doc(_field(doc, "bundle", dict, {}), parsed, inverse=True)
+    E = bundle_from_doc(_field(doc, "bundle", dict, {}), parsed)
     _conductor(lcm(E.conductor, G.conductor), "lcm of bundle and group conductors")
     maps_doc = doc.get("maps")
     if not isinstance(maps_doc, dict):

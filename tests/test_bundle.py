@@ -75,12 +75,11 @@ def test_non_unimodular_transitions_are_rejected_at_parse_time(name, tmp_path, c
             "error: invalid transition matrix: determinant ")
 
 
-def test_inverse_transition_is_computed_on_first_use_and_kept():
+def test_inverse_transition_is_kept_from_construction():
     E, degrees = planted_bundle(Random(62), 3, 5, -3, 3)
     assert E.degree() == sum(degrees) and splitting_type(E).degrees == degrees
-    assert E._inverse is None  # neither the degree nor the splitting type needs it
-    inv = E.inverse_transition()
-    assert inv == E.transition.inverse()
+    inv = E._inverse  # the determinant check's elimination gave it
+    assert inv is not None and inv == E.transition.inverse()
     ident = LaurentMatrix.identity(3, 5)
     assert E.transition @ inv == ident == inv @ E.transition
     assert E.inverse_transition() is inv

@@ -766,3 +766,39 @@ def test_rep_decompose_makes_one_kernel_pass_per_column_at_most(monkeypatch, S):
     monkeypatch.setattr(classify, "rep_decompose", split)
     assert verify_certificate(decompose(S), S)
     assert passes and all(p <= n for p, n in zip(passes, sizes)), (passes, sizes)
+
+
+def test_one_by_one_blocks_are_read_off_their_scalars(monkeypatch):
+    """A 1x1 residual block's character is read off the generators'
+    scalars: `_classify` makes no `_charpoly`, `roots_among` or
+    `kernel_dense` call for it, at conductor 1000 as on Klein rank 8,
+    whose two pair blocks take one kernel pass each.  The model that the
+    replay of `decompose` reuses is the certificate's own."""
+    calls = []
+
+    def counted(name):
+        real = getattr(classify, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(classify, name, call)
+
+    for name in ("_charpoly", "roots_among", "kernel_dense"):
+        counted(name)
+    G = cyclic(1000)
+    line = twist_by_character(canonical_structure(G, [1]), characters(G)[1])
+    for S, kernel_passes in ((line, 0), (_klein_rank8(Random(8)), 2)):
+        calls.clear()
+        cert, model = classify._classify_with_model(S)
+        assert calls == ["kernel_dense"] * kernel_passes
+        assert model == classify._model(cert)
+        assert verify_certificate(cert, S)
+    assert decompose(line).even_blocks == ((1, characters(G)[1]),)
+    # no character takes these values, so the block does not split
+    for K, values in ((cyclic(4), {"g": CycNum.rational(4, 2)}),
+                      (cyclic(2), {"g": root_of_unity(4, 1)}),
+                      (klein(), {"a1": CycNum.one(4), "a2": root_of_unity(4, 1)})):
+        mode = "klein_even" if K.kind == "klein" else "cyclic"
+        mats = {name: [[v]] for name, v in values.items()}
+        assert rep_decompose(ResidualRep(mode, K, 0, 1, mats, 4)) == []

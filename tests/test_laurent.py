@@ -3,9 +3,9 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from eqbundles import cyclotomic
+from eqbundles import cyclotomic, laurent
 from eqbundles.cyclotomic import CycNum, euler_phi, root_of_unity
 from eqbundles.errors import ConductorMismatch, NonUnimodular, ParseError
 from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix,
@@ -674,6 +674,74 @@ def test_parse_on_coefficient_maps_matches_laurent_arithmetic(text_and_conductor
         except ParseError as err:
             return str(err), err.column
     assert outcome(parse_laurent) == outcome(parse_laurent_by_arithmetic)
+
+
+@st.composite
+def _sparse_laurents(draw, m):
+    """Laurent polynomials at conductor m with few terms, each coefficient
+    a rational multiple of a root of unity or a short sum of power-basis
+    entries, at exponents up to the cap."""
+    phi = euler_phi(m)
+    q = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    coeff = st.one_of(
+        st.tuples(q, st.integers(0, m - 1)).map(lambda qk: root_of_unity(m, qk[1]) * qk[0]),
+        st.dictionaries(st.integers(0, phi - 1), q, min_size=1, max_size=3).map(
+            lambda d: CycNum(m, [d.get(i, 0) for i in range(phi)])))
+    exponent = st.integers(-MAX_EXPONENT, MAX_EXPONENT)
+    return LaurentPoly(m, draw(st.dictionaries(exponent, coeff, max_size=4)))
+
+
+def _by_parser(text, m):
+    """`parse_laurent` through `_Parser` alone: the polynomial, or None
+    when it raises ParseError."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_scan_canonical", lambda *args: None)
+        try:
+            return parse_laurent(text, m)
+        except ParseError:
+            return None
+
+
+class _NoParser:
+    def __init__(self, *args):
+        raise AssertionError("a canonical text reached _Parser")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([1, 3, 4, 12, 97, 251, 1000]).flatmap(
+    lambda m: st.tuples(st.just(m), _sparse_laurents(m))))
+def test_scan_reads_every_canonical_render(m_and_p):
+    """Every text `render_laurent` writes is taken by the term scan, with
+    no `_Parser` built, and gives the polynomial `_Parser` reads."""
+    m, p = m_and_p
+    text = render_laurent(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_Parser", _NoParser)
+        assert parse_laurent(text, m) == p
+    assert _by_parser(text, m) == p
+
+
+_SCAN_ALPHABET = ["0", "1", "2", "3/4", "0/2", "1/0", "007", "z", "z4", "z12", "z0", "z5",
+                  "^", "^-", "200", "201", "1000", "1001", "·", "*", "+", "-", "(", ")",
+                  "/", " ", "z^200", "z^-201", "z^201", "z4^1001", "z4^-1000", "·z^3"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.tuples(st.sampled_from(["", "+", "-"]),
+                 st.lists(st.sampled_from(_SCAN_ALPHABET), min_size=1, max_size=8))
+       .map(lambda parts: parts[0] + "".join(parts[1])),
+       st.sampled_from([1, 4, 12]))
+@example("+1", 1)
+@example("+(1+z4)·z", 4)
+@example("1-z^201", 1)
+@example("-2·z4^3·z^-201", 4)
+def test_scan_declines_or_agrees_with_the_parser(text, m):
+    """On strings over the token alphabet, the scan either declines or
+    returns what `_Parser` accepts: it never accepts text the parser
+    refuses, such as a leading '+' or an exponent past the cap."""
+    scanned = laurent._scan_canonical(text, m)
+    if scanned is not None:
+        assert _by_parser(text, m) == LaurentPoly(m, scanned)
 
 
 def test_parse_rejects_an_overlong_root_with_position():
