@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNum
 from .errors import ConductorMismatch, InternalInconsistency
-from .laurent import LaurentMatrix, LaurentPoly, formed, regular_invertible_at
+from .laurent import (LaurentMatrix, LaurentPoly, _table_of, formed, regular_invertible_at,
+                      vanishes)
 from .linalg import kernel_dense
 
 
@@ -236,12 +237,13 @@ def model_isomorphism(E: VectorBundle) -> ModelIso:
     return ModelIso(model=st, psi=psi, bundle=E)
 
 
-def column_frame(E: VectorBundle, inverse: bool = False):
+def column_frame(E: VectorBundle, tables: bool = False):
     """(splitting type, psi) straight from the column reduction, with no
     chart certificate; `decompose` replays the certificate of the frame
     it builds from psi, and `model_isomorphism` certifies psi itself.
 
-    With `inverse`, (splitting type, psi, psi^-1), psi^-1 read off
+    With `tables`, (splitting type, psi, psi^-1), both as operand tables
+    of the product kernel and neither as a LaurentMatrix, psi^-1 read off
     E^-1 and the reduction's steps with no elimination.  T*U = C for the
     reduced columns C, so C^-1 = U^-1 * T^-1.  A step adds a_k = f*z^s
     times column k to column j for each listed k != j; its inverse,
@@ -251,17 +253,17 @@ def column_frame(E: VectorBundle, inverse: bool = False):
     deltas, cols, steps = _reduce_columns(E.transition)
     order = sorted(range(E.rank), key=deltas.__getitem__)
     st = SplittingType(tuple(-deltas[j] for j in order))
-    psi = LaurentMatrix(E.conductor, [[cols[j][i].shift(deltas[j]) for j in order]
-                                      for i in range(E.rank)])
-    if not inverse:
-        return st, psi
+    psi = [[cols[j][i].shift(deltas[j]) for j in order] for i in range(E.rank)]
+    if not tables:
+        return st, LaurentMatrix(E.conductor, psi)
     rows = [list(row) for row in E.inverse_transition().entries]
     for j, terms in steps:
         for k, f, s in terms:
             rows[k] = [a - b.shift(s).scale(f) if b.coeffs else a
                        for a, b in zip(rows[k], rows[j])]
-    return st, psi, LaurentMatrix(E.conductor, [[p.shift(-deltas[j]) for p in rows[j]]
-                                                for j in order])
+    return st, _table_of(E.conductor, [[p.coeffs for p in row] for row in psi]), \
+        _table_of(E.conductor, [[p.shift(-deltas[j]).coeffs for p in rows[j]]
+                                for j in order])
 
 
 def _frame(E):
@@ -298,11 +300,11 @@ def chart_certificate(F: LaurentMatrix, degrees, target: VectorBundle) -> list:
     det F.  F regular at 0 makes det F a polynomial in z, U regular at
     infinity makes det U one in 1/z, so both are constants, and det U =
     c^-1 * det F(0) != 0: U is invertible at infinity once it is regular
-    there, which the accumulators of target^-1 * F show with no entry of
-    U formed (z^D adds d_j to the exponents of column j).  When the degree
-    or the test at 0 fails, the argument does not apply: U is formed and
-    det U(infinity) is tested as well, so the problems listed are those
-    of the three tests."""
+    there, which the product kernel's table of target^-1 * F shows with
+    no entry of U formed (z^D adds d_j to the exponents of column j).
+    When the degree or the test at 0 fails, the argument does not apply:
+    U is formed and det U(infinity) is tested as well, so the problems
+    listed are those of the three tests."""
     problems = []
     if sum(degrees) != target.degree():
         problems.append(f"model degree {sum(degrees)} != bundle degree {target.degree()}")
@@ -310,11 +312,10 @@ def chart_certificate(F: LaurentMatrix, degrees, target: VectorBundle) -> list:
         problems.append("change of frame not regular+invertible at 0")
     table = target.inverse_transition().product_terms(F)
     if problems:
-        U = _at_infinity_chart(formed(target.conductor, table, F.cols), degrees)
+        U = _at_infinity_chart(formed(target.conductor, table), degrees)
         regular = regular_invertible_at(U, "infinity")
     else:
-        regular = not any(e + degrees[j] > 0 and any(v) for accs in table
-                          for j, acc in accs.items() for e, (v, _) in acc.items())
+        regular = vanishes(table, target.conductor, degrees)
     if not regular:
         problems.append("change of frame fails the infinity certificate")
     return problems

@@ -10,9 +10,10 @@ pulled-back cocycle, block upper-triangular by degree:
    canonical line entry of `equivariant.canonical_monomials` (for odd
    Klein blocks the line is over the lift group, and the C represent it
    up to its sign).  C_s is read as the z^k coefficient of the block
-   over c, from the coefficients of psi(s z)^-1 and S_s psi; no other
-   entry of N_s is formed, and psi^-1 comes from E^-1 and the column
-   reduction's steps (`column_frame`), with no elimination;
+   over c, from the operand tables of psi(s z)^-1 and S_s psi; no other
+   entry of N_s is formed.  psi^-1 comes as a table from E^-1 and the
+   column reduction's steps (`column_frame`), with no elimination, and
+   psi^-1(s z) is a rotation of its powers of zeta;
 2. split the constant representation (`rep_decompose`): simultaneous
    eigenvectors of the generators with characters for cyclic groups and
    even Klein blocks, eigenvector pairs swapped by the anticommuting
@@ -26,7 +27,10 @@ pulled-back cocycle, block upper-triangular by degree:
    sum_gamma N_{gamma^-1}(gamma z) R_gamma(z), exactly: psi(z)
    N_{gamma^-1}(gamma z) = S_{gamma^-1}(gamma z) psi(gamma z) and R_gamma
    P = P B_gamma.  B_gamma is monomial, so the product by it is a column
-   map, and the identity term is psi P.
+   map in the group ring (`laurent.add_column_map`), and the identity
+   term is psi P.  Every product is a pass of the product kernel on
+   tables, the terms are summed over one common denominator, and only F
+   is formed.
 
 The certificate records the block data plus F; `verify_certificate`
 replays it exactly.  That replay is the one check `decompose` makes, and
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .bundle import ModelIso, chart_certificate, column_frame
 from .cyclotomic import CycNum, _root_index, roots_among
@@ -56,8 +61,8 @@ from .equivariant import (EquivariantStructure, GroupIndexed, canonical_model,
                           transport_structure)
 from .group import (Character, GroupSpec, characters, elements, generators, identity,
                     inverse, klein_lift)
-from .laurent import (LaurentMatrix, LaurentPoly, accumulators, add_column_map, agrees,
-                      formed)
+from .laurent import (LaurentMatrix, LaurentPoly, _operand, _table_of, add_column_map,
+                      block_at, formed, vanishes)
 from .linalg import kernel_dense
 
 
@@ -383,9 +388,10 @@ def verify_certificate_report(cert: DecompositionCertificate,
     from the canonical model diag(z^d) (`chart_certificate`) and that
     F(gamma z) B_gamma(z) = S_gamma(z) F(z) for every gamma.  B is read
     off the block data as monomial rows (`_model`), so F(gamma z) B_gamma
-    is a column map, which `add_column_map` builds on F's numerators, and
-    each element costs one pass of the product kernel: the accumulators of
-    S_gamma F are compared with it (`agrees`) and no product is formed.
+    is a column map, which `add_column_map` subtracts from the product
+    kernel's table of S_gamma F, scaled to its denominator; each element
+    costs one kernel pass, and the difference, reduced mod Phi_m once per
+    coefficient, must vanish.
     At the identity B_e = I, so the identity reads F = S_e F; F is
     invertible at 0, hence as a matrix over the rational functions, so it
     holds exactly when S_e = I, which is what is compared, entry by
@@ -409,7 +415,7 @@ def _replay(cert: DecompositionCertificate, S: EquivariantStructure, model):
     reasons = chart_certificate(F, degrees, S.bundle)
     if reasons:
         return reasons
-    id_name, cond, source = identity(S.group).name, S.conductor, accumulators(F)
+    id_name, cond, source = identity(S.group).name, S.conductor, _operand(F)
     for name, c, e in S.action_items():
         if name == id_name:
             one = {0: CycNum.one(cond)}
@@ -417,9 +423,9 @@ def _replay(cert: DecompositionCertificate, S: EquivariantStructure, model):
                        for i, row in enumerate(S.maps[name].entries)
                        for j, p in enumerate(row))
         else:
-            target = [{} for _ in range(F.rows)]
-            add_column_map(target, source, c, e, B[name], cond)
-            same = agrees(S.maps[name].product_terms(F), target)
+            d, cols, rows = S.maps[name].product_terms(F)
+            add_column_map(rows, source, c, e, B[name], cond, -(d // source[0]))
+            same = vanishes((d, cols, rows), cond)
         if not same:
             reasons.append(f"conjugated built structure differs at {name!r}")
     return reasons
@@ -464,29 +470,6 @@ def decompose(S: EquivariantStructure) -> DecompositionCertificate:
     return cert
 
 
-def _residual_at(psi_inv_s, SP, start, stop, c, k):
-    """The constants C with the [start, stop) diagonal block of
-    psi(s z)^-1 (S_s psi) equal to c*z^k*C, read as each entry's z^k
-    coefficient over c; the coefficient is summed from those of the two
-    factors, and the product itself is never formed."""
-    cinv, zero = c.inverse(), CycNum.zero(c.conductor)
-    out = []
-    for row in psi_inv_s.entries[start:stop]:
-        out_row = []
-        for j in range(start, stop):
-            acc = zero
-            for x, sp_row in zip(row, SP.entries):
-                y = sp_row[j].coeffs
-                if y:
-                    for e, a in x.coeffs.items():
-                        b = y.get(k - e)
-                        if b is not None:
-                            acc = acc + a * b
-            out_row.append(acc * cinv)
-        out.append(out_row)
-    return out
-
-
 def _classify(S: EquivariantStructure) -> DecompositionCertificate:
     """The pipeline of the module docstring; `decompose` checks its answer."""
     return _classify_with_model(S)[0]
@@ -502,21 +485,28 @@ def _classify_with_model(S: EquivariantStructure):
     splits the residual reps without a relation check.  A degree block
     that splits into the wrong number of vectors raises
     InternalInconsistency, so that bad input still reaches
-    `require_valid`."""
+    `require_valid`.  Only F is formed; every product stays a table."""
     G, cond = S.group, S.conductor
-    st, psi, psi_inv = column_frame(S.bundle, inverse=True)
-    # S_s psi and psi(s z)^-1 for the generators s
-    SP = {s.name: S.maps[s.name] @ psi for s in generators(G)}
-    shifted = {s.name: psi_inv.substitute(s.c.embed(cond), s.e) for s in generators(G)}
-    blocks, P_blocks = [], []
-    for (d, start, stop) in _block_ranges(st.degrees):
-        mode, line = _canonical_line(G, d)
-        mats = {}
-        for s in generators(G):
+    st, psi, psi_inv = column_frame(S.bundle, tables=True)
+    product = LaurentMatrix.product_terms
+    r, ranges = S.bundle.rank, _block_ranges(st.degrees)
+    lines = [(start, stop) + _canonical_line(G, d) for d, start, stop in ranges]
+    # S_s psi and psi(s z)^-1 for the generators s, and the residual
+    # constants of each diagonal block, read from them at its z^k
+    SP, mats = {}, [{} for _ in ranges]
+    for s in generators(G):
+        SP[s.name] = product(S.maps[s.name], psi)
+        shifted = [{} for _ in range(r)]
+        add_column_map(shifted, psi_inv, s.c.embed(cond), s.e,
+                       [(i, CycNum.one(cond), 0) for i in range(r)], cond)
+        for (start, stop, _, line), out in zip(lines, mats):
             key, c, k = line[s.name]
-            mats[key] = _residual_at(shifted[s.name], SP[s.name], start, stop,
-                                     c.embed(cond), k)
-        split = rep_decompose(ResidualRep(mode, G, d, stop - start, mats, cond))
+            cinv = c.embed(cond).inverse()
+            out[key] = [[x * cinv for x in row] for row in
+                        block_at((psi_inv[0], r, shifted), SP[s.name], start, stop, k, cond)]
+    blocks, P = [], [[{}] * r for _ in range(r)]
+    for (d, start, stop), (_, _, mode, _), block_mats in zip(ranges, lines, mats):
+        split = rep_decompose(ResidualRep(mode, G, d, stop - start, block_mats, cond))
         if mode == "klein_lift":
             blocks += [(d, None)] * len(split)
             cols = [c for v, av in split for c in (av, v)]
@@ -528,26 +518,31 @@ def _classify_with_model(S: EquivariantStructure):
                 f"degree-{d} block of size {stop - start} split into "
                 f"{len(cols)} vectors")
         # the vectors are the columns of the block
-        P_blocks.append(LaurentMatrix.from_const(cond, zip(*cols)))
-    P = LaurentMatrix.block_diag(P_blocks)
+        for j, col in enumerate(cols, start):
+            for i, x in enumerate(col, start):
+                if not x.is_zero():
+                    P[i][j] = {0: x}
+    P = _table_of(cond, P)
     model = canonical_rows(G, blocks, cond)
     B = model[1]
     # F = 1/|G| sum_gamma (S_{gamma^-1} psi P)(gamma z) B_gamma(z), summed
-    # on numerators by `add_column_map` and formed once; at the identity,
-    # elements(G)[0], the term is psi P, as the replay checks S_e = I
-    psiP = psi @ P
-    total = [{} for _ in range(psiP.rows)]
+    # over one running denominator; at the identity, elements(G)[0], the
+    # term is psi P, as the replay checks S_e = I
+    psiP, den, total = product(psi, P), 1, [{} for _ in range(r)]
     for g in elements(G):
         name = inverse(G, g).name
         if g is elements(G)[0]:
-            X = accumulators(psiP)
+            X = psiP
         elif name in SP:
-            X = SP[name].product_terms(P)
+            X = product(SP[name], P)
         else:
-            X = S.maps[name].product_terms(psiP)
-        add_column_map(total, X, g.c.embed(cond), g.e, B[g.name], cond, G.order)
+            X = product(S.maps[name], psiP)
+        if den % X[0]:
+            f = X[0] // gcd(den, X[0])
+            den, total = den * f, [{s: n * f for s, n in row.items()} for row in total]
+        add_column_map(total, X, g.c.embed(cond), g.e, B[g.name], cond, den // X[0])
     return DecompositionCertificate(
         group=G, even_blocks=tuple(b for b in blocks if b[1] is not None),
         odd_blocks=tuple(d for d, chi in blocks if chi is None),
-        change_of_frame=formed(cond, total, psiP.cols),
+        change_of_frame=formed(cond, (den * G.order, r, total)),
         conductor=cond), model

@@ -10,10 +10,10 @@ Everything is exact and canonical: a scalar is a tuple of phi integer
 numerators over one positive common denominator, with no common factor
 (Cohen, "A Course in Computational Algebraic Number Theory", 4.2).  Phi_m
 is monic with integer coefficients, so products fold back to degree
-< phi through an integer table of x^k mod Phi_m.  The inverse of a
-rational multiple of +-zeta^k is read off the table of powers of zeta;
-any other inverse comes from one fraction-free Gauss-Jordan pass on the
-integer matrix of multiplication by the numerator.  `fractions.Fraction`
+< phi through the integer rows of x^k mod Phi_m (`_power_rows`).  The
+inverse of a rational multiple of +-zeta^k is read off the table of
+powers of zeta; any other from one fraction-free Gauss-Jordan pass on
+the integer matrix of multiplication by the numerator.  `Fraction`
 appears only at the edges: constructor input and the `coeffs` view.
 """
 
@@ -27,7 +27,7 @@ from operator import add, neg, sub
 from .errors import ConductorMismatch
 
 # Largest conductor that input may set (serialize checks each one); the
-# cost of Phi_m, the fold table and inverses grows steeply with phi(m).
+# cost of Phi_m, the power table and inverses grows steeply with phi(m).
 MAX_CONDUCTOR = 1000
 
 
@@ -97,25 +97,28 @@ def _root_index(m: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _fold_table(m: int) -> tuple:
-    """x^k mod Phi_m for phi <= k <= 2*phi - 2, the degrees a product of
-    two reduced elements reaches, each row as (index, coefficient) pairs
-    of its nonzero entries."""
-    mod = cyclotomic_polynomial(m)
-    vec = [0] * (len(mod) - 2) + [1]  # x^(phi-1)
-    rows = []
-    for _ in range(len(mod) - 2):
-        vec = _times_x(mod, vec)
-        rows.append(tuple((i, c) for i, c in enumerate(vec) if c))
-    return tuple(rows)
+def _wide_roots(m: int) -> dict:
+    """{numerators: (t, +-1)} of the roots +-zeta_m^t with more than one
+    nonzero power-basis numerator; empty when m is a power of 2."""
+    return {tuple(s * a for a in v): (t, s) for v, t in _root_index(m).items()
+            if sum(map(bool, v)) > 1 for s in (1, -1)}
 
 
-def _num_product(a, b, fold) -> list:
-    """The numerators of a*b for numerator vectors a and b, folded back to
-    degree < phi through `fold`, the `_fold_table` of their conductor."""
+@lru_cache(maxsize=None)
+def _power_rows(m: int) -> tuple:
+    """x^p mod Phi_m for 0 <= p < 4m (p read mod m), each row as (index,
+    coefficient) pairs of its nonzero entries: the one reduction of the
+    group ring Z[x]/(x^m - 1) onto the power basis."""
+    return tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in _zeta_powers(m)) * 4
+
+
+def _num_product(a, b, rows) -> list:
+    """The numerators of a*b for numerator vectors a and b, reduced to
+    degree < phi through `rows`, the `_power_rows` of their conductor."""
     prod = _poly_mul(a, b)
-    out = prod[:len(a)]
-    for t, row in zip(prod[len(a):], fold):
+    phi = len(a)
+    out = prod[:phi]
+    for t, row in zip(prod[phi:], rows[phi:2 * phi]):
         if t:
             for i, c in row:
                 out[i] += t * c
@@ -276,7 +279,7 @@ class CycNum:
             if den == other._den and a[0] in (1, -1):
                 return other if a[0] == 1 else -other
             return _canonical(self.conductor, [a[0] * y for y in b], den)
-        return _canonical(self.conductor, _num_product(a, b, _fold_table(self.conductor)),
+        return _canonical(self.conductor, _num_product(a, b, _power_rows(self.conductor)),
                           den)
 
     __rmul__ = __mul__
@@ -405,18 +408,9 @@ def root_of_unity(m: int, k: int) -> CycNum:
     return _new(m, _zeta_powers(m)[k % m], 1)
 
 
-@lru_cache(maxsize=None)
-def _high_powers(m: int) -> tuple:
-    """x^t mod Phi_m for phi <= t < m, each row as (index, coefficient)
-    pairs of its nonzero entries."""
-    return tuple(tuple((i, c) for i, c in enumerate(v) if c)
-                 for v in _zeta_powers(m)[euler_phi(m):])
-
-
 def root_rotation(c: CycNum):
     """(s, t) with c = s * zeta_m^t and s = +-1, m the conductor of c;
-    ValueError if c is no root of unity or the negative of one.  The
-    product by c is then `_times_root` and a sign."""
+    ValueError if c is no root of unity or the negative of one."""
     num = c._num
     if c._den == 1:
         if num[0] in (1, -1) and not any(num[1:]):
@@ -431,25 +425,6 @@ def root_rotation(c: CycNum):
     raise ValueError(f"{render_cycnum(c)} is not a root of unity up to sign")
 
 
-def _times_root(num, t: int, m: int) -> list:
-    """The numerators of num * zeta_m^t, with no product: as in
-    `roots_among`, each nonzero num_i moves to the power x^u, u = i + t
-    mod m, of Z[x]/(x^m - 1), and one with u >= phi is reduced mod Phi_m
-    through the row of x^u, so the cost is one pass over num plus the rows
-    its nonzeros reach."""
-    phi, high = len(num), _high_powers(m)
-    out = [0] * phi
-    for i, a in enumerate(num):
-        if a:
-            u = (i + t) % m
-            if u < phi:
-                out[u] += a
-            else:
-                for j, c in high[u - phi]:
-                    out[j] += a * c
-    return out
-
-
 def roots_among(coeffs, points) -> list:
     """For each point (r, j), whether the polynomial sum coeffs[i] *
     x^(n-i), n = len(coeffs) - 1, vanishes at x = r * zeta_m^j, where m is
@@ -458,14 +433,13 @@ def roots_among(coeffs, points) -> list:
     No scalar product is formed.  Over a common denominator the value is
     sum r^e * zeta^(j*e) * num_e(x), and multiplying by zeta^(j*e) rotates
     the numerator vector num_e, padded to length m, by j*e places modulo
-    x^m - 1; the sum is reduced mod Phi_m once, through the rows of
-    x^t mod Phi_m for phi <= t < m."""
+    x^m - 1; the sum is reduced mod Phi_m once, through `_power_rows`."""
     m, n = coeffs[0].conductor, len(coeffs) - 1
     den = lcm(*(c._den for c in coeffs))
     phi = len(coeffs[0]._num)
     pad = [0] * (m - phi)
     vecs = [[a * (den // c._den) for a in c._num] + pad for c in coeffs]
-    high = _high_powers(m)
+    high = _power_rows(m)[phi:m]
     out = []
     for r, j in points:
         acc = [0] * m

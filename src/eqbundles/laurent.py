@@ -5,17 +5,18 @@ zeros; the empty map is zero.  Matrices are immutable row-major grids of
 Laurent polynomials.  The public constructors check their input; every
 operation keeps the invariant itself, returns through the trusted
 `_poly` or `_matrix`, and works only where entries are nonzero: the
-matrix product is one kernel, `LaurentMatrix.product_terms`, which
-builds row i as the sum of a_ik times row k of B over the nonzero a_ik
-and the nonzero entries of B (Gustavson 1978), so an entry no term
-reaches is never computed, and sums each coefficient on integer
-numerators; `@`, the certificate replay's product checks and the
-Reynolds average of `classify` read its accumulators.  One Gauss-Jordan
-elimination of [A | I], with unit-monomial pivots where it can and a
-fraction-free step elsewhere, gives det A and, when det A is a unit
-monomial, which is exactly the invertibility condition for transition
-matrices on the two-chart projective line, the inverse; `det` and the
-unimodularity check `det_unit` read the determinant off it.
+matrix product is one kernel, `LaurentMatrix.product_terms`, on integers
+in the group ring Z[x]/(x^m - 1) over one denominator per matrix (the
+operand tables below), row i the sum of a_ik times row k of B over their
+terms (Gustavson 1978), each coefficient reduced mod Phi_m once after
+its sum (von zur Gathen & Gerhard, Modern Computer Algebra); `@`, the
+replay's zero tests, the chart certificate and the Reynolds average of
+`classify` share it, `block_at` runs it on one block at one exponent,
+and `add_column_map` rotates powers of x.  One Gauss-Jordan elimination
+of [A | I], with unit-monomial pivots where it can and a fraction-free
+step elsewhere, gives det A and, when det A is a unit monomial, which is
+exactly the invertibility condition for transition matrices on the
+two-chart projective line, the inverse.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from operator import add, ne
 
-from .cyclotomic import (MAX_CONDUCTOR, CycNum, _canonical, _fold_table, _num_product,
-                         _times_root, _zeta_powers, euler_phi, render_cycnum,
-                         root_of_unity, root_rotation, term_count)
+from .cyclotomic import (MAX_CONDUCTOR, CycNum, _canonical, _power_rows, _wide_roots,
+                         _zeta_powers, euler_phi, render_cycnum, root_of_unity,
+                         root_rotation, term_count)
 from .errors import ConductorMismatch, DimensionMismatch, NonUnimodular, ParseError
 from .linalg import kernel_dense
 
@@ -301,10 +301,7 @@ class LaurentMatrix:
 
     @classmethod
     def identity(cls, conductor: int, n: int) -> "LaurentMatrix":
-        one = LaurentPoly.const(conductor, 1)
-        zero = LaurentPoly.zero(conductor)
-        return cls(conductor, [[one if i == j else zero for j in range(n)]
-                               for i in range(n)])
+        return cls.diag_monomials(conductor, [0] * n)
 
     @classmethod
     def diag_monomials(cls, conductor: int, exponents) -> "LaurentMatrix":
@@ -321,64 +318,36 @@ class LaurentMatrix:
 
     # -- algebra ----------------------------------------------------------------
 
-    def _terms(self):
-        """The operand table of the product kernel, built on first use and
-        kept: per row, [(column, [(e, numerators, den, r)])] over the
-        nonzero entries and their terms, r the numerator of a rational
-        coefficient and None otherwise."""
-        if self._table is None:
-            object.__setattr__(self, "_table", [
-                [(j, [(e, c._num, c._den, None if any(c._num[1:]) else c._num[0])
-                      for e, c in p.coeffs.items()])
-                 for j, p in enumerate(row) if p.coeffs]
-                for row in self.entries])
-        return self._table
-
-    def product_terms(self, other: "LaurentMatrix") -> list:
-        """The product kernel: self @ other as an accumulator table (see
-        `formed`).  Row i is the sum of a_ik times row k of B over the
-        nonzero a_ik and the nonzero entries of B (Gustavson 1978), so an
-        entry no term reaches has no accumulator.  Each term product is
-        formed on numerators alone: a rational factor scales the other
-        one's vector, any other pair is multiplied and folded by
-        `_fold_table`, and no CycNum is built."""
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.cols} cols vs {other.rows} rows")
-        if self.conductor != other.conductor:
-            raise ConductorMismatch(f"conductor {self.conductor} vs {other.conductor}")
-        fold = _fold_table(self.conductor)
-        b_rows = other._terms()
+    def product_terms(self, other) -> tuple:
+        """The product kernel: self @ other as a table (D_A * D_B, cols,
+        rows), each operand a matrix or a table.  A term n1 z^e1 x^p1 of
+        a_ik and a term n2 z^e2 x^p2 of b_kj add n1 * n2 at z^(e1+e2)
+        x^(p1+p2) in column j, whose key is b's plus a's without its
+        column: no scalar product, fold or denominator per term."""
+        if isinstance(self, LaurentMatrix) and isinstance(other, LaurentMatrix):
+            if self.cols != other.rows:
+                raise DimensionMismatch(f"{self.cols} cols vs {other.rows} rows")
+            if self.conductor != other.conductor:
+                raise ConductorMismatch(f"conductor {self.conductor} vs {other.conductor}")
+        da, ca, a_rows = _operand(self)
+        db, cb, b_rows = _operand(other)
         out = []
-        for row in self._terms():
-            accs = {}
-            for k, a_terms in row:
-                for j, b_terms in b_rows[k]:
-                    acc = accs.get(j)
-                    if acc is None:
-                        acc = accs[j] = {}
-                    for e1, n1, d1, r1 in a_terms:
-                        for e2, n2, d2, r2 in b_terms:
-                            if r1 is not None:
-                                v = n2 if r1 == 1 else [r1 * y for y in n2]
-                            elif r2 is not None:
-                                v = n1 if r2 == 1 else [r2 * x for x in n1]
-                            else:
-                                v = _num_product(n1, n2, fold)
-                            e, d = e1 + e2, d1 * d2
-                            cur = acc.get(e)
-                            if cur is None:
-                                acc[e] = (v, d)
-                            elif cur[1] == d:
-                                acc[e] = (list(map(add, cur[0], v)), d)
-                            else:
-                                acc[e] = _added(cur, v, d)
-            out.append(accs)
-        return out
+        for row in a_rows:
+            acc = {}
+            for s1, n1 in row.items():
+                if n1:
+                    q1, k = divmod(s1, ca)
+                    base = q1 * cb
+                    for s2, n2 in b_rows[k].items():
+                        s = base + s2
+                        acc[s] = acc.get(s, 0) + n1 * n2
+            out.append(acc)
+        return da * db, cb, out
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        return formed(self.conductor, self.product_terms(other), other.cols)
+        return formed(self.conductor, self.product_terms(other))
 
     def times_monomial(self, rows) -> "LaurentMatrix":
         """self @ B for the monomial matrix B whose row i has its one nonzero
@@ -479,20 +448,15 @@ class LaurentMatrix:
     def det(self) -> LaurentPoly:
         return _det_adjugate(self)[0]
 
-    def det_unit(self):
-        """(c, e) where det A = c*z^e.  Any other determinant raises
-        NonUnimodular: only a unit monomial is invertible in the Laurent
-        ring."""
-        return _unit(self.det())
-
     def inverse(self) -> "LaurentMatrix":
         """A^-1 by the elimination of [A | I]; NonUnimodular as in
-        `det_unit`."""
+        `inverse_and_det_unit`."""
         return self.inverse_and_det_unit()[0]
 
     def inverse_and_det_unit(self):
         """(A^-1, (c, e)) with det A = c*z^e, both from the one elimination
-        of [A | I]; NonUnimodular as in `det_unit`."""
+        of [A | I].  Any other determinant raises NonUnimodular: only a
+        unit monomial is invertible in the Laurent ring."""
         d, inv = _det_adjugate(self)
         return inv, _unit(d)
 
@@ -519,100 +483,155 @@ def _matrix(conductor: int, rows) -> LaurentMatrix:
 
 
 # ---------------------------------------------------------------------------
-# accumulator tables
+# operand tables
 #
-# The product kernel, `LaurentMatrix.product_terms`, returns a matrix as an
-# accumulator table: one dict per row, {column: {exponent: (numerators,
-# den)}}, each coefficient its integer numerator vector over a positive
-# denominator, not reduced.  A column or exponent the table lacks is zero,
-# and an all-zero vector may stand in it as well.
+# The product kernel reads and returns matrices as tables (D, cols, rows)
+# over one positive denominator D.  Row i is a dict {key: n} of integers,
+# and entry (i, j) is the sum of n * z^e * x^p / D over the keys
+# (e * 4m + p) * cols + j, with x^p in Z[x]/(x^m - 1), m the conductor,
+# standing for zeta_m^p.  A rational multiple of +-zeta^t is one term, at
+# p = t, even for t >= phi; any other coefficient has one term per
+# nonzero power-basis numerator.  Matrices have p < m, and no table is a
+# product of more than four of them, so p < 4m.  A table may hold zero
+# sums, and sums that vanish only mod Phi_m: `_reduce` reduces each
+# coefficient once, and nothing else does.
 # ---------------------------------------------------------------------------
 
-def _added(cur, v, d):
-    """The accumulated pair cur = (numerators, den) plus v/d, over the
-    least common multiple of the denominators."""
-    w, den = cur
-    if den == d:
-        return list(map(add, w, v)), d
-    g = gcd(den, d)
-    a, b = d // g, den // g
-    return [x * a + y * b for x, y in zip(w, v)], den * a
+def _operand(x) -> tuple:
+    """The table of a table, or of a matrix, built on first use and kept."""
+    if isinstance(x, LaurentMatrix):
+        if x._table is None:
+            object.__setattr__(x, "_table", _table_of(
+                x.conductor, [[p.coeffs for p in row] for row in x.entries]))
+        return x._table
+    return x
 
 
-def accumulators(matrix: LaurentMatrix) -> list:
-    """The matrix's coefficients as an accumulator table."""
-    return [{j: {e: (c._num, c._den) for e, c in p.coeffs.items()}
-             for j, p in enumerate(row) if p.coeffs}
-            for row in matrix.entries]
+def _table_of(conductor: int, grid) -> tuple:
+    """The table of a grid of coefficient maps {e: nonzero CycNum}, in one
+    pass: a denominator that the running one does not cover rescales the
+    terms so far, and g times a root in `_wide_roots` is one term."""
+    cols, wide = len(grid[0]), _wide_roots(conductor)
+    w, den, rows = 4 * conductor * cols, 1, []
+    for row in grid:
+        out = {}
+        rows.append(out)
+        for j, coeffs in enumerate(row):
+            for e, c in coeffs.items():
+                d, base = c._den, e * w + j
+                if den % d:
+                    f = d // gcd(den, d)
+                    den *= f
+                    for r in rows:
+                        for s in r:
+                            r[s] *= f
+                f, num = den // d, c._num
+                terms = enumerate(num)
+                if wide and len(num) - num.count(0) > 1:
+                    g = gcd(*num)
+                    root = wide.get(num if g == 1 else tuple([a // g for a in num]))
+                    if root is not None:
+                        terms = ((root[0], root[1] * g),)
+                for p, n in terms:
+                    if n:
+                        out[base + p * cols] = n * f
+    return den, cols, rows
 
 
-def formed(conductor: int, table, cols: int) -> LaurentMatrix:
-    """The matrix of an accumulator table with `cols` columns: one
-    `_canonical` per nonzero coefficient."""
+def _reduce(row: dict, cols: int, m: int) -> dict:
+    """{e * 4m * cols + j: numerators} of one table row: each x^p is
+    reduced mod Phi_m through its row of `_power_rows`."""
+    w, red, phi = 4 * m, _power_rows(m), euler_phi(m)
+    out = {}
+    for s, n in row.items():
+        if n:
+            p = s // cols % w
+            key = s - p * cols
+            v = out.get(key)
+            if v is None:
+                v = out[key] = [0] * phi
+            for i, c in red[p]:
+                v[i] += n * c
+    return out
+
+
+def formed(conductor: int, table) -> LaurentMatrix:
+    """The matrix of a table: one `_canonical` per nonzero coefficient."""
+    den, cols, rows = table
+    w = 4 * conductor * cols
     zero = _poly(conductor, {})
     out = []
-    for accs in table:
-        row = [zero] * cols
-        for j, acc in accs.items():
-            row[j] = _poly(conductor, {e: _canonical(conductor, v, d)
-                                       for e, (v, d) in acc.items() if any(v)})
-        out.append(row)
+    for row in rows:
+        coeffs, line = {}, [zero] * cols
+        for key, v in _reduce(row, cols, conductor).items():
+            if any(v):
+                e, j = divmod(key, w)
+                coeffs.setdefault(j, {})[e] = _canonical(conductor, v, den)
+        for j, c in coeffs.items():
+            line[j] = _poly(conductor, c)
+        out.append(line)
     return _matrix(conductor, out)
 
 
-def agrees(a, b) -> bool:
-    """Whether the accumulator table a holds the same matrix as b, whose
-    coefficients are all nonzero, as those of `accumulators` and of a
-    column map of them are: a coefficient of a must be zero where b has
-    none, and equal to b's, by cross-multiplying numerators with the other
-    denominator, where it has one."""
-    for ra, rb in zip(a, b):
-        if not rb.keys() <= ra.keys():
-            return False
-        for j, x in ra.items():
-            y = rb.get(j, {})
-            if not y.keys() <= x.keys():
-                return False
-            for e, (v, d) in x.items():
-                w = y.get(e)
-                if w is None:
-                    if any(v):
-                        return False
-                elif (any(map(ne, v, w[0])) if w[1] == d
-                      else any(p * w[1] != q * d for p, q in zip(v, w[0]))):
-                    return False
-    return True
+def vanishes(table, conductor: int, degrees=None) -> bool:
+    """Whether every coefficient of the table is zero; with `degrees`,
+    every one at z^e in a column j with e + degrees[j] > 0, that is,
+    whether table * z^D is regular at infinity."""
+    _, cols, rows = table
+    if degrees is not None:
+        w = 4 * conductor * cols
+        rows = [{s: n for s, n in row.items() if s // w + degrees[s % cols] > 0}
+                for row in rows]
+    return not any(any(v) for row in rows for v in _reduce(row, cols, conductor).values())
 
 
-def add_column_map(total, table, c: CycNum, e: int, rows, conductor: int,
-                   den: int = 1):
-    """Add X(c*z^e) B / den into the accumulator table `total`, X given as
-    the accumulator table `table` and B the monomial matrix whose row l
-    has its one nonzero entry c_l*z^(k_l) in column j, rows[l] = (j, c_l,
-    k_l): this fuses `LaurentMatrix.substitute` and `times_monomial`.
+def block_at(a, b, start: int, stop: int, k: int, conductor: int) -> list:
+    """The z^k coefficients of the [start, stop) diagonal block of the
+    product of the tables a and b, as rows of CycNum: only the term pairs
+    that reach the block at z^k are summed, and nothing else of the
+    product is formed."""
+    (da, cols, a_rows), (db, _, b_rows) = a, b
+    lo = k * 4 * conductor * cols
+    hi, zero, out = lo + 4 * conductor * cols, [0] * euler_phi(conductor), []
+    for row in a_rows[start:stop]:
+        acc = {}
+        for s1, n1 in row.items():
+            q1, l = divmod(s1, cols)
+            base = q1 * cols
+            for s2, n2 in b_rows[l].items():
+                s = base + s2
+                if lo <= s < hi and start <= s2 % cols < stop:
+                    acc[s] = acc.get(s, 0) + n1 * n2
+        v = _reduce(acc, cols, conductor)
+        out.append([_canonical(conductor, v.get(lo + j, zero), da * db)
+                    for j in range(start, stop)])
+    return out
 
-    A term x*z^k of X_il lands in column j at the exponent e*k + k_l, times
-    c^k c_l.  c and every c_l must be roots of unity up to sign
-    (`root_rotation`), as group actions and canonical rows are, so the
-    factor is +-zeta^t: its product moves x's numerators to the powers
-    x^(i+t) mod x^m - 1, m the conductor, and reduces them mod Phi_m
-    (`_times_root`), with no product of scalars formed."""
-    m = conductor
+
+def add_column_map(total: list, table, c: CycNum, e: int, monomial, conductor: int,
+                   scale: int = 1):
+    """Add scale times the numerators of X(c*z^e) B to the rows `total`,
+    for X's table (D, cols, rows) and the square monomial matrix B whose
+    row l has its one nonzero entry c_l*z^(k_l) in column j, monomial[l]
+    = (j, c_l, k_l).  c and the c_l must be +-zeta^t (`root_rotation`), as
+    group actions and canonical rows are: a term n z^k x^p of X_il lands
+    in column j as +-n z^(e*k + k_l) x^(p + t*k + t_l mod m), and no
+    scalar product is formed."""
+    _, cols, rows = table
+    m, w = conductor, 4 * conductor
     sc, tc = root_rotation(c)
-    moved = [(j,) + root_rotation(cl) + (kl,) for j, cl, kl in rows]
-    for out, row in zip(total, table):
-        for l, terms in row.items():
-            j, sl, tl, kl = moved[l]
-            dest = out.setdefault(j, {})
-            for k, (v, d) in terms.items():
-                t = (tc * k + tl) % m
-                if t:
-                    v = _times_root(v, t, m)
-                if (sc < 0 and k % 2) != (sl < 0):
-                    v = [-x for x in v]
-                k, d = e * k + kl, d * den
-                cur = dest.get(k)
-                dest[k] = (v, d) if cur is None else _added(cur, v, d)
+    # per row l: the power's shift, the key's offset, the factors for even and odd k
+    moved = [(tl, kl * w * cols + j, scale * sl, scale * sl * sc)
+             for j, cl, kl in monomial for sl, tl in [root_rotation(cl)]]
+    ew = e * w
+    for out, row in zip(total, rows):
+        for s, n in row.items():
+            if n:
+                q, l = divmod(s, cols)
+                k, p = divmod(q, w)
+                tl, offset, even, odd = moved[l]
+                s = (ew * k + (p + tc * k + tl) % m) * cols + offset
+                out[s] = out.get(s, 0) + n * (odd if k % 2 else even)
 
 
 def _unit(d: LaurentPoly):

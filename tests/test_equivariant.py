@@ -490,7 +490,7 @@ def test_direct_sum_of_many_parts_equals_the_pairwise_fold():
             S = direct_sum_structures(*parts[:n])
             _assert_same_structure(S, reduce(direct_sum_structures, parts[:n]))
             assert S.bundle.rank == sum(P.bundle.rank for P in parts[:n])
-            assert S.bundle.degree() == S.bundle.transition.det_unit()[1]
+            assert S.bundle.degree() == S.bundle.transition.inverse_and_det_unit()[1][1]
             assert S.bundle.inverse_transition() == S.bundle.transition.inverse()
             assert validate_structure(S)
     with pytest.raises(NotComparable):

@@ -9,9 +9,9 @@ from eqbundles import cyclotomic, laurent
 from eqbundles.cyclotomic import CycNum, euler_phi, root_of_unity
 from eqbundles.errors import ConductorMismatch, NonUnimodular, ParseError
 from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix,
-                               LaurentPoly, _det_adjugate, accumulators, add_column_map,
-                               agrees, formed, parse_laurent, regular_invertible_at,
-                               render_laurent)
+                               LaurentPoly, _det_adjugate, add_column_map, formed,
+                               parse_laurent, regular_invertible_at, render_laurent,
+                               vanishes)
 from eqbundles.randgen import random_poly, random_unimodular, random_unit
 
 from conftest import L, M
@@ -206,11 +206,11 @@ def test_det_only_pass_matches_adjugate_pass_and_cofactor(A):
     um = d.unit_monomial()
     if um is None:
         with pytest.raises(NonUnimodular):
-            A.det_unit()
+            A.inverse_and_det_unit()
         with pytest.raises(NonUnimodular):
             A.inverse()
     else:
-        assert A.det_unit() == um
+        assert A.inverse_and_det_unit()[1] == um
 
 
 def _sympy_poly(sympy, p):
@@ -282,16 +282,23 @@ def test_trusted_results_keep_the_invariant(data):
 
 
 @st.composite
-def sparse_matrices(draw, m, rows, cols, max_den=1):
+def sparse_matrices(draw, m, rows, cols, max_den=1, roots=False):
     """Entries at density 0.2, 0.5 or 0.9 with small coefficients (many of
     them +-1), integer or, with max_den > 1, over denominators up to
     max_den, and sometimes an all-zero row, an all-zero column or the zero
-    matrix."""
+    matrix.  With `roots`, a coefficient may also be q * zeta^t for any
+    0 <= t < m, t >= phi included, or a sum of two such; at conductors of
+    more than 12 it is always one of these."""
     number = (st.integers(-2, 2) if max_den == 1 else
               st.builds(Fraction, st.integers(-2, 2), st.integers(1, max_den)))
-    coeff = st.lists(number, min_size=euler_phi(m), max_size=euler_phi(m))
-    entry = st.dictionaries(st.integers(-2, 2), coeff.map(lambda c: CycNum(m, c)),
-                            min_size=1, max_size=2).map(lambda d: LaurentPoly(m, d))
+    dense = st.lists(number, min_size=euler_phi(m), max_size=euler_phi(m)).map(
+        lambda c: CycNum(m, c))
+    root = st.builds(lambda q, t: root_of_unity(m, t) * q, number.filter(bool),
+                     st.integers(euler_phi(m) - 1, m - 1) | st.integers(0, m - 1))
+    coeff = dense if not roots else st.one_of(
+        ([dense] if m <= 12 else []) + [root, st.builds(operator.add, root, root)])
+    entry = st.dictionaries(st.integers(-2, 2), coeff, min_size=1,
+                            max_size=2).map(lambda d: LaurentPoly(m, d))
     zero = LaurentPoly.zero(m)
     rnd = draw(st.randoms(use_true_random=False))
     density = draw(st.sampled_from([0.2, 0.5, 0.9]))
@@ -351,18 +358,23 @@ def _near_miss(rnd, D, kind):
     return LaurentMatrix(m, [[LaurentPoly(m, c) for c in row] for row in grid])
 
 
+def _scaled(table, f):
+    """A table's rows times the integer f."""
+    return [{s: n * f for s, n in row.items()} for row in table[2]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_product_check_agrees_with_the_dense_product(data):
-    """The replay's product check: the kernel's accumulators of A @ B
-    against G(c*z^e) B_gamma as `add_column_map` builds it, for G chosen
-    by the reference substitute/times_monomial path so that G(c*z^e)
-    B_gamma = C.  `agrees` says yes exactly when dense_matmul(A, B) == C,
+    """The replay's product check: the kernel's table of A @ B minus
+    G(c*z^e) B_gamma as `add_column_map` builds it, for G chosen by the
+    reference substitute/times_monomial path so that G(c*z^e) B_gamma =
+    C.  The difference `vanishes` exactly when dense_matmul(A, B) == C,
     for C the product or a near miss of it."""
-    m = data.draw(st.sampled_from([1, 3, 4, 12]))
+    m = data.draw(st.sampled_from([1, 3, 4, 12, 97, 105]))
     r, k, c = (data.draw(st.integers(1, 6)) for _ in range(3))
-    A = data.draw(sparse_matrices(m, r, k, max_den=5))
-    B = data.draw(sparse_matrices(m, k, c, max_den=5))
+    A = data.draw(sparse_matrices(m, r, k, max_den=5, roots=True))
+    B = data.draw(sparse_matrices(m, k, c, max_den=5, roots=True))
     rnd = data.draw(st.randoms(use_true_random=False))
     kind = data.draw(st.sampled_from(["true", "q", "zeta", "extra", "dropped", "zero"]))
     C = _near_miss(rnd, dense_matmul(A, B), kind)
@@ -379,10 +391,50 @@ def test_product_check_agrees_with_the_dense_product(data):
     G = C.times_monomial(inverse_rows)
     G = G.substitute(root.inverse(), 1) if e == 1 else G.substitute(root, -1)
     assert G.substitute(root, e).times_monomial(rows) == C
+    source = laurent._operand(G)
     target = [{} for _ in range(r)]
-    add_column_map(target, accumulators(G), root, e, rows, m)
-    assert formed(m, target, c) == C
-    assert agrees(A.product_terms(B), target) == (dense_matmul(A, B) == C)
+    add_column_map(target, source, root, e, rows, m)
+    assert formed(m, (source[0], c, target)) == C
+    # A B / d - C / dg over the denominator d * dg
+    product = A.product_terms(B)
+    difference = _scaled(product, source[0])
+    add_column_map(difference, source, root, e, rows, m, -product[0])
+    assert vanishes((1, c, difference), m) == (dense_matmul(A, B) == C)
+
+
+def test_zero_test_reduces_group_ring_sums_mod_phi():
+    """Sums of powers of x that are nonzero in Z[x]/(x^m - 1) but vanish
+    mod Phi_m verify, and a neighbour that is nonzero mod Phi_m does not:
+    x^2 + 1 at m = 4 and 1 + x + x^2 at m = 3, each as a kernel product of
+    a hand-written table minus a column map."""
+    for m, powers, rest in ((4, (2,), -1), (3, (2, 1), -1)):
+        one = root_of_unity(m, 0)
+        # x^2, and x^2 + x, as powers of x in the 1x1 table's keys (e = 0)
+        A = (1, 1, [{p: 1 for p in powers}])
+        for value, verifies in ((rest, True), (-rest, False), (2 * rest, False)):
+            G = LaurentMatrix(m, [[LaurentPoly.const(m, value)]])
+            product = LaurentMatrix.product_terms(A, LaurentMatrix.identity(m, 1))
+            source = laurent._operand(G)
+            rows = _scaled(product, source[0])
+            add_column_map(rows, source, one, 1, [(0, one, 0)], m, -product[0])
+            assert any(rows[0].values())
+            assert vanishes((1, 1, rows), m) == verifies
+        assert formed(m, A) == LaurentMatrix(m, [[LaurentPoly.const(m, rest)]])
+
+
+def test_a_multiple_of_a_root_is_one_term_in_the_table():
+    """A rational multiple of +-zeta^t is one term, at x^t, also for t >=
+    phi, where its power-basis numerators are dense (all 996 of them at
+    conductor 997); any other coefficient has a term per numerator."""
+    m = 997
+    for t, q in ((996, Fraction(3, 2)), (996, Fraction(-3, 2)), (500, 7), (5, -1)):
+        A = LaurentMatrix(m, [[LaurentPoly(m, {-2: root_of_unity(m, t) * q})]])
+        den, cols, rows = laurent._operand(A)
+        assert (den, cols) == (q.denominator if isinstance(q, Fraction) else 1, 1)
+        assert rows == [{(-2 * 4 * m + t) * cols: q * den}]
+        assert formed(m, (den, cols, rows)) == A
+    B = LaurentMatrix(m, [[LaurentPoly.const(m, root_of_unity(m, 996) + 1)]])
+    assert len(laurent._operand(B)[2][0]) == euler_phi(m) - 1
 
 
 def test_column_map_by_a_root_forms_no_scalar_product(monkeypatch):
@@ -401,11 +453,13 @@ def test_column_map_by_a_root_forms_no_scalar_product(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(cyclotomic, "_poly_mul", counted)
+    source = laurent._operand(F)
     target = [{}, {}]
-    add_column_map(target, accumulators(F), root, -1, [(0, cl, 2)], m)
+    add_column_map(target, source, root, -1, [(0, cl, 2)], m)
     assert calls == []
     monkeypatch.undo()
-    assert formed(m, target, 1) == F.substitute(root, -1).times_monomial([(0, cl, 2)])
+    assert formed(m, (source[0], 1, target)) == \
+        F.substitute(root, -1).times_monomial([(0, cl, 2)])
 
 
 def _signed_permutation(rng, m, n):
