@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNum
 from .errors import ConductorMismatch, InternalInconsistency
-from .laurent import (LaurentMatrix, LaurentPoly, _table_of, formed, regular_invertible_at,
-                      vanishes)
+from .laurent import (LaurentMatrix, LaurentPoly, _matrix, _table_of, formed,
+                      regular_invertible_at, vanishes)
 from .linalg import kernel_dense
 
 
@@ -237,38 +237,35 @@ def model_isomorphism(E: VectorBundle) -> ModelIso:
     return ModelIso(model=st, psi=psi, bundle=E)
 
 
-def column_frame(E: VectorBundle, tables: bool = False):
-    """(splitting type, psi) straight from the column reduction, with no
-    chart certificate; `decompose` replays the certificate of the frame
-    it builds from psi, and `model_isomorphism` certifies psi itself.
+def column_frame(E: VectorBundle):
+    """(splitting type, psi, psi^-1) straight from the column reduction,
+    with no chart certificate; `decompose` replays the certificate of the
+    frame it builds from psi, and `model_isomorphism` certifies psi itself.
 
-    With `tables`, (splitting type, psi, psi^-1), both as operand tables
-    of the product kernel and neither as a LaurentMatrix, psi^-1 read off
-    E^-1 and the reduction's steps with no elimination.  T*U = C for the
-    reduced columns C, so C^-1 = U^-1 * T^-1.  A step adds a_k = f*z^s
-    times column k to column j for each listed k != j; its inverse,
-    applied on the left, subtracts a_k times row j from row k.  psi has
-    column i = C's column order[i] times z^(delta), so psi^-1 has row i =
-    C^-1's row order[i] times z^(-delta)."""
+    psi^-1 is an operand table of the product kernel, read off E^-1 and
+    the reduction's steps with no elimination.  T*U = C for the reduced
+    columns C, so C^-1 = U^-1 * T^-1.  A step adds a_k = f*z^s times
+    column k to column j for each listed k != j; its inverse, applied on
+    the left, subtracts a_k times row j from row k.  psi has column i =
+    C's column order[i] times z^(delta), so psi^-1 has row i = C^-1's row
+    order[i] times z^(-delta)."""
     deltas, cols, steps = _reduce_columns(E.transition)
     order = sorted(range(E.rank), key=deltas.__getitem__)
     st = SplittingType(tuple(-deltas[j] for j in order))
-    psi = [[cols[j][i].shift(deltas[j]) for j in order] for i in range(E.rank)]
-    if not tables:
-        return st, LaurentMatrix(E.conductor, psi)
+    psi = _matrix(E.conductor, [[cols[j][i].shift(deltas[j]) for j in order]
+                                for i in range(E.rank)])
     rows = [list(row) for row in E.inverse_transition().entries]
     for j, terms in steps:
         for k, f, s in terms:
             rows[k] = [a - b.shift(s).scale(f) if b.coeffs else a
                        for a, b in zip(rows[k], rows[j])]
-    return st, _table_of(E.conductor, [[p.coeffs for p in row] for row in psi]), \
-        _table_of(E.conductor, [[p.shift(-deltas[j]).coeffs for p in rows[j]]
-                                for j in order])
+    return st, psi, _table_of(E.conductor, [[p.shift(-deltas[j]).coeffs for p in rows[j]]
+                                            for j in order])
 
 
 def _frame(E):
     """(splitting type, psi), certified."""
-    st, psi = column_frame(E)
+    st, psi, _ = column_frame(E)
     if not _certify(E, st, psi):
         raise InternalInconsistency("model isomorphism failed a chart certificate")
     return st, psi
@@ -308,12 +305,12 @@ def chart_certificate(F: LaurentMatrix, degrees, target: VectorBundle) -> list:
     problems = []
     if sum(degrees) != target.degree():
         problems.append(f"model degree {sum(degrees)} != bundle degree {target.degree()}")
-    if not regular_invertible_at(F, "zero"):
+    if not regular_invertible_at(F):
         problems.append("change of frame not regular+invertible at 0")
     table = target.inverse_transition().product_terms(F)
     if problems:
         U = _at_infinity_chart(formed(target.conductor, table), degrees)
-        regular = regular_invertible_at(U, "infinity")
+        regular = regular_invertible_at(U.substitute(CycNum.one(U.conductor), -1))
     else:
         regular = vanishes(table, target.conductor, degrees)
     if not regular:

@@ -459,7 +459,7 @@ def decompose(S: EquivariantStructure) -> DecompositionCertificate:
     if S.lift:
         raise InvalidStructure("decompose expects a genuine structure")
     try:
-        cert, model = _classify_with_model(S)
+        cert, model = _classify(S)
         report = _replay(cert, S, model)
         if report:
             raise InternalInconsistency("decompose produced a non-verifying "
@@ -470,15 +470,10 @@ def decompose(S: EquivariantStructure) -> DecompositionCertificate:
     return cert
 
 
-def _classify(S: EquivariantStructure) -> DecompositionCertificate:
-    """The pipeline of the module docstring; `decompose` checks its answer."""
-    return _classify_with_model(S)[0]
-
-
-def _classify_with_model(S: EquivariantStructure):
-    """(certificate, its `_model`) of the pipeline, which reads the model's
-    rows for the Reynolds average anyway, so the replay of `decompose`
-    does not read them again.
+def _classify(S: EquivariantStructure):
+    """(certificate, its `_model`) of the pipeline of the module docstring,
+    which reads the model's rows for the Reynolds average anyway, so the
+    replay of `decompose` does not read them again.
 
     No stage re-checks what the replay covers: the frame psi comes from
     `column_frame` without its chart certificates, and `rep_decompose`
@@ -487,7 +482,7 @@ def _classify_with_model(S: EquivariantStructure):
     InternalInconsistency, so that bad input still reaches
     `require_valid`.  Only F is formed; every product stays a table."""
     G, cond = S.group, S.conductor
-    st, psi, psi_inv = column_frame(S.bundle, tables=True)
+    st, psi, psi_inv = column_frame(S.bundle)
     product = LaurentMatrix.product_terms
     r, ranges = S.bundle.rank, _block_ranges(st.degrees)
     lines = [(start, stop) + _canonical_line(G, d) for d, start, stop in ranges]

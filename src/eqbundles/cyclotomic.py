@@ -41,16 +41,6 @@ def _poly_mul(a, b):
     return out
 
 
-def _times_x(mod, vec):
-    """x * vec reduced mod the monic polynomial `mod` of degree len(vec)."""
-    top = vec[-1]
-    out = [0] + list(vec[:-1])
-    if top:
-        for i in range(len(out)):
-            out[i] -= top * mod[i]
-    return out
-
-
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
@@ -86,7 +76,9 @@ def _zeta_powers(m: int) -> tuple:
     powers = []
     for _ in range(m):
         powers.append(tuple(vec))
-        vec = _times_x(mod, vec)
+        top, vec = vec[-1], [0] + vec[:-1]
+        if top:  # x^phi = x^phi - Phi_m mod Phi_m, of degree < phi
+            vec = [a - top * b for a, b in zip(vec, mod)]
     return tuple(powers)
 
 
@@ -112,15 +104,17 @@ def _power_rows(m: int) -> tuple:
     return tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in _zeta_powers(m)) * 4
 
 
-def _num_product(a, b, rows) -> list:
-    """The numerators of a*b for numerator vectors a and b, reduced to
-    degree < phi through `rows`, the `_power_rows` of their conductor."""
-    prod = _poly_mul(a, b)
-    phi = len(a)
-    out = prod[:phi]
-    for t, row in zip(prod[phi:], rows[phi:2 * phi]):
+def _fold(vec: list, m: int) -> list:
+    """The numerators of sum vec[p] * x^p mod Phi_m, p read mod m, through
+    the rows of `_power_rows`: the one dense fold onto the power basis."""
+    phi = euler_phi(m)
+    if len(vec) <= phi:
+        return vec + [0] * (phi - len(vec))
+    out, rows = vec[:phi], _power_rows(m)
+    for p in range(phi, len(vec)):
+        t = vec[p]
         if t:
-            for i, c in row:
+            for i, c in rows[p % m]:
                 out[i] += t * c
     return out
 
@@ -155,20 +149,11 @@ class CycNum:
     __slots__ = ("conductor", "_num", "_den")
 
     def __init__(self, conductor: int, coeffs):
-        mod = cyclotomic_polynomial(conductor)  # validates conductor >= 1
-        phi = len(mod) - 1
+        cyclotomic_polynomial(conductor)  # validates conductor >= 1
         values = [c if isinstance(c, (int, Fraction)) else Fraction(c)
                   for c in coeffs]
         den = lcm(*(c.denominator for c in values))
-        num = [c.numerator * (den // c.denominator) for c in values]
-        if len(num) > phi:  # Horner's rule mod Phi_m
-            out = [0] * phi
-            for c in reversed(num):
-                out = _times_x(mod, out)
-                out[0] += c
-            num = out
-        else:
-            num += [0] * (phi - len(num))
+        num = _fold([c.numerator * (den // c.denominator) for c in values], conductor)
         g = gcd(den, *num)
         _set_conductor(self, conductor)
         _set_num(self, tuple(a // g for a in num))
@@ -279,8 +264,7 @@ class CycNum:
             if den == other._den and a[0] in (1, -1):
                 return other if a[0] == 1 else -other
             return _canonical(self.conductor, [a[0] * y for y in b], den)
-        return _canonical(self.conductor, _num_product(a, b, _power_rows(self.conductor)),
-                          den)
+        return _canonical(self.conductor, _fold(_poly_mul(a, b), self.conductor), den)
 
     __rmul__ = __mul__
 
@@ -319,14 +303,14 @@ class CycNum:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = CycNum.one(self.conductor)
-        base = self
-        while n:
+        result, base = CycNum.one(self.conductor), self
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:  # square only while bits remain
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, CycNum):
@@ -349,14 +333,10 @@ class CycNum:
         if conductor % self.conductor != 0:
             raise ConductorMismatch(
                 f"cannot embed conductor {self.conductor} into {conductor}")
-        powers = _zeta_powers(conductor)
         step = conductor // self.conductor
-        acc = [0] * euler_phi(conductor)
-        for k, c in enumerate(self._num):
-            if c:
-                for i, b in enumerate(powers[(k * step) % conductor]):
-                    acc[i] += c * b
-        return _canonical(conductor, acc, self._den)
+        vec = [0] * (len(self._num) * step)
+        vec[::step] = self._num  # zeta_m = x^step
+        return _canonical(conductor, _fold(vec, conductor), self._den)
 
     # -- rendering -----------------------------------------------------------
 
@@ -380,10 +360,9 @@ def _gauss_jordan_inverse(x: CycNum) -> CycNum:
     prev * I and the last column as prev * u."""
     num, den = x._num, x._den
     phi = len(num)
-    mod = cyclotomic_polynomial(x.conductor)
     cols = [list(num)]
     for _ in range(phi - 1):
-        cols.append(_times_x(mod, cols[-1]))
+        cols.append(_fold([0] + cols[-1], x.conductor))
     rows = [[col[r] for col in cols] + [int(r == 0)] for r in range(phi)]
     prev = 1
     for k in range(phi):
@@ -439,7 +418,6 @@ def roots_among(coeffs, points) -> list:
     phi = len(coeffs[0]._num)
     pad = [0] * (m - phi)
     vecs = [[a * (den // c._den) for a in c._num] + pad for c in coeffs]
-    high = _power_rows(m)[phi:m]
     out = []
     for r, j in points:
         acc = [0] * m
@@ -449,12 +427,7 @@ def roots_among(coeffs, points) -> list:
             rotated = v[m - s:] + v[:m - s]
             acc = (list(map(add, acc, rotated)) if f == 1
                    else [a + f * b for a, b in zip(acc, rotated)])
-        value = acc[:phi]
-        for a, row in zip(acc[phi:], high):
-            if a:
-                for i, c in row:
-                    value[i] += a * c
-        out.append(not any(value))
+        out.append(not any(_fold(acc, m)))
     return out
 
 

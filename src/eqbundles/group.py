@@ -23,11 +23,13 @@ from .errors import MissingElement
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A Moebius map z -> c * z^e with a canonical name; a leading '-'
-    marks the negative of a lift-group element."""
+    """A Moebius map z -> c * z^e with a canonical name and its position
+    in `elements`; a leading '-' marks the negative of a lift-group
+    element."""
     name: str
     c: CycNum
     e: int
+    index: int
 
 
 _FIXED_ORDER = {"klein": 4, "klein_lift": 8}
@@ -71,11 +73,6 @@ def klein_lift() -> GroupSpec:
     return GroupSpec("klein_lift", 8)
 
 
-def _cyclic_power(name: str) -> int:
-    """k for the element named g^k, the inverse of `_cyclic_name`."""
-    return 0 if name == "e" else 1 if name == "g" else int(name[2:])
-
-
 def _cyclic_name(k: int, n: int) -> str:
     k %= n
     if k == 0:
@@ -87,19 +84,23 @@ def _cyclic_name(k: int, n: int) -> str:
 
 @lru_cache(maxsize=None)
 def elements(G: GroupSpec) -> tuple:
-    """All group elements with their Moebius data, identity first; lift
-    elements carry the Moebius data of their Klein image."""
+    """All group elements with their Moebius data, identity first: g^k at
+    position k; the Klein element a1^b0 a2^b1 at b0 + 2 b1; its lifts at
+    2 (b0 + 2 b1) and the negative after it.  Lift elements carry the
+    Moebius data of their Klein image."""
     if G.kind == "cyclic":
         n = G.n
-        return tuple(GroupElement(_cyclic_name(k, n), root_of_unity(n, k), 1)
+        return tuple(GroupElement(_cyclic_name(k, n), root_of_unity(n, k), 1, k)
                      for k in range(n))
     one = CycNum.one(4)
     moebius = ((one, 1), (-one, 1), (one, -1), (-one, -1))
     if G.kind == "klein":
-        return tuple(GroupElement(name, c, e) for name, (c, e)
-                     in zip(("e", "a1", "a2", "a1a2"), moebius))
-    return tuple(GroupElement(sign + name, c, e) for name, (c, e)
-                 in zip(("I", "A1", "A2", "A1A2"), moebius) for sign in ("", "-"))
+        names = ("e", "a1", "a2", "a1a2")
+        return tuple(GroupElement(name, c, e, i)
+                     for i, (name, (c, e)) in enumerate(zip(names, moebius)))
+    names = ("I", "A1", "A2", "A1A2")
+    return tuple(GroupElement(sign + name, c, e, 2 * i + bool(sign))
+                 for i, (name, (c, e)) in enumerate(zip(names, moebius)) for sign in ("", "-"))
 
 
 @lru_cache(maxsize=None)
@@ -126,33 +127,25 @@ def generators(G: GroupSpec) -> tuple:
     return (els[1], els[2]) if G.kind == "klein" else (els[2], els[4])
 
 
-@lru_cache(maxsize=None)
-def _element_lookup(G: GroupSpec):
-    return {(g.c, g.e, g.name[0] == "-"): g for g in elements(G)}
-
-
-def _negated(G: GroupSpec, e: int, c: CycNum) -> bool:
-    """lift(g) * lift(h) = -lift(gh) when g.e = -1 and h.c = -1."""
-    return G.kind == "klein_lift" and e == -1 and c == -1
-
-
 def multiply(G: GroupSpec, a: GroupElement, b: GroupElement) -> GroupElement:
-    """(ab)(z) = a(b(z)); composition of z -> c * z^e maps, with the sign
-    of the lift group."""
-    c = a.c * (b.c ** a.e)
-    e = a.e * b.e
-    negative = (a.name[0] == "-") ^ (b.name[0] == "-") ^ _negated(G, a.e, b.c)
-    return _element_lookup(G)[(c, e, negative)]
+    """(ab)(z) = a(b(z)), read off the positions in `elements`: powers of g
+    add mod n, and Klein bits (a1 = bit 0, a2 = bit 1) add by XOR.  A lift
+    is A1^b0 A2^b1 with a sign, and A2 A1 = -A1 A2, so lift(g) * lift(h)
+    gains a sign exactly when g has bit a2 and h has bit a1."""
+    i, j = a.index, b.index
+    if G.kind == "cyclic":
+        return elements(G)[(i + j) % G.n]
+    return elements(G)[i ^ j ^ (G.kind == "klein_lift" and i >> 2 & j >> 1 & 1)]
 
 
 def inverse(G: GroupSpec, a: GroupElement) -> GroupElement:
-    """g^k has inverse g^(-k), read off by index; otherwise z -> c * z^e
-    inverts to z -> c^(-e) * z^e, with the lift group's sign."""
+    """g^k has inverse g^(-k), and every Klein element is its own inverse.
+    A lift squares to -I exactly when it lifts a1a2, at positions 6 and
+    7, whose inverses are their negatives."""
+    i = a.index
     if G.kind == "cyclic":
-        return elements(G)[-_cyclic_power(a.name) % G.n]
-    c = (a.c.inverse()) ** a.e
-    negative = (a.name[0] == "-") ^ _negated(G, a.e, c)
-    return _element_lookup(G)[(c, a.e, negative)]
+        return elements(G)[-i % G.n]
+    return elements(G)[i ^ (G.kind == "klein_lift" and i >> 1 == 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +172,11 @@ class Character:
     def value(self, name: str) -> CycNum:
         """Value on the named group element, in the group's field."""
         G = self.group
+        i = element_by_name(G, name).index
         if G.kind == "cyclic":
-            g = element_by_name(G, name)  # validates the name
-            return root_of_unity(G.n, self.index * _cyclic_power(g.name))
+            return root_of_unity(G.n, self.index * i)
         s1, s2 = self.signs
-        table = {"e": 1, "a1": s1, "a2": s2, "a1a2": s1 * s2}
-        if name not in table:
-            raise MissingElement(f"no element named {name!r} in {G}")
-        return CycNum.rational(4, table[name])
+        return CycNum.rational(4, (s1 if i & 1 else 1) * (s2 if i & 2 else 1))
 
     def __str__(self):
         return self.label

@@ -641,18 +641,6 @@ def _unit(d: LaurentPoly):
     return um
 
 
-def _exact_divider(d: LaurentPoly):
-    """x -> x / d for quotients known to be exact.  A unit monomial c*z^e
-    has c inverted once for every call; any other d falls back to
-    `divexact`'s long division."""
-    um = d.unit_monomial()
-    if um is None:
-        return lambda x: x.divexact(d)
-    c, e = um
-    cinv = c.inverse()
-    return lambda x: _times_monomial(x, cinv, -e)
-
-
 def _pivot_row(m, k: int):
     """The row index i >= k of step k's pivot in column k: a unit monomial
     in the row with the fewest nonzeros from column k on, else the first
@@ -686,10 +674,12 @@ def _det_adjugate(a: LaurentMatrix):
       pivot row) / s and sets s = p.  The division is exact (Bareiss
       1968; Nakos, Turner & Williams 1997), and with a_ik = 0 the update
       is p * row / s alone.
-    Only nonzero terms are computed, so zero entries cost nothing.  Each
-    stored entry is a minor of the swapped [A | I] times a unit monomial
-    and the scales s in force at the unit steps, so it stays a Laurent
-    polynomial of bounded degree.
+    So s is 1, and a division by it is skipped, or a pivot that is no unit
+    monomial, divided by `divexact`'s long division.  Only nonzero terms
+    are computed, so zero entries cost nothing.  Each stored entry is a
+    minor of the swapped [A | I] times a unit monomial and the scales s in
+    force at the unit steps, so it stays a Laurent polynomial of bounded
+    degree.
 
     det A is the sign of the row swaps times D, the product of the pivots
     p/s of the field's pass, kept as the leading minor of the swapped A:
@@ -719,7 +709,7 @@ def _det_adjugate(a: LaurentMatrix):
             det = pivot
         else:
             det = _times_monomial(det, *um) if um else det * pivot
-            det = det if s == one else _exact_divider(s)(det)
+            det = det if s == one else det.divexact(s)
         if um is not None:
             cinv, e = um[0].inverse(), -um[1]
             q = [(j, _times_monomial(y, cinv, e)) for j, y in
@@ -733,7 +723,7 @@ def _det_adjugate(a: LaurentMatrix):
                 pivot_row[j] = y if s == one else s * y
             continue
         rescale = pivot != s
-        div = _exact_divider(s)
+        div = (lambda x: x) if s == one else (lambda x: x.divexact(s))
         for i, row in enumerate(m):
             f = row[k]
             if i == k or not (f.coeffs or rescale):
@@ -752,22 +742,19 @@ def _det_adjugate(a: LaurentMatrix):
     det = -det if sign < 0 else det
     if det.unit_monomial() is None:
         return det, None
-    div = (lambda x: x) if s == one else _exact_divider(s)
+    div = (lambda x: x) if s == one else (lambda x: x.divexact(s))
     return det, _matrix(a.conductor, [[div(x) if x.coeffs else x for x in row[n:]]
                                       for row in m])
 
 
-def regular_invertible_at(matrix: LaurentMatrix, point: str) -> bool:
-    """True iff the matrix is holomorphic and invertible at the chart point:
-    no entry has a negative exponent at "zero", or a positive one at
-    "infinity", and the grid of z^0 coefficients, its value there, has an
-    empty kernel."""
+def regular_invertible_at(matrix: LaurentMatrix) -> bool:
+    """True iff the matrix is holomorphic and invertible at z = 0: no entry
+    has a negative exponent, and the grid of z^0 coefficients, its value
+    there, has an empty kernel.  At infinity this is the same test of
+    `matrix.substitute(one, -1)`, after z -> 1/z."""
     if matrix.rows != matrix.cols:
         raise DimensionMismatch("regularity check needs a square matrix")
-    if point not in ("zero", "infinity"):
-        raise ValueError(f"point must be 'zero' or 'infinity', got {point!r}")
-    sign = 1 if point == "zero" else -1
-    if any(sign * e < 0 for row in matrix.entries for p in row for e in p.coeffs):
+    if any(e < 0 for row in matrix.entries for p in row for e in p.coeffs):
         return False
     zero = CycNum.zero(matrix.conductor)
     grid = [[p.coeffs.get(0, zero) for p in row] for row in matrix.entries]

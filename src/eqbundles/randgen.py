@@ -155,6 +155,6 @@ def random_model_automorphism(rng: Random, conductor: int,
                     row.append(LaurentPoly(conductor, coeffs))
             grid.append(row)
         U = LaurentMatrix(conductor, grid)
-        if regular_invertible_at(U, "zero"):
+        if regular_invertible_at(U):
             return U
     raise InternalInconsistency("failed to draw an invertible automorphism")

@@ -19,7 +19,10 @@ of read off the table of monomials.  The certificate replay tests the
 change of frame F and U = T^-1 F z^D against the definition of
 GL_r(C[z]) and GL_r(C[1/z]), exponent signs and a nonzero constant
 determinant, instead of point values and a degree count, and it checks
-the identity element by two products like every other one.
+the identity element by two products like every other one.  The
+bundle-map test checks all four chart conditions, each value's
+determinant by cofactors, instead of one kernel pass and the determinant
+argument of `is_bundle_map`.
 """
 
 from fractions import Fraction
@@ -539,6 +542,31 @@ def _invertible_over_chart(X, sign):
     det = X.det()
     return (all(sign * e >= 0 for row in X.entries for p in row for e in p.coeffs)
             and det.is_constant() and not det.is_zero())
+
+
+def _regular_invertible_at_point(X, sign):
+    """X holomorphic and invertible at z = 0 (sign 1) or at infinity (sign
+    -1): no exponent of the other sign, and its value there, the grid of
+    z^0 coefficients, has a nonzero determinant by cofactors."""
+    if any(sign * e < 0 for row in X.entries for p in row for e in p.coeffs):
+        return False
+    value = [[LaurentPoly.const(X.conductor, p.coeff(0)) for p in row] for row in X.entries]
+    return not det_cofactor(value, X.conductor).is_zero()
+
+
+def bundle_map_by_four_conditions(E, gamma, N):
+    """`is_bundle_map` by its four chart conditions, each one tested: X0
+    regular and invertible at 0, Xinf regular and invertible at infinity,
+    X0 = N and Xinf = T(gamma z)^-1 N T for gamma: z -> c*z^e with e = 1,
+    X0 = T(gamma z)^-1 N and Xinf = N T for e = -1."""
+    c, e = gamma.c.embed(E.conductor), gamma.e
+    T = E.transition
+    Tinv_at_gz = E.inverse_transition().substitute(c, e)
+    if e == 1:
+        X0, Xinf = N, dense_matmul(dense_matmul(Tinv_at_gz, N), T)
+    else:
+        X0, Xinf = dense_matmul(Tinv_at_gz, N), dense_matmul(N, T)
+    return _regular_invertible_at_point(X0, 1) and _regular_invertible_at_point(Xinf, -1)
 
 
 def replay_by_built_structure(cert, S):

@@ -10,7 +10,7 @@ from eqbundles.bundle import (HNData, _certify, column_frame, direct_sum, dual,
 from eqbundles.cyclotomic import CycNum
 from eqbundles.errors import DimensionMismatch, NonUnimodular, ValidationError
 from eqbundles.cli import main
-from eqbundles.laurent import (LaurentMatrix, LaurentPoly, formed, regular_invertible_at,
+from eqbundles.laurent import (LaurentMatrix, LaurentPoly, _operand, formed, regular_invertible_at,
                                render_laurent)
 from eqbundles.randgen import planted_bundle, random_unimodular
 from eqbundles.serialize import parse_document
@@ -200,10 +200,10 @@ def test_hn_data_examples():
 
 
 def _certify_iso(E, iso):
-    assert regular_invertible_at(iso.psi, "zero")
+    assert regular_invertible_at(iso.psi)
     corrected = (E.inverse_transition() @ iso.psi
                  @ LaurentMatrix.diag_monomials(E.conductor, iso.model.degrees))
-    assert regular_invertible_at(corrected, "infinity")
+    assert regular_invertible_at(corrected.substitute(CycNum.one(E.conductor), -1))
 
 
 def test_model_isomorphism_line_bundle():
@@ -317,30 +317,31 @@ def test_global_sections_match_section_system_oracle(conductor):
 
 
 def test_frame_inverse_is_read_off_the_reduction_steps():
-    """column_frame(E, tables=True) forms psi^-1 from E^-1 and the column
-    operations of the reduction; it is the inverse the elimination gives.
-    Both come as operand tables, and the matrices they hold are compared."""
+    """column_frame(E) forms psi^-1 from E^-1 and the column operations of
+    the reduction; it is the inverse the elimination gives.  psi^-1 comes
+    as an operand table, and the matrix it holds is compared; psi's table,
+    as the classification reads it, holds psi."""
     rng = Random(31)
     steps = 0
     for _ in range(40):
         E, _ = planted_bundle(rng, rng.choice([1, 3, 4]), rng.randint(2, 6), -4, 4, ops=6)
-        st, psi, psi_inv = column_frame(E, tables=True)
-        st0, psi0 = column_frame(E)
-        assert st == st0 and formed(E.conductor, psi) == psi0
-        assert formed(E.conductor, psi_inv) == psi0.inverse()
+        st, psi, psi_inv = column_frame(E)
+        assert st == splitting_type(E) and psi == model_isomorphism(E).psi
+        assert formed(E.conductor, _operand(psi)) == psi
+        assert formed(E.conductor, psi_inv) == psi.inverse()
         steps += len(bundle._reduce_columns(E.transition)[2])
     assert steps >= 40
 
 
 @pytest.mark.parametrize("conductor", [1, 4, 12])
 def test_frame_tables_multiply_to_the_identity_through_the_kernel(conductor):
-    """The psi and psi^-1 tables of column_frame(E, tables=True), as the
-    classification reads them, multiply to I in either order through the
-    product kernel on planted bundles, with no matrix of either formed."""
+    """psi and the psi^-1 table of column_frame(E), as the classification
+    reads them, multiply to I in either order through the product kernel
+    on planted bundles, with no matrix of psi^-1 formed."""
     rng = Random(conductor)
     for _ in range(12):
         E, _ = planted_bundle(rng, conductor, rng.randint(1, 6), -4, 4, ops=6)
-        _, psi, psi_inv = column_frame(E, tables=True)
+        _, psi, psi_inv = column_frame(E)
         ident = LaurentMatrix.identity(conductor, E.rank)
         assert formed(conductor, LaurentMatrix.product_terms(psi, psi_inv)) == ident
         assert formed(conductor, LaurentMatrix.product_terms(psi_inv, psi)) == ident

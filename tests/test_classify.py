@@ -721,7 +721,7 @@ def test_classify_and_replay_stay_within_their_counted_products(monkeypatch):
         S = _klein_rank8(rng)
         monkeypatch.setattr(LaurentMatrix, "product_terms", counted)
         count[0] = 0
-        cert = classify._classify(S)
+        cert, _ = classify._classify(S)
         assert count[0] <= 2 * 4 - 1
         count[0] = 0
         assert verify_certificate_report(cert, S) == []
@@ -790,7 +790,7 @@ def test_one_by_one_blocks_are_read_off_their_scalars(monkeypatch):
     line = twist_by_character(canonical_structure(G, [1]), characters(G)[1])
     for S, kernel_passes in ((line, 0), (_klein_rank8(Random(8)), 2)):
         calls.clear()
-        cert, model = classify._classify_with_model(S)
+        cert, model = classify._classify(S)
         assert calls == ["kernel_dense"] * kernel_passes
         assert model == classify._model(cert)
         assert verify_certificate(cert, S)

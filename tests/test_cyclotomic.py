@@ -57,6 +57,28 @@ def test_primitive_root_order(m):
         assert z ** k != 1
 
 
+@pytest.mark.parametrize("m", [12, 97])
+def test_power_squares_only_while_bits_remain(m, monkeypatch):
+    """x ** n is the repeated product, from at most 2 * bit_length(n) - 1
+    products: no square after the last bit; x ** 0 is one."""
+    x = CycNum(m, [1, 2, 0, -1, Fraction(1, 3)])
+    repeated = [CycNum.one(m)]
+    for _ in range(9):
+        repeated.append(repeated[-1] * x)
+    calls = [0]
+    real = CycNum.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(CycNum, "__mul__", counted)
+    for n in range(10):
+        calls[0] = 0
+        assert x ** n == repeated[n]
+        assert calls[0] <= max(0, 2 * n.bit_length() - 1)
+
+
 def test_small_conductor_values():
     assert root_of_unity(1, 1) == 1
     assert root_of_unity(2, 1) == -1
@@ -120,6 +142,10 @@ def test_roots_of_unity_table():
     assert root_of_unity(4, 2) == -1
     assert root_of_unity(4, 3) == -root_of_unity(4, 1)
     assert root_of_unity(6, 3) == -1
+    # the constructor folds x^k mod Phi_m, k read mod m, past 4m as well
+    for m in (1, 4, 6, 12):
+        for k in range(5 * m):
+            assert CycNum(m, [0] * k + [1]) == root_of_unity(m, k)
 
 
 @settings(max_examples=60, deadline=None)

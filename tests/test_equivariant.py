@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from eqbundles import laurent
 from eqbundles.bundle import direct_sum, h0, hom, make_bundle, model_bundle
 from eqbundles.classify import build_structure, decompose
 from eqbundles.cyclotomic import CycNum, root_of_unity
@@ -22,8 +23,8 @@ from eqbundles.laurent import LaurentMatrix, LaurentPoly
 from eqbundles.randgen import (random_certificate, random_model_automorphism,
                                random_unimodular)
 
-from conftest import M
-from oracles import full_cocycle_table
+from conftest import L, M
+from oracles import bundle_map_by_four_conditions, full_cocycle_table
 
 
 def _klein_line_structure(d, n_a1, n_a2, n_a1a2, conductor=4):
@@ -50,6 +51,60 @@ def test_bundle_map_rejects_vanishing_at_zero():
     E = model_bundle(4, [-1])
     e = element_by_name(klein(), "e")
     assert not is_bundle_map(E, e, M([["z"]], 4))
+
+
+def _bundle_map_structures():
+    """Canonical structures over cyclic(3), cyclic(4), klein and klein_lift,
+    each on its model bundle and moved along a random frame A onto A T B."""
+    rng = Random(41)
+    chi = characters(cyclic(4))[1]
+    parts = [canonical_structure(cyclic(3), [2, 0, -1]),
+             direct_sum_structures(twist_by_character(canonical_structure(cyclic(4), [1]), chi),
+                                   canonical_structure(cyclic(4), [-2])),
+             canonical_structure(klein(), [2, -1, -1]),
+             canonical_structure(klein(), [1], lift=True),
+             canonical_structure(klein(), [-2], lift=True)]
+    for S in parts:
+        m, r = S.conductor, S.bundle.rank
+        A = random_unimodular(rng, m, r, var_sign=1)
+        B = random_unimodular(rng, m, r, var_sign=-1)
+        yield S
+        yield transport_structure(S, A, make_bundle(A @ S.bundle.transition @ B))
+
+
+def test_bundle_map_test_agrees_with_the_four_chart_conditions(monkeypatch):
+    """`is_bundle_map` against `bundle_map_by_four_conditions` on every
+    element's canonical map and its near misses N(1+z), N z^(+-1) and a
+    constant with a singular block, with at most one kernel pass, made
+    whenever the map is one."""
+    kernels = []
+    real = laurent.kernel_dense
+
+    def counted(*args):
+        kernels.append(real(*args))
+        return kernels[-1]
+
+    monkeypatch.setattr(laurent, "kernel_dense", counted)
+    seen, failed_at_infinity = set(), 0
+    for S in _bundle_map_structures():
+        m, r = S.conductor, S.bundle.rank
+        # the identity with the singular block [[1, 1], [1, 1]], or 0 at rank 1
+        grid = [[int(i == j or i + j < 2) for j in range(r)] for i in range(r)]
+        singular = LaurentMatrix.from_const(m, grid if r > 1 else [[0]])
+        for g in elements(S.group):
+            N = S.maps[g.name]
+            for X in (N, N.scale_poly(L("1+z", m)), N.shift(1), N.shift(-1), singular):
+                kernels.clear()
+                answer = is_bundle_map(S.bundle, g, X)
+                assert len(kernels) <= 1
+                assert answer == bundle_map_by_four_conditions(S.bundle, g, X), (S, g.name, X)
+                assert len(kernels) == 1 or not answer
+                # regular and invertible at 0, so the test at infinity decided
+                failed_at_infinity += kernels == [[]] and not answer
+                seen.add((S.group.kind, g.e, answer))
+    assert {(k, e, a) for k in ("cyclic", "klein", "klein_lift") for e in (1, -1)
+            for a in (True, False) if k != "cyclic" or e == 1} == seen
+    assert failed_at_infinity
 
 
 # -- validation -----------------------------------------------------------------

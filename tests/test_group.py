@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from eqbundles.cyclotomic import CycNum, root_of_unity
@@ -61,6 +63,35 @@ def test_moebius_composition_matches_group_law(G):
             # compose z -> c*z^e maps
             assert ab.c == a.c * b.c ** a.e
             assert ab.e == a.e * b.e
+
+
+def _pairs(G):
+    """All pairs of a group of order 8 or less, else 200 seeded ones."""
+    els = elements(G)
+    if G.order <= 8:
+        return [(a, b) for a in els for b in els]
+    rng = Random(G.order)
+    return [(rng.choice(els), rng.choice(els)) for _ in range(200)]
+
+
+@pytest.mark.parametrize("G", [cyclic(997), klein_lift()], ids=str)
+def test_group_law_reads_positions_with_no_field_arithmetic(G, monkeypatch):
+    """`multiply` and `inverse` agree with Moebius composition and make no
+    CycNum product, power or inverse."""
+    pairs, calls = _pairs(G), []
+    for name in ("__mul__", "__pow__", "inverse"):
+        def counted(*args, _name=name, _real=getattr(CycNum, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(CycNum, name, counted)
+    products = [multiply(G, a, b) for a, b in pairs]
+    inverses = [inverse(G, a) for a, _ in pairs]
+    assert calls == []
+    monkeypatch.undo()
+    for (a, b), ab, a_inv in zip(pairs, products, inverses):
+        assert (ab.c, ab.e) == (a.c * b.c ** a.e, a.e * b.e)
+        assert (a_inv.c, a_inv.e) == (a.c.inverse() ** a.e, a.e)
+        assert multiply(G, a, a_inv) == identity(G) == multiply(G, a_inv, a)
 
 
 def test_klein_squares():

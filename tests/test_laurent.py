@@ -117,13 +117,19 @@ def test_det_commutes_with_substitution():
 
 
 def test_regular_invertible_at():
+    """At 0 directly, and at infinity after z -> 1/z."""
+    def at_infinity(A):
+        return regular_invertible_at(A.substitute(CycNum.one(A.conductor), -1))
+
     ident = LaurentMatrix.identity(1, 2)
-    assert regular_invertible_at(ident, "zero")
-    assert regular_invertible_at(ident, "infinity")
-    assert not regular_invertible_at(M([["z"]]), "zero")
+    assert regular_invertible_at(ident)
+    assert at_infinity(ident)
+    assert not regular_invertible_at(M([["z"]]))
+    assert not at_infinity(M([["z"]]))
+    assert not at_infinity(M([["z^-1"]]))  # regular there, but zero
     shear = M([["1", "z^-1"], ["0", "1"]])
-    assert not regular_invertible_at(shear, "zero")
-    assert regular_invertible_at(shear, "infinity")
+    assert not regular_invertible_at(shear)
+    assert at_infinity(shear)
 
 
 def _random_square(rng, m, n):
@@ -605,11 +611,13 @@ def test_render_parse_roundtrip(p):
 
 def test_parse_errors_carry_position():
     # an error at the end of the entry names the column after its last one
-    for text, column in (("z^", 3), ("-1+", 4), ("(1", 3), ("1*", 3),
+    for text, column in (("z^", 3), ("-1+", 4), ("(1", 3), ("1*", 3), ("1)", 2),
                          ("2 z", 2)):  # implicit products are rejected
         with pytest.raises(ParseError) as err:
             parse_laurent(text, 1)
         assert err.value.column == column
+    with pytest.raises(ParseError, match="trailing input"):
+        parse_laurent("1)", 1)
     with pytest.raises(ParseError):
         parse_laurent("z4", 1)  # root does not live in conductor 1
     for text in ("1/0", "z^2+3/00", "z0", "(z0)^-1"):  # zero divisors
@@ -657,6 +665,11 @@ def test_render_mixed_coefficients():
     text = render_laurent(p)
     assert text == "2+(1+z4)·z^3"
     assert parse_laurent(text, 4) == p
+    # a negated parenthesized term, which no render writes, is scanned too
+    for text in ("-(1+z4)·z^3", "z^2-(1/2+z4)·z"):
+        assert laurent._scan_canonical(text, 4) is not None
+        expected = _by_parser(text, 4)
+        assert expected is not None and parse_laurent(text, 4) == expected
 
 
 _ATOMS = st.one_of(

@@ -233,6 +233,27 @@ def test_cli_document_flow(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_embeds_a_bundle_into_the_group_field(tmp_path, capsys):
+    """A conductor-1 bundle under cyclic(3) is embedded at conductor 3 when
+    the structure is built; it is O(1) + O(-1) by the identity frame."""
+    ident = [["1", "0"], ["0", "1"]]
+    s_path, c_path = tmp_path / "s.json", tmp_path / "c.json"
+    s_path.write_text(json.dumps({
+        "kind": "structure", "group": {"kind": "cyclic", "n": 3},
+        "bundle": {"kind": "bundle", "conductor": 1, "rank": 2,
+                   "transition": [["z", "1"], ["0", "z^-1"]]},
+        "maps": {"e": ident, "g": ident, "g^2": ident}}))
+    assert main(["validate", str(s_path)]) == 0
+    assert capsys.readouterr().out == "valid structure\n"
+    assert main(["decompose", str(s_path), "--out", str(c_path)]) == 0
+    cert = json.loads(c_path.read_text())
+    assert cert["conductor"] == 3 and cert["change_of_frame"] == ident
+    assert [(b["degree"], b["character"]) for b in cert["even_blocks"]] == \
+        [(1, {"index": 0}), (-1, {"index": 0})]
+    assert main(["verify-cert", "--cert", str(c_path), "--structure", str(s_path)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_build_writes_the_bytes_of_canonical(tmp_path, capsys):
     """`canonical` and `build` assemble the canonical blocks through one
     function: decomposing a canonical structure and building from its
