@@ -14,18 +14,15 @@ from .cyclotomic import CycNum, root_of_unity
 from .laurent import LaurentMatrix, LaurentPoly, parse_laurent, regular_invertible_at
 from .bundle import (HNData, ModelIso, Section, SplittingType, VectorBundle,
                      direct_sum, dual, embed_bundle, global_sections, h0, hn_data,
-                     hom, make_bundle, model_bundle, model_isomorphism,
-                     splitting_type, twist)
+                     make_bundle, model_bundle, model_isomorphism, splitting_type, twist)
 from .group import (Character, GroupElement, GroupSpec, characters, cyclic,
                     elements, generators, klein, klein_lift)
 from .equivariant import (EquivariantStructure, canonical_structure, central_sign,
                           conjugate_structure, descend_lift, direct_sum_structures,
-                          embed_structure, existence, is_bundle_map,
-                          structures_equivalent, transport_structure,
-                          twist_by_character, validate_structure, validation_report)
-from .classify import (DecompositionCertificate, ModelStructure,
-                       averaging_intertwiner, block_diagonal_part, build_structure,
-                       decompose, extract_residual_rep, pullback_structure,
+                          existence, is_bundle_map, structures_equivalent,
+                          transport_structure, twist_by_character, validate_structure,
+                          validation_report)
+from .classify import (DecompositionCertificate, build_structure, decompose,
                        rep_decompose, verify_certificate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNum
 from .errors import ConductorMismatch, InternalInconsistency
-from .laurent import (LaurentMatrix, LaurentPoly, _matrix, _table_of, formed,
-                      regular_invertible_at, vanishes)
+from .laurent import LaurentMatrix, LaurentPoly, _matrix, regular_invertible_at, vanishes
 from .linalg import kernel_dense
 
 
@@ -92,17 +91,6 @@ def twist(E: VectorBundle, k: int) -> VectorBundle:
 def dual(E: VectorBundle) -> VectorBundle:
     t = E.inverse_transition().transpose()
     return VectorBundle(t, _inverse=E.transition.transpose(), _degree=-E.degree())
-
-
-def hom(E: VectorBundle, F: VectorBundle) -> VectorBundle:
-    """Hom(E, F) = F tensor dual(E); sections reshape to maps E -> F."""
-    if E.conductor != F.conductor:
-        raise ConductorMismatch("hom of bundles over different conductors")
-    dE = dual(E)
-    t = LaurentMatrix.kron(F.transition, dE.transition)
-    inv = LaurentMatrix.kron(F.inverse_transition(), dE.inverse_transition())
-    return VectorBundle(t, _inverse=inv,
-                        _degree=F.degree() * E.rank - E.degree() * F.rank)
 
 
 def direct_sum(*bundles: VectorBundle) -> VectorBundle:
@@ -218,11 +206,10 @@ def hn_data(E: VectorBundle) -> HNData:
 @dataclass(frozen=True)
 class ModelIso:
     """psi: diag(z^(d_j)) -> E.  `model_isomorphism` certifies psi by
-    `chart_certificate`; a ModelIso built by hand, as
-    `decompose` does from `column_frame`, carries no such guarantee."""
+    `chart_certificate`; a ModelIso built by hand carries no such
+    guarantee."""
     model: SplittingType
     psi: LaurentMatrix
-    bundle: VectorBundle
 
 
 def model_isomorphism(E: VectorBundle) -> ModelIso:
@@ -234,7 +221,7 @@ def model_isomorphism(E: VectorBundle) -> ModelIso:
     and invertible at infinity because U is in GL_r(C[w]).
     `chart_certificate` is replayed as a postcondition."""
     st, psi = _frame(E)
-    return ModelIso(model=st, psi=psi, bundle=E)
+    return ModelIso(model=st, psi=psi)
 
 
 def column_frame(E: VectorBundle):
@@ -242,13 +229,13 @@ def column_frame(E: VectorBundle):
     with no chart certificate; `decompose` replays the certificate of the
     frame it builds from psi, and `model_isomorphism` certifies psi itself.
 
-    psi^-1 is an operand table of the product kernel, read off E^-1 and
-    the reduction's steps with no elimination.  T*U = C for the reduced
-    columns C, so C^-1 = U^-1 * T^-1.  A step adds a_k = f*z^s times
-    column k to column j for each listed k != j; its inverse, applied on
-    the left, subtracts a_k times row j from row k.  psi has column i =
-    C's column order[i] times z^(delta), so psi^-1 has row i = C^-1's row
-    order[i] times z^(-delta)."""
+    psi^-1 is read off E^-1 and the reduction's steps with no
+    elimination.  T*U = C for the reduced columns C, so C^-1 = U^-1 *
+    T^-1.  A step adds a_k = f*z^s times column k to column j for each
+    listed k != j; its inverse, applied on the left, subtracts a_k times
+    row j from row k.  psi has column i = C's column order[i] times
+    z^(delta), so psi^-1 has row i = C^-1's row order[i] times
+    z^(-delta)."""
     deltas, cols, steps = _reduce_columns(E.transition)
     order = sorted(range(E.rank), key=deltas.__getitem__)
     st = SplittingType(tuple(-deltas[j] for j in order))
@@ -259,8 +246,8 @@ def column_frame(E: VectorBundle):
         for k, f, s in terms:
             rows[k] = [a - b.shift(s).scale(f) if b.coeffs else a
                        for a, b in zip(rows[k], rows[j])]
-    return st, psi, _table_of(E.conductor, [[p.shift(-deltas[j]).coeffs for p in rows[j]]
-                                            for j in order])
+    return st, psi, _matrix(E.conductor, [[p.shift(-deltas[j]) for p in rows[j]]
+                                          for j in order])
 
 
 def _frame(E):
@@ -276,12 +263,6 @@ def _certify(E, st, psi) -> bool:
     return not chart_certificate(psi, st.degrees, E)
 
 
-def _at_infinity_chart(X: LaurentMatrix, degrees) -> LaurentMatrix:
-    """X * z^D for D = diag(degrees), a column scaling."""
-    one = CycNum.one(X.conductor)
-    return X.times_monomial([(j, one, d) for j, d in enumerate(degrees)])
-
-
 def chart_certificate(F: LaurentMatrix, degrees, target: VectorBundle) -> list:
     """The problems of a frame F (0-chart data) from diag(z^d), d in the
     sequence `degrees`, onto `target`: F is a bundle isomorphism exactly
@@ -292,28 +273,23 @@ def chart_certificate(F: LaurentMatrix, degrees, target: VectorBundle) -> list:
     Without the degree condition the two point tests pass F = 1 - z from
     O(0) onto O(1).
 
-    One determinant is tested, that of F(0).  With det target =
-    c*z^(sum d), det U = c^-1 * z^(-sum d) * det F * z^(sum d) = c^-1 *
-    det F.  F regular at 0 makes det F a polynomial in z, U regular at
-    infinity makes det U one in 1/z, so both are constants, and det U =
-    c^-1 * det F(0) != 0: U is invertible at infinity once it is regular
-    there, which the product kernel's table of target^-1 * F shows with
-    no entry of U formed (z^D adds d_j to the exponents of column j).
-    When the degree or the test at 0 fails, the argument does not apply:
-    U is formed and det U(infinity) is tested as well, so the problems
-    listed are those of the three tests."""
+    Three tests decide them, one determinant among them, that of F(0).
+    With det target = c*z^(sum d), det U = c^-1 * z^(-sum d) * det F *
+    z^(sum d) = c^-1 * det F.  F regular at 0 makes det F a polynomial in
+    z, U regular at infinity makes det U one in 1/z, so both are
+    constants, and det U = c^-1 * det F(0) != 0: U is invertible at
+    infinity once it is regular there, which the product kernel's table
+    of target^-1 * F shows with no entry of U formed (z^D adds d_j to the
+    exponents of column j).  When the degree or the test at 0 fails, the
+    argument does not apply, but F is rejected already: the third problem
+    is then listed when U is not regular at infinity, and a U regular but
+    singular there adds none."""
     problems = []
     if sum(degrees) != target.degree():
         problems.append(f"model degree {sum(degrees)} != bundle degree {target.degree()}")
     if not regular_invertible_at(F):
         problems.append("change of frame not regular+invertible at 0")
-    table = target.inverse_transition().product_terms(F)
-    if problems:
-        U = _at_infinity_chart(formed(target.conductor, table), degrees)
-        regular = regular_invertible_at(U.substitute(CycNum.one(U.conductor), -1))
-    else:
-        regular = vanishes(table, target.conductor, degrees)
-    if not regular:
+    if not vanishes(target.inverse_transition().product_terms(F), target.conductor, degrees):
         problems.append("change of frame fails the infinity certificate")
     return problems
 
@@ -341,8 +317,9 @@ def global_sections(E: VectorBundle):
     their last nonzero s_infty entry and its w-degree, which on a model
     bundle lists the w-coefficients coordinate by coordinate."""
     st, psi = _frame(E)
-    U = _at_infinity_chart(E.inverse_transition() @ psi, st.degrees)
     one, out = CycNum.one(E.conductor), []
+    U = (E.inverse_transition() @ psi).times_monomial(
+        [(j, one, d) for j, d in enumerate(st.degrees)])
     for j, d in enumerate(st.degrees):
         u_j = [row[j].substitute(one, -1) for row in U.entries]
         out += [Section(s_zero=tuple(row[j].shift(a) for row in psi.entries),

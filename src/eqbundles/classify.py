@@ -11,9 +11,9 @@ pulled-back cocycle, block upper-triangular by degree:
    Klein blocks the line is over the lift group, and the C represent it
    up to its sign).  C_s is read as the z^k coefficient of the block
    over c, from the operand tables of psi(s z)^-1 and S_s psi; no other
-   entry of N_s is formed.  psi^-1 comes as a table from E^-1 and the
-   column reduction's steps (`column_frame`), with no elimination, and
-   psi^-1(s z) is a rotation of its powers of zeta;
+   entry of N_s is formed.  psi^-1 comes from E^-1 and the column
+   reduction's steps (`column_frame`), with no elimination, and the
+   table of psi^-1(s z) is a rotation of its powers of zeta;
 2. split the constant representation (`rep_decompose`): simultaneous
    eigenvectors of the generators with characters for cyclic groups and
    even Klein blocks, eigenvector pairs swapped by the anticommuting
@@ -43,8 +43,8 @@ it.
 and `extract_residual_rep` are the staged reference path, which
 `decompose` no longer runs: they form N, R and Sav in full, and the
 tests check that psi Sav P renders byte-identical to F.  The benchmark
-in `perfbench` still imports them; ROADMAP item 4 makes them private
-once it stops.
+in `perfbench` still imports them from this module; ROADMAP item 2
+makes them private once it stops.
 """
 
 from __future__ import annotations
@@ -394,8 +394,7 @@ def verify_certificate_report(cert: DecompositionCertificate,
     coefficient, must vanish.
     At the identity B_e = I, so the identity reads F = S_e F; F is
     invertible at 0, hence as a matrix over the rational functions, so it
-    holds exactly when S_e = I, which is what is compared, entry by
-    entry."""
+    holds exactly when S_e = I, which is what is compared."""
     if S.lift:
         raise InvalidStructure("certificates describe genuine structures")
     if cert.group != S.group:
@@ -418,10 +417,7 @@ def _replay(cert: DecompositionCertificate, S: EquivariantStructure, model):
     id_name, cond, source = identity(S.group).name, S.conductor, _operand(F)
     for name, c, e in S.action_items():
         if name == id_name:
-            one = {0: CycNum.one(cond)}
-            same = all(p.coeffs == one if i == j else not p.coeffs
-                       for i, row in enumerate(S.maps[name].entries)
-                       for j, p in enumerate(row))
+            same = S.maps[name] == LaurentMatrix.identity(cond, F.rows)
         else:
             d, cols, rows = S.maps[name].product_terms(F)
             add_column_map(rows, source, c, e, B[name], cond, -(d // source[0]))
@@ -483,7 +479,7 @@ def _classify(S: EquivariantStructure):
     `require_valid`.  Only F is formed; every product stays a table."""
     G, cond = S.group, S.conductor
     st, psi, psi_inv = column_frame(S.bundle)
-    product = LaurentMatrix.product_terms
+    psi_inv, product = _operand(psi_inv), LaurentMatrix.product_terms
     r, ranges = S.bundle.rank, _block_ranges(st.degrees)
     lines = [(start, stop) + _canonical_line(G, d) for d, start, stop in ranges]
     # S_s psi and psi(s z)^-1 for the generators s, and the residual

@@ -277,14 +277,6 @@ def direct_sum_structures(*parts: EquivariantStructure) -> EquivariantStructure:
     return EquivariantStructure(bundle, group, maps)
 
 
-def embed_structure(S: EquivariantStructure, conductor: int) -> EquivariantStructure:
-    """The same structure with scalars in a larger cyclotomic field."""
-    if S.conductor == conductor:
-        return S
-    return EquivariantStructure(embed_bundle(S.bundle, conductor), S.group,
-                                {k: v.embed(conductor) for k, v in S.maps.items()})
-
-
 def central_sign(S: EquivariantStructure) -> int:
     """+1 or -1 according to how the lift-group center acts."""
     if not S.lift:

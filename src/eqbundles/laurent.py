@@ -97,9 +97,6 @@ class LaurentPoly:
         ((e, c),) = self.coeffs.items()
         return c, e
 
-    def is_constant(self) -> bool:
-        return not self.coeffs or set(self.coeffs) == {0}
-
     # -- arithmetic ------------------------------------------------------------
 
     def _check(self, other):
@@ -414,18 +411,6 @@ class LaurentMatrix:
         return LaurentMatrix(conductor,
                              [[p.embed(conductor) for p in row]
                               for row in self.entries])
-
-    @classmethod
-    def kron(cls, a: "LaurentMatrix", b: "LaurentMatrix") -> "LaurentMatrix":
-        out = []
-        for i in range(a.rows):
-            for k in range(b.rows):
-                row = []
-                for j in range(a.cols):
-                    for l in range(b.cols):
-                        row.append(a.entries[i][j] * b.entries[k][l])
-                out.append(row)
-        return _matrix(a.conductor, out)
 
     @classmethod
     def block_diag(cls, blocks) -> "LaurentMatrix":

@@ -15,7 +15,7 @@ def L(text, conductor=1):
 
 def const_grid(matrix):
     """The CycNum grid of a matrix whose entries are all constants."""
-    assert all(p.is_constant() for row in matrix.entries for p in row)
+    assert all(set(p.coeffs) <= {0} for row in matrix.entries for p in row)
     return [[p.coeff(0) for p in row] for row in matrix.entries]
 
 

@@ -28,10 +28,10 @@ argument of `is_bundle_map`.
 from fractions import Fraction
 from functools import lru_cache
 
-from eqbundles.bundle import direct_sum, model_bundle, twist
+from eqbundles.bundle import direct_sum, dual, make_bundle, model_bundle, twist
 from eqbundles.cyclotomic import MAX_CONDUCTOR, CycNum, root_of_unity
 from eqbundles.equivariant import (EquivariantStructure, direct_sum_structures,
-                                   embed_structure, twist_by_character)
+                                   twist_by_character)
 from eqbundles.errors import ParseError
 from eqbundles.group import elements, multiply
 from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix, LaurentPoly,
@@ -149,6 +149,20 @@ def dense_matmul(A, B):
             row.append(acc)
         out.append(row)
     return LaurentMatrix(A.conductor, out)
+
+
+def kron(A, B):
+    """The Kronecker product of two Laurent matrices: entry ((i, k), (j, l))
+    is a_ij * b_kl."""
+    return LaurentMatrix(A.conductor, [[a * b for a in ra for b in rb]
+                                       for ra in A.entries for rb in B.entries])
+
+
+def hom_bundle(E, F):
+    """Hom(E, F) = F tensor dual(E), its transition the Kronecker product
+    of theirs; it splits as the O(f - e) over the splitting degrees f of F
+    and e of E."""
+    return make_bundle(kron(F.transition, dual(E).transition))
 
 
 def det_cofactor(entries, conductor):
@@ -494,12 +508,11 @@ def parse_laurent_by_arithmetic(text, conductor):
 # canonical blocks written out by hand, and the replay on the built structure
 # ---------------------------------------------------------------------------
 
-def canonical_by_hand(G, d):
-    """The canonical block of degree d over G with every map written out:
-    the line O(d) for cyclic groups, for even d over the Klein group and
-    over the lift group, the pair on O(d) + O(d) for odd d over the Klein
-    group."""
-    m = G.conductor
+def canonical_by_hand(G, d, m):
+    """The canonical block of degree d over G with every map written out,
+    at a multiple m of G's conductor: the line O(d) for cyclic groups, for
+    even d over the Klein group and over the lift group, the pair on
+    O(d) + O(d) for odd d over the Klein group."""
     mk = lambda c, e: LaurentMatrix(m, [[LaurentPoly(m, {e: c})]])
     if G.kind == "cyclic":
         return EquivariantStructure(model_bundle(m, [d]), G,
@@ -528,12 +541,13 @@ def canonical_by_hand(G, d):
 
 def build_structure_by_sums(cert):
     """The certificate's canonical structure as a direct sum of the
-    hand-written blocks, each line twisted by its character, embedded in
-    the certificate's field."""
-    parts = [canonical_by_hand(cert.group, d) if kind == "odd"
-             else twist_by_character(canonical_by_hand(cert.group, d), chi)
+    hand-written blocks at the certificate's conductor, each line twisted
+    by its character."""
+    G, m = cert.group, cert.conductor
+    parts = [canonical_by_hand(G, d, m) if kind == "odd"
+             else twist_by_character(canonical_by_hand(G, d, m), chi)
              for kind, d, chi in cert.block_sequence()]
-    return embed_structure(direct_sum_structures(*parts), cert.conductor)
+    return direct_sum_structures(*parts)
 
 
 def _invertible_over_chart(X, sign):
@@ -541,7 +555,7 @@ def _invertible_over_chart(X, sign):
     the other sign, and a determinant that is a nonzero constant."""
     det = X.det()
     return (all(sign * e >= 0 for row in X.entries for p in row for e in p.coeffs)
-            and det.is_constant() and not det.is_zero())
+            and set(det.coeffs) <= {0} and not det.is_zero())
 
 
 def _regular_invertible_at_point(X, sign):

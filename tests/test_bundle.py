@@ -3,9 +3,9 @@ from random import Random
 
 import pytest
 
-from eqbundles import bundle
+from eqbundles import bundle, laurent
 from eqbundles.bundle import (HNData, _certify, column_frame, direct_sum, dual,
-                              global_sections, h0, hn_data, hom, make_bundle,
+                              global_sections, h0, hn_data, make_bundle,
                               model_bundle, model_isomorphism, splitting_type, twist)
 from eqbundles.cyclotomic import CycNum
 from eqbundles.errors import DimensionMismatch, NonUnimodular, ValidationError
@@ -17,7 +17,7 @@ from eqbundles.serialize import parse_document
 
 from conftest import M
 from oracles import (_dense_rank, dense_h0, h0_by_section_system, h0_from_degrees,
-                     splitting_type_by_h0)
+                     hom_bundle, splitting_type_by_h0)
 
 
 def test_make_bundle_examples():
@@ -95,8 +95,6 @@ def test_functor_degrees():
         for k in (-2, 1):
             assert twist(model_bundle(1, [n]), k).degree() == n + k
         assert dual(model_bundle(1, [n])).degree() == -n
-    assert hom(model_bundle(1, [3]), model_bundle(1, [1])).degree() == -2
-    assert splitting_type(hom(model_bundle(1, [3]), model_bundle(1, [1]))).degrees == (-2,)
 
 
 @pytest.mark.parametrize("n", range(-5, 6))
@@ -112,9 +110,12 @@ def test_h0_rank_two_jordan_block():
 
 
 def test_h0_of_hom_bundles():
-    assert h0(hom(model_bundle(1, [1]), model_bundle(1, [3]))) == 3
-    assert h0(hom(model_bundle(1, [3]), model_bundle(1, [1]))) == 0
-    assert h0(hom(model_bundle(1, [1, -1]), model_bundle(1, [1, -1]))) == 5
+    # Hom(E, F) splits as the O(f - e), so h0 is the sum of max(0, f - e + 1)
+    rng = Random(5)
+    for e, f in [((1,), (3,)), ((3,), (1,)), ((1, -1), (1, -1)), ((2, 0), (1, 1, -2))]:
+        for E, F in [(model_bundle(1, e), model_bundle(1, f)),
+                     (_planted(rng, 4, e), _planted(rng, 4, f))]:
+            assert h0(hom_bundle(E, F)) == sum(max(0, b - a + 1) for a in e for b in f)
 
 
 def _glues(E, s):
@@ -231,7 +232,7 @@ def _assert_frame(E, iso):
     # O(sum d_j - deg E) = O(0), so a frame has a nonzero constant det
     _certify_iso(E, iso)
     det = iso.psi.det()
-    assert det.is_constant() and not det.is_zero()
+    assert set(det.coeffs) <= {0} and not det.is_zero()
 
 
 def test_model_isomorphism_skips_sections_of_the_higher_step():
@@ -282,7 +283,7 @@ def test_splitting_type_matches_h0_scan_oracle(conductor):
         assert splitting_type(E).degrees == degrees
         bundles = [E, dual(E), twist(E, rng.randint(-3, 3)), direct_sum(E, F)]
         if E.rank <= 3:
-            bundles += [hom(E, F), hom(F, E)]
+            bundles += [hom_bundle(E, F), hom_bundle(F, E)]
         for X in bundles:
             st = splitting_type(X)
             assert st.degrees == splitting_type_by_h0(X)
@@ -318,8 +319,7 @@ def test_global_sections_match_section_system_oracle(conductor):
 
 def test_frame_inverse_is_read_off_the_reduction_steps():
     """column_frame(E) forms psi^-1 from E^-1 and the column operations of
-    the reduction; it is the inverse the elimination gives.  psi^-1 comes
-    as an operand table, and the matrix it holds is compared; psi's table,
+    the reduction; it is the inverse the elimination gives.  psi's table,
     as the classification reads it, holds psi."""
     rng = Random(31)
     steps = 0
@@ -328,20 +328,51 @@ def test_frame_inverse_is_read_off_the_reduction_steps():
         st, psi, psi_inv = column_frame(E)
         assert st == splitting_type(E) and psi == model_isomorphism(E).psi
         assert formed(E.conductor, _operand(psi)) == psi
-        assert formed(E.conductor, psi_inv) == psi.inverse()
+        assert psi_inv == psi.inverse()
         steps += len(bundle._reduce_columns(E.transition)[2])
     assert steps >= 40
 
 
 @pytest.mark.parametrize("conductor", [1, 4, 12])
 def test_frame_tables_multiply_to_the_identity_through_the_kernel(conductor):
-    """psi and the psi^-1 table of column_frame(E), as the classification
-    reads them, multiply to I in either order through the product kernel
-    on planted bundles, with no matrix of psi^-1 formed."""
+    """psi and psi^-1 of column_frame(E), through the operand tables the
+    classification reads, multiply to I in either order in the product
+    kernel on planted bundles."""
     rng = Random(conductor)
     for _ in range(12):
         E, _ = planted_bundle(rng, conductor, rng.randint(1, 6), -4, 4, ops=6)
         _, psi, psi_inv = column_frame(E)
+        assert psi_inv == psi.inverse()
         ident = LaurentMatrix.identity(conductor, E.rank)
         assert formed(conductor, LaurentMatrix.product_terms(psi, psi_inv)) == ident
         assert formed(conductor, LaurentMatrix.product_terms(psi_inv, psi)) == ident
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 4, 12])
+def test_certified_frames_build_no_table_of_their_inverse(conductor, monkeypatch):
+    """model_isomorphism and global_sections certify psi and discard
+    psi^-1, so the only operand tables they build are those of psi and
+    E^-1, which the chart certificate and the sections multiply: none of
+    psi^-1, which only decompose reads."""
+    grids = []
+    real = laurent._table_of
+
+    def recorded(cond, grid):
+        grids.append([list(row) for row in grid])
+        return real(cond, grid)
+
+    for module in (laurent, bundle):
+        if hasattr(module, "_table_of"):
+            monkeypatch.setattr(module, "_table_of", recorded)
+    rng, distinct = Random(conductor), 0
+    for degrees in [(3,), (1, 1), (2, -2), (2, 2, -1), (1, 1, 0, -3), (4, 2, 2, 0, 0)]:
+        E = _planted(rng, conductor, degrees)
+        psi_inv = column_frame(E)[2]
+        del grids[:]
+        iso = model_isomorphism(E)
+        assert len(global_sections(E)) == h0_from_degrees(degrees)
+        allowed = [[[p.coeffs for p in row] for row in X.entries]
+                   for X in (iso.psi, E.inverse_transition())]
+        assert grids and all(grid in allowed for grid in grids)
+        distinct += [[p.coeffs for p in row] for row in psi_inv.entries] not in allowed
+    assert distinct >= 4

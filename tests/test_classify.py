@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from eqbundles import bundle, classify, equivariant
+from eqbundles import bundle, classify, equivariant, laurent
 from eqbundles.bundle import make_bundle, model_bundle, model_isomorphism, splitting_type
 from eqbundles.classify import (DecompositionCertificate, ModelStructure,
                                 ResidualRep, averaging_intertwiner, block_diagonal_part,
@@ -572,10 +572,12 @@ def _table_groups():
 def test_canonical_blocks_match_the_hand_written_ones():
     for d in range(-200, 201, 7):
         for n in range(1, 13):
-            assert canonical_structure(cyclic(n), [d]) == canonical_by_hand(cyclic(n), d)
-        assert canonical_structure(klein(), [d], lift=True) == canonical_by_hand(klein_lift(), d)
+            assert canonical_structure(cyclic(n), [d]) == canonical_by_hand(cyclic(n), d, n)
+        lift = klein_lift()
+        assert (canonical_structure(klein(), [d], lift=True)
+                == canonical_by_hand(lift, d, lift.conductor))
         assert (canonical_structure(klein(), [d, d] if d % 2 else [d])
-                == canonical_by_hand(klein(), d))
+                == canonical_by_hand(klein(), d, klein().conductor))
     # whole multisets, assembled in one pass, against the sums of blocks
     rng = Random(17)
     for n in range(1, 13):
@@ -643,6 +645,43 @@ def test_replay_agrees_with_the_replay_on_the_built_structure():
         verdicts.append(verified)
     # the 26 decompose certificates and their frames times 2 verify
     assert verdicts.count(True) >= 52 and verdicts.count(False) >= 100
+
+
+def test_chart_certificate_takes_one_path(monkeypatch):
+    """Passing and failing frames alike make one kernel pass, on F(0), and
+    form no matrix: the test at infinity reads the product kernel's table
+    whatever the degree and the test at 0 found.  The frame z of O(1) is
+    singular at 0 and at infinity."""
+    counts = {}
+
+    def counted(name):
+        real = getattr(laurent, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        for module in (laurent, bundle):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+
+    G = cyclic(3)
+    singular = (DecompositionCertificate(G, ((1, characters(G)[0]),), (), M([["z"]], 3), 3),
+                canonical_structure(G, [1]))
+    cases, failed = [*_replay_cases(), singular], []
+    counted("kernel_dense")
+    counted("formed")
+    for cert, S in cases:
+        counts.update(kernel_dense=0, formed=0)
+        problems = bundle.chart_certificate(cert.change_of_frame, classify._model(cert)[0],
+                                            S.bundle)
+        assert counts == {"kernel_dense": 1, "formed": 0}
+        oracle = replay_by_built_structure(cert, S)
+        assert bool(problems) == any(r.startswith(("F is not", "U is not")) for r in oracle)
+        assert (not verify_certificate_report(cert, S)) == (not oracle)
+        failed.append(problems)
+    assert failed[-1] == ["change of frame not regular+invertible at 0",
+                          "change of frame fails the infinity certificate"]
+    assert failed.count([]) >= 52 and sum(len(p) > 1 for p in failed) >= 20
 
 
 # -- the Reynolds frame against the staged reference path, and counted costs ---------

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from eqbundles import laurent
-from eqbundles.bundle import direct_sum, h0, hom, make_bundle, model_bundle
+from eqbundles.bundle import direct_sum, h0, make_bundle, model_bundle, splitting_type
 from eqbundles.classify import build_structure, decompose
 from eqbundles.cyclotomic import CycNum, root_of_unity
 from eqbundles.equivariant import (EquivariantStructure, canonical_structure,
@@ -24,7 +24,7 @@ from eqbundles.randgen import (random_certificate, random_model_automorphism,
                                random_unimodular)
 
 from conftest import L, M
-from oracles import bundle_map_by_four_conditions, full_cocycle_table
+from oracles import bundle_map_by_four_conditions, full_cocycle_table, hom_bundle
 
 
 def _klein_line_structure(d, n_a1, n_a2, n_a1a2, conductor=4):
@@ -590,9 +590,11 @@ def test_lift_unequal_central_signs_not_equivalent():
 
 
 def test_automorphism_sections_dimension():
-    # End(O(0)^2) has the 4 constant matrix units
-    E = model_bundle(1, [0, 0])
-    assert h0(hom(E, E)) == 4
-    # End(O(1) + O(-1)) = O(0)^2 + O(2) + O(-2): 2 + 3 + 0 = 5
-    E = model_bundle(1, [1, -1])
-    assert h0(hom(E, E)) == 5
+    # End(E) splits as the O(d_i - d_j), so h0 is the sum of max(0, d_i - d_j + 1):
+    # the 4 constant matrix units on O(0)^2 and on the Jordan block of type
+    # {1, 1}, 2 + 3 + 0 = 5 on O(1) + O(-1)
+    for E, count in [(model_bundle(1, [0, 0]), 4), (make_bundle(M([["z", "1"], ["0", "z"]])), 4),
+                     (model_bundle(1, [1, -1]), 5)]:
+        st = splitting_type(E).degrees
+        assert sum(max(0, a - b + 1) for a in st for b in st) == count
+        assert h0(hom_bundle(E, E)) == count
