@@ -71,7 +71,7 @@ def mutate_structure(rng, S):
         other = rng.choice(sorted(maps))
         maps[name], maps[other] = maps[other], maps[name]
     elif kind == "shift":
-        maps[name] = maps[name].scale_poly(LaurentPoly(m, {rng.choice((1, -1)): 1}))
+        maps[name] = maps[name].shift(rng.choice((1, -1)))
     else:
         maps[name] = LaurentMatrix.identity(m, r)
     return EquivariantStructure(S.bundle, S.group, maps)

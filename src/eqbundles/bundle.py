@@ -309,21 +309,21 @@ def h0(E: VectorBundle) -> int:
 def global_sections(E: VectorBundle):
     """Basis of global sections from the frame (empty when there are none).
 
-    With T*U = psi*z^D from the model isomorphism, column j and
-    0 <= a <= d_j give s_zero = z^a * psi_j and s_infty(w) = w^(d_j - a) *
-    U_j(1/w), which glue: T * U_j(z) * z^(a - d_j) = psi_j * z^a.  Both are
-    polynomial, as the chart certificates found psi regular at 0 and U at
-    infinity, and independent, as U is invertible.  Sections are sorted by
-    their last nonzero s_infty entry and its w-degree, which on a model
-    bundle lists the w-coefficients coordinate by coordinate."""
+    With V = T^-1 * psi from the model isomorphism, column j and 0 <= a
+    <= d_j give s_zero = z^a * psi_j and s_infty(w) = w^-a * V_j(1/w),
+    which glue: T * V_j(z) * z^a = psi_j * z^a.  Both are polynomial, as
+    the chart certificates found psi regular at 0 and U = V * z^D at
+    infinity, so that s_infty(w) = w^(d_j - a) * U_j(1/w), and independent,
+    as U is invertible.  Sections are sorted by their last nonzero s_infty
+    entry and its w-degree, which on a model bundle lists the
+    w-coefficients coordinate by coordinate."""
     st, psi = _frame(E)
     one, out = CycNum.one(E.conductor), []
-    U = (E.inverse_transition() @ psi).times_monomial(
-        [(j, one, d) for j, d in enumerate(st.degrees)])
+    V = E.inverse_transition() @ psi
     for j, d in enumerate(st.degrees):
-        u_j = [row[j].substitute(one, -1) for row in U.entries]
+        v_j = [row[j].substitute(one, -1) for row in V.entries]
         out += [Section(s_zero=tuple(row[j].shift(a) for row in psi.entries),
-                        s_infty=tuple(p.shift(d - a) for p in u_j))
+                        s_infty=tuple(p.shift(-a) for p in v_j))
                 for a in range(d + 1)]
     return sorted(out, key=lambda s: max((i, p.max_exp()) for i, p in
                                          enumerate(s.s_infty) if not p.is_zero()))

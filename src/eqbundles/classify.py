@@ -333,13 +333,12 @@ class DecompositionCertificate:
         return len(self.even_blocks) + 2 * len(self.odd_blocks)
 
     def block_sequence(self):
-        """All blocks merged by degree descending; evens of one degree in
-        character order, then pair blocks."""
-        items = [("even", d, chi) for d, chi in self.even_blocks]
-        items += [("odd", d, None) for d in self.odd_blocks]
-        items.sort(key=lambda it: (-it[1], 0 if it[0] == "even" else 1,
-                                   _char_key(it[2]) if it[2] else 0))
-        return items
+        """All blocks as (degree, character, or None for a pair block),
+        merged by degree descending, line blocks of one degree in character
+        order: line and pair blocks have degrees of different parity, so
+        they never tie."""
+        return sorted(self.even_blocks + tuple((d, None) for d in self.odd_blocks),
+                      key=lambda b: -b[0])
 
     def block_data(self):
         """Hashable summary for comparisons up to the canonical sort."""
@@ -354,8 +353,7 @@ def _model(cert: DecompositionCertificate):
     of its maps B_gamma, read by `canonical_rows` from the blocks in
     `block_sequence` order (an odd Klein block is the pair on O(d) + O(d),
     any other the line of degree d twisted by its character)."""
-    return canonical_rows(cert.group, [(d, chi) for _, d, chi in cert.block_sequence()],
-                          cert.conductor)
+    return canonical_rows(cert.group, cert.block_sequence(), cert.conductor)
 
 
 def build_structure(cert: DecompositionCertificate,
@@ -363,8 +361,7 @@ def build_structure(cert: DecompositionCertificate,
     """Assemble the direct sum of canonical blocks twisted per the
     certificate; with a target bundle, conjugate along the certificate's
     change of frame onto it."""
-    blocks = [(d, chi) for _, d, chi in cert.block_sequence()]
-    built = canonical_model(cert.group, blocks, cert.conductor)
+    built = canonical_model(cert.group, cert.block_sequence(), cert.conductor)
     if target is None:
         return built
     if target.rank != cert.rank:

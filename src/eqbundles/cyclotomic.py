@@ -194,9 +194,6 @@ class CycNum:
     def is_one(self) -> bool:
         return self._den == 1 and self._num[0] == 1 and not any(self._num[1:])
 
-    def is_rational(self) -> bool:
-        return not any(self._num[1:])
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):
@@ -317,11 +314,14 @@ class CycNum:
             return (self.conductor == other.conductor and self._num == other._num
                     and self._den == other._den)
         if isinstance(other, (int, Fraction)):
-            return (self.is_rational()
+            return (not any(self._num[1:])
                     and self._num[0] * other.denominator == other.numerator * self._den)
         return NotImplemented
 
     def __hash__(self):
+        # a rational equals the int or Fraction of its value, so it hashes as it
+        if not any(self._num[1:]):
+            return hash(Fraction(self._num[0], self._den))
         return hash((self.conductor, self._num, self._den))
 
     # -- field moves ---------------------------------------------------------

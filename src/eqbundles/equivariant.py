@@ -227,11 +227,14 @@ def canonical_rows(G: GroupSpec, blocks, conductor: int):
 def canonical_model(G: GroupSpec, blocks, conductor: int) -> EquivariantStructure:
     """The direct sum of the canonical blocks [(d, chi or None)] over G at
     a multiple `conductor` of G's field, on its bundle diag(z^d): the one
-    assembly of `canonical_rows` into a structure."""
+    assembly of `canonical_rows` into a structure, row i of a map holding
+    c*z^k in column j for its row (j, c, k)."""
     degrees, rows = canonical_rows(G, blocks, conductor)
-    ident = LaurentMatrix.identity(conductor, len(degrees))
-    return EquivariantStructure(model_bundle(conductor, degrees), G,
-                                {name: ident.times_monomial(r) for name, r in rows.items()})
+    zero, r = LaurentPoly.zero(conductor), len(degrees)
+    return EquivariantStructure(model_bundle(conductor, degrees), G, {
+        name: LaurentMatrix(conductor, [[LaurentPoly.monomial(conductor, k, c) if l == j
+                                         else zero for l in range(r)] for j, c, k in rs])
+        for name, rs in rows.items()})
 
 
 def unpaired_odd_degrees(degrees) -> list:
@@ -348,7 +351,7 @@ def _center_shifted(S: EquivariantStructure) -> EquivariantStructure:
     maps = {}
     for name, N in S.maps.items():
         ((_, c, k),) = line[name]
-        maps[name] = N.scale_poly(LaurentPoly.monomial(S.conductor, k, c.embed(S.conductor)))
+        maps[name] = N.scale(c.embed(S.conductor)).shift(k)
     return EquivariantStructure(twist(S.bundle, 1), S.group, maps)
 
 

@@ -32,12 +32,6 @@ from .errors import ConductorMismatch, DimensionMismatch, NonUnimodular, ParseEr
 from .linalg import kernel_dense
 
 
-def _rational(conductor: int, c) -> CycNum:
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"expected CycNum, int or Fraction, got {type(c).__name__}")
-    return CycNum.rational(conductor, c)
-
-
 class LaurentPoly:
     """Sparse Laurent polynomial sum(coeffs[e] * z^e) with CycNum coefficients."""
 
@@ -46,13 +40,7 @@ class LaurentPoly:
     def __init__(self, conductor: int, coeffs=None):
         clean = {}
         for e, c in (coeffs or {}).items():
-            # CycNum first: Fraction is an ABC, so testing it is a Python call
-            if isinstance(c, CycNum):
-                if c.conductor != conductor:
-                    raise ConductorMismatch(
-                        f"coefficient conductor {c.conductor} vs {conductor}")
-            else:
-                c = _rational(conductor, c)
+            c = _scalar(conductor, c)
             if not c.is_zero():
                 clean[int(e)] = c
         object.__setattr__(self, "conductor", conductor)
@@ -129,7 +117,7 @@ class LaurentPoly:
         c = _scalar(self.conductor, c)
         if c.is_zero():
             return _poly(self.conductor, {})
-        return _times_monomial(self, c, 0)
+        return _monomial_multiple(self, c, 0)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^k."""
@@ -148,10 +136,6 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero Laurent polynomial")
         if self.is_zero():
             return self
-        um = other.unit_monomial()
-        if um is not None:
-            c, e = um
-            return _times_monomial(self, c.inverse(), -e)
         # shift both to ordinary polynomials and long divide
         sa, sb = self.min_exp(), other.min_exp()
         da, db = self.max_exp() - sa, other.max_exp() - sb
@@ -206,8 +190,11 @@ def _poly(conductor: int, coeffs: dict) -> LaurentPoly:
 def _scalar(conductor: int, c) -> CycNum:
     """c as a CycNum at the conductor: TypeError or ConductorMismatch if it
     is not a CycNum, int or Fraction there."""
+    # CycNum first: Fraction is an ABC, so testing it is a Python call
     if not isinstance(c, CycNum):
-        return _rational(conductor, c)
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"expected CycNum, int or Fraction, got {type(c).__name__}")
+        return CycNum.rational(conductor, c)
     if c.conductor != conductor:
         raise ConductorMismatch(f"conductor {conductor} vs {c.conductor}")
     return c
@@ -237,7 +224,7 @@ def _product(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if not c.is_zero()}
 
 
-def _times_monomial(p: LaurentPoly, c: CycNum, k: int) -> LaurentPoly:
+def _monomial_multiple(p: LaurentPoly, c: CycNum, k: int) -> LaurentPoly:
     """c*z^k*p for a nonzero c at p's conductor."""
     if c.is_one():
         return p.shift(k)
@@ -346,19 +333,6 @@ class LaurentMatrix:
             return NotImplemented
         return formed(self.conductor, self.product_terms(other))
 
-    def times_monomial(self, rows) -> "LaurentMatrix":
-        """self @ B for the monomial matrix B whose row i has its one nonzero
-        entry c*z^k in column j, rows[i] = (j, c, k), c a nonzero CycNum at
-        this conductor: column j of the product is c*z^k times column i, so
-        no product of Laurent polynomials is formed."""
-        if len(rows) != self.cols:
-            raise DimensionMismatch(f"{self.cols} cols vs {len(rows)} rows")
-        cols = [None] * len(rows)
-        for i, (j, c, k) in enumerate(rows):
-            cols[j] = [_times_monomial(row[i], c, k) if row[i].coeffs else row[i]
-                       for row in self.entries]
-        return _matrix(self.conductor, zip(*cols))
-
     def _map(self, fn) -> "LaurentMatrix":
         """fn applied to every entry; fn must send 0 to 0, as zero entries
         pass through unchanged."""
@@ -388,9 +362,6 @@ class LaurentMatrix:
     def scale(self, c) -> "LaurentMatrix":
         c = _scalar(self.conductor, c)
         return self._map(lambda p: p.scale(c))
-
-    def scale_poly(self, q: LaurentPoly) -> "LaurentMatrix":
-        return self._map(lambda p: p * q)
 
     def shift(self, k: int) -> "LaurentMatrix":
         """Multiply every entry by z^k."""
@@ -693,11 +664,11 @@ def _det_adjugate(a: LaurentMatrix):
         if det == s:
             det = pivot
         else:
-            det = _times_monomial(det, *um) if um else det * pivot
+            det = _monomial_multiple(det, *um) if um else det * pivot
             det = det if s == one else det.divexact(s)
         if um is not None:
             cinv, e = um[0].inverse(), -um[1]
-            q = [(j, _times_monomial(y, cinv, e)) for j, y in
+            q = [(j, _monomial_multiple(y, cinv, e)) for j, y in
                  enumerate(pivot_row[k + 1:], k + 1) if y.coeffs]
             for i, row in enumerate(m):
                 f = row[k]

@@ -19,11 +19,11 @@ from .group import GroupSpec, characters
 from .laurent import LaurentMatrix, LaurentPoly, regular_invertible_at
 
 
-def random_scalar(rng: Random, conductor: int, lo=-2, hi=2,
-                  root_chance=0.3) -> CycNum:
-    """Small random field element; sometimes a root of unity multiple."""
-    base = CycNum.rational(conductor, rng.randint(lo, hi))
-    if conductor > 2 and rng.random() < root_chance:
+def random_scalar(rng: Random, conductor: int) -> CycNum:
+    """An integer in [-2, 2], times a random root of unity with chance
+    0.3 above conductor 2."""
+    base = CycNum.rational(conductor, rng.randint(-2, 2))
+    if conductor > 2 and rng.random() < 0.3:
         base = base * root_of_unity(conductor, rng.randrange(conductor))
     return base
 
@@ -49,17 +49,17 @@ def random_poly(rng: Random, conductor: int, max_deg: int,
 
 
 def random_unimodular(rng: Random, conductor: int, r: int,
-                      var_sign: int = 1, ops: int = 2,
-                      max_deg: int = 1) -> LaurentMatrix:
+                      var_sign: int = 1, ops: int = 2) -> LaurentMatrix:
     """Product of elementary operations: unit determinant polynomial
-    matrix in z (var_sign=+1) or 1/z (var_sign=-1)."""
+    matrix in z (var_sign=+1) or 1/z (var_sign=-1), its shears of degree
+    at most 1."""
     grid = [[LaurentPoly.const(conductor, 1 if i == j else 0) for j in range(r)]
             for i in range(r)]
     for _ in range(ops):
         kind = rng.choice(("shear", "scale", "swap")) if r > 1 else "scale"
         if kind == "shear":
             i, j = rng.sample(range(r), 2)
-            q = random_poly(rng, conductor, max_deg, var_sign)
+            q = random_poly(rng, conductor, 1, var_sign)
             grid[i] = [a + q * b for a, b in zip(grid[i], grid[j])]
         elif kind == "scale":
             i = rng.randrange(r)
@@ -83,14 +83,14 @@ def planted_bundle(rng: Random, conductor: int, rank: int,
 
 
 def splitting_oracle_run(seed: int, count: int, rank: int,
-                         deg_lo: int, deg_hi: int,
-                         conductors=(1, 2, 3, 4)):
-    """Run the planted-factorization oracle; returns (matches, lines)."""
+                         deg_lo: int, deg_hi: int):
+    """Run the planted-factorization oracle at conductors 1-4; returns
+    (matches, lines)."""
     rng = Random(seed)
     matches = 0
     lines = []
     for i in range(count):
-        m = conductors[rng.randrange(len(conductors))]
+        m = rng.randrange(4) + 1
         r = rng.randint(1, rank)
         E, planted = planted_bundle(rng, m, r, deg_lo, deg_hi)
         found = splitting_type(E).degrees

@@ -9,7 +9,10 @@ forward elimination with the bound -min exp(T^-1).  Determinants come from cofac
 elimination.  The cocycle oracle checks every pair of group elements
 instead of the generator pairs that validation uses, and it multiplies
 Klein lift elements as 2x2 matrices instead of by the sign rule.
-Matrix products visit every (i, j, k) instead of the nonzero entries.
+Matrix products visit every (i, j, k) instead of the nonzero entries,
+and a monomial column map is such a product with its monomial matrix.
+Fixed-point traces read the fiber of a structure at each point a group
+element fixes, where `decompose` reads no fiber at all.
 Cyclotomic
 products use Fraction coefficients and long division by a Phi_m built
 from the Moebius formula, instead of integer numerators and a fold table.
@@ -149,6 +152,16 @@ def dense_matmul(A, B):
             row.append(acc)
         out.append(row)
     return LaurentMatrix(A.conductor, out)
+
+
+def times_monomial(X, rows):
+    """X @ B by `dense_matmul` for the monomial matrix B whose row i has its
+    one nonzero entry c*z^k in column j, rows[i] = (j, c, k): the matrix
+    form of the column map of `add_column_map`."""
+    zero = LaurentPoly.zero(X.conductor)
+    return dense_matmul(X, LaurentMatrix(X.conductor, [
+        [LaurentPoly.monomial(X.conductor, k, c) if l == j else zero for l in range(len(rows))]
+        for j, c, k in rows]))
 
 
 def kron(A, B):
@@ -544,10 +557,50 @@ def build_structure_by_sums(cert):
     hand-written blocks at the certificate's conductor, each line twisted
     by its character."""
     G, m = cert.group, cert.conductor
-    parts = [canonical_by_hand(G, d, m) if kind == "odd"
+    parts = [canonical_by_hand(G, d, m) if chi is None
              else twist_by_character(canonical_by_hand(G, d, m), chi)
-             for kind, d, chi in cert.block_sequence()]
+             for d, chi in cert.block_sequence()]
     return direct_sum_structures(*parts)
+
+
+def _value_at(p, point):
+    """p(point) for a nonzero point of the field, term by term."""
+    return sum((c * point ** k for k, c in p.coeffs.items()), CycNum.zero(p.conductor))
+
+
+def fixed_point_traces(S):
+    """{(name, point): tr S_h(p)} for each non-identity h: z -> c*z^e and
+    each point p that h fixes, the local invariant of S at p: the fiber
+    there is a representation of the stabilizer, and these traces are its
+    character off the identity, so equivalent structures have equal ones.
+
+    (phi s)_0(h z) = N_h(z) s_0(z), so at a fixed p of the 0-chart the
+    fiber map is N_h(p): for e = 1 the points are 0, where it is read off
+    the z^0 coefficients of the diagonal, and infinity, where in the chart
+    s_inf = T^-1 s_0 the map is T(h z)^-1 N_h(z) T(z), regular there, and
+    read off its z^0 coefficients the same way; for e = -1 the points are
+    the roots p of p^2 = c, and N_h(p) is summed term by term."""
+    m, T, out = S.conductor, S.bundle.transition, {}
+    for g in elements(S.group):
+        c, e, N = g.c.embed(m), g.e, S.maps[g.name]
+        if c == 1 and e == 1:
+            continue
+        if e == 1:
+            at_inf = dense_matmul(dense_matmul(S.bundle.inverse_transition().substitute(c, 1),
+                                               N), T)
+            for point, X, sign in (("0", N, 1), ("inf", at_inf, -1)):
+                if any(sign * k < 0 for row in X.entries for q in row for k in q.coeffs):
+                    raise ValueError(f"{g.name} is not regular at {point}")
+                out[g.name, point] = sum((X.entries[i][i].coeff(0) for i in range(X.rows)),
+                                         CycNum.zero(m))
+        else:
+            for k in range(m):
+                point = root_of_unity(m, k)
+                if point * point == c:
+                    out[g.name, str(point)] = sum(
+                        (_value_at(N.entries[i][i], point) for i in range(N.rows)),
+                        CycNum.zero(m))
+    return out
 
 
 def _invertible_over_chart(X, sign):

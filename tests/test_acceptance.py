@@ -54,8 +54,7 @@ def fuzz_structures():
 
 def test_criterion_1_splitting_type_oracle():
     matches, lines = splitting_oracle_run(seed=7, count=200, rank=4,
-                                          deg_lo=-5, deg_hi=5,
-                                          conductors=(1, 2, 3, 4))
+                                          deg_lo=-5, deg_hi=5)
     ok = matches == 200
     if not ok:
         for line in lines:

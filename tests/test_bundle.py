@@ -168,6 +168,35 @@ def test_splitting_oracle_planted():
         assert splitting_type(E).degrees == planted
 
 
+def test_column_reduction_makes_at_most_its_counted_kernel_passes(monkeypatch):
+    """`splitting_type` makes at most sum_j delta_j(T) + deg E + 1
+    `kernel_dense` calls, each on an r x r grid, with delta_j(T) minus the
+    lowest z-exponent of column j of T: each pass that finds a kernel
+    vector lowers sum(delta) by at least 1, the reduction stops at
+    sum(delta) = -deg E, and one last pass finds no kernel vector.
+    Planted bundles at conductors 1-4 and ranks 1-8, some at the bound."""
+    grids, real = [], bundle.kernel_dense
+
+    def counted(rows, ncols, conductor):
+        grids.append((len(rows), ncols, {len(row) for row in rows}))
+        return real(rows, ncols, conductor)
+
+    monkeypatch.setattr(bundle, "kernel_dense", counted)
+    rng, reached = Random(29), 0
+    for _ in range(400):
+        m, r = rng.randint(1, 4), rng.randint(1, 8)
+        E, planted = planted_bundle(rng, m, r, -5, 5)
+        deltas = [-min(p.min_exp() for p in col if p.coeffs)
+                  for col in E.transition.transpose().entries]
+        bound = sum(deltas) + E.degree() + 1
+        grids.clear()
+        assert splitting_type(E).degrees == planted
+        assert 1 <= len(grids) <= bound
+        assert all(g == (r, r, {r}) for g in grids)
+        reached += len(grids) == bound
+    assert reached >= 100
+
+
 def test_splitting_functoriality():
     rng = Random(22)
     for _ in range(20):

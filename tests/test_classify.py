@@ -20,7 +20,7 @@ from eqbundles.equivariant import (EquivariantStructure, canonical_structure,
                                    twist_by_character, validate_structure,
                                    validation_report)
 from eqbundles.errors import EqBundlesError, InternalInconsistency, InvalidStructure
-from eqbundles.group import Character, characters, cyclic, klein, klein_lift
+from eqbundles.group import Character, characters, cyclic, generators, klein, klein_lift
 from eqbundles.laurent import LaurentMatrix, LaurentPoly
 from eqbundles.serialize import render_document
 from eqbundles.randgen import (random_certificate,
@@ -28,8 +28,8 @@ from eqbundles.randgen import (random_certificate,
 
 from conftest import M, const_grid
 from fuzz_oracles import mutate_structure
-from oracles import (build_structure_by_sums, canonical_by_hand,
-                     rep_relation_failures, replay_by_built_structure)
+from oracles import (build_structure_by_sums, canonical_by_hand, fixed_point_traces,
+                     rep_relation_failures, replay_by_built_structure, times_monomial)
 
 
 # -- pullback -----------------------------------------------------------------
@@ -606,7 +606,6 @@ def _replay_cases():
         S = conjugate_structure(S0, random_model_automorphism(
             rng, S0.conductor, splitting_type(S0.bundle).degrees))
         cert = decompose(S)
-        m = cert.conductor
         yield cert, S
         if cert.even_blocks and len(characters(G)) > 1:
             i = mutations.randrange(len(cert.even_blocks))
@@ -614,9 +613,10 @@ def _replay_cases():
             d, chi = even[i]
             even[i] = (d, mutations.choice([c for c in characters(G) if c != chi]))
             yield replace(cert, even_blocks=tuple(even)), S
-        for factor in (LaurentPoly(m, {0: 1, 1: 1}), LaurentPoly(m, {1: 1}),
-                       LaurentPoly(m, {0: 2})):
-            yield replace(cert, change_of_frame=cert.change_of_frame.scale_poly(factor)), S
+        F = cert.change_of_frame
+        # F times 1 + z, z and 2
+        for frame in (F + F.shift(1), F.shift(1), F.scale(2)):
+            yield replace(cert, change_of_frame=frame), S
         maps = dict(S.maps)
         maps["e"] = maps[mutations.choice(sorted(maps))].scale(2)
         yield cert, EquivariantStructure(S.bundle, G, maps)
@@ -638,7 +638,7 @@ def test_replay_agrees_with_the_replay_on_the_built_structure():
     for cert, S in _replay_cases():
         assert build_structure(cert) == build_structure_by_sums(cert)
         ident = LaurentMatrix.identity(cert.conductor, cert.rank)
-        assert ({name: ident.times_monomial(rows) for name, rows in classify._model(cert)[1].items()}
+        assert ({name: times_monomial(ident, rows) for name, rows in classify._model(cert)[1].items()}
                 == build_structure(cert).maps)
         verified = not verify_certificate_report(cert, S)
         assert verified == (not replay_by_built_structure(cert, S))
@@ -744,28 +744,82 @@ def _klein_rank8(rng):
     return _planted(rng, cert)
 
 
-def test_classify_and_replay_stay_within_their_counted_products(monkeypatch):
-    """On Klein rank 8, `_classify` makes at most 2|G| - 1 passes of the
-    product kernel and a replay at most |G|: B_gamma and z^D act as
-    column maps."""
-    count = [0]
-    real = LaurentMatrix.product_terms
+def _mixed_corner(m, r):
+    """Characters 1, 6, 11, ... (index 1 + 5i mod m) on O(1)^r, conjugated
+    by the constant matrix with 1 on the diagonal and 3 above it."""
+    G = cyclic(m)
+    S = direct_sum_structures(*(twist_by_character(canonical_structure(G, [1]),
+                                                   characters(G)[(1 + 5 * i) % m])
+                                for i in range(r)))
+    return conjugate_structure(S, LaurentMatrix.from_const(
+        m, [[1 if j == i else 3 if j == i + 1 else 0 for j in range(r)] for i in range(r)]))
 
-    def counted(a, b):
-        count[0] += 1
-        return real(a, b)
 
+def _counted_product_cases():
+    """Klein rank 8; cyclic(1), (3) and (12) planted at ranks 1-4; the
+    rank-1 cyclic(97) structure O(1) twisted by a character; the
+    mixed-character corner (7, 4)."""
     rng = Random(5)
     for _ in range(3):
-        S = _klein_rank8(rng)
-        monkeypatch.setattr(LaurentMatrix, "product_terms", counted)
-        count[0] = 0
+        yield _klein_rank8(rng)
+    for n in (1, 3, 12):
+        chars = characters(cyclic(n))
+        for r in range(1, 5):
+            blocks = tuple((rng.randint(-3, 3), rng.choice(chars)) for _ in range(r))
+            yield _planted(rng, DecompositionCertificate(
+                cyclic(n), blocks, (), LaurentMatrix.identity(n, r), n))
+    yield twist_by_character(canonical_structure(cyclic(97), [1]), characters(cyclic(97))[1])
+    yield _mixed_corner(7, 4)
+
+
+def test_classify_and_replay_stay_within_their_counted_products(monkeypatch):
+    """`_classify` makes |gens| + |G| passes of the product kernel and as
+    many `add_column_map` calls: one pass S_s psi and one column map
+    psi(s z)^-1 per generator s, psi P once, and per non-identity gamma
+    one pass for its term of the Reynolds sum, whose column map B_gamma
+    every gamma adds.  The replay makes |G| passes, T^-1 F for the chart
+    certificate and S_gamma F per non-identity gamma, and |G| - 1 column
+    maps F(gamma z) B_gamma."""
+    passes, maps = [0], [0]
+    real_product, real_map = LaurentMatrix.product_terms, classify.add_column_map
+
+    def product(a, b):
+        passes[0] += 1
+        return real_product(a, b)
+
+    def column_map(*args):
+        maps[0] += 1
+        return real_map(*args)
+
+    for S in _counted_product_cases():
+        G = S.group
+        monkeypatch.setattr(LaurentMatrix, "product_terms", product)
+        monkeypatch.setattr(classify, "add_column_map", column_map)
+        passes[0] = maps[0] = 0
         cert, _ = classify._classify(S)
-        assert count[0] <= 2 * 4 - 1
-        count[0] = 0
+        assert (passes[0], maps[0]) == (len(generators(G)) + G.order,) * 2, G
+        passes[0] = maps[0] = 0
         assert verify_certificate_report(cert, S) == []
-        assert count[0] <= 4
+        assert (passes[0], maps[0]) == (G.order, G.order - 1), G
         monkeypatch.undo()
+
+
+def test_fixed_point_traces_match_the_canonical_model_of_the_block_data():
+    """The trace of S_h at each point p that a non-identity h fixes, read
+    in the chart holding p, equals that of the hand-written canonical
+    structure of `decompose(S)`'s block data, on mixed-character corners
+    at m = 7 and 12 and on scrambled Klein rank-8 structures; a block
+    data with one character changed has other traces."""
+    rng = Random(31)
+    cases = [_mixed_corner(7, 4), _mixed_corner(12, 4)] + [_klein_rank8(rng) for _ in range(3)]
+    for S in cases:
+        cert = decompose(S)
+        traces = fixed_point_traces(S)
+        assert traces and traces == fixed_point_traces(build_structure_by_sums(cert))
+        d, chi = cert.even_blocks[0]
+        other = next(c for c in characters(S.group) if c != chi)
+        changed = replace(cert, even_blocks=((d, other),) + cert.even_blocks[1:])
+        assert traces != fixed_point_traces(build_structure_by_sums(changed))
 
 
 def _rep_split_cases():

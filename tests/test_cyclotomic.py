@@ -259,6 +259,22 @@ def test_canonical_form_equal_values_compare_and_hash_equal():
         assert (a + b) - b == a and hash((a + b) - b) == hash(a)
 
 
+def test_rationals_hash_as_the_int_or_fraction_they_equal():
+    """A rational CycNum equals the int or Fraction of its value, so it
+    hashes as that value: each finds the other as a dict key or a set
+    member.  A value that is not rational equals no int or Fraction."""
+    for m in (1, 4, 12):
+        for value in (0, 1, -3, Fraction(4, 2), Fraction(3, 2), Fraction(-7, 5)):
+            x = CycNum.rational(m, value)
+            assert x == value and hash(x) == hash(value)
+            assert {value: "v"}.get(x) == "v" and x in {value}
+            assert {x: "x"}.get(value) == "x" and value in {x}
+        assert {1: "one"}.get(CycNum.one(m)) == "one"
+        assert {Fraction(1): "one"}.get(CycNum.one(m)) == "one"
+    assert {1: "one"}.get(root_of_unity(12, 1)) is None
+    assert root_of_unity(4, 1) not in {0, 1, -1}
+
+
 def test_coeffs_is_a_tuple_of_fractions():
     for a in (CycNum(12, [1, Fraction(1, 2), 0, -3]), CycNum.zero(4), CycNum.one(1),
               root_of_unity(5, 1) / 3):

@@ -15,7 +15,7 @@ from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix,
 from eqbundles.randgen import random_poly, random_unimodular, random_unit
 
 from conftest import L, M
-from oracles import dense_matmul, det_cofactor, parse_laurent_by_arithmetic
+from oracles import dense_matmul, det_cofactor, parse_laurent_by_arithmetic, times_monomial
 
 
 @st.composite
@@ -374,7 +374,7 @@ def _scaled(table, f):
 def test_product_check_agrees_with_the_dense_product(data):
     """The replay's product check: the kernel's table of A @ B minus
     G(c*z^e) B_gamma as `add_column_map` builds it, for G chosen by the
-    reference substitute/times_monomial path so that G(c*z^e) B_gamma =
+    reference path of `substitute` and `oracles.times_monomial` so that G(c*z^e) B_gamma =
     C.  The difference `vanishes` exactly when dense_matmul(A, B) == C,
     for C the product or a near miss of it."""
     m = data.draw(st.sampled_from([1, 3, 4, 12, 97, 105]))
@@ -394,9 +394,9 @@ def test_product_check_agrees_with_the_dense_product(data):
     inverse_rows = [None] * c
     for l, (j, cl, kl) in enumerate(rows):
         inverse_rows[j] = (l, cl.inverse(), -kl)
-    G = C.times_monomial(inverse_rows)
+    G = times_monomial(C, inverse_rows)
     G = G.substitute(root.inverse(), 1) if e == 1 else G.substitute(root, -1)
-    assert G.substitute(root, e).times_monomial(rows) == C
+    assert times_monomial(G.substitute(root, e), rows) == C
     source = laurent._operand(G)
     target = [{} for _ in range(r)]
     add_column_map(target, source, root, e, rows, m)
@@ -465,7 +465,7 @@ def test_column_map_by_a_root_forms_no_scalar_product(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert formed(m, (source[0], 1, target)) == \
-        F.substitute(root, -1).times_monomial([(0, cl, 2)])
+        times_monomial(F.substitute(root, -1), [(0, cl, 2)])
 
 
 def _signed_permutation(rng, m, n):
