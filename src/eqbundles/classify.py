@@ -54,7 +54,7 @@ from fractions import Fraction
 from math import gcd
 
 from .bundle import ModelIso, chart_certificate, column_frame
-from .cyclotomic import CycNum, _root_index, roots_among
+from .cyclotomic import CycNum, _root_multiple, roots_among
 from .errors import EqBundlesError, InternalInconsistency, InvalidStructure, ShapeMismatch
 from .equivariant import (EquivariantStructure, GroupIndexed, canonical_model,
                           canonical_monomials, canonical_rows, require_valid,
@@ -216,13 +216,15 @@ def _charpoly(a, conductor):
 def _line_character(G: GroupSpec, values, conductor: int):
     """The character of G whose values on the generators are `values`,
     in the field of the given conductor, or None: a Klein character is
-    read off the two signs, a cyclic one off the power of zeta in the
-    table of roots, in time independent of |G|."""
+    read off the two signs, a cyclic one off the power of zeta that
+    `_root_multiple` reads, in time independent of |G|."""
     chars = characters(G)
     if G.kind == "cyclic":
         (x,), step = values, conductor // G.n
-        t = _root_index(conductor).get(x._num) if x._den == 1 else None
-        return None if t is None or t % step else chars[t // step]
+        t, n = (_root_multiple(x._num, conductor) if x._den == 1 else None) or (0, 0)
+        if n == -1 and conductor % 2 == 0:  # -1 = zeta^(m/2)
+            t, n = conductor // 2, 1
+        return chars[t // step] if n == 1 and not t % step else None
     signs = tuple(1 if x == 1 else -1 if x == -1 else 0 for x in values)
     return next((chi for chi in chars if chi.signs == signs), None)
 

@@ -10,11 +10,13 @@ Everything is exact and canonical: a scalar is a tuple of phi integer
 numerators over one positive common denominator, with no common factor
 (Cohen, "A Course in Computational Algebraic Number Theory", 4.2).  Phi_m
 is monic with integer coefficients, so products fold back to degree
-< phi through the integer rows of x^k mod Phi_m (`_power_rows`).  The
-inverse of a rational multiple of +-zeta^k is read off the table of
-powers of zeta; any other from one fraction-free Gauss-Jordan pass on
-the integer matrix of multiplication by the numerator.  `Fraction`
-appears only at the edges: constructor input and the `coeffs` view.
+< phi through the integer rows of x^k mod Phi_m (`_power_rows`).  One
+reader, `_root_multiple`, recognizes a rational multiple n * zeta^t of
+a root of unity: by one content division and one lookup in the table of
+powers of zeta.  Such a scalar inverts in closed form; any other from
+one fraction-free Gauss-Jordan pass on the integer matrix of
+multiplication by the numerator.  `Fraction` appears only at the edges:
+constructor input and the `coeffs` view.
 """
 
 from __future__ import annotations
@@ -88,12 +90,21 @@ def _root_index(m: int) -> dict:
     return {v: k for k, v in enumerate(_zeta_powers(m))}
 
 
-@lru_cache(maxsize=None)
-def _wide_roots(m: int) -> dict:
-    """{numerators: (t, +-1)} of the roots +-zeta_m^t with more than one
-    nonzero power-basis numerator; empty when m is a power of 2."""
-    return {tuple(s * a for a in v): (t, s) for v, t in _root_index(m).items()
-            if sum(map(bool, v)) > 1 for s in (1, -1)}
+def _root_multiple(num, m: int):
+    """(t, n) with num the numerators of n * zeta_m^t, n a nonzero integer
+    and 0 <= t < m, or None.  A rational n reads as (0, n) with no table;
+    any other num is divided by its content (a root of unity is a unit of
+    Z[zeta]) and looked up, then its negation, so n > 0 wherever -zeta^t
+    is a root (m even): a root other than -1 reads as (t, 1)."""
+    if not any(num[1:]):
+        return (0, num[0]) if num[0] else None
+    g, roots = gcd(*num), _root_index(m)
+    if g != 1:
+        num = tuple([x // g for x in num])
+    t = roots.get(num)
+    if t is None:
+        t, g = roots.get(tuple([-x for x in num])), -g
+    return None if t is None else (t, g)
 
 
 @lru_cache(maxsize=None)
@@ -266,24 +277,19 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        num, den = self._num, self._den
-        if not any(num):
-            raise ZeroDivisionError("division by zero in Q(zeta_m)")
-        phi = len(num)
-        if not any(num[1:]):
-            a = num[0]
-            sign = 1 if a > 0 else -1
-            return _new(self.conductor, (sign * den,) + (0,) * (phi - 1), abs(a))
-        # +-zeta^k / den inverts to +-den * zeta^(-k).  A root of unity is a
-        # unit of Z[zeta], so its numerators have no common factor and
-        # appear exactly as in the power table.
-        m = self.conductor
-        roots = _root_index(m)
-        for sign, vec in ((1, num), (-1, tuple(-a for a in num))):
-            k = roots.get(vec)
-            if k is not None:
-                return _new(m, tuple(sign * den * a for a in _zeta_powers(m)[-k % m]), 1)
-        return _gauss_jordan_inverse(self)
+        # (n/den) zeta^t inverts to (den/n) zeta^-t, in lowest terms as gcd(den, n) = 1
+        num, den, m = self._num, self._den, self.conductor
+        root = _root_multiple(num, m)
+        if root is None:
+            if not any(num):
+                raise ZeroDivisionError("division by zero in Q(zeta_m)")
+            return _gauss_jordan_inverse(self)
+        t, n = root
+        if n < 0:
+            n, den = -n, -den
+        if not t:
+            return _new(m, (den,) + (0,) * (len(num) - 1), n)
+        return _new(m, tuple([den * a for a in _zeta_powers(m)[-t]]), n)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -311,8 +317,9 @@ class CycNum:
 
     def __eq__(self, other):
         if isinstance(other, CycNum):
-            return (self.conductor == other.conductor and self._num == other._num
-                    and self._den == other._den)
+            if self.conductor != other.conductor:  # only rationals compare, by value
+                return not any(other._num[1:]) and self == Fraction(other._num[0], other._den)
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return (not any(self._num[1:])
                     and self._num[0] * other.denominator == other.numerator * self._den)
@@ -388,20 +395,13 @@ def root_of_unity(m: int, k: int) -> CycNum:
 
 
 def root_rotation(c: CycNum):
-    """(s, t) with c = s * zeta_m^t and s = +-1, m the conductor of c;
-    ValueError if c is no root of unity or the negative of one."""
-    num = c._num
-    if c._den == 1:
-        if num[0] in (1, -1) and not any(num[1:]):
-            return num[0], 0
-        roots = _root_index(c.conductor)
-        t = roots.get(num)
-        if t is not None:
-            return 1, t
-        t = roots.get(tuple(-a for a in num))
-        if t is not None:
-            return -1, t
-    raise ValueError(f"{render_cycnum(c)} is not a root of unity up to sign")
+    """(t, s) with c = s * zeta_m^t and s = +-1, m the conductor of c, as
+    `_root_multiple` reads it; ValueError if c is no root of unity or the
+    negative of one."""
+    root = _root_multiple(c._num, c.conductor) if c._den == 1 else None
+    if root is None or root[1] not in (1, -1):
+        raise ValueError(f"{render_cycnum(c)} is not a root of unity up to sign")
+    return root
 
 
 def roots_among(coeffs, points) -> list:

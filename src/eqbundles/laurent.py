@@ -25,7 +25,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import (MAX_CONDUCTOR, CycNum, _canonical, _power_rows, _wide_roots,
+from .cyclotomic import (MAX_CONDUCTOR, CycNum, _canonical, _power_rows, _root_multiple,
                          _zeta_powers, euler_phi, render_cycnum, root_of_unity,
                          root_rotation, term_count)
 from .errors import ConductorMismatch, DimensionMismatch, NonUnimodular, ParseError
@@ -466,8 +466,9 @@ def _operand(x) -> tuple:
 def _table_of(conductor: int, grid) -> tuple:
     """The table of a grid of coefficient maps {e: nonzero CycNum}, in one
     pass: a denominator that the running one does not cover rescales the
-    terms so far, and g times a root in `_wide_roots` is one term."""
-    cols, wide = len(grid[0]), _wide_roots(conductor)
+    terms so far, and n * zeta^t (`_root_multiple`) is one term.  At a
+    power of 2 every root is one power-basis term already."""
+    cols, wide = len(grid[0]), conductor & (conductor - 1)
     w, den, rows = 4 * conductor * cols, 1, []
     for row in grid:
         out = {}
@@ -482,13 +483,8 @@ def _table_of(conductor: int, grid) -> tuple:
                         for s in r:
                             r[s] *= f
                 f, num = den // d, c._num
-                terms = enumerate(num)
-                if wide and len(num) - num.count(0) > 1:
-                    g = gcd(*num)
-                    root = wide.get(num if g == 1 else tuple([a // g for a in num]))
-                    if root is not None:
-                        terms = ((root[0], root[1] * g),)
-                for p, n in terms:
+                root = wide and len(num) - num.count(0) > 1 and _root_multiple(num, conductor)
+                for p, n in (root,) if root else enumerate(num):
                     if n:
                         out[base + p * cols] = n * f
     return den, cols, rows
@@ -575,10 +571,10 @@ def add_column_map(total: list, table, c: CycNum, e: int, monomial, conductor: i
     scalar product is formed."""
     _, cols, rows = table
     m, w = conductor, 4 * conductor
-    sc, tc = root_rotation(c)
+    tc, sc = root_rotation(c)
     # per row l: the power's shift, the key's offset, the factors for even and odd k
     moved = [(tl, kl * w * cols + j, scale * sl, scale * sl * sc)
-             for j, cl, kl in monomial for sl, tl in [root_rotation(cl)]]
+             for j, cl, kl in monomial for tl, sl in [root_rotation(cl)]]
     ew = e * w
     for out, row in zip(total, rows):
         for s, n in row.items():

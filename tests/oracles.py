@@ -12,7 +12,8 @@ Klein lift elements as 2x2 matrices instead of by the sign rule.
 Matrix products visit every (i, j, k) instead of the nonzero entries,
 and a monomial column map is such a product with its monomial matrix.
 Fixed-point traces read the fiber of a structure at each point a group
-element fixes, where `decompose` reads no fiber at all.
+element fixes, where `decompose` reads no fiber at all, and the
+character inner product turns them into multiplicities.
 Cyclotomic
 products use Fraction coefficients and long division by a Phi_m built
 from the Moebius formula, instead of integer numerators and a fold table.
@@ -36,7 +37,7 @@ from eqbundles.cyclotomic import MAX_CONDUCTOR, CycNum, root_of_unity
 from eqbundles.equivariant import (EquivariantStructure, direct_sum_structures,
                                    twist_by_character)
 from eqbundles.errors import ParseError
-from eqbundles.group import elements, multiply
+from eqbundles.group import characters, elements, multiply
 from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix, LaurentPoly,
                                _excerpt, _tokenize)
 
@@ -600,6 +601,45 @@ def fixed_point_traces(S):
                     out[g.name, str(point)] = sum(
                         (_value_at(N.entries[i][i], point) for i in range(N.rows)),
                         CycNum.zero(m))
+    return out
+
+
+def fixed_point_multiplicities(S):
+    """{point: {chi: mult}} over a cyclic or the Klein group: at each point
+    p that a subgroup H != 1 fixes, and for each character chi of G, the
+    multiplicity of chi restricted to H in the fiber at p,
+
+        mult(chi) = (1/|H|) * sum over h in H of chi(h)^-1 * tr S_h(p),
+
+    the character inner product (Serre, "Linear Representations of Finite
+    Groups", 2.3), read off `fixed_point_traces` and tr S_e(p) = rank.
+    For a cyclic group H = G; over the Klein group |H| = 2, and the two
+    characters with one restriction to H read one multiplicity.
+
+    What the block data predicts.  A change of frame, regular and
+    invertible at p, conjugates the fiber maps there, so it is enough to
+    read the canonical structure, block by block.
+    - Cyclic, line block (d, chi): S_h = chi(h) in the 0-chart, so the
+      fiber at 0 carries chi.  In the chart at infinity h: z -> c z reads
+      T(c z)^-1 chi(h) T(z) = chi(h) c^-d, T = z^d, so the fiber there
+      carries chi * omega^-d, the character g^k -> chi(g^k) zeta_n^(-k d).
+    - Klein, even block (d, chi), with s = (-1)^(d/2): S_a1 = s chi(a1)
+      at 0 and, since (-1)^d = 1, at infinity; S_a2(p) = s chi(a2) p^-d
+      at p = +-1 and S_a1a2(p) = chi(a1a2) p^-d at p = +-i, where p^-d =
+      1 and s respectively.  So at every point fixed by h the fiber
+      carries h -> s chi(h).
+    - Klein, odd block: S_h has trace 0 on its rank-2 fiber at every
+      fixed point, so it carries each character of H once."""
+    m, order = S.conductor, {}
+    traces = fixed_point_traces(S)
+    for name, point in traces:
+        order[point] = order.get(point, 1) + 1
+    out = {}
+    for point, size in order.items():
+        out[point] = {chi: (S.bundle.rank + sum(
+            (chi.value(name).embed(m).inverse() * tr
+             for (name, p), tr in traces.items() if p == point),
+            CycNum.zero(m))) / size for chi in characters(S.group)}
     return out
 
 

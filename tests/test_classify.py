@@ -28,8 +28,9 @@ from eqbundles.randgen import (random_certificate,
 
 from conftest import M, const_grid
 from fuzz_oracles import mutate_structure
-from oracles import (build_structure_by_sums, canonical_by_hand, fixed_point_traces,
-                     rep_relation_failures, replay_by_built_structure, times_monomial)
+from oracles import (build_structure_by_sums, canonical_by_hand, fixed_point_multiplicities,
+                     fixed_point_traces, rep_relation_failures, replay_by_built_structure,
+                     times_monomial)
 
 
 # -- pullback -----------------------------------------------------------------
@@ -820,6 +821,46 @@ def test_fixed_point_traces_match_the_canonical_model_of_the_block_data():
         other = next(c for c in characters(S.group) if c != chi)
         changed = replace(cert, even_blocks=((d, other),) + cert.even_blocks[1:])
         assert traces != fixed_point_traces(build_structure_by_sums(changed))
+
+
+def _block_data_multiplicities(cert, points):
+    """{point: {chi: mult}} as the block data predicts it, with no fiber
+    read (the argument is in `oracles.fixed_point_multiplicities`): a
+    cyclic block (d, chi) carries chi at 0 and chi * omega^-d at infinity;
+    a Klein even block (d, chi) carries h -> (-1)^(d/2) chi(h) at each
+    point fixed by h, and an odd block each character of <h> once."""
+    G, chars, out = cert.group, characters(cert.group), {}
+    for p in points:
+        if G.kind == "cyclic":
+            fiber = [chi if p == "0" else chars[(chi.index - d) % G.n]
+                     for d, chi in cert.even_blocks]
+            out[p] = {psi: fiber.count(psi) for psi in chars}
+        else:
+            h = {"0": "a1", "inf": "a1", "1": "a2", "-1": "a2"}.get(p, "a1a2")
+            fiber = [(-1) ** (d // 2 % 2) * chi.value(h) for d, chi in cert.even_blocks]
+            out[p] = {psi: fiber.count(psi.value(h)) + len(cert.odd_blocks) for psi in chars}
+    return out
+
+
+def test_fixed_point_multiplicities_match_the_block_data():
+    """The multiplicities of the characters in the fiber at each fixed
+    point, from traces alone, are those that `decompose(S)`'s block data
+    predicts, on mixed-character corners at m = 7 and 12, on the rank-1
+    cyclic(97) structure O(1) twisted by a character and on scrambled Klein
+    rank-8 structures; a block data with one character changed predicts
+    others."""
+    rng, G = Random(37), cyclic(97)
+    cases = [_mixed_corner(7, 4), _mixed_corner(12, 4),
+             twist_by_character(canonical_structure(G, [1]), characters(G)[1]),
+             _klein_rank8(rng), _klein_rank8(rng)]
+    for S in cases:
+        cert = decompose(S)
+        mults = fixed_point_multiplicities(S)
+        assert mults and mults == _block_data_multiplicities(cert, mults)
+        d, chi = cert.even_blocks[0]
+        other = next(c for c in characters(S.group) if c != chi)
+        changed = replace(cert, even_blocks=((d, other),) + cert.even_blocks[1:])
+        assert mults != _block_data_multiplicities(changed, mults)
 
 
 def _rep_split_cases():

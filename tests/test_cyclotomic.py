@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 from random import Random
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from eqbundles.cyclotomic import (MAX_CONDUCTOR, CycNum, cyclotomic_polynomial, euler_phi,
                                   render_cycnum, root_of_unity)
-from eqbundles.cyclotomic import _gauss_jordan_inverse
+from eqbundles import cyclotomic
+from eqbundles.cyclotomic import _gauss_jordan_inverse, _root_multiple, root_rotation
 from eqbundles.errors import ConductorMismatch
 from eqbundles.laurent import parse_laurent
 
@@ -275,6 +277,22 @@ def test_rationals_hash_as_the_int_or_fraction_they_equal():
     assert root_of_unity(4, 1) not in {0, 1, -1}
 
 
+def test_equality_across_conductors_is_an_equivalence():
+    """CycNums of different conductors are equal exactly when both are
+    rational of the same value, so a set of equal rationals has one member
+    in every insertion order, and zeta_4 is not its embedding at 12."""
+    for value in (1, Fraction(-3, 2)):
+        xs = [CycNum.rational(m, value) for m in (1, 4, 12)]
+        for order in permutations(xs):
+            assert len(set(order)) == 1
+        for order in permutations(xs + [value]):
+            assert len(set(order)) == 1
+    assert CycNum.one(1) == CycNum.one(4) and CycNum.rational(12, 2) != CycNum.one(4)
+    z4 = root_of_unity(4, 1)
+    assert z4 != z4.embed(12) and z4 * z4 == (z4 * z4).embed(12) == -1
+    assert len({z4, z4.embed(12), CycNum.one(1), CycNum.one(12)}) == 3
+
+
 def test_coeffs_is_a_tuple_of_fractions():
     for a in (CycNum(12, [1, Fraction(1, 2), 0, -3]), CycNum.zero(4), CycNum.one(1),
               root_of_unity(5, 1) / 3):
@@ -292,15 +310,103 @@ def test_inverse_of_zero_raises(m):
         CycNum(m, [1] + [0] * (m - 1) + [-1]).inverse()  # 1 - x^m = 0
 
 
+def _counting_gauss_jordan(monkeypatch):
+    """A list whose first entry counts the `_gauss_jordan_inverse` calls
+    that `CycNum.inverse` makes from now on."""
+    calls, real = [0], cyclotomic._gauss_jordan_inverse
+
+    def counted(x):
+        calls[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(cyclotomic, "_gauss_jordan_inverse", counted)
+    return calls
+
+
 @pytest.mark.parametrize("m", (1, 3, 4, 12, 97))
-def test_root_of_unity_inverse_by_lookup_equals_gauss_jordan(m):
+def test_root_of_unity_inverse_by_lookup_equals_gauss_jordan(m, monkeypatch):
+    """(n/d) zeta^k inverts in closed form for every integer n, not only
+    n = +-1, with no Gauss-Jordan pass, to what that pass gives."""
+    calls = _counting_gauss_jordan(monkeypatch)
     # at m = 97 each Gauss-Jordan pass takes tens of ms, so only some k
     for k in range(m) if m <= 12 else (1, 2, 48, 49, 95, 96):
         zeta = root_of_unity(m, k)
-        for x in (zeta, -zeta, zeta * 3, zeta / 3, -zeta / 5):
+        for x in (zeta, -zeta, zeta * 3, zeta / 3, -zeta / 5, zeta * -2,
+                  zeta * Fraction(6, 35), zeta * Fraction(-12, 5)):
             inv = x.inverse()
             assert inv == _gauss_jordan_inverse(x)
             assert x * inv == 1
+    assert calls[0] == 0
+
+
+def _multiple_by_brute_force(x):
+    """(t, q) with x = q * zeta^t, q a nonzero rational, for the least
+    such t < m, or None: x * zeta^-t is tried for every t, a rotation by
+    the power table, with no content division and no lookup."""
+    m = x.conductor
+    for t in range(m):
+        y = root_of_unity(m, -t) * x
+        if y._num[0] and not any(y._num[1:]):
+            return t, Fraction(y._num[0], y._den)
+    return None
+
+
+READER_CONDUCTORS = (1, 2, 3, 4, 6, 12, 105, 210, 251)
+
+
+@pytest.mark.parametrize("m", READER_CONDUCTORS)
+def test_root_multiple_reader_against_brute_force(m, monkeypatch):
+    """`_root_multiple` reads (t, n) with n * zeta^t the numerators of x
+    exactly when some x * zeta^-t is rational: (0, n) for a rational n,
+    and n > 0 when x is any other root at even m; a multiple inverts with
+    no Gauss-Jordan pass, and any other nonzero scalar by exactly one, to
+    what that pass gives."""
+    rng = Random(m)
+    ts = range(m) if m <= 12 else rng.sample(range(m), 6) + [m - 1, m // 2]
+    multiples = [CycNum.rational(m, c) * root_of_unity(m, t) for t in ts
+                 for c in (1, -1, 2, -2, 3, Fraction(2, 7), Fraction(-9, 4))]
+    zeta = root_of_unity(m, 1)
+    others = [CycNum.zero(m), 1 - zeta, zeta ** 2 - zeta ** 5, 2 + zeta,
+              root_of_unity(m, 3) - root_of_unity(m, m - 1)]
+    if m == 251:  # one Gauss-Jordan pass here takes about half a second
+        others = others[:2]
+    non_multiples = 0
+    calls = _counting_gauss_jordan(monkeypatch)
+    for x in multiples + others:
+        found, read = _multiple_by_brute_force(x), _root_multiple(x._num, m)
+        assert (found is None) == (read is None), x
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            continue
+        before = calls[0]
+        inv = x.inverse()
+        assert x * inv == 1
+        if read is None:
+            non_multiples += 1
+            assert calls[0] == before + 1 and inv == _gauss_jordan_inverse(x)
+            continue
+        t, n = read
+        assert calls[0] == before and 0 <= t < m and n and isinstance(n, int)
+        assert CycNum.rational(m, Fraction(n, x._den)) * root_of_unity(m, t) == x
+        if not any(x._num[1:]):
+            assert read == (0, x._num[0])
+        elif m % 2 == 0 and found[1] in (1, -1):
+            assert n == 1
+    assert non_multiples or m <= 2
+
+
+def test_root_rotation_reads_only_roots_up_to_sign():
+    for m in READER_CONDUCTORS[:-1]:
+        for t in range(m):
+            for sign in (1, -1):
+                u, s = root_rotation(sign * root_of_unity(m, t))
+                assert s in (1, -1) and s * root_of_unity(m, u) == sign * root_of_unity(m, t)
+    zeta5 = root_of_unity(5, 1)
+    assert _root_multiple((1 - zeta5)._num, 5) is None
+    for c in (2 * zeta5, 1 - zeta5, zeta5 / 2, CycNum.zero(5), 2 * root_of_unity(12, 5)):
+        with pytest.raises(ValueError):
+            root_rotation(c)
 
 
 @settings(max_examples=30, deadline=None)
