@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .bundle import ModelIso, chart_certificate, column_frame
 from .cyclotomic import CycNum, _root_multiple, roots_among
@@ -61,8 +60,8 @@ from .equivariant import (EquivariantStructure, GroupIndexed, canonical_model,
                           transport_structure)
 from .group import (Character, GroupSpec, characters, elements, generators, identity,
                     inverse, klein_lift)
-from .laurent import (LaurentMatrix, LaurentPoly, _operand, _table_of, add_column_map,
-                      block_at, formed, vanishes)
+from .laurent import (LaurentMatrix, LaurentPoly, _covering, _operand, _table_of,
+                      add_column_map, block_at, formed, vanishes)
 from .linalg import kernel_dense
 
 
@@ -316,6 +315,9 @@ class DecompositionCertificate:
         odd = tuple(sorted(self.odd_blocks, reverse=True))
         object.__setattr__(self, "even_blocks", even)
         object.__setattr__(self, "odd_blocks", odd)
+        if self.conductor % self.group.conductor:
+            raise ValueError(f"conductor {self.conductor} is no multiple of "
+                             f"{self.group}'s {self.group.conductor}")
         if self.group.kind == "cyclic":
             if odd:
                 raise ValueError("cyclic certificates have no pair blocks")
@@ -528,8 +530,7 @@ def _classify(S: EquivariantStructure):
         else:
             X = product(S.maps[name], psiP)
         if den % X[0]:
-            f = X[0] // gcd(den, X[0])
-            den, total = den * f, [{s: n * f for s, n in row.items()} for row in total]
+            den = _covering(den, X[0], total)
         add_column_map(total, X, g.c.embed(cond), g.e, B[g.name], cond, den // X[0])
     return DecompositionCertificate(
         group=G, even_blocks=tuple(b for b in blocks if b[1] is not None),

@@ -16,9 +16,8 @@ from pathlib import Path
 from .bundle import VectorBundle, global_sections, hn_data, splitting_type, twist
 from .classify import (DecompositionCertificate, build_structure, decompose,
                        verify_certificate_report)
-from .equivariant import (EquivariantStructure, canonical_structure, existence,
-                          structures_equivalent, twist_by_character,
-                          unpaired_odd_degrees, validation_report)
+from .equivariant import (EquivariantStructure, canonical_structure, structures_equivalent,
+                          twist_by_character, unpaired_odd_degrees, validation_report)
 from .errors import (EqBundlesError, NoSuchStructure, ParseError,
                      ValidationError)
 from .laurent import MAX_EXPONENT, render_laurent
@@ -132,10 +131,10 @@ def _cmd_equiv_check(args):
 def _cmd_obstruction(args):
     G = parse_group_shortcut(args.group)
     E = _load_bundle(args.bundle, args.conductor or G.conductor)
-    if existence(E, G):
+    odd = [] if G.kind == "cyclic" else unpaired_odd_degrees(splitting_type(E).degrees)
+    if not odd:
         print("equivariant structure exists")
         return 0
-    odd = unpaired_odd_degrees(splitting_type(E).degrees)
     print(f"obstruction: odd degree {odd} with odd multiplicity")
     return 1
 

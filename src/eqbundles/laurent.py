@@ -126,8 +126,8 @@ class LaurentPoly:
         return _poly(self.conductor, {e + k: c for e, c in self.coeffs.items()})
 
     def substitute(self, c: CycNum, e: int) -> "LaurentPoly":
-        """Replace z by c*z^e term by term (e in {+1, -1}); c must be nonzero."""
-        return _substituted(self, _power_table(c, self.conductor, self.coeffs), e)
+        """Replace z by c*z^e, as `LaurentMatrix.substitute` does."""
+        return _matrix(self.conductor, [[self]]).substitute(c, e).entries[0][0]
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises if the divisor does not divide exactly."""
@@ -229,30 +229,6 @@ def _monomial_multiple(p: LaurentPoly, c: CycNum, k: int) -> LaurentPoly:
     if c.is_one():
         return p.shift(k)
     return _poly(p.conductor, {e + k: v * c for e, v in p.coeffs.items()})
-
-
-def _power_table(c: CycNum, conductor: int, exponents):
-    """{k: c^k} for k in exponents from one inverse at most; None if all are 1."""
-    if c.conductor != conductor:
-        raise ConductorMismatch(f"conductor {conductor} vs {c.conductor}")
-    if c.is_zero():
-        raise ValueError("substitution constant must be nonzero")
-    ks = set(exponents)
-    if c.is_one() or not ks:
-        return None
-    cinv = c.inverse() if min(ks) < 0 else None
-    table = {k: c ** k if k >= 0 else cinv ** -k for k in ks}
-    return None if all(v.is_one() for v in table.values()) else table
-
-
-def _substituted(p: LaurentPoly, table, e: int) -> LaurentPoly:
-    """p(c*z^e) from the power table of c; k -> e*k is one to one and
-    c^k != 0, so no two terms meet and none vanishes; zero passes through."""
-    if not p.coeffs or (table is None and e == 1):
-        return p
-    if table is None:
-        return _poly(p.conductor, {-k: v for k, v in p.coeffs.items()})
-    return _poly(p.conductor, {e * k: v * table[k] for k, v in p.coeffs.items()})
 
 
 class LaurentMatrix:
@@ -371,12 +347,27 @@ class LaurentMatrix:
         return _matrix(self.conductor, zip(*self.entries))
 
     def substitute(self, c: CycNum, e: int) -> "LaurentMatrix":
-        """Replace z by c*z^e in every entry, from one table of powers of c."""
-        table = _power_table(c, self.conductor,
-                             [k for row in self.entries for p in row for k in p.coeffs])
-        if table is None and e == 1:
+        """Replace z by c*z^e (e in {+1, -1}) in every entry, for c = s*zeta^t
+        with s = +-1, as every group action is: (t, s) = `root_rotation(c)`,
+        read once, and the term v*z^k becomes s^k * zeta^(tk) * v * z^(ek),
+        with zeta^(tk) a row of the root table, so no power or inverse of c
+        is formed.  k -> e*k is one to one and the factor is nonzero, so no
+        two terms meet and none vanishes.  ConductorMismatch at another
+        conductor, ValueError for c = 0 and any c but +-zeta^t; a matrix
+        constant in z is returned as it is (c^0 = 1)."""
+        m = self.conductor
+        if c.conductor != m:
+            raise ConductorMismatch(f"conductor {m} vs {c.conductor}")
+        if c.is_zero():
+            raise ValueError("substitution constant must be nonzero")
+        if not any(k for row in self.entries for p in row for k in p.coeffs):
             return self
-        return self._map(lambda p: _substituted(p, table, e))
+        t, s = root_rotation(c)
+
+        def term(k, v):
+            v = v * root_of_unity(m, t * k)
+            return -v if s < 0 and k % 2 else v
+        return self._map(lambda p: _poly(m, {e * k: term(k, v) for k, v in p.coeffs.items()}))
 
     def embed(self, conductor: int) -> "LaurentMatrix":
         return LaurentMatrix(conductor,
@@ -466,8 +457,8 @@ def _operand(x) -> tuple:
 def _table_of(conductor: int, grid) -> tuple:
     """The table of a grid of coefficient maps {e: nonzero CycNum}, in one
     pass: a denominator that the running one does not cover rescales the
-    terms so far, and n * zeta^t (`_root_multiple`) is one term.  At a
-    power of 2 every root is one power-basis term already."""
+    terms so far (`_covering`), and n * zeta^t (`_root_multiple`) is one
+    term.  At a power of 2 every root is one power-basis term already."""
     cols, wide = len(grid[0]), conductor & (conductor - 1)
     w, den, rows = 4 * conductor * cols, 1, []
     for row in grid:
@@ -477,17 +468,23 @@ def _table_of(conductor: int, grid) -> tuple:
             for e, c in coeffs.items():
                 d, base = c._den, e * w + j
                 if den % d:
-                    f = d // gcd(den, d)
-                    den *= f
-                    for r in rows:
-                        for s in r:
-                            r[s] *= f
+                    den = _covering(den, d, rows)
                 f, num = den // d, c._num
                 root = wide and len(num) - num.count(0) > 1 and _root_multiple(num, conductor)
                 for p, n in (root,) if root else enumerate(num):
                     if n:
                         out[base + p * cols] = n * f
     return den, cols, rows
+
+
+def _covering(den: int, d: int, rows: list) -> int:
+    """The least multiple of den that d divides, for d that den does not
+    cover; rows, numerators over den, are rescaled to it in place."""
+    f = d // gcd(den, d)
+    for r in rows:
+        for s in r:
+            r[s] *= f
+    return den * f
 
 
 def _reduce(row: dict, cols: int, m: int) -> dict:

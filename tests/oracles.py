@@ -11,6 +11,8 @@ instead of the generator pairs that validation uses, and it multiplies
 Klein lift elements as 2x2 matrices instead of by the sign rule.
 Matrix products visit every (i, j, k) instead of the nonzero entries,
 and a monomial column map is such a product with its monomial matrix.
+Substitution z -> c*z^e takes powers of c instead of rows of the root
+table.
 Fixed-point traces read the fiber of a structure at each point a group
 element fixes, where `decompose` reads no fiber at all, and the
 character inner product turns them into multiplicities.
@@ -163,6 +165,15 @@ def times_monomial(X, rows):
     return dense_matmul(X, LaurentMatrix(X.conductor, [
         [LaurentPoly.monomial(X.conductor, k, c) if l == j else zero for l in range(len(rows))]
         for j, c, k in rows]))
+
+
+def substituted(M, c, e):
+    """M(c*z^e) by field powers: the term v*z^k of every entry becomes
+    c**k * v * z^(e*k), with c**k formed by repeated products, through
+    the inverse of c for k < 0."""
+    m = M.conductor
+    return LaurentMatrix(m, [[LaurentPoly(m, {e * k: c ** k * v for k, v in p.coeffs.items()})
+                              for p in row] for row in M.entries])
 
 
 def kron(A, B):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from eqbundles import cyclotomic, laurent
 from eqbundles.cyclotomic import CycNum, euler_phi, root_of_unity
 from eqbundles.errors import ConductorMismatch, NonUnimodular, ParseError
+from eqbundles.group import cyclic, elements, klein, klein_lift
 from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix,
                                LaurentPoly, _det_adjugate, add_column_map, formed,
                                parse_laurent, regular_invertible_at, render_laurent,
@@ -15,7 +16,8 @@ from eqbundles.laurent import (MAX_EXPONENT, MAX_NESTING, LaurentMatrix,
 from eqbundles.randgen import random_poly, random_unimodular, random_unit
 
 from conftest import L, M
-from oracles import dense_matmul, det_cofactor, parse_laurent_by_arithmetic, times_monomial
+from oracles import (dense_matmul, det_cofactor, parse_laurent_by_arithmetic, substituted,
+                     times_monomial)
 
 
 @st.composite
@@ -50,17 +52,110 @@ def test_substitution_is_a_ring_homomorphism(data):
     m = data.draw(st.sampled_from([1, 3, 4]))
     a = data.draw(laurents(conductor=m))
     b = data.draw(laurents(conductor=m))
-    c = root_of_unity(m, data.draw(st.integers(0, m - 1)))
-    if data.draw(st.booleans()):
-        c = c * 2
+    c = root_of_unity(m, data.draw(st.integers(0, m - 1))) * data.draw(st.sampled_from([1, -1]))
     e = data.draw(st.sampled_from([1, -1]))
     assert (a * b).substitute(c, e) == a.substitute(c, e) * b.substitute(c, e)
     assert (a + b).substitute(c, e) == a.substitute(c, e) + b.substitute(c, e)
+    for p in (a, b, a * b):  # 2c is no group constant: refused unless c^0 = 1 is all it needs
+        if any(p.coeffs):
+            with pytest.raises(ValueError):
+                p.substitute(c * 2, e)
+        else:
+            assert p.substitute(c * 2, e) is p
 
 
 def test_substitute_rejects_zero():
     with pytest.raises(ValueError):
         L("z").substitute(CycNum.zero(1), 1)
+
+
+def _substitution_cases(rng, m):
+    """Sparse 1x1 to 3x3 matrices at conductor m with exponents in [-3, 3],
+    each coefficient q * zeta^t or a sum of two power-basis terms, and one
+    matrix constant in z."""
+    phi, zero = euler_phi(m), LaurentPoly.zero(m)
+
+    def coeff():
+        if rng.random() < 0.5:
+            return root_of_unity(m, rng.randrange(m)) * Fraction(rng.choice((1, -1, 3)),
+                                                                 rng.randint(1, 4))
+        v = [0] * phi
+        for _ in range(2):
+            v[rng.randrange(phi)] += rng.choice((1, -2, Fraction(1, 3)))
+        return CycNum(m, v) if any(v) else CycNum.one(m)
+
+    def entry():
+        if rng.random() < 0.4:
+            return zero
+        return LaurentPoly(m, {rng.randint(-3, 3): coeff() for _ in range(rng.randint(1, 3))})
+
+    shapes = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(3)]
+    cases = [LaurentMatrix(m, [[entry() for _ in range(c)] for _ in range(r)]) for r, c in shapes]
+    cases.append(LaurentMatrix(m, [[LaurentPoly.const(m, coeff()), zero]]))
+    return cases
+
+
+@pytest.mark.parametrize("group", [cyclic(n) for n in range(1, 13)]
+                         + [cyclic(97), cyclic(251), klein(), klein_lift()], ids=str)
+def test_substitution_by_every_group_element_matches_field_powers(group):
+    """M(c*z^e) for the constant c of every group element, at the group's
+    conductor and, for the Klein group, at 12 as well, with e = +-1,
+    against `oracles.substituted`, which forms c**k."""
+    conductors = [group.conductor] + ([12] if group.kind == "klein" else [])
+    for m in conductors:
+        rng = Random(m * 1000 + group.order)
+        cases = _substitution_cases(rng, m)
+        for g in elements(group):
+            c = g.c.embed(m)
+            for e in (1, -1):
+                for A in cases:
+                    expected = substituted(A, c, e)
+                    assert A.substitute(c, e) == expected
+                    assert A.entries[0][0].substitute(c, e) == expected.entries[0][0]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 12, 97])
+def test_substitution_accepts_only_group_constants(m):
+    """2*zeta, zeta/2 and 1 - zeta are no +-zeta^t: ValueError on a matrix
+    in z.  A matrix constant in z comes back as the same object for every
+    nonzero constant (c^0 = 1); zero and another conductor are refused
+    before that."""
+    zeta = root_of_unity(m, 1)
+    A = LaurentMatrix(m, [[LaurentPoly(m, {1: zeta, -2: 1}), LaurentPoly.zero(m)]])
+    const = LaurentMatrix.from_const(m, [[1, 0], [zeta, 3]])
+    for c in (zeta * 2, zeta / 2, 1 - zeta):
+        for e in (1, -1):
+            with pytest.raises(ValueError):
+                A.substitute(c, e)
+            with pytest.raises(ValueError):
+                A.entries[0][0].substitute(c, e)
+            assert const.substitute(c, e) is const
+    for c in (zeta, -zeta, root_of_unity(m, m - 1), CycNum.one(m)):
+        assert const.substitute(c, -1) is const
+    for target in (A, const):
+        with pytest.raises(ValueError):
+            target.substitute(CycNum.zero(m), 1)
+        with pytest.raises(ConductorMismatch):
+            target.substitute(root_of_unity(2 * m, 1), 1)
+
+
+def test_substitution_reads_c_once_and_forms_no_power_or_inverse(monkeypatch):
+    """One `root_rotation` call per substitution, however many terms, and
+    no power or inverse of c: on a 3x3 cyclic(97) matrix with exponents
+    -3 to 3 and c = -zeta^5."""
+    m = 97
+    A = LaurentMatrix(m, [[LaurentPoly(m, {k: root_of_unity(m, i + j + k) for k in range(-3, 4)})
+                           for j in range(3)] for i in range(3)])
+    c = -root_of_unity(m, 5)
+    expected = {e: substituted(A, c, e) for e in (1, -1)}
+    calls = []
+    real = laurent.root_rotation
+    monkeypatch.setattr(laurent, "root_rotation", lambda x: calls.append(x) or real(x))
+    for name in ("inverse", "__pow__"):
+        monkeypatch.setattr(CycNum, name, lambda *args, name=name: calls.append(name))
+    for e in (1, -1):
+        assert A.substitute(c, e) == expected[e]
+    assert calls == [c, c]
 
 
 def test_divexact():
@@ -204,7 +299,7 @@ def square_matrices(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(square_matrices())
-def test_det_only_pass_matches_adjugate_pass_and_cofactor(A):
+def test_elimination_det_matches_cofactor_and_gates_the_inverse(A):
     d, adj = _det_adjugate(A)
     assert A.det() == d == det_cofactor(A.entries, A.conductor)
     if d.is_zero():
@@ -268,20 +363,26 @@ def test_trusted_results_keep_the_invariant(data):
         b = LaurentPoly(m, {**{e: -c for e, c in a.coeffs.items()}, **b.coeffs})
     s = data.draw(st.sampled_from([0, 1, -1, 2]))
     root = root_of_unity(m, data.draw(st.integers(0, m - 1)))
+    signed = root * data.draw(st.sampled_from([1, -1]))
     unit = LaurentPoly.monomial(m, data.draw(st.integers(-3, 3)),
                                 -root if data.draw(st.booleans()) else root)
     results = [a + b, a - b, -a, a * b, a.scale(s), a.scale(root * s), a * s,
                a.shift(data.draw(st.integers(-3, 3))),
-               a.substitute(root, 1), a.substitute(root * 2, -1),
+               a.substitute(root, 1), a.substitute(signed, -1),
                a.substitute(CycNum.one(m), -1), (a * unit).divexact(unit),
                a.divexact(unit)]
     assert results[-2] == a
     A = LaurentMatrix(m, [[a, b], [b, a]])
     B = LaurentMatrix(m, [[b, LaurentPoly.zero(m)], [a - b, a]])
-    for P in (A @ B, B @ A, A.substitute(root, -1), A.substitute(root * 2, 1),
+    for P in (A @ B, B @ A, A.substitute(root, -1), A.substitute(signed, 1),
               A - A, A.transpose()):
         assert P == LaurentMatrix(m, P.entries)
         results += [p for row in P.entries for p in row]
+    if any(a.coeffs):
+        with pytest.raises(ValueError):
+            a.substitute(root * 2, -1)
+        with pytest.raises(ValueError):
+            A.substitute(root * 2, 1)
     for r in results:
         _assert_trusted(r, m)
     assert (a - a).coeffs == {} and (A - A).entries == ((LaurentPoly.zero(m),) * 2,) * 2
@@ -523,8 +624,16 @@ def test_matrix_substitute_keeps_zeros_and_matches_entries(data):
     A = data.draw(sparse_matrices(m, data.draw(st.integers(1, 4)),
                                   data.draw(st.integers(1, 4))))
     c = root_of_unity(m, data.draw(st.integers(0, m - 1)))
-    c = c * data.draw(st.sampled_from([1, -1, 2]))
+    scale = data.draw(st.sampled_from([1, -1, 2]))
     e = data.draw(st.sampled_from([1, -1]))
+    if scale == 2:  # no group constant
+        if any(k for row in A.entries for p in row for k in p.coeffs):
+            with pytest.raises(ValueError):
+                A.substitute(c * scale, e)
+        else:
+            assert A.substitute(c * scale, e) is A
+        return
+    c = c * scale
     S = A.substitute(c, e)
     for row, srow in zip(A.entries, S.entries):
         for p, q in zip(row, srow):

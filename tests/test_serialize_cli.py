@@ -154,6 +154,59 @@ def test_cli_obstruction_exit_codes(capsys):
     assert main(["obstruction", "--bundle", "O(-1)", "--group", "cyclic:3"]) == 0
 
 
+def test_cli_obstruction_computes_the_splitting_type_once(capsys, monkeypatch):
+    """One splitting type per Klein query and none for a cyclic group, with
+    the unpaired odd degrees printed off it."""
+    import eqbundles.cli as cli
+    import eqbundles.equivariant as equivariant
+    calls = []
+    real = cli.splitting_type
+
+    def counted(E):
+        calls.append(E.rank)
+        return real(E)
+
+    for module in (cli, equivariant):
+        monkeypatch.setattr(module, "splitting_type", counted)
+    for bundle, group, code, out, n in (
+            ("O(3)+O(1)+O(1)+O(-1)", "klein", 1,
+             "obstruction: odd degree [3, -1] with odd multiplicity", 1),
+            ("O(1)+O(1)+O(2)", "klein", 0, "equivariant structure exists", 1),
+            ("O(-1)", "cyclic:3", 0, "equivariant structure exists", 0)):
+        calls.clear()
+        assert main(["obstruction", "--bundle", bundle, "--group", group]) == code
+        assert capsys.readouterr().out == out + "\n"
+        assert len(calls) == n
+
+
+def test_cli_certificate_conductor_must_be_a_multiple_of_the_groups(tmp_path, capsys):
+    """A cyclic(6) certificate at conductor 3, or a Klein one at 6, is an
+    input error, exit 2 with the same message, for validate, build and
+    verify-cert alike; exit 1 stays for mathematical falsity."""
+    s_path = tmp_path / "s.json"
+    assert main(["canonical", "--group", "cyclic:6", "--target", "O(1)+O(0)",
+                 "--out", str(s_path)]) == 0
+    index = {"index": 0}
+    for group, conductor, blocks, bad in (
+            ({"kind": "cyclic", "n": 6}, 3, [(1, index), (0, index)],
+             "3 is no multiple of cyclic(6)'s 6"),
+            ({"kind": "klein"}, 6, [(0, {"a1": 1, "a2": 1})],
+             "6 is no multiple of klein's 4")):
+        c_path = tmp_path / "c.json"
+        c_path.write_text(json.dumps({
+            "kind": "certificate", "group": group, "conductor": conductor,
+            "even_blocks": [{"degree": d, "character": chi} for d, chi in blocks],
+            "odd_blocks": [], "change_of_frame": [["1" if i == j else "0" for j in blocks]
+                                                  for i in blocks]}))
+        capsys.readouterr()
+        for argv in (["validate", str(c_path)],
+                     ["build", "--cert", str(c_path), "--target", "O(1)+O(0)"],
+                     ["verify-cert", "--cert", str(c_path), "--structure", str(s_path)]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: inconsistent certificate: conductor {bad}\n"
+
+
 def test_cli_split_type(capsys):
     assert main(["split-type", "--bundle", "O(3)+O(-1)"]) == 0
     assert capsys.readouterr().out.strip() == "{3, -1}"
